@@ -35,6 +35,18 @@ class Tensor:
         a.setflags(write=False)
         self._a = a
 
+    @classmethod
+    def _wrap(cls, a: np.ndarray) -> "Tensor":
+        """Adopt a fresh float64 C-order array without copying or checking it.
+
+        The caller vouches that every entry is finite and that nothing else
+        keeps a writable reference to `a`.
+        """
+        a.setflags(write=False)
+        t = cls.__new__(cls)
+        t._a = a
+        return t
+
     @property
     def shape(self) -> tuple[int, ...]:
         return self._a.shape
@@ -288,18 +300,11 @@ def concat_cols(parts: Sequence[Tensor], tape: Tape | None = None) -> Tensor:
     return out
 
 
-def gather_rows(
-    table: Tensor,
-    ids: Sequence[int],
-    tape: Tape | None = None,
-    grad_ids: set[int] | None = None,
-) -> Tensor:
+def gather_rows(table: Tensor, ids: Sequence[int], tape: Tape | None = None) -> Tensor:
     """Select rows of a table by index, in order.
 
-    When taped, the table's gradient is a full-shape array whose rows are the
-    scatter-added cotangents, restricted to `grad_ids` (every gathered id when
-    None). Rows outside `grad_ids` stay exactly zero, which is what confines
-    an optimization to chosen embedding rows.
+    When taped, the table's gradient is a table-shaped array whose rows are
+    the scatter-added cotangents of the gathered rows.
     """
     if len(table.shape) != 2:
         raise DimensionError(f"gather_rows: expected a matrix, got shape {table.shape}")
@@ -310,24 +315,63 @@ def gather_rows(
             raise IndexError(f"row id {i} out of range for table with {n} rows")
     out = Tensor(table.array[ids])
     table_shape = table.shape
-
-    if grad_ids is None:
-        keep = list(range(len(ids)))
-    else:
-        allowed = set(grad_ids)
-        keep = [k for k, i in enumerate(ids) if i in allowed]
-    kept_ids = np.array([ids[k] for k in keep], dtype=np.intp)
-    keep_arr = np.array(keep, dtype=np.intp)
+    ids_arr = np.array(ids, dtype=np.intp)
 
     def vjp(g, needs):
         if not needs[0]:
             return (None,)
         z = np.zeros(table_shape)
-        if kept_ids.size:
-            np.add.at(z, kept_ids, g[keep_arr])
+        np.add.at(z, ids_arr, g)
         return (z,)
 
     _maybe_record(tape, out, (table,), vjp)
+    return out
+
+
+def substitute_rows(
+    x: Tensor,
+    ids: Sequence[int],
+    leaf_ids: Sequence[int],
+    leaf: Tensor,
+    tape: Tape | None = None,
+) -> Tensor:
+    """Replace each row of x whose id is a leaf id by that id's leaf row.
+
+    Row p of the n-by-d matrix x stands for id ids[p], as gather_rows lays
+    them out; row s of the k-by-d leaf stands for leaf_ids[s]. When taped,
+    the leaf's gradient is k-by-d: each leaf row gets the cotangents of the
+    positions it fills, scatter-added in position order, and x gets the
+    cotangents of the rows it kept.
+    """
+    if len(x.shape) != 2 or x.shape[0] != len(ids):
+        raise DimensionError(f"substitute_rows: {len(ids)} ids for a matrix of shape {x.shape}")
+    if leaf.shape != (len(leaf_ids), x.shape[1]):
+        raise DimensionError(
+            f"substitute_rows: leaf shape {leaf.shape} != ({len(leaf_ids)}, {x.shape[1]})"
+        )
+    slot_of = {i: s for s, i in enumerate(leaf_ids)}
+    if len(slot_of) != len(leaf_ids):
+        raise ValueError(f"substitute_rows: repeated leaf ids in {list(leaf_ids)}")
+    hits = [(p, slot_of[i]) for p, i in enumerate(ids) if i in slot_of]
+    pos = np.array([p for p, _ in hits], dtype=np.intp)
+    slots = np.array([s for _, s in hits], dtype=np.intp)
+    a = x.array.copy()
+    a[pos] = leaf.array[slots]
+    out = Tensor(a)
+    leaf_shape = leaf.shape
+
+    def vjp(g, needs):
+        g_x = None
+        if needs[0]:
+            g_x = g.copy()
+            g_x[pos] = 0.0
+        g_leaf = None
+        if needs[1]:
+            g_leaf = np.zeros(leaf_shape)
+            np.add.at(g_leaf, slots, g[pos])
+        return (g_x, g_leaf)
+
+    _maybe_record(tape, out, (x, leaf), vjp)
     return out
 
 

@@ -2,11 +2,12 @@
 
 Manual mode is an ordinary edit whose destination names the
 counter-stereotypical gender, with a per-profession stopping ratio. Auto
-mode first re-initializes the profession rows to the average of the
-profession, "female", and "male" embeddings, then minimizes a reward-penalty
-loss that pulls toward the counter-stereotypical prompt with weight alpha^2
-and holds the stereotypical side with weight 1/alpha^2. Alpha grows with the
-measured bias rate and is fixed once, at the initialized state.
+mode starts the profession rows at the average of the profession, "female",
+and "male" embeddings, then minimizes a reward-penalty loss that pulls
+toward the counter-stereotypical prompt with weight alpha^2 and holds the
+stereotypical side with weight 1/alpha^2. Alpha grows with the measured bias
+rate and is fixed once, at the initialized state. Like an ordinary edit, it
+writes the table once, after its loop, so a failure leaves it unchanged.
 """
 
 from __future__ import annotations
@@ -174,23 +175,22 @@ def _edit_balance_auto(
         destination_prompt=request.counter_prompt,
         target_word=request.profession,
     )
-    ids_set = target_token_ids(edit_request, vocab)
-    ids = sorted(ids_set)
+    ids = sorted(target_token_ids(edit_request, vocab))
     original_rows = {i: weights.wte_row(i) for i in ids}
 
     female = _gendered_row(bundle, "female")
     male = _gendered_row(bundle, "male")
-    init_rows = np.stack([
-        init_profession_embedding(weights.wte_row(i), female, male).array for i in ids
+    row_params = np.stack([
+        init_profession_embedding(original_rows[i], female, male).array for i in ids
     ])
-    weights.set_wte_rows(ids, init_rows)
+    init = (ids, Tensor(row_params))
 
     p_tokens = tokenize(request.profession, vocab, config)
     sp_tokens = tokenize(request.stereotypical_prompt, vocab, config)
     csp_tokens = tokenize(request.counter_prompt, vocab, config)
-    h_sp = encode(sp_tokens, weights, config)
-    h_csp = encode(csp_tokens, weights, config)
-    h_p0 = encode(p_tokens, weights, config)
+    h_sp = encode(sp_tokens, weights, config, edit_rows=init)
+    h_csp = encode(csp_tokens, weights, config, edit_rows=init)
+    h_p0 = encode(p_tokens, weights, config, edit_rows=init)
 
     mse_sp = mse_hidden(h_p0, h_sp, params.loss_positions)
     mse_csp = mse_hidden(h_p0, h_csp, params.loss_positions)
@@ -211,13 +211,13 @@ def _edit_balance_auto(
 
     opt = make_optimizer(params.optimizer.value, (len(ids), config.d_model),
                          params.learning_rate)
-    row_params = weights.wte.array[ids].copy()
     iterations = 0
     steps = 0
     for i in range(1, params.max_iters + 1):
         iterations = i
         tape = Tape()
-        h_i = encode(p_tokens, weights, config, tape, differentiable_rows=ids_set)
+        leaf = Tensor(row_params)
+        h_i = encode(p_tokens, weights, config, tape, edit_rows=(ids, leaf))
         loss_t = add(
             scale(_taped_mse(h_i, h_csp, rows_csp, tape), alpha ** 2, tape),
             scale(_taped_mse(h_i, h_sp, rows_sp, tape), (1.0 / alpha) ** 2, tape),
@@ -226,17 +226,17 @@ def _edit_balance_auto(
         loss = loss_t.item()
         if not math.isfinite(loss):
             raise DivergenceError("balanced loss became non-finite", iteration=i)
-        g = backward(tape, loss_t)[weights.wte].array[ids]
+        g = backward(tape, loss_t)[leaf].array
         if float(np.linalg.norm(g)) < GRAD_NORM_STOP:
             break
         row_params = opt.step(row_params, g)
         if not np.all(np.isfinite(row_params)):
             raise DivergenceError("embedding rows became non-finite", iteration=i)
-        weights.set_wte_rows(ids, row_params)
         steps += 1
 
-    h_final = encode(p_tokens, weights, config)
+    h_final = encode(p_tokens, weights, config, edit_rows=(ids, Tensor(row_params)))
     final_loss = balanced_loss(h_final, h_csp, h_sp, alpha, params.loss_positions)
+    weights.set_wte_rows(ids, row_params)
     result = EditResult(
         initial_loss=initial_loss,
         threshold_tau=0.0,

@@ -40,6 +40,8 @@ from .errors import (
     DivergenceError,
     EmptyPromptError,
     InconsistentRequestError,
+    LedgerFormatError,
+    LedgerRangeError,
     PromptTooLongError,
     UnknownTokenError,
 )
@@ -65,6 +67,7 @@ _DATA_ERRORS = (
     DegenerateInputError,
     DegenerateDataError,
     DegenerateVectorError,
+    LedgerFormatError,
     IndexError,
 )
 
@@ -192,7 +195,8 @@ def cmd_seq_edit(args) -> int:
     try:
         results = edit_sequential(bundle, requests, hyper, ledger)
     finally:
-        # Completed entries survive a mid-run failure.
+        # Completed entries survive a mid-run failure; a failed edit wrote
+        # nothing, so the saved table holds exactly the ledger's edits.
         ledger.save(out / "ledger.json")
         save_weights(out / "edited.embedit", bundle.config, bundle.weights, bundle.vocab)
     _write_json(out / "results.json", {
@@ -481,7 +485,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as e:
+    except (_UsageError, LedgerRangeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except DivergenceError as e:

@@ -3,8 +3,11 @@ destination prompt's by optimizing only the target word's WTE rows.
 
 The optimization loop checks its stopping threshold before every step, so a
 threshold already met at the first evaluation leaves the weights bitwise
-untouched. Each edit appends one ledger entry holding the pre-edit rows,
-which makes any prefix of the edit history exactly revertible.
+untouched. The loop optimizes a k-by-d copy of the target rows and writes
+the table once, after the loop and its final scoring succeed, so an edit that
+raises leaves the table bitwise as it was. Each edit appends one ledger entry
+holding the pre-edit rows, which makes any prefix of the edit history exactly
+revertible.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .errors import (
     DimensionError,
     DivergenceError,
     InconsistentRequestError,
+    LedgerFormatError,
     LedgerRangeError,
     UnknownTokenError,
 )
@@ -215,12 +219,12 @@ def edit_single(
     encode / loss / threshold-check / step on exactly the target rows.
 
     The check precedes the step, so stop_ratio=1 and identical prompts take
-    zero optimizer steps. The caller must hold exclusive access to the
-    weights; no concurrent encode may observe the table mid-edit.
+    zero optimizer steps and write nothing. The rows are written to the table
+    once, after the loop; if the edit raises, the table is left as it was.
+    The caller must hold exclusive access to the weights.
     """
     config, weights, vocab = bundle.config, bundle.weights, bundle.vocab
-    ids_set = target_token_ids(request, vocab)
-    ids = sorted(ids_set)
+    ids = sorted(target_token_ids(request, vocab))
 
     src_tokens = tokenize(request.source_prompt, vocab, config)
     dst_tokens = tokenize(request.destination_prompt, vocab, config)
@@ -240,7 +244,8 @@ def edit_single(
     for i in range(1, hyper.max_iters + 1):
         iterations = i
         tape = Tape()
-        h_i = encode(src_tokens, weights, config, tape, differentiable_rows=ids_set)
+        leaf = Tensor(params)
+        h_i = encode(src_tokens, weights, config, tape, edit_rows=(ids, leaf))
         loss_t = _taped_mse(h_i, h_new, n_rows, tape)
         loss = loss_t.item()
         if not math.isfinite(loss):
@@ -248,19 +253,18 @@ def edit_single(
         final_loss = loss
         if loss <= tau:
             break
-        grads = backward(tape, loss_t)
-        g = grads[weights.wte].array[ids]
-        params = opt.step(params, g)
+        params = opt.step(params, backward(tape, loss_t)[leaf].array)
         if not np.all(np.isfinite(params)):
             raise DivergenceError("embedding rows became non-finite", iteration=i)
-        weights.set_wte_rows(ids, params)
         steps += 1
     else:
         # Cap reached: the last step's effect was never scored inside the loop.
-        h_last = encode(src_tokens, weights, config)
+        h_last = encode(src_tokens, weights, config, edit_rows=(ids, Tensor(params)))
         final_loss = mse_hidden(h_last, h_new, hyper.loss_positions)
         if not math.isfinite(final_loss):
             raise DivergenceError("loss became non-finite", iteration=hyper.max_iters)
+    if steps:
+        weights.set_wte_rows(ids, params)
 
     result = EditResult(
         initial_loss=initial_loss,
@@ -300,9 +304,14 @@ def edit_sequential(
 
 
 def revert(weights, ledger: EditLedger, n_last: int) -> None:
-    """Undo the last n_last ledger entries, newest first, restoring each
-    entry's pre-edit rows bitwise. Reverted entries are removed from the
-    ledger.
+    """Undo the last n_last ledger entries, restoring each entry's pre-edit
+    rows bitwise. Reverted entries are removed from the ledger.
+
+    Every reverted entry is checked before the table is touched: it needs
+    at least one token id, its ids must be distinct and in [0, vocab_size),
+    with one d-wide original row each. Where several entries edited a row, the oldest entry's original
+    wins, as if the entries were undone newest first; the table is written
+    once.
     """
     if n_last < 0 or n_last > len(ledger.entries):
         raise LedgerRangeError(
@@ -310,11 +319,41 @@ def revert(weights, ledger: EditLedger, n_last: int) -> None:
         )
     if n_last == 0:
         return
-    for entry in reversed(ledger.entries[-n_last:]):
-        ids = sorted(entry.original_rows)
-        rows = np.stack([entry.original_rows[i].array for i in ids])
-        weights.set_wte_rows(ids, rows)
-    del ledger.entries[-n_last:]
+    first = len(ledger.entries) - n_last
+    rows: dict[int, np.ndarray] = {}
+    for k in range(len(ledger.entries) - 1, first - 1, -1):
+        entry = ledger.entries[k]
+        _check_entry_fits(entry, k, weights.wte.shape)
+        for i in entry.edited_token_ids:
+            rows[i] = entry.original_rows[i].array
+    ids = sorted(rows)
+    weights.set_wte_rows(ids, np.stack([rows[i] for i in ids]))
+    del ledger.entries[first:]
+
+
+def _check_entry_fits(entry: LedgerEntry, k: int, table_shape: tuple[int, int]) -> None:
+    n, d = table_shape
+    ids = entry.edited_token_ids
+    if not ids:
+        raise LedgerFormatError(f"ledger entry {k}: no token ids")
+    if len(set(ids)) != len(ids):
+        raise LedgerFormatError(f"ledger entry {k}: repeated token ids {list(ids)}")
+    bad = [i for i in ids if not 0 <= i < n]
+    if bad:
+        raise LedgerFormatError(
+            f"ledger entry {k}: token ids {bad} out of range for vocab size {n}"
+        )
+    if set(entry.original_rows) != set(ids):
+        raise LedgerFormatError(
+            f"ledger entry {k}: original rows cover ids {sorted(entry.original_rows)}, "
+            f"not its token ids {list(ids)}"
+        )
+    for i in ids:
+        shape = entry.original_rows[i].shape
+        if shape != (d,):
+            raise LedgerFormatError(
+                f"ledger entry {k}: original row of id {i} has shape {shape}, expected ({d},)"
+            )
 
 
 @dataclass

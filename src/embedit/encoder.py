@@ -27,12 +27,14 @@ from .autodiff import (
     scale,
     slice_cols,
     softmax_rows,
+    substitute_rows,
     transpose,
 )
 from .errors import (
     DimensionError,
     EmptyPromptError,
     PromptTooLongError,
+    TapeUsageError,
     UnknownTokenError,
 )
 
@@ -175,10 +177,29 @@ class EncoderWeights:
         return sum(t.size for _, t in self.named_tensors())
 
     def set_wte_rows(self, ids: Sequence[int], rows: np.ndarray) -> None:
-        """Replace the given WTE rows; every other scalar keeps its bits."""
+        """Replace the given WTE rows; every other scalar keeps its bits.
+
+        Ids outside [0, vocab_size), repeated ids, rows not shaped
+        (len(ids), d_model) and non-finite rows are rejected before anything
+        is written. Only the new rows are checked: the others come from the
+        current table, which was checked when it was built. The table is
+        copied once.
+        """
+        ids = list(ids)
+        n, d = self.wte.shape
+        bad = [i for i in ids if not 0 <= i < n]
+        if bad:
+            raise IndexError(f"row ids {bad} out of range for table with {n} rows")
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"repeated row ids in {ids}")
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.shape != (len(ids), d):
+            raise DimensionError(f"rows have shape {rows.shape}, expected {(len(ids), d)}")
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("tensor entries must be finite")
         new = self.wte.array.copy()
-        new[list(ids)] = rows
-        self.wte = Tensor(new)
+        new[ids] = rows
+        self.wte = Tensor._wrap(new)
 
     def wte_row(self, token_id: int) -> Tensor:
         return Tensor(self.wte.array[token_id])
@@ -255,15 +276,17 @@ def encode(
     weights: EncoderWeights,
     config: EncoderConfig,
     tape: Tape | None = None,
-    differentiable_rows: set[int] | None = None,
+    edit_rows: tuple[Sequence[int], Tensor] | None = None,
 ) -> HiddenStates:
-    """Run the encoder. Pure function of (tokens, weights): identical inputs
-    give bitwise-identical outputs.
+    """Run the encoder. Pure function of (tokens, weights, edit_rows):
+    identical inputs give bitwise-identical outputs.
 
-    With a tape, the WTE table is the only watched leaf and gradient flows
-    only into `differentiable_rows` (all looked-up rows when None). PAD
-    positions are processed like any other token; they attend causally and
-    are not key-masked.
+    `edit_rows` is (ids, rows): the k-by-d `rows` stand in for the WTE rows
+    of those ids, so candidate rows are scored without writing the table.
+    With a tape, `rows` is the only watched leaf and backward gives its k-by-d
+    gradient; the table itself is never differentiated, so a taped encode
+    requires `edit_rows`. PAD positions are processed like any other token;
+    they attend causally and are not key-masked.
     """
     for i in tokens.ids:
         if not (0 <= i < config.vocab_size):
@@ -273,9 +296,14 @@ def encode(
             f"token sequence length {len(tokens.ids)} != context length {config.context_length}"
         )
 
-    if tape is not None:
-        tape.watch(weights.wte)
-    x = gather_rows(weights.wte, tokens.ids, tape, grad_ids=differentiable_rows)
+    x = gather_rows(weights.wte, tokens.ids)
+    if edit_rows is not None:
+        leaf_ids, leaf = edit_rows
+        if tape is not None:
+            tape.watch(leaf)
+        x = substitute_rows(x, tokens.ids, leaf_ids, leaf, tape)
+    elif tape is not None:
+        raise TapeUsageError("a taped encode needs edit_rows: its rows are the only leaf")
     x = add(x, weights.positional, tape)
 
     d_head = config.d_model // config.n_heads
@@ -357,6 +385,6 @@ class EncoderBundle:
         self,
         prompt: str,
         tape: Tape | None = None,
-        differentiable_rows: set[int] | None = None,
+        edit_rows: tuple[Sequence[int], Tensor] | None = None,
     ) -> HiddenStates:
-        return encode(self.tokenize(prompt), self.weights, self.config, tape, differentiable_rows)
+        return encode(self.tokenize(prompt), self.weights, self.config, tape, edit_rows)

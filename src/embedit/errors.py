@@ -67,3 +67,7 @@ class DatasetError(EmbeditError):
 
 class LedgerRangeError(EmbeditError):
     """Revert depth exceeds the number of ledger entries."""
+
+
+class LedgerFormatError(EmbeditError):
+    """A ledger entry does not fit the table it would be applied to."""

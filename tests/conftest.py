@@ -38,6 +38,25 @@ def make_bundle(seed=42, vocab=None, **config_kwargs):
     return EncoderBundle(config, init_random_weights(config, seed), vocab)
 
 
+def diverge_adam(monkeypatch, nth_adam, nth_step):
+    """Make the `nth_step`-th step of the `nth_adam`-th Adam instance that
+    steps return non-finite rows (both counted from 1); other steps are real."""
+    import embedit.optim as optim
+
+    real_step = optim.Adam.step
+    seen = []
+
+    def step(self, params, grad):
+        if not any(s is self for s in seen):
+            seen.append(self)
+        out = real_step(self, params, grad)
+        if len(seen) >= nth_adam and seen[nth_adam - 1] is self and self.t == nth_step:
+            return np.full_like(out, np.inf)
+        return out
+
+    monkeypatch.setattr(optim.Adam, "step", step)
+
+
 @pytest.fixture
 def vocab():
     return make_vocab(splits={"icecream": ["ice", "cream"]})

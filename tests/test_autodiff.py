@@ -22,6 +22,7 @@ from embedit.autodiff import (
     slice_rows,
     softmax_rows,
     sub,
+    substitute_rows,
     sum_all,
     transpose,
 )
@@ -240,6 +241,13 @@ _PRIMITIVES = [
     ("slice_cols", lambda tp, a: slice_cols(a, 1, 3, tp), [(3, 4)], (0,)),
     ("concat_cols", lambda tp, a, b: concat_cols([a, b], tp), [(3, 2), (3, 3)], (0, 1)),
     ("gather_rows", lambda tp, t: gather_rows(t, [2, 0, 2, 1], tp), [(4, 3)], (0,)),
+    # Id 2 repeats inside the leaf, 0 repeats outside it, 4 is never used.
+    (
+        "substitute_rows",
+        lambda tp, x, leaf: substitute_rows(x, [2, 0, 2, 1, 0, 3], [3, 2, 4], leaf, tp),
+        [(6, 3), (3, 3)],
+        (0, 1),
+    ),
     (
         "layer_norm",
         lambda tp, x, g, b: layer_norm(x, g, b, 1e-5, tp),
@@ -286,9 +294,10 @@ def test_encoder_loss_gradient_matches_finite_differences():
     bear = vocab.tokens["bear"]
 
     tape = Tape()
-    h = encode(src, weights, config, tape, differentiable_rows={bear})
+    leaf = Tensor(weights.wte.array[[bear]])
+    h = encode(src, weights, config, tape, edit_rows=([bear], leaf))
     loss = _taped_mse(h, h_new, config.context_length, tape)
-    analytic = backward(tape, loss)[weights.wte].array[bear]
+    analytic = backward(tape, loss)[leaf].array[0]
 
     row0 = weights.wte.array[bear].copy()
 
@@ -301,17 +310,6 @@ def test_encoder_loss_gradient_matches_finite_differences():
     weights.set_wte_rows([bear], row0[None, :])
     rel = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-12)
     assert rel.max() < 1e-6
-
-
-def test_gather_rows_restricts_gradient_to_allowed_ids():
-    table = Tensor(np.arange(12.0).reshape(4, 3))
-    tape = Tape()
-    tape.watch(table)
-    out = gather_rows(table, [0, 1, 2], tape, grad_ids={1})
-    loss = sum_all(out, tape)
-    g = backward(tape, loss)[table].array
-    assert np.array_equal(g[1], np.ones(3))
-    assert np.array_equal(g[[0, 2, 3]], np.zeros((3, 3)))
 
 
 def test_gather_rows_out_of_range_is_index_error():

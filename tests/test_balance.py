@@ -21,9 +21,9 @@ from embedit import (
 from embedit.autodiff import Tape, backward
 from embedit.editor import _taped_mse
 from embedit.encoder import HiddenStates, encode, tokenize
-from embedit.errors import DegenerateInputError, DimensionError
+from embedit.errors import DegenerateInputError, DimensionError, DivergenceError
 
-from conftest import make_bundle
+from conftest import diverge_adam, make_bundle
 
 
 def hs(matrix, eos_position=None):
@@ -195,6 +195,18 @@ class TestEditBalanceAuto:
         assert changed[teacher]
         assert not np.any(np.delete(changed, teacher))
 
+    def test_divergence_mid_loop_leaves_table_and_ledger_untouched(self, monkeypatch):
+        diverge_adam(monkeypatch, nth_adam=1, nth_step=2)
+        bundle = symmetric_bundle()
+        before = bundle.weights.wte.array.tobytes()
+        ledger = EditLedger()
+        with pytest.raises(DivergenceError) as exc:
+            edit_balance(bundle, self.request(),
+                         BalancerParams(learning_rate=1e-2, max_iters=5), ledger)
+        assert exc.value.iteration == 2
+        assert bundle.weights.wte.array.tobytes() == before
+        assert len(ledger) == 0
+
     def test_auto_edit_is_revertible(self):
         bundle = symmetric_bundle()
         before = bundle.weights.wte.array.tobytes()
@@ -228,9 +240,10 @@ class TestEditBalanceAuto:
 
         def grad_of(build_loss):
             tape = Tape()
-            h_p = encode(p_tokens, weights, config, tape, differentiable_rows={teacher})
+            leaf = Tensor(weights.wte.array[[teacher]])
+            h_p = encode(p_tokens, weights, config, tape, edit_rows=([teacher], leaf))
             loss = build_loss(tape, h_p)
-            return backward(tape, loss)[weights.wte].array[teacher]
+            return backward(tape, loss)[leaf].array[0]
 
         g_pure = grad_of(lambda tape, h_p: _taped_mse(h_p, h_csp, rows, tape))
 

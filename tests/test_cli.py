@@ -5,7 +5,7 @@ import pytest
 
 from embedit.cli import main
 
-from conftest import WORDS
+from conftest import WORDS, diverge_adam
 
 
 @pytest.fixture
@@ -93,6 +93,71 @@ class TestEditRevert:
                    "--ledger", workdir / "seqout" / "ledger.json", "--n", 2,
                    "--out", workdir / "restored.embedit") == 0
         assert (workdir / "restored.embedit").read_bytes() == base.read_bytes()
+
+
+    def test_diverging_second_seq_edit_exits_three_and_reverts_to_base(
+            self, workdir, monkeypatch):
+        diverge_adam(monkeypatch, nth_adam=2, nth_step=2)
+        base = init_archive(workdir)
+        entries = [
+            {"source": "bear", "destination": "wolf", "target_word": "bear"},
+            {"source": "cat", "destination": "dog", "target_word": "cat"},
+        ]
+        ds = workdir / "edits.jsonl"
+        ds.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        out = workdir / "seqout"
+        assert run("seq-edit", "--weights", base, "--dataset", ds, "--lambda", 0.0,
+                   "--max-iters", 5, "--lr", 0.01, "--out", out) == 3
+        ledger = json.loads((out / "ledger.json").read_text())
+        assert [e["target_word"] for e in ledger["entries"]] == ["bear"]
+        assert run("revert", "--weights", out / "edited.embedit",
+                   "--ledger", out / "ledger.json",
+                   "--out", workdir / "restored.embedit") == 0
+        assert (workdir / "restored.embedit").read_bytes() == base.read_bytes()
+
+    def edited_with_ledger(self, workdir):
+        base = init_archive(workdir)
+        assert run("edit", "--weights", base, "--source", "bear", "--dest", "wolf",
+                   "--target", "bear", "--lambda", 0.5, "--max-iters", 20,
+                   "--lr", 0.01, "--out", workdir / "editout") == 0
+        return workdir / "editout" / "edited.embedit", workdir / "editout" / "ledger.json"
+
+    @pytest.mark.parametrize("damage", [
+        "negative_id", "id_past_vocab", "repeated_id", "short_row", "fewer_rows_than_ids",
+        "no_ids",
+    ])
+    def test_revert_rejects_ledger_that_does_not_fit(self, workdir, capsys, damage):
+        edited, ledger_path = self.edited_with_ledger(workdir)
+        ledger = json.loads(ledger_path.read_text())
+        entry = ledger["entries"][0]
+        (bear,), (row,) = entry["edited_token_ids"], entry["original_rows"]
+        vocab_size = len(json.loads((workdir / "vocab.json").read_text())["tokens"]) + 3
+        if damage == "negative_id":
+            entry["edited_token_ids"] = [-1]
+        elif damage == "id_past_vocab":
+            entry["edited_token_ids"] = [vocab_size]
+        elif damage == "repeated_id":
+            entry["edited_token_ids"] = [bear, bear]
+            entry["original_rows"] = entry["new_rows"] = [row, row]
+        elif damage == "short_row":
+            entry["original_rows"] = [row[:1]]
+        elif damage == "no_ids":
+            entry["edited_token_ids"] = entry["original_rows"] = entry["new_rows"] = []
+        else:
+            entry["edited_token_ids"] = [bear, bear + 1]
+        ledger_path.write_text(json.dumps(ledger))
+        capsys.readouterr()
+        assert run("revert", "--weights", edited, "--ledger", ledger_path,
+                   "--out", workdir / "restored.embedit") == 2
+        assert capsys.readouterr().err.startswith("data error:")
+        assert not (workdir / "restored.embedit").exists()
+
+    def test_revert_deeper_than_ledger_is_usage_error(self, workdir, capsys):
+        edited, ledger_path = self.edited_with_ledger(workdir)
+        capsys.readouterr()
+        assert run("revert", "--weights", edited, "--ledger", ledger_path, "--n", 2,
+                   "--out", workdir / "restored.embedit") == 1
+        assert capsys.readouterr().err.startswith("error: cannot revert 2 of 1")
 
 
 class TestSeqEditAndEval:

@@ -26,7 +26,7 @@ from embedit.errors import (
     LedgerRangeError,
 )
 
-from conftest import make_bundle, make_vocab
+from conftest import diverge_adam, make_bundle, make_vocab
 
 
 def hs(matrix, eos_position=None):
@@ -174,6 +174,20 @@ class TestEditSingle:
                 EditHyperparams(stop_ratio=0.0, max_iters=3), EditLedger(),
             )
         assert exc.value.iteration == 1
+
+    def test_divergence_mid_loop_leaves_table_and_ledger_untouched(self, monkeypatch):
+        diverge_adam(monkeypatch, nth_adam=1, nth_step=2)
+        bundle = make_bundle()
+        before = wte_bytes(bundle)
+        ledger = EditLedger()
+        with pytest.raises(DivergenceError) as exc:
+            edit_single(
+                bundle, EditRequest("a bear", "a wolf", "bear"),
+                EditHyperparams(stop_ratio=0.0, max_iters=5), ledger,
+            )
+        assert exc.value.iteration == 2
+        assert wte_bytes(bundle) == before
+        assert len(ledger) == 0
 
     def test_sgd_optimizer_also_converges(self):
         bundle = make_bundle()

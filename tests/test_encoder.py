@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from embedit import (
     EncoderConfig,
     Tape,
+    Tensor,
     Vocab,
     encode,
     init_random_weights,
@@ -15,6 +16,7 @@ from embedit.errors import (
     DimensionError,
     EmptyPromptError,
     PromptTooLongError,
+    TapeUsageError,
     UnknownTokenError,
 )
 
@@ -161,13 +163,50 @@ class TestEncode:
         with pytest.raises(IndexError):
             encode(bad, tiny_bundle.weights, tiny_bundle.config)
 
+    def test_edit_rows_match_writing_the_table_bitwise(self, tiny_bundle):
+        ids = [tiny_bundle.vocab.tokens["bear"], tiny_bundle.vocab.tokens["wolf"]]
+        rows = tiny_bundle.weights.wte.array[ids] + 0.5
+        stood_in = tiny_bundle.encode_prompt("a bear", edit_rows=(ids, Tensor(rows)))
+        tiny_bundle.weights.set_wte_rows(ids, rows)
+        written = tiny_bundle.encode_prompt("a bear")
+        assert stood_in.sequence.array.tobytes() == written.sequence.array.tobytes()
+
+    def test_taped_encode_without_edit_rows_is_usage_error(self, tiny_bundle):
+        with pytest.raises(TapeUsageError):
+            tiny_bundle.encode_prompt("a bear", Tape())
+
     def test_taped_encode_matches_untaped_bitwise(self, tiny_bundle):
         plain = tiny_bundle.encode_prompt("a bear")
         tape = Tape()
-        taped = tiny_bundle.encode_prompt(
-            "a bear", tape, differentiable_rows={tiny_bundle.vocab.tokens["bear"]}
-        )
+        bear = tiny_bundle.vocab.tokens["bear"]
+        leaf = Tensor(tiny_bundle.weights.wte.array[[bear]])
+        taped = tiny_bundle.encode_prompt("a bear", tape, edit_rows=([bear], leaf))
         assert plain.sequence.array.tobytes() == taped.sequence.array.tobytes()
+
+
+class TestSetWteRows:
+    @pytest.mark.parametrize("ids,rows,error", [
+        ([-1], np.zeros((1, 8)), IndexError),
+        ([27], np.zeros((1, 8)), IndexError),
+        ([4, 4], np.zeros((2, 8)), ValueError),
+        ([4, 5], np.zeros(8), DimensionError),
+        ([4], np.zeros((1, 7)), DimensionError),
+        ([4], np.full((1, 8), np.inf), ValueError),
+    ], ids=["negative", "past_vocab", "repeated", "one_row_for_two_ids", "narrow", "inf"])
+    def test_rejects_before_writing(self, tiny_bundle, ids, rows, error):
+        table = tiny_bundle.weights.wte
+        assert table.shape == (27, 8)
+        with pytest.raises(error):
+            tiny_bundle.weights.set_wte_rows(ids, rows)
+        assert tiny_bundle.weights.wte is table
+
+    def test_writes_only_the_given_rows(self, tiny_bundle):
+        before = tiny_bundle.weights.wte.array.copy()
+        tiny_bundle.weights.set_wte_rows([5, 3], np.array([[1.0] * 8, [2.0] * 8]))
+        after = tiny_bundle.weights.wte.array
+        assert np.array_equal(after[[5, 3]], [[1.0] * 8, [2.0] * 8])
+        assert np.array_equal(np.delete(after, [3, 5], axis=0), np.delete(before, [3, 5], axis=0))
+        assert not after.flags.writeable
 
 
 class TestInitRandomWeights:
