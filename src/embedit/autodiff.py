@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, TapeUsageError
+from .errors import DimensionError, NonFiniteError, TapeUsageError
 
 _GELU_SCALE = math.sqrt(2.0 / math.pi)
 _GELU_CUBIC = 0.044715
@@ -22,8 +22,9 @@ _GELU_CUBIC = 0.044715
 class Tensor:
     """Immutable dense tensor of 64-bit floats in row-major order.
 
-    Construction copies its input and rejects NaN/Inf entries. The backing
-    array is marked read-only; treat a Tensor as a value.
+    Construction copies its input and rejects NaN/Inf entries with
+    NonFiniteError. The backing array is marked read-only; treat a Tensor as
+    a value.
     """
 
     __slots__ = ("_a",)
@@ -31,7 +32,7 @@ class Tensor:
     def __init__(self, values):
         a = np.array(values, dtype=np.float64, order="C")
         if not np.all(np.isfinite(a)):
-            raise ValueError("tensor entries must be finite")
+            raise NonFiniteError("tensor entries must be finite")
         a.setflags(write=False)
         self._a = a
 
@@ -386,7 +387,8 @@ def layer_norm(
 
     Uses the population variance. eps=0 is accepted (the contract then
     requires non-constant slices; a constant slice yields NaN and fails
-    Tensor construction).
+    Tensor construction). A variance that overflows raises NonFiniteError
+    rather than saturating the output to beta.
     """
     if eps < 0:
         raise ValueError("layer_norm: eps must be >= 0")
@@ -399,6 +401,8 @@ def layer_norm(
     mu = xa.mean(axis=-1, keepdims=True)
     xc = xa - mu
     var = np.mean(xc * xc, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(var)):
+        raise NonFiniteError("layer_norm: variance is not finite")
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = Tensor(xhat * gamma.array + beta.array)

@@ -6,37 +6,35 @@ mode starts the profession rows at the average of the profession, "female",
 and "male" embeddings, then minimizes a reward-penalty loss that pulls
 toward the counter-stereotypical prompt with weight alpha^2 and holds the
 stereotypical side with weight 1/alpha^2. Alpha grows with the measured bias
-rate and is fixed once, at the initialized state. Like an ordinary edit, it
-writes the table once, after its loop, so a failure leaves it unchanged.
+rate and is fixed once, at the initialized state. Both modes run the
+editor's one optimization loop (Adam, full-sequence loss), so either writes
+the table once, after the loop, and a failure leaves it unchanged.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, add, backward, scale
+# backward is not called here; perfbench's tracer wraps embedit.balance.backward.
+from .autodiff import Tensor, add, backward, scale  # noqa: F401
 from .editor import (
     EditHyperparams,
     EditLedger,
     EditRequest,
     EditResult,
-    LedgerEntry,
     LossPositions,
-    OptimizerKind,
-    _scored_rows,
+    _optimize_rows,
     _taped_mse,
     edit_single,
     mse_hidden,
     target_token_ids,
 )
 from .encoder import EncoderBundle, encode, tokenize
-from .errors import DegenerateInputError, DimensionError, DivergenceError, UnknownTokenError
-from .optim import make_optimizer
+from .errors import DegenerateInputError, DimensionError, UnknownTokenError
 
 GRAD_NORM_STOP = 1e-10
 
@@ -68,8 +66,6 @@ class BalancerParams:
     delta_normalizer: float = 2.0
     learning_rate: float = 0.001
     max_iters: int = 100
-    optimizer: OptimizerKind = OptimizerKind.ADAM
-    loss_positions: LossPositions = LossPositions.FULL_SEQUENCE
 
     def __post_init__(self):
         if self.alpha_min < 1.0:
@@ -131,29 +127,23 @@ def edit_balance(
     """Balance one profession. Manual mode delegates to the ordinary editor
     with destination = counter prompt; its threshold law holds unchanged.
 
-    Auto mode has no loss threshold: it runs until max_iters or until the
-    gradient norm drops below 1e-10. Its result records threshold_tau = 0
-    (a stopping ratio of zero), so converged is only set by an exactly zero
-    loss.
+    Auto mode is the same loop with tau = 0 and a gradient-norm stop of
+    GRAD_NORM_STOP (1e-10): it runs until max_iters or until the gradient
+    norm drops below that. Its result records threshold_tau = 0, so converged
+    is only set by an exactly zero loss. The averaged initial rows are
+    written even when no step is taken.
     """
+    edit_request = EditRequest(
+        source_prompt=request.profession,
+        destination_prompt=request.counter_prompt,
+        target_word=request.profession,
+    )
+    stop_ratio = request.lambda_manual if request.mode is BalanceMode.MANUAL else 0.0
+    hyper = EditHyperparams(stop_ratio=stop_ratio, max_iters=params.max_iters,
+                            learning_rate=params.learning_rate)
     if request.mode is BalanceMode.MANUAL:
-        return edit_single(
-            bundle,
-            EditRequest(
-                source_prompt=request.profession,
-                destination_prompt=request.counter_prompt,
-                target_word=request.profession,
-            ),
-            EditHyperparams(
-                stop_ratio=request.lambda_manual,
-                max_iters=params.max_iters,
-                learning_rate=params.learning_rate,
-                optimizer=params.optimizer,
-                loss_positions=params.loss_positions,
-            ),
-            ledger,
-        )
-    return _edit_balance_auto(bundle, request, params, ledger)
+        return edit_single(bundle, edit_request, hyper, ledger)
+    return _edit_balance_auto(bundle, request, edit_request, params, hyper, ledger)
 
 
 def _gendered_row(bundle: EncoderBundle, word: str) -> Tensor:
@@ -166,24 +156,20 @@ def _gendered_row(bundle: EncoderBundle, word: str) -> Tensor:
 def _edit_balance_auto(
     bundle: EncoderBundle,
     request: BiasEditRequest,
+    edit_request: EditRequest,
     params: BalancerParams,
+    hyper: EditHyperparams,
     ledger: EditLedger,
 ) -> EditResult:
     config, weights, vocab = bundle.config, bundle.weights, bundle.vocab
-    edit_request = EditRequest(
-        source_prompt=request.profession,
-        destination_prompt=request.counter_prompt,
-        target_word=request.profession,
-    )
     ids = sorted(target_token_ids(edit_request, vocab))
-    original_rows = {i: weights.wte_row(i) for i in ids}
 
     female = _gendered_row(bundle, "female")
     male = _gendered_row(bundle, "male")
-    row_params = np.stack([
-        init_profession_embedding(original_rows[i], female, male).array for i in ids
+    init_rows = np.stack([
+        init_profession_embedding(weights.wte_row(i), female, male).array for i in ids
     ])
-    init = (ids, Tensor(row_params))
+    init = (ids, Tensor(init_rows))
 
     p_tokens = tokenize(request.profession, vocab, config)
     sp_tokens = tokenize(request.stereotypical_prompt, vocab, config)
@@ -192,8 +178,9 @@ def _edit_balance_auto(
     h_csp = encode(csp_tokens, weights, config, edit_rows=init)
     h_p0 = encode(p_tokens, weights, config, edit_rows=init)
 
-    mse_sp = mse_hidden(h_p0, h_sp, params.loss_positions)
-    mse_csp = mse_hidden(h_p0, h_csp, params.loss_positions)
+    positions = LossPositions.FULL_SEQUENCE
+    mse_sp = mse_hidden(h_p0, h_sp, positions)
+    mse_csp = mse_hidden(h_p0, h_csp, positions)
     if mse_sp == 0.0 and mse_csp == 0.0:
         warnings.warn(
             f"profession {request.profession!r} is representationally gender-neutral; "
@@ -205,54 +192,16 @@ def _edit_balance_auto(
         delta = bias_rate_delta(mse_sp, mse_csp, params.delta_normalizer)
         alpha = alpha_weight(delta, params)
 
-    rows_csp = _scored_rows(h_p0, h_csp, params.loss_positions)
-    rows_sp = _scored_rows(h_p0, h_sp, params.loss_positions)
-    initial_loss = balanced_loss(h_p0, h_csp, h_sp, alpha, params.loss_positions)
+    n_rows = h_p0.sequence.shape[0]
 
-    opt = make_optimizer(params.optimizer.value, (len(ids), config.d_model),
-                         params.learning_rate)
-    iterations = 0
-    steps = 0
-    for i in range(1, params.max_iters + 1):
-        iterations = i
-        tape = Tape()
-        leaf = Tensor(row_params)
-        h_i = encode(p_tokens, weights, config, tape, edit_rows=(ids, leaf))
-        loss_t = add(
-            scale(_taped_mse(h_i, h_csp, rows_csp, tape), alpha ** 2, tape),
-            scale(_taped_mse(h_i, h_sp, rows_sp, tape), (1.0 / alpha) ** 2, tape),
+    def loss_fn(h, tape):
+        return add(
+            scale(_taped_mse(h, h_csp, n_rows, tape), alpha ** 2, tape),
+            scale(_taped_mse(h, h_sp, n_rows, tape), (1.0 / alpha) ** 2, tape),
             tape,
         )
-        loss = loss_t.item()
-        if not math.isfinite(loss):
-            raise DivergenceError("balanced loss became non-finite", iteration=i)
-        g = backward(tape, loss_t)[leaf].array
-        if float(np.linalg.norm(g)) < GRAD_NORM_STOP:
-            break
-        row_params = opt.step(row_params, g)
-        if not np.all(np.isfinite(row_params)):
-            raise DivergenceError("embedding rows became non-finite", iteration=i)
-        steps += 1
 
-    h_final = encode(p_tokens, weights, config, edit_rows=(ids, Tensor(row_params)))
-    final_loss = balanced_loss(h_final, h_csp, h_sp, alpha, params.loss_positions)
-    weights.set_wte_rows(ids, row_params)
-    result = EditResult(
-        initial_loss=initial_loss,
-        threshold_tau=0.0,
-        final_loss=final_loss,
-        iterations_run=iterations,
-        optimizer_steps=steps,
-        converged=final_loss <= 0.0,
-        edited_token_ids=tuple(ids),
+    return _optimize_rows(
+        bundle, edit_request, ids, init_rows, p_tokens, loss_fn,
+        balanced_loss(h_p0, h_csp, h_sp, alpha, positions), 0.0, GRAD_NORM_STOP, hyper, ledger,
     )
-    ledger.append(LedgerEntry(
-        source_prompt=request.profession,
-        destination_prompt=request.counter_prompt,
-        target_word=request.profession,
-        edited_token_ids=tuple(ids),
-        original_rows=original_rows,
-        new_rows={i: weights.wte_row(i) for i in ids},
-        result=result,
-    ))
-    return result

@@ -94,15 +94,7 @@ def _load_bundle(path: str) -> EncoderBundle:
 
 
 def _result_json(result: EditResult) -> dict:
-    return {
-        "initial_loss": result.initial_loss,
-        "tau": result.threshold_tau,
-        "final_loss": result.final_loss,
-        "iterations_run": result.iterations_run,
-        "optimizer_steps": result.optimizer_steps,
-        "converged": result.converged,
-        "edited_token_ids": list(result.edited_token_ids),
-    }
+    return {**result.to_json(), "edited_token_ids": list(result.edited_token_ids)}
 
 
 def _hyper_from_args(args) -> EditHyperparams:

@@ -17,17 +17,19 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .autodiff import Tape, Tensor, backward, mean_square, slice_rows, sub
-from .encoder import EncoderBundle, HiddenStates, Vocab, encode, tokenize
+from .encoder import EncoderBundle, HiddenStates, TokenSequence, Vocab, encode, tokenize
 from .errors import (
     DimensionError,
     DivergenceError,
     InconsistentRequestError,
     LedgerFormatError,
     LedgerRangeError,
+    NonFiniteError,
     UnknownTokenError,
 )
 from .optim import make_optimizer
@@ -85,6 +87,45 @@ class EditResult:
     converged: bool
     edited_token_ids: tuple[int, ...]
 
+    # Ledger key -> (attribute, accepted JSON types), in the ledger's order.
+    _JSON = {
+        "initial_loss": ("initial_loss", (int, float)), "tau": ("threshold_tau", (int, float)),
+        "final_loss": ("final_loss", (int, float)), "iterations_run": ("iterations_run", (int,)),
+        "optimizer_steps": ("optimizer_steps", (int,)), "converged": ("converged", (bool,)),
+    }
+
+    def to_json(self) -> dict:
+        """The ledger's result record; edited_token_ids is kept by its entry."""
+        return {key: getattr(self, attr) for key, (attr, _) in self._JSON.items()}
+
+    @classmethod
+    def from_json(cls, obj, ids: tuple[int, ...]) -> "EditResult":
+        """Parse to_json's record; a missing or mistyped key raises LedgerFormatError."""
+        fields = {attr: _json_field(obj, key, kinds, "ledger result")
+                  for key, (attr, kinds) in cls._JSON.items()}
+        return cls(**fields, edited_token_ids=ids)
+
+
+def _json_field(obj, key: str, kinds: tuple[type, ...], where: str):
+    """obj[key], whose JSON type must be one of `kinds` (so a bool is not an int)."""
+    if type(obj) is not dict or key not in obj:
+        raise LedgerFormatError(f"{where}: not a JSON object with key {key!r}")
+    if type(obj[key]) not in kinds:
+        raise LedgerFormatError(f"{where}: key {key!r} has type {type(obj[key]).__name__}")
+    return obj[key]
+
+
+def _json_rows(obj, key: str, ids: tuple[int, ...], where: str) -> dict[int, Tensor]:
+    rows = {}
+    for i, row in zip(ids, _json_field(obj, key, (list,), where)):
+        if type(row) is not list or any(type(v) not in (int, float) for v in row):
+            raise LedgerFormatError(f"{where}: {key} of id {i} is not a list of numbers")
+        try:
+            rows[i] = Tensor(row)
+        except (ValueError, OverflowError) as e:  # NonFiniteError is a ValueError
+            raise LedgerFormatError(f"{where}: {key} of id {i}: {e}") from e
+    return rows
+
 
 @dataclass
 class LedgerEntry:
@@ -120,39 +161,27 @@ class EditLedger:
                 "edited_token_ids": ids,
                 "original_rows": [e.original_rows[i].tolist() for i in ids],
                 "new_rows": [e.new_rows[i].tolist() for i in ids],
-                "result": {
-                    "initial_loss": e.result.initial_loss,
-                    "tau": e.result.threshold_tau,
-                    "final_loss": e.result.final_loss,
-                    "iterations_run": e.result.iterations_run,
-                    "optimizer_steps": e.result.optimizer_steps,
-                    "converged": e.result.converged,
-                },
+                "result": e.result.to_json(),
             })
         return {"entries": out}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "EditLedger":
+    def from_json(cls, obj) -> "EditLedger":
+        """Parse a saved ledger; any missing or mistyped key raises LedgerFormatError."""
         ledger = cls()
-        for e in obj["entries"]:
-            ids = tuple(int(i) for i in e["edited_token_ids"])
-            r = e["result"]
+        for k, e in enumerate(_json_field(obj, "entries", (list,), "ledger")):
+            where = f"ledger entry {k}"
+            ids = tuple(_json_field(e, "edited_token_ids", (list,), where))
+            if any(type(i) is not int for i in ids):
+                raise LedgerFormatError(f"{where}: token ids {list(ids)} are not all integers")
             ledger.append(LedgerEntry(
-                source_prompt=e["source_prompt"],
-                destination_prompt=e["destination_prompt"],
-                target_word=e["target_word"],
+                source_prompt=_json_field(e, "source_prompt", (str,), where),
+                destination_prompt=_json_field(e, "destination_prompt", (str,), where),
+                target_word=_json_field(e, "target_word", (str,), where),
                 edited_token_ids=ids,
-                original_rows={i: Tensor(row) for i, row in zip(ids, e["original_rows"])},
-                new_rows={i: Tensor(row) for i, row in zip(ids, e["new_rows"])},
-                result=EditResult(
-                    initial_loss=r["initial_loss"],
-                    threshold_tau=r["tau"],
-                    final_loss=r["final_loss"],
-                    iterations_run=r["iterations_run"],
-                    optimizer_steps=r["optimizer_steps"],
-                    converged=r["converged"],
-                    edited_token_ids=ids,
-                ),
+                original_rows=_json_rows(e, "original_rows", ids, where),
+                new_rows=_json_rows(e, "new_rows", ids, where),
+                result=EditResult.from_json(_json_field(e, "result", (dict,), where), ids),
             ))
         return ledger
 
@@ -231,46 +260,72 @@ def edit_single(
     h_new = encode(dst_tokens, weights, config)
     h_init = encode(src_tokens, weights, config)
     initial_loss = mse_hidden(h_init, h_new, hyper.loss_positions)
-    tau = hyper.stop_ratio * initial_loss
     n_rows = _scored_rows(h_init, h_new, hyper.loss_positions)
+    return _optimize_rows(
+        bundle, request, ids, weights.wte.array[ids], src_tokens,
+        lambda h, tape: _taped_mse(h, h_new, n_rows, tape),
+        initial_loss, hyper.stop_ratio * initial_loss, 0.0, hyper, ledger,
+    )
 
-    original_rows = {i: weights.wte_row(i) for i in ids}
-    params = weights.wte.array[ids].copy()
-    opt = make_optimizer(hyper.optimizer.value, params.shape, hyper.learning_rate)
 
-    final_loss = initial_loss
-    iterations = 0
+def _optimize_rows(
+    bundle: EncoderBundle, request: EditRequest, ids: list[int], init_rows: np.ndarray,
+    tokens: TokenSequence, loss_fn: Callable[[HiddenStates, Tape | None], Tensor],
+    initial_loss: float, tau: float, grad_tol: float, hyper: EditHyperparams,
+    ledger: EditLedger,
+) -> EditResult:
+    """The one edit loop: optimize the k-by-d rows of `ids`, from init_rows,
+    against loss_fn(hidden states of `tokens`, tape).
+
+    Per iteration: encode and score, stop if the loss is at most tau, run
+    backward, stop if the gradient norm is below grad_tol, then step. Any
+    non-finite value raises DivergenceError with the table untouched. After
+    the loop the table is written once, if the rows differ from it, and one
+    ledger entry is appended.
+    """
+    weights, config = bundle.weights, bundle.config
+    original = weights.wte.array[ids]
+    opt = make_optimizer(hyper.optimizer.value, init_rows.shape, hyper.learning_rate)
+
+    def score(rows: np.ndarray, tape: Tape | None, i: int) -> tuple[Tensor, Tensor]:
+        leaf = Tensor(rows)
+        try:
+            loss = loss_fn(encode(tokens, weights, config, tape, edit_rows=(ids, leaf)), tape)
+        except NonFiniteError as e:
+            raise DivergenceError(f"forward pass: {e}", iteration=i) from e
+        if not math.isfinite(loss.item()):
+            raise DivergenceError("loss became non-finite", iteration=i)
+        return leaf, loss
+
+    rows = init_rows
     steps = 0
     for i in range(1, hyper.max_iters + 1):
-        iterations = i
         tape = Tape()
-        leaf = Tensor(params)
-        h_i = encode(src_tokens, weights, config, tape, edit_rows=(ids, leaf))
-        loss_t = _taped_mse(h_i, h_new, n_rows, tape)
-        loss = loss_t.item()
-        if not math.isfinite(loss):
-            raise DivergenceError("loss became non-finite", iteration=i)
-        final_loss = loss
-        if loss <= tau:
+        leaf, loss = score(rows, tape, i)
+        if loss.item() <= tau:
             break
-        params = opt.step(params, backward(tape, loss_t)[leaf].array)
-        if not np.all(np.isfinite(params)):
+        try:
+            g = backward(tape, loss)[leaf].array
+        except NonFiniteError as e:
+            raise DivergenceError(f"backward pass: {e}", iteration=i) from e
+        if float(np.linalg.norm(g)) < grad_tol:
+            break
+        rows = opt.step(rows, g)
+        if not np.all(np.isfinite(rows)):
             raise DivergenceError("embedding rows became non-finite", iteration=i)
         steps += 1
     else:
         # Cap reached: the last step's effect was never scored inside the loop.
-        h_last = encode(src_tokens, weights, config, edit_rows=(ids, Tensor(params)))
-        final_loss = mse_hidden(h_last, h_new, hyper.loss_positions)
-        if not math.isfinite(final_loss):
-            raise DivergenceError("loss became non-finite", iteration=hyper.max_iters)
-    if steps:
-        weights.set_wte_rows(ids, params)
+        _, loss = score(rows, None, i)
+    final_loss = loss.item()
+    if not np.array_equal(rows, original):
+        weights.set_wte_rows(ids, rows)
 
     result = EditResult(
         initial_loss=initial_loss,
         threshold_tau=tau,
         final_loss=final_loss,
-        iterations_run=iterations,
+        iterations_run=i,
         optimizer_steps=steps,
         converged=final_loss <= tau,
         edited_token_ids=tuple(ids),
@@ -280,8 +335,8 @@ def edit_single(
         destination_prompt=request.destination_prompt,
         target_word=request.target_word,
         edited_token_ids=tuple(ids),
-        original_rows=original_rows,
-        new_rows={i: weights.wte_row(i) for i in ids},
+        original_rows={t: Tensor(row) for t, row in zip(ids, original)},
+        new_rows={t: Tensor(row) for t, row in zip(ids, rows)},
         result=result,
     ))
     return result

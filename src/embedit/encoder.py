@@ -33,6 +33,7 @@ from .autodiff import (
 from .errors import (
     DimensionError,
     EmptyPromptError,
+    NonFiniteError,
     PromptTooLongError,
     TapeUsageError,
     UnknownTokenError,
@@ -196,7 +197,7 @@ class EncoderWeights:
         if rows.shape != (len(ids), d):
             raise DimensionError(f"rows have shape {rows.shape}, expected {(len(ids), d)}")
         if not np.all(np.isfinite(rows)):
-            raise ValueError("tensor entries must be finite")
+            raise NonFiniteError("tensor entries must be finite")
         new = self.wte.array.copy()
         new[ids] = rows
         self.wte = Tensor._wrap(new)

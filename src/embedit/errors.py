@@ -9,6 +9,10 @@ class DimensionError(EmbeditError):
     """Operand shapes do not satisfy an operation's contract."""
 
 
+class NonFiniteError(EmbeditError, ValueError):
+    """A computed value overflowed or became NaN."""
+
+
 class TapeUsageError(EmbeditError):
     """A tape was queried outside its recording contract."""
 
@@ -70,4 +74,4 @@ class LedgerRangeError(EmbeditError):
 
 
 class LedgerFormatError(EmbeditError):
-    """A ledger entry does not fit the table it would be applied to."""
+    """A ledger is malformed or does not fit the table it would be applied to."""

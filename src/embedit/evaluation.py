@@ -340,27 +340,19 @@ def female_percentage(
     entry: GenderEntry,
     edited: EncoderBundle,
     reference: EncoderBundle,
-    samples_per_prompt: int = 1,
 ) -> float:
     """Percentage of test prompts whose edited pooled state classifies as the
-    female reference. Deterministic, so samples_per_prompt > 1 repeats the
-    same outcome unless the caller perturbs the encoder between calls.
+    female reference.
     """
-    if samples_per_prompt < 1:
-        raise ValueError("samples_per_prompt must be >= 1")
     f_ref = reference.encode_prompt(entry.female_ref).pooled
     m_ref = reference.encode_prompt(entry.male_ref).pooled
-    female = 0
-    total = 0
-    for prompt in entry.tests:
-        pooled = edited.encode_prompt(prompt).pooled
-        for _ in range(samples_per_prompt):
-            total += 1
-            if classify(pooled, m_ref, f_ref) == DESTINATION:
-                female += 1
-    if total == 0:
+    if not entry.tests:
         raise DatasetError(f"gender entry {entry.profession!r} has no test prompts")
-    return 100.0 * female / total
+    female = sum(
+        classify(edited.encode_prompt(prompt).pooled, m_ref, f_ref) == DESTINATION
+        for prompt in entry.tests
+    )
+    return 100.0 * female / len(entry.tests)
 
 
 def gender_delta(f_values: list[float]) -> float:

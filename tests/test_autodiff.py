@@ -26,7 +26,7 @@ from embedit.autodiff import (
     sum_all,
     transpose,
 )
-from embedit.errors import DimensionError, TapeUsageError
+from embedit.errors import DimensionError, NonFiniteError, TapeUsageError
 
 
 class TestTensor:
@@ -40,6 +40,8 @@ class TestTensor:
         with pytest.raises(ValueError):
             Tensor([1.0, float("nan")])
         with pytest.raises(ValueError):
+            Tensor([float("inf")])
+        with pytest.raises(NonFiniteError):
             Tensor([float("inf")])
 
     def test_backing_array_is_read_only(self):
@@ -86,6 +88,12 @@ class TestLayerNorm:
         beta = Tensor([3.0, -1.0, 2.0])
         out = layer_norm(Tensor([1.0, 5.0, 9.0]), Tensor(np.zeros(3)), beta, eps=1e-5)
         assert np.array_equal(out.array, beta.array)
+
+    def test_overflowing_variance_raises_instead_of_saturating(self):
+        # Entries near 1e300 square to inf; the output must not collapse to beta.
+        with pytest.raises(NonFiniteError, match="variance"):
+            layer_norm(Tensor([1e300, -1e300]), Tensor(np.ones(2)), Tensor(np.zeros(2)),
+                       eps=1e-5)
 
     def test_bad_gamma_length(self):
         with pytest.raises(DimensionError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import embedit.balance as balance
 from embedit import (
     BalanceMode,
     BalancerParams,
@@ -206,6 +207,32 @@ class TestEditBalanceAuto:
         assert exc.value.iteration == 2
         assert bundle.weights.wte.array.tobytes() == before
         assert len(ledger) == 0
+
+    def test_overflow_is_divergence_and_leaves_table_and_ledger_untouched(self):
+        bundle = symmetric_bundle()
+        before = bundle.weights.wte.array.tobytes()
+        ledger = EditLedger()
+        with pytest.raises(DivergenceError):
+            edit_balance(bundle, self.request(), BalancerParams(learning_rate=1e300), ledger)
+        assert bundle.weights.wte.array.tobytes() == before
+        assert len(ledger) == 0
+
+    def test_averaged_rows_are_written_without_a_step(self, monkeypatch):
+        monkeypatch.setattr(balance, "GRAD_NORM_STOP", np.inf)
+        bundle = symmetric_bundle()
+        before = bundle.weights.wte.array.tobytes()
+        vocab, wte = bundle.vocab, bundle.weights.wte
+        teacher = vocab.tokens["teacher"]
+        averaged = init_profession_embedding(
+            Tensor(wte.array[teacher]), Tensor(wte.array[vocab.tokens["female"]]),
+            Tensor(wte.array[vocab.tokens["male"]])).array
+        ledger = EditLedger()
+        res = edit_balance(bundle, self.request(), BalancerParams(), ledger)
+        assert (res.iterations_run, res.optimizer_steps) == (1, 0)
+        assert np.array_equal(bundle.weights.wte.array[teacher], averaged)
+        assert np.array_equal(ledger.entries[0].new_rows[teacher].array, averaged)
+        revert(bundle.weights, ledger, 1)
+        assert bundle.weights.wte.array.tobytes() == before
 
     def test_auto_edit_is_revertible(self):
         bundle = symmetric_bundle()

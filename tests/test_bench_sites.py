@@ -1,0 +1,29 @@
+"""Every name the benchmark's tracer wraps must still exist in the package.
+
+perfbench/tracing.py replaces each SITES entry with a timing wrapper; a
+renamed or deleted name would silently drop the per-layer metrics that read
+it. This check fails fast instead.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _sites():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.SITES
+
+
+@pytest.mark.parametrize("module_name,path,span", _sites())
+def test_traced_site_resolves_to_a_callable(module_name, path, span):
+    owner = importlib.import_module(module_name)
+    for attr in path.split("."):
+        owner = getattr(owner, attr, None)
+    assert callable(owner), f"{module_name}.{path} ({span}) is not a callable"

@@ -124,7 +124,7 @@ class TestEditRevert:
 
     @pytest.mark.parametrize("damage", [
         "negative_id", "id_past_vocab", "repeated_id", "short_row", "fewer_rows_than_ids",
-        "no_ids",
+        "no_ids", "no_result", "string_in_row", "infinity_in_row", "entry_not_object",
     ])
     def test_revert_rejects_ledger_that_does_not_fit(self, workdir, capsys, damage):
         edited, ledger_path = self.edited_with_ledger(workdir)
@@ -143,6 +143,14 @@ class TestEditRevert:
             entry["original_rows"] = [row[:1]]
         elif damage == "no_ids":
             entry["edited_token_ids"] = entry["original_rows"] = entry["new_rows"] = []
+        elif damage == "no_result":
+            del entry["result"]
+        elif damage == "string_in_row":
+            row[0] = "x"
+        elif damage == "infinity_in_row":
+            row[0] = float("inf")
+        elif damage == "entry_not_object":
+            ledger["entries"][0] = [bear]
         else:
             entry["edited_token_ids"] = [bear, bear + 1]
         ledger_path.write_text(json.dumps(ledger))
@@ -303,6 +311,18 @@ class TestExitCodes:
     def test_missing_file_is_one(self, workdir):
         assert run("edit", "--weights", workdir / "nope.embedit", "--source", "bear",
                    "--dest", "wolf", "--target", "bear", "--out", workdir / "x") == 1
+
+    @pytest.mark.parametrize("lr", ["1.5e308", "1e300"])
+    def test_forward_overflow_is_three(self, workdir, capsys, lr):
+        # The first step moves the rows to about lr: the next forward pass
+        # overflows (1.5e308) or saturates the first layer norm (1e300).
+        base = init_archive(workdir)
+        capsys.readouterr()
+        assert run("edit", "--weights", base, "--source", "bear", "--dest", "wolf",
+                   "--target", "bear", "--lambda", 0.0, "--lr", lr,
+                   "--out", workdir / "x") == 3
+        assert capsys.readouterr().err.startswith("divergence:")
+        assert not (workdir / "x" / "edited.embedit").exists()
 
     def test_divergence_is_three(self, workdir, monkeypatch):
         import embedit.optim as optim
