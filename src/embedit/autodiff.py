@@ -398,9 +398,10 @@ def layer_norm(
             f"layer_norm: gamma {gamma.shape} / beta {beta.shape} must have shape ({d},)"
         )
     xa = x.array
-    mu = xa.mean(axis=-1, keepdims=True)
-    xc = xa - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
+        mu = xa.mean(axis=-1, keepdims=True)
+        xc = xa - mu
+        var = np.mean(xc * xc, axis=-1, keepdims=True)
     if not np.all(np.isfinite(var)):
         raise NonFiniteError("layer_norm: variance is not finite")
     inv = 1.0 / np.sqrt(var + eps)

@@ -20,15 +20,15 @@ from enum import Enum
 import numpy as np
 
 # backward is not called here; perfbench's tracer wraps embedit.balance.backward.
-from .autodiff import Tensor, add, backward, scale  # noqa: F401
+from .autodiff import Tape, Tensor, add, backward, scale  # noqa: F401
 from .editor import (
     EditHyperparams,
     EditLedger,
     EditRequest,
     EditResult,
     LossPositions,
+    _hidden_mse,
     _optimize_rows,
-    _taped_mse,
     edit_single,
     mse_hidden,
     target_token_ids,
@@ -112,9 +112,16 @@ def balanced_loss(h_p, h_csp, h_sp, alpha: float, positions: LossPositions) -> f
     """alpha^2 * MSE(p, csp) + (1/alpha)^2 * MSE(p, sp)."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    return (
-        alpha ** 2 * mse_hidden(h_p, h_csp, positions)
-        + (1.0 / alpha) ** 2 * mse_hidden(h_p, h_sp, positions)
+    return _reward_penalty(h_p, h_csp, h_sp, alpha, positions).item()
+
+
+def _reward_penalty(h_p, h_csp, h_sp, alpha: float, positions: LossPositions,
+                    tape: Tape | None = None) -> Tensor:
+    """balanced_loss as a Tensor, recorded on `tape` when one is given."""
+    return add(
+        scale(_hidden_mse(h_p, h_csp, positions, tape), alpha ** 2, tape),
+        scale(_hidden_mse(h_p, h_sp, positions, tape), (1.0 / alpha) ** 2, tape),
+        tape,
     )
 
 
@@ -127,11 +134,12 @@ def edit_balance(
     """Balance one profession. Manual mode delegates to the ordinary editor
     with destination = counter prompt; its threshold law holds unchanged.
 
-    Auto mode is the same loop with tau = 0 and a gradient-norm stop of
-    GRAD_NORM_STOP (1e-10): it runs until max_iters or until the gradient
-    norm drops below that. Its result records threshold_tau = 0, so converged
-    is only set by an exactly zero loss. The averaged initial rows are
-    written even when no step is taken.
+    Auto mode is the same loop with stop_ratio = 0, so tau = 0, and a
+    gradient-norm stop of GRAD_NORM_STOP (1e-10): it runs until max_iters or
+    until the gradient norm drops below that. Its initial loss is the loop's
+    first score, the reward-penalty loss at the averaged rows. Its result
+    records threshold_tau = 0, so converged is only set by an exactly zero
+    loss. The averaged initial rows are written even when no step is taken.
     """
     edit_request = EditRequest(
         source_prompt=request.profession,
@@ -192,16 +200,8 @@ def _edit_balance_auto(
         delta = bias_rate_delta(mse_sp, mse_csp, params.delta_normalizer)
         alpha = alpha_weight(delta, params)
 
-    n_rows = h_p0.sequence.shape[0]
-
-    def loss_fn(h, tape):
-        return add(
-            scale(_taped_mse(h, h_csp, n_rows, tape), alpha ** 2, tape),
-            scale(_taped_mse(h, h_sp, n_rows, tape), (1.0 / alpha) ** 2, tape),
-            tape,
-        )
-
     return _optimize_rows(
-        bundle, edit_request, ids, init_rows, p_tokens, loss_fn,
-        balanced_loss(h_p0, h_csp, h_sp, alpha, positions), 0.0, GRAD_NORM_STOP, hyper, ledger,
+        bundle, edit_request, ids, init_rows, p_tokens,
+        lambda h, tape: _reward_penalty(h, h_csp, h_sp, alpha, positions, tape),
+        GRAD_NORM_STOP, hyper, ledger,
     )

@@ -46,6 +46,7 @@ from .errors import (
     UnknownTokenError,
 )
 from .evaluation import (
+    DESTINATION,
     aggregate_reports,
     classify,
     evaluate_edit,
@@ -112,9 +113,10 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
                    help="stopping ratio in [0, 1] (default 0.2)")
     p.add_argument("--max-iters", type=int, default=100)
     p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--optimizer", choices=["adam", "sgd"], default="adam")
-    p.add_argument("--loss-positions", choices=["full_sequence", "up_to_eos"],
-                   default="full_sequence")
+    p.add_argument("--optimizer", choices=[k.value for k in OptimizerKind],
+                   default=OptimizerKind.ADAM.value)
+    p.add_argument("--loss-positions", choices=[k.value for k in LossPositions],
+                   default=LossPositions.FULL_SEQUENCE.value)
 
 
 def cmd_init(args) -> int:
@@ -219,7 +221,7 @@ def cmd_gender(args) -> int:
         f_ref = reference.encode_prompt(entry.female_ref).pooled
         m_ref = reference.encode_prompt(entry.male_ref).pooled
         validation = reference.encode_prompt(entry.validation).pooled
-        leans_female = classify(validation, m_ref, f_ref) == "destination"
+        leans_female = classify(validation, m_ref, f_ref) == DESTINATION
         sp = entry.female_ref if leans_female else entry.male_ref
         csp = entry.male_ref if leans_female else entry.female_ref
         request = BiasEditRequest(
@@ -419,7 +421,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gender", help="balance professions' gender lean")
     p.add_argument("--weights", required=True)
     p.add_argument("--dataset", required=True, help="gender entries JSONL")
-    p.add_argument("--mode", choices=["manual", "auto"], default="manual")
+    p.add_argument("--mode", choices=[m.value for m in BalanceMode],
+                   default=BalanceMode.MANUAL.value)
     p.add_argument("--lambda", dest="stop_ratio", type=float, default=0.2,
                    help="stopping ratio for manual mode")
     p.add_argument("--alpha-min", type=float, default=2.0)

@@ -1,13 +1,14 @@
 """Embedding-row editing: move a source prompt's final hidden states toward a
 destination prompt's by optimizing only the target word's WTE rows.
 
-The optimization loop checks its stopping threshold before every step, so a
-threshold already met at the first evaluation leaves the weights bitwise
-untouched. The loop optimizes a k-by-d copy of the target rows and writes
-the table once, after the loop and its final scoring succeed, so an edit that
-raises leaves the table bitwise as it was. Each edit appends one ledger entry
-holding the pre-edit rows, which makes any prefix of the edit history exactly
-revertible.
+The loop's first score is the initial loss and tau = stop_ratio * that
+score; tau is checked before every step, so a threshold met at the first
+evaluation leaves the weights bitwise untouched. One function, _hidden_mse,
+computes every hidden-state MSE. The loop optimizes a k-by-d copy of the
+target rows and writes the table once, after the loop and its final scoring
+succeed, so an edit that raises leaves the table bitwise as it was. Each edit
+appends one ledger entry holding the pre-edit rows, which makes any prefix of
+the edit history exactly revertible.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 from .autodiff import Tape, Tensor, backward, mean_square, slice_rows, sub
 from .encoder import EncoderBundle, HiddenStates, TokenSequence, Vocab, encode, tokenize
 from .errors import (
-    DimensionError,
     DivergenceError,
     InconsistentRequestError,
     LedgerFormatError,
@@ -32,7 +32,7 @@ from .errors import (
     NonFiniteError,
     UnknownTokenError,
 )
-from .optim import make_optimizer
+from .optim import Adam, Sgd
 
 
 class LossPositions(str, Enum):
@@ -192,31 +192,27 @@ class EditLedger:
 
     @classmethod
     def load(cls, path: str | Path) -> "EditLedger":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_json(json.load(f))
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                obj = json.load(f)
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise LedgerFormatError(f"ledger {path}: not UTF-8 JSON: {e}") from e
+        return cls.from_json(obj)
 
 
 def mse_hidden(h1: HiddenStates, h2: HiddenStates, positions: LossPositions) -> float:
     """Mean squared difference over the selected rows of the two matrices."""
-    if h1.sequence.shape != h2.sequence.shape:
-        raise DimensionError(
-            f"hidden states have shapes {h1.sequence.shape} and {h2.sequence.shape}"
-        )
-    n_rows = _scored_rows(h1, h2, positions)
-    d = h1.sequence.array[:n_rows] - h2.sequence.array[:n_rows]
-    return float(np.mean(d * d))
+    return _hidden_mse(h1, h2, positions).item()
 
 
-def _scored_rows(h1: HiddenStates, h2: HiddenStates, positions: LossPositions) -> int:
-    if positions is LossPositions.FULL_SEQUENCE:
-        return h1.sequence.shape[0]
-    return max(h1.eos_position, h2.eos_position) + 1
-
-
-def _taped_mse(h: HiddenStates, target: HiddenStates, n_rows: int, tape: Tape) -> Tensor:
+def _hidden_mse(h: HiddenStates, target: HiddenStates, positions: LossPositions,
+                tape: Tape | None = None) -> Tensor:
+    """mse_hidden as a Tensor; UP_TO_EOS keeps the rows through the later EOS."""
     diff = sub(h.sequence, target.sequence, tape)
-    if n_rows < diff.shape[0]:
-        diff = slice_rows(diff, 0, n_rows, tape)
+    if positions is LossPositions.UP_TO_EOS:
+        n_rows = max(h.eos_position, target.eos_position) + 1
+        if n_rows < diff.shape[0]:
+            diff = slice_rows(diff, 0, n_rows, tape)
     return mean_square(diff, tape)
 
 
@@ -243,9 +239,10 @@ def edit_single(
     hyper: EditHyperparams,
     ledger: EditLedger,
 ) -> EditResult:
-    """One edit: freeze the destination's hidden states, precompute the
-    stopping threshold as stop_ratio times the initial loss, then iterate
-    encode / loss / threshold-check / step on exactly the target rows.
+    """One edit: freeze the destination's hidden states, then iterate
+    encode / loss / threshold-check / step on exactly the target rows. The
+    first iteration scores the table's own rows; that score is the initial
+    loss, and the threshold is stop_ratio times it.
 
     The check precedes the step, so stop_ratio=1 and identical prompts take
     zero optimizer steps and write nothing. The rows are written to the table
@@ -254,38 +251,35 @@ def edit_single(
     """
     config, weights, vocab = bundle.config, bundle.weights, bundle.vocab
     ids = sorted(target_token_ids(request, vocab))
-
     src_tokens = tokenize(request.source_prompt, vocab, config)
-    dst_tokens = tokenize(request.destination_prompt, vocab, config)
-    h_new = encode(dst_tokens, weights, config)
-    h_init = encode(src_tokens, weights, config)
-    initial_loss = mse_hidden(h_init, h_new, hyper.loss_positions)
-    n_rows = _scored_rows(h_init, h_new, hyper.loss_positions)
+    h_new = encode(tokenize(request.destination_prompt, vocab, config), weights, config)
     return _optimize_rows(
         bundle, request, ids, weights.wte.array[ids], src_tokens,
-        lambda h, tape: _taped_mse(h, h_new, n_rows, tape),
-        initial_loss, hyper.stop_ratio * initial_loss, 0.0, hyper, ledger,
+        lambda h, tape: _hidden_mse(h, h_new, hyper.loss_positions, tape),
+        0.0, hyper, ledger,
     )
 
 
 def _optimize_rows(
     bundle: EncoderBundle, request: EditRequest, ids: list[int], init_rows: np.ndarray,
     tokens: TokenSequence, loss_fn: Callable[[HiddenStates, Tape | None], Tensor],
-    initial_loss: float, tau: float, grad_tol: float, hyper: EditHyperparams,
-    ledger: EditLedger,
+    grad_tol: float, hyper: EditHyperparams, ledger: EditLedger,
 ) -> EditResult:
     """The one edit loop: optimize the k-by-d rows of `ids`, from init_rows,
     against loss_fn(hidden states of `tokens`, tape).
 
     Per iteration: encode and score, stop if the loss is at most tau, run
-    backward, stop if the gradient norm is below grad_tol, then step. Any
-    non-finite value raises DivergenceError with the table untouched. After
-    the loop the table is written once, if the rows differ from it, and one
-    ledger entry is appended.
+    backward, stop if the gradient norm is below grad_tol, then step. The
+    first iteration's score, at init_rows, is the initial loss, and
+    tau = hyper.stop_ratio * initial loss. Any non-finite value raises
+    DivergenceError with the table untouched. After the loop the table is
+    written once, if the rows differ from it, and one ledger entry is
+    appended.
     """
     weights, config = bundle.weights, bundle.config
     original = weights.wte.array[ids]
-    opt = make_optimizer(hyper.optimizer.value, init_rows.shape, hyper.learning_rate)
+    lr = hyper.learning_rate
+    opt = Adam(init_rows.shape, lr) if hyper.optimizer is OptimizerKind.ADAM else Sgd(lr)
 
     def score(rows: np.ndarray, tape: Tape | None, i: int) -> tuple[Tensor, Tensor]:
         leaf = Tensor(rows)
@@ -302,6 +296,9 @@ def _optimize_rows(
     for i in range(1, hyper.max_iters + 1):
         tape = Tape()
         leaf, loss = score(rows, tape, i)
+        if i == 1:
+            initial_loss = loss.item()
+            tau = hyper.stop_ratio * initial_loss
         if loss.item() <= tau:
             break
         try:

@@ -122,30 +122,29 @@ class GenderEntry:
 
 def load_edit_entries(path: str | Path) -> list[EditEntry]:
     """Read a JSONL file, one EditEntry per line."""
-    entries = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entries.append(EditEntry.from_json(json.loads(line)))
-            except json.JSONDecodeError as e:
-                raise DatasetError(f"line {line_no}: invalid JSON: {e}") from e
-    return entries
+    return _load_jsonl(path, EditEntry.from_json)
 
 
 def load_gender_entries(path: str | Path) -> list[GenderEntry]:
+    """Read a JSONL file, one GenderEntry per line."""
+    return _load_jsonl(path, GenderEntry.from_json)
+
+
+def _load_jsonl(path: str | Path, parse):
+    """parse() of each non-blank line; a line that is not UTF-8 or not JSON
+    raises DatasetError with its line number."""
+    with open(path, "rb") as f:
+        data = f.read()
     entries = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entries.append(GenderEntry.from_json(json.loads(line)))
-            except json.JSONDecodeError as e:
-                raise DatasetError(f"line {line_no}: invalid JSON: {e}") from e
+    for line_no, raw in enumerate(data.splitlines(), 1):
+        try:
+            line = raw.decode("utf-8").strip()
+            if line:
+                entries.append(parse(json.loads(line)))
+        except UnicodeDecodeError as e:
+            raise DatasetError(f"line {line_no}: not UTF-8: {e}") from e
+        except json.JSONDecodeError as e:
+            raise DatasetError(f"line {line_no}: invalid JSON: {e}") from e
     return entries
 
 

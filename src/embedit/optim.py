@@ -30,16 +30,9 @@ class Adam:
 class Sgd:
     """Plain gradient descent."""
 
-    def __init__(self, shape: tuple[int, ...], lr: float):
+    def __init__(self, lr: float):
         self.lr = lr
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return params - self.lr * grad
 
-
-def make_optimizer(kind: str, shape: tuple[int, ...], lr: float):
-    if kind == "adam":
-        return Adam(shape, lr)
-    if kind == "sgd":
-        return Sgd(shape, lr)
-    raise ValueError(f"unknown optimizer {kind!r}")

@@ -35,7 +35,7 @@ from embedit import (
     tokenize,
 )
 from embedit.autodiff import Tape, backward
-from embedit.editor import EditResult, LedgerEntry, _taped_mse
+from embedit.editor import EditResult, LedgerEntry, _hidden_mse
 from embedit.encoder import HiddenStates
 
 from conftest import make_bundle, make_config, make_vocab
@@ -76,7 +76,7 @@ def test_01_gradient_correctness():
         tape = Tape()
         leaf = Tensor(weights.wte.array[[bear]])
         h = encode(src, weights, config, tape, edit_rows=([bear], leaf))
-        loss_t = _taped_mse(h, h_new, config.context_length, tape)
+        loss_t = _hidden_mse(h, h_new, LossPositions.FULL_SEQUENCE, tape)
         analytic = backward(tape, loss_t)[leaf].array[0]
 
         row0 = weights.wte.array[bear].copy()

@@ -291,7 +291,7 @@ def test_encoder_loss_gradient_matches_finite_differences():
     hidden-state MSE w.r.t. one embedding row vs. the central-difference
     oracle, coordinate by coordinate."""
     from embedit import LossPositions, encode, mse_hidden, tokenize
-    from embedit.editor import _taped_mse
+    from embedit.editor import _hidden_mse
     from conftest import make_bundle
 
     bundle = make_bundle(seed=42)
@@ -304,7 +304,7 @@ def test_encoder_loss_gradient_matches_finite_differences():
     tape = Tape()
     leaf = Tensor(weights.wte.array[[bear]])
     h = encode(src, weights, config, tape, edit_rows=([bear], leaf))
-    loss = _taped_mse(h, h_new, config.context_length, tape)
+    loss = _hidden_mse(h, h_new, LossPositions.FULL_SEQUENCE, tape)
     analytic = backward(tape, loss)[leaf].array[0]
 
     row0 = weights.wte.array[bear].copy()

@@ -17,10 +17,11 @@ from embedit import (
     edit_balance,
     edit_single,
     init_profession_embedding,
+    mse_hidden,
     revert,
 )
 from embedit.autodiff import Tape, backward
-from embedit.editor import _taped_mse
+from embedit.editor import _hidden_mse
 from embedit.encoder import HiddenStates, encode, tokenize
 from embedit.errors import DegenerateInputError, DimensionError, DivergenceError
 
@@ -187,6 +188,23 @@ class TestEditBalanceAuto:
         h_csp = bundle.encode_prompt("female teacher")
         assert h_sp.sequence.array.tobytes() == h_csp.sequence.array.tobytes()
 
+    def test_initial_loss_is_balanced_loss_at_averaged_rows(self):
+        bundle = make_bundle()
+        wte, tokens = bundle.weights.wte.array, bundle.vocab.tokens
+        teacher = tokens["teacher"]
+        averaged = (wte[teacher] + wte[tokens["female"]] + wte[tokens["male"]]) / 3.0
+        rows = ([teacher], Tensor(averaged[None, :]))
+        h_p0, h_csp, h_sp = (bundle.encode_prompt(p, edit_rows=rows)
+                             for p in ("teacher", "female teacher", "male teacher"))
+        full = LossPositions.FULL_SEQUENCE
+        params = BalancerParams(max_iters=3)
+        delta = bias_rate_delta(mse_hidden(h_p0, h_sp, full), mse_hidden(h_p0, h_csp, full),
+                                params.delta_normalizer)
+        alpha = alpha_weight(delta, params)
+        res = edit_balance(bundle, self.request(), params, EditLedger())
+        assert res.initial_loss == balanced_loss(h_p0, h_csp, h_sp, alpha, full)
+        assert res.threshold_tau == 0.0
+
     def test_only_profession_rows_change(self):
         bundle = symmetric_bundle()
         before = bundle.weights.wte.array.copy()
@@ -262,7 +280,7 @@ class TestEditBalanceAuto:
         p_tokens = tokenize("teacher", vocab, config)
         h_csp = bundle.encode_prompt("female teacher")
         h_sp = bundle.encode_prompt("male teacher")
-        rows = config.context_length
+        full = LossPositions.FULL_SEQUENCE
         alpha = 1e6
 
         def grad_of(build_loss):
@@ -272,13 +290,8 @@ class TestEditBalanceAuto:
             loss = build_loss(tape, h_p)
             return backward(tape, loss)[leaf].array[0]
 
-        g_pure = grad_of(lambda tape, h_p: _taped_mse(h_p, h_csp, rows, tape))
-
-        from embedit.autodiff import add, scale
-        g_balanced = grad_of(lambda tape, h_p: add(
-            scale(_taped_mse(h_p, h_csp, rows, tape), alpha ** 2, tape),
-            scale(_taped_mse(h_p, h_sp, rows, tape), (1.0 / alpha) ** 2, tape),
-            tape,
-        ))
+        g_pure = grad_of(lambda tape, h_p: _hidden_mse(h_p, h_csp, full, tape))
+        g_balanced = grad_of(lambda tape, h_p: balance._reward_penalty(
+            h_p, h_csp, h_sp, alpha, full, tape))
         rel = np.abs(g_balanced / alpha ** 2 - g_pure) / np.maximum(np.abs(g_pure), 1e-12)
         assert rel.max() < 1e-6

@@ -125,6 +125,7 @@ class TestEditRevert:
     @pytest.mark.parametrize("damage", [
         "negative_id", "id_past_vocab", "repeated_id", "short_row", "fewer_rows_than_ids",
         "no_ids", "no_result", "string_in_row", "infinity_in_row", "entry_not_object",
+        "not_json", "not_utf8",
     ])
     def test_revert_rejects_ledger_that_does_not_fit(self, workdir, capsys, damage):
         edited, ledger_path = self.edited_with_ledger(workdir)
@@ -132,6 +133,7 @@ class TestEditRevert:
         entry = ledger["entries"][0]
         (bear,), (row,) = entry["edited_token_ids"], entry["original_rows"]
         vocab_size = len(json.loads((workdir / "vocab.json").read_text())["tokens"]) + 3
+        raw = None
         if damage == "negative_id":
             entry["edited_token_ids"] = [-1]
         elif damage == "id_past_vocab":
@@ -151,9 +153,13 @@ class TestEditRevert:
             row[0] = float("inf")
         elif damage == "entry_not_object":
             ledger["entries"][0] = [bear]
+        elif damage == "not_json":
+            raw = b'{"entries": ['
+        elif damage == "not_utf8":
+            raw = b"\xff\xfe" + json.dumps(ledger).encode()
         else:
             entry["edited_token_ids"] = [bear, bear + 1]
-        ledger_path.write_text(json.dumps(ledger))
+        ledger_path.write_bytes(json.dumps(ledger).encode() if raw is None else raw)
         capsys.readouterr()
         assert run("revert", "--weights", edited, "--ledger", ledger_path,
                    "--out", workdir / "restored.embedit") == 2
@@ -211,6 +217,18 @@ class TestSeqEditAndEval:
         ledger = json.loads((workdir / "seqout" / "ledger.json").read_text())
         assert len(ledger["entries"]) == 1
 
+    def test_dataset_line_not_utf8_is_data_error(self, workdir, capsys):
+        base = init_archive(workdir)
+        ds = workdir / "latin1.jsonl"
+        ds.write_bytes(self.make_dataset(workdir, n=1).read_bytes()
+                       + '{"source": "caf\u00e9"}\n'.encode("latin-1"))
+        capsys.readouterr()
+        assert run("seq-edit", "--weights", base, "--dataset", ds,
+                   "--out", workdir / "seqout") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: line 2: not UTF-8")
+        assert not (workdir / "seqout").exists()
+
 
 class TestReport:
     def test_wide_single_edit_prints_table_numbers(self, workdir, capsys):
@@ -242,6 +260,14 @@ class TestReport:
                    "--total-params", 10 ** 9) == 0
         out = capsys.readouterr().out
         assert "modified=2048 flops=4096" in out
+
+    def test_ledger_that_is_not_json_is_data_error(self, workdir, capsys):
+        bad = workdir / "ledger.json"
+        bad.write_text('{"entries": [')
+        assert run("report", "--ledger", bad, "--d-model", 8, "--total-params", 100,
+                   "--out", workdir / "rep") == 2
+        assert capsys.readouterr().err.startswith("data error:")
+        assert not (workdir / "rep").exists()
 
 
 class TestGenderAndProbe:

@@ -133,12 +133,19 @@ class TestEditSingle:
         assert res.iterations_run == 3
         assert res.optimizer_steps == 2
 
-    def test_tau_is_exact_product(self):
+    @pytest.mark.parametrize("positions", list(LossPositions))
+    def test_tau_is_exact_product(self, positions):
+        # The initial loss is the unedited source's loss, computed here
+        # without the edit loop; tau is exactly stop_ratio times it.
         bundle = make_bundle()
+        initial = mse_hidden(bundle.encode_prompt("a bear"),
+                             bundle.encode_prompt("a polar bear"), positions)
         res = edit_single(
             bundle, EditRequest("a bear", "a polar bear", "bear"),
-            EditHyperparams(stop_ratio=0.37, max_iters=5), EditLedger(),
+            EditHyperparams(stop_ratio=0.37, max_iters=5, loss_positions=positions),
+            EditLedger(),
         )
+        assert res.initial_loss == initial
         assert res.threshold_tau == 0.37 * res.initial_loss
 
     def test_only_target_rows_change(self):
