@@ -430,20 +430,87 @@ def layer_norm(
     return out
 
 
-def softmax_rows(m: Tensor, tape: Tape | None = None) -> Tensor:
-    """Softmax over the final axis, computed with max-subtraction."""
-    a = m.array
+def _softmax(a: np.ndarray) -> np.ndarray:
     shifted = a - a.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_vjp(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return s * (g - np.sum(g * s, axis=-1, keepdims=True))
+
+
+def softmax_rows(m: Tensor, tape: Tape | None = None) -> Tensor:
+    """Softmax over the final axis, computed with max-subtraction."""
+    s = _softmax(m.array)
     out = Tensor(s)
 
     def vjp(g, needs):
         if not needs[0]:
             return (None,)
-        return (s * (g - np.sum(g * s, axis=-1, keepdims=True)),)
+        return (_softmax_vjp(s, g),)
 
     _maybe_record(tape, out, (m,), vjp)
+    return out
+
+
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    n_heads: int,
+    mask: Tensor,
+    tape: Tape | None = None,
+) -> Tensor:
+    """Multi-head attention over T-by-d queries, keys and values.
+
+    Column block h of width dh = d / n_heads is head h. Each head computes
+    softmax((q_h @ k_h^T) / sqrt(dh) + mask) @ v_h, and the heads' outputs
+    are concatenated back to T-by-d. All heads run as one stacked (n_heads,
+    T, dh) matmul; the result, and the q, k and v gradients, are bitwise
+    those of the per-head composition of slice_cols, transpose, matmul,
+    scale, add, softmax_rows and concat_cols. The additive T-by-T mask is
+    not differentiated. Scores that are not finite raise NonFiniteError.
+    """
+    if len(q.shape) != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise DimensionError(
+            f"attention: q {q.shape}, k {k.shape} and v {v.shape} must be one T-by-d shape"
+        )
+    t, d = q.shape
+    if n_heads <= 0 or d % n_heads:
+        raise DimensionError(f"attention: width {d} does not split into {n_heads} heads")
+    if mask.shape != (t, t):
+        raise DimensionError(f"attention: mask shape {mask.shape} != ({t}, {t})")
+    dh = d // n_heads
+    inv_sqrt = 1.0 / np.sqrt(dh)
+
+    def split(a):
+        return np.ascontiguousarray(a.reshape(t, n_heads, dh).transpose(1, 0, 2))
+
+    def merge(a):
+        return a.transpose(1, 0, 2).reshape(t, d)
+
+    # C-contiguous stacks, like the copies slice_cols and transpose make, give
+    # BLAS the same operands per head, hence the same bits.
+    q3, v3 = split(q.array), split(v.array)
+    kt3 = np.ascontiguousarray(split(k.array).transpose(0, 2, 1))
+    scores = (q3 @ kt3) * inv_sqrt + mask.array
+    if not np.all(np.isfinite(scores)):
+        raise NonFiniteError("attention: scores are not finite")
+    p = _softmax(scores)
+    out = Tensor(merge(p @ v3))
+
+    def vjp(g, needs):
+        # The per-head VJPs of matmul (g @ b^T, a^T @ g), softmax_rows and
+        # scale, run on all heads at once.
+        g3 = split(g)
+        g_v = merge(p.transpose(0, 2, 1) @ g3) if needs[2] else None
+        g_s = _softmax_vjp(p, g3 @ v3.transpose(0, 2, 1)) * inv_sqrt
+        g_q = merge(g_s @ kt3.transpose(0, 2, 1)) if needs[0] else None
+        g_k = merge((q3.transpose(0, 2, 1) @ g_s).transpose(0, 2, 1)) if needs[1] else None
+        return (g_q, g_k, g_v)
+
+    _maybe_record(tape, out, (q, k, v), vjp)
     return out
 
 

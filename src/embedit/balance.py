@@ -184,24 +184,31 @@ def _edit_balance_auto(
     csp_tokens = tokenize(request.counter_prompt, vocab, config)
     h_sp = encode(sp_tokens, weights, config, edit_rows=init)
     h_csp = encode(csp_tokens, weights, config, edit_rows=init)
-    h_p0 = encode(p_tokens, weights, config, edit_rows=init)
-
     positions = LossPositions.FULL_SEQUENCE
-    mse_sp = mse_hidden(h_p0, h_sp, positions)
-    mse_csp = mse_hidden(h_p0, h_csp, positions)
+    alpha = None
+
+    def loss_fn(h_p, tape):
+        # Alpha is fixed once, from the loop's first states: the profession
+        # encoded at the averaged rows.
+        nonlocal alpha
+        if alpha is None:
+            alpha = _alpha(request.profession, h_p, h_csp, h_sp, positions, params)
+        return _reward_penalty(h_p, h_csp, h_sp, alpha, positions, tape)
+
+    return _optimize_rows(bundle, edit_request, ids, init_rows, p_tokens, loss_fn,
+                          GRAD_NORM_STOP, hyper, ledger)
+
+
+def _alpha(profession: str, h_p, h_csp, h_sp, positions: LossPositions,
+           params: BalancerParams) -> float:
+    """alpha_weight of the bias rate at h_p; alpha_min, with a warning, when
+    h_p equals both gendered states."""
+    mse_sp = mse_hidden(h_p, h_sp, positions)
+    mse_csp = mse_hidden(h_p, h_csp, positions)
     if mse_sp == 0.0 and mse_csp == 0.0:
         warnings.warn(
-            f"profession {request.profession!r} is representationally gender-neutral; "
+            f"profession {profession!r} is representationally gender-neutral; "
             f"using alpha_min",
-            stacklevel=2,
         )
-        alpha = params.alpha_min
-    else:
-        delta = bias_rate_delta(mse_sp, mse_csp, params.delta_normalizer)
-        alpha = alpha_weight(delta, params)
-
-    return _optimize_rows(
-        bundle, edit_request, ids, init_rows, p_tokens,
-        lambda h, tape: _reward_penalty(h, h_csp, h_sp, alpha, positions, tape),
-        GRAD_NORM_STOP, hyper, ledger,
-    )
+        return params.alpha_min
+    return alpha_weight(bias_rate_delta(mse_sp, mse_csp, params.delta_normalizer), params)

@@ -231,9 +231,9 @@ def cmd_gender(args) -> int:
             mode=mode,
             lambda_manual=args.stop_ratio if mode is BalanceMode.MANUAL else None,
         )
-        baseline = female_percentage(entry, reference, reference)
+        baseline = female_percentage(entry, reference, f_ref, m_ref)
         result = edit_balance(bundle, request, params, ledger)
-        after = female_percentage(entry, bundle, reference)
+        after = female_percentage(entry, bundle, f_ref, m_ref)
         baseline_f.append(baseline)
         edited_f.append(after)
         rows.append({

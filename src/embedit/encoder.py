@@ -19,17 +19,15 @@ from .autodiff import (
     Tensor,
     add,
     add_bias,
-    concat_cols,
+    attention,
     gather_rows,
     gelu,
     layer_norm,
     matmul,
-    scale,
-    slice_cols,
-    softmax_rows,
     substitute_rows,
-    transpose,
 )
+# Not called here; perfbench's tracer wraps embedit.encoder.<op> for these.
+from .autodiff import concat_cols, scale, slice_cols, softmax_rows, transpose  # noqa: F401
 from .errors import (
     DimensionError,
     EmptyPromptError,
@@ -307,8 +305,6 @@ def encode(
         raise TapeUsageError("a taped encode needs edit_rows: its rows are the only leaf")
     x = add(x, weights.positional, tape)
 
-    d_head = config.d_model // config.n_heads
-    inv_sqrt = 1.0 / np.sqrt(d_head)
     mask = _causal_mask(config.context_length)
 
     for layer in weights.layers:
@@ -316,16 +312,7 @@ def encode(
         q = add_bias(matmul(h, layer.wq, tape), layer.bq, tape)
         k = add_bias(matmul(h, layer.wk, tape), layer.bk, tape)
         v = add_bias(matmul(h, layer.wv, tape), layer.bv, tape)
-        heads = []
-        for hd in range(config.n_heads):
-            lo, hi = hd * d_head, (hd + 1) * d_head
-            qh = slice_cols(q, lo, hi, tape)
-            kh = slice_cols(k, lo, hi, tape)
-            vh = slice_cols(v, lo, hi, tape)
-            scores = scale(matmul(qh, transpose(kh, tape), tape), inv_sqrt, tape)
-            attn = softmax_rows(add(scores, mask, tape), tape)
-            heads.append(matmul(attn, vh, tape))
-        merged = concat_cols(heads, tape)
+        merged = attention(q, k, v, config.n_heads, mask, tape)
         x = add(x, add_bias(matmul(merged, layer.wo, tape), layer.bo, tape), tape)
 
         h2 = layer_norm(x, layer.ln2_gamma, layer.ln2_beta, config.eps, tape)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .encoder import EncoderBundle
+from .encoder import EncoderBundle, HiddenStates
 from .errors import DatasetError, DegenerateInputError, DegenerateVectorError
 
 SOURCE = "source"
@@ -131,8 +131,9 @@ def load_gender_entries(path: str | Path) -> list[GenderEntry]:
 
 
 def _load_jsonl(path: str | Path, parse):
-    """parse() of each non-blank line; a line that is not UTF-8 or not JSON
-    raises DatasetError with its line number."""
+    """parse() of each non-blank line; a line that is not UTF-8 or not JSON,
+    or that parse() rejects with DatasetError, raises DatasetError with its
+    line number."""
     with open(path, "rb") as f:
         data = f.read()
     entries = []
@@ -145,6 +146,8 @@ def _load_jsonl(path: str | Path, parse):
             raise DatasetError(f"line {line_no}: not UTF-8: {e}") from e
         except json.JSONDecodeError as e:
             raise DatasetError(f"line {line_no}: invalid JSON: {e}") from e
+        except DatasetError as e:
+            raise DatasetError(f"line {line_no}: {e}") from e
     return entries
 
 
@@ -212,6 +215,11 @@ def _pct(outcomes: list[bool]) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std() / np.sqrt(len(arr)))
 
 
+def _encode_each(bundle: EncoderBundle, prompts: list[str]) -> dict[str, HiddenStates]:
+    """Hidden states of each distinct prompt, each encoded once."""
+    return {p: bundle.encode_prompt(p) for p in dict.fromkeys(prompts)}
+
+
 def evaluate_edit(
     entry: EditEntry,
     edited: EncoderBundle,
@@ -223,29 +231,25 @@ def evaluate_edit(
     Generality: same test per positive pair. Specificity: each negative must
     still classify as its own source. Strict specificity: each negative's
     hidden states must match the reference's bitwise.
+
+    Each distinct prompt is encoded once per bundle and call; nothing is
+    shared between the two bundles or across calls, so the strict check
+    compares states computed independently from each.
     """
-    def edited_pooled(prompt):
-        return edited.encode_prompt(prompt).pooled
+    pos, neg = entry.positives, entry.negatives
+    ed = _encode_each(edited, [entry.source, *(sv for sv, _ in pos), *(sn for sn, _ in neg)])
+    ref = _encode_each(reference, [entry.source, entry.destination,
+                                   *(p for pair in pos + neg for p in pair)])
 
-    def ref_pooled(prompt):
-        return reference.encode_prompt(prompt).pooled
+    def label(prompt, dst):
+        return classify(ed[prompt].pooled, ref[prompt].pooled, ref[dst].pooled)
 
-    eff = [
-        classify(edited_pooled(entry.source), ref_pooled(entry.source),
-                 ref_pooled(entry.destination)) == DESTINATION
-    ]
-    gen = [
-        classify(edited_pooled(sv), ref_pooled(sv), ref_pooled(dv)) == DESTINATION
-        for sv, dv in entry.positives
-    ]
-    spec = [
-        classify(edited_pooled(sn), ref_pooled(sn), ref_pooled(dn)) == SOURCE
-        for sn, dn in entry.negatives
-    ]
+    eff = [label(entry.source, entry.destination) == DESTINATION]
+    gen = [label(sv, dv) == DESTINATION for sv, dv in pos]
+    spec = [label(sn, dn) == SOURCE for sn, dn in neg]
     strict = [
-        edited.encode_prompt(sn).sequence.array.tobytes()
-        == reference.encode_prompt(sn).sequence.array.tobytes()
-        for sn, _ in entry.negatives
+        ed[sn].sequence.array.tobytes() == ref[sn].sequence.array.tobytes()
+        for sn, _ in neg
     ]
 
     e_pct, e_se = _pct(eff)
@@ -338,17 +342,19 @@ def filter_sequential_dataset(
 def female_percentage(
     entry: GenderEntry,
     edited: EncoderBundle,
-    reference: EncoderBundle,
+    female_ref: Tensor,
+    male_ref: Tensor,
 ) -> float:
     """Percentage of test prompts whose edited pooled state classifies as the
     female reference.
+
+    female_ref and male_ref are the reference encoder's pooled states of
+    entry.female_ref and entry.male_ref.
     """
-    f_ref = reference.encode_prompt(entry.female_ref).pooled
-    m_ref = reference.encode_prompt(entry.male_ref).pooled
     if not entry.tests:
         raise DatasetError(f"gender entry {entry.profession!r} has no test prompts")
     female = sum(
-        classify(edited.encode_prompt(prompt).pooled, m_ref, f_ref) == DESTINATION
+        classify(edited.encode_prompt(prompt).pooled, male_ref, female_ref) == DESTINATION
         for prompt in entry.tests
     )
     return 100.0 * female / len(entry.tests)

@@ -8,6 +8,7 @@ from embedit.autodiff import (
     Tensor,
     add,
     add_bias,
+    attention,
     backward,
     concat_cols,
     finite_difference_grad,
@@ -26,7 +27,12 @@ from embedit.autodiff import (
     sum_all,
     transpose,
 )
+from embedit.encoder import ATTENTION_MASK_VALUE
 from embedit.errors import DimensionError, NonFiniteError, TapeUsageError
+
+
+def causal_mask(t):
+    return Tensor(np.triu(np.full((t, t), ATTENTION_MASK_VALUE), k=1))
 
 
 class TestTensor:
@@ -263,6 +269,12 @@ _PRIMITIVES = [
         (0, 1, 2),
     ),
     ("softmax_rows", lambda tp, m: softmax_rows(m, tp), [(3, 5)], (0,)),
+    (
+        "attention",
+        lambda tp, q, k, v: attention(q, k, v, 2, causal_mask(5), tp),
+        [(5, 6), (5, 6), (5, 6)],
+        (0, 1, 2),
+    ),
     ("gelu", lambda tp, x: gelu(x, tp), [(3, 4)], (0,)),
     ("mean_square", lambda tp, x: mean_square(x, tp), [(3, 4)], (0,)),
     ("sum_all", lambda tp, x: sum_all(x, tp), [(3, 4)], (0,)),
@@ -284,6 +296,50 @@ def test_randomized_vjp_consistency(name, apply_op, shapes, wrt):
             rhs = float(np.sum(_vjp_via_backward(apply_op, inputs, wrt_index, cotangent) * direction))
             denom = max(abs(lhs), abs(rhs), 1e-6)
             assert abs(lhs - rhs) / denom < 1e-6, f"{name} wrt input {wrt_index}"
+
+
+def _per_head_attention(q, k, v, n_heads, mask, tape):
+    """Reference: attention as the encoder composed it from 2-D primitives."""
+    d_head = q.shape[1] // n_heads
+    inv_sqrt = 1.0 / np.sqrt(d_head)
+    heads = []
+    for hd in range(n_heads):
+        lo, hi = hd * d_head, (hd + 1) * d_head
+        qh = slice_cols(q, lo, hi, tape)
+        kh = slice_cols(k, lo, hi, tape)
+        vh = slice_cols(v, lo, hi, tape)
+        scores = scale(matmul(qh, transpose(kh, tape), tape), inv_sqrt, tape)
+        attn = softmax_rows(add(scores, mask, tape), tape)
+        heads.append(matmul(attn, vh, tape))
+    return concat_cols(heads, tape)
+
+
+@pytest.mark.parametrize("d,n_heads,t", [(8, 2, 8), (64, 4, 77)])
+def test_attention_is_bitwise_the_per_head_composition(d, n_heads, t):
+    rng = np.random.default_rng(d)
+    q, k, v = (Tensor(rng.normal(size=(t, d))) for _ in range(3))
+    cotangent = Tensor(rng.normal(size=(t, d)))
+    mask = causal_mask(t)
+
+    def run(op):
+        tape = Tape()
+        for x in (q, k, v):
+            tape.watch(x)
+        out = op(q, k, v, n_heads, mask, tape)
+        grads = backward(tape, sum_all(mul(out, cotangent, tape), tape))
+        return [out.array.tobytes()] + [grads[x].array.tobytes() for x in (q, k, v)]
+
+    assert run(attention) == run(_per_head_attention)
+
+
+def test_attention_rejects_bad_shapes():
+    x = Tensor(np.ones((3, 4)))
+    with pytest.raises(DimensionError, match="heads"):
+        attention(x, x, x, 3, causal_mask(3))
+    with pytest.raises(DimensionError, match="mask"):
+        attention(x, x, x, 2, causal_mask(4))
+    with pytest.raises(DimensionError):
+        attention(x, Tensor(np.ones((3, 2))), x, 2, causal_mask(3))
 
 
 def test_encoder_loss_gradient_matches_finite_differences():

@@ -205,6 +205,23 @@ class TestEditBalanceAuto:
         assert res.initial_loss == balanced_loss(h_p0, h_csp, h_sp, alpha, full)
         assert res.threshold_tau == 0.0
 
+    def test_profession_is_encoded_once_per_score(self, monkeypatch):
+        # max_iters=1: iteration 1 (taped, which also fixes alpha), then the
+        # capped final score; no separate encode for alpha.
+        import embedit.editor as editor
+
+        bundle = make_bundle()
+        p_ids = bundle.tokenize("teacher").ids
+        seen = []
+        for module in (balance, editor):
+            def spy(tokens, *args, real=module.encode, **kwargs):
+                seen.append(tokens.ids)
+                return real(tokens, *args, **kwargs)
+            monkeypatch.setattr(module, "encode", spy)
+        res = edit_balance(bundle, self.request(), BalancerParams(max_iters=1), EditLedger())
+        assert res.optimizer_steps == 1
+        assert seen.count(p_ids) == 2
+
     def test_only_profession_rows_change(self):
         bundle = symmetric_bundle()
         before = bundle.weights.wte.array.copy()

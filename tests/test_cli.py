@@ -229,6 +229,18 @@ class TestSeqEditAndEval:
         assert err.startswith("data error: line 2: not UTF-8")
         assert not (workdir / "seqout").exists()
 
+    def test_dataset_line_missing_key_names_line(self, workdir, capsys):
+        base = init_archive(workdir)
+        ds = workdir / "nodest.jsonl"
+        ds.write_bytes(self.make_dataset(workdir, n=1).read_bytes()
+                       + b'{"source": "cat", "target_word": "cat"}\n')
+        capsys.readouterr()
+        assert run("seq-edit", "--weights", base, "--dataset", ds,
+                   "--out", workdir / "seqout") == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "destination" in err
+        assert not (workdir / "seqout").exists()
+
 
 class TestReport:
     def test_wide_single_edit_prints_table_numbers(self, workdir, capsys):
@@ -300,6 +312,29 @@ class TestGenderAndProbe:
         assert run("gender", "--weights", base, "--dataset", ds, "--mode", "auto",
                    "--lr", 0.01, "--max-iters", 50, "--out", workdir / "auto") == 0
         assert (workdir / "auto" / "ledger.json").exists()
+
+    def test_gender_encodes_each_reference_once(self, workdir, monkeypatch):
+        from embedit.encoder import EncoderBundle
+
+        base = init_archive(workdir)
+        gender = {
+            "profession": "teacher", "validation": "a teacher", "tests": ["a teacher"],
+            "female_ref": "female teacher", "male_ref": "male teacher",
+        }
+        ds = workdir / "gender.jsonl"
+        ds.write_text(json.dumps(gender) + "\n")
+        prompts = []
+        real = EncoderBundle.encode_prompt
+
+        def spy(self, prompt, *args, **kwargs):
+            prompts.append(prompt)
+            return real(self, prompt, *args, **kwargs)
+
+        monkeypatch.setattr(EncoderBundle, "encode_prompt", spy)
+        assert run("gender", "--weights", base, "--dataset", ds, "--mode", "auto",
+                   "--max-iters", 2, "--out", workdir / "auto") == 0
+        assert prompts.count("female teacher") == 1
+        assert prompts.count("male teacher") == 1
 
     def test_probe_writes_report(self, workdir):
         base = init_archive(workdir)

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from embedit import (
     EditHyperparams,
     EditLedger,
     EditRequest,
+    EncoderBundle,
     GenderEntry,
     aggregate_reports,
     classify,
@@ -141,6 +143,44 @@ class TestEvaluateEdit:
             2 * r1.counts["generality"][0], 2 * r1.counts["generality"][1]
         )
 
+    def test_negative_using_a_row_changed_only_in_edited_is_not_strict(self):
+        # Guards the bitwise check against states shared between bundles.
+        edited = make_bundle(seed=42)
+        reference = make_bundle(seed=42)
+        cat = edited.vocab.tokens["cat"]
+        edited.weights.set_wte_rows([cat], edited.weights.wte.array[[cat]] + 1e-3)
+        report = evaluate_edit(ENTRY, edited, reference)
+        assert report.counts["strict_specificity"] == (1, 2)
+        assert report.strict_specificity < 100.0
+
+    def test_each_distinct_prompt_is_encoded_once_per_bundle_and_call(self, monkeypatch):
+        edited = make_bundle(seed=42)
+        reference = make_bundle(seed=42)
+        entry = EditEntry(
+            source="bear", destination="wolf", target_word="bear",
+            positives=(("a bear", "a wolf"), ("little bear", "a wolf")),
+            # "wolf" repeats the destination, "a wolf" the positives'
+            # destination, and the last negative repeats the one before it.
+            negatives=(("wolf", "a wolf"), ("a cat", "a dog"), ("a cat", "a dog")),
+        )
+        calls = Counter()
+        real = EncoderBundle.encode_prompt
+
+        def spy(self, prompt, *args, **kwargs):
+            calls[id(self), prompt] += 1
+            return real(self, prompt, *args, **kwargs)
+
+        monkeypatch.setattr(EncoderBundle, "encode_prompt", spy)
+        expected = Counter(
+            [(id(edited), p) for p in ("bear", "a bear", "little bear", "wolf", "a cat")]
+            + [(id(reference), p) for p in
+               ("bear", "wolf", "a bear", "a wolf", "little bear", "a cat", "a dog")]
+        )
+        evaluate_edit(entry, edited, reference)
+        assert calls == expected
+        evaluate_edit(entry, edited, reference)
+        assert calls == expected + expected
+
 
 class TestEntryValidation:
     def test_positive_must_contain_target(self):
@@ -265,6 +305,12 @@ def gender_entry():
     )
 
 
+def _refs(entry, reference):
+    """Pooled reference states of the entry's female and male prompts."""
+    return (reference.encode_prompt(entry.female_ref).pooled,
+            reference.encode_prompt(entry.male_ref).pooled)
+
+
 class TestFemalePercentage:
     def test_prompt_identical_to_male_ref_scores_zero(self):
         bundle = make_bundle(seed=0)
@@ -272,7 +318,7 @@ class TestFemalePercentage:
             profession="teacher", validation="teacher", tests=("teacher",),
             female_ref="female teacher", male_ref="teacher",
         )
-        assert female_percentage(entry, bundle, bundle) == 0.0
+        assert female_percentage(entry, bundle, *_refs(entry, bundle)) == 0.0
 
     def test_auto_balancing_moves_toward_fifty(self):
         # Engineered fixture (seed 12): baseline leans male at F=20; after the
@@ -280,7 +326,7 @@ class TestFemalePercentage:
         reference = make_bundle(seed=12)
         edited = make_bundle(seed=12)
         entry = gender_entry()
-        baseline = female_percentage(entry, edited, reference)
+        baseline = female_percentage(entry, edited, *_refs(entry, reference))
         assert baseline == 20.0
         edit_balance(
             edited,
@@ -289,7 +335,7 @@ class TestFemalePercentage:
             BalancerParams(learning_rate=1e-2, max_iters=200),
             EditLedger(),
         )
-        after = female_percentage(entry, edited, reference)
+        after = female_percentage(entry, edited, *_refs(entry, reference))
         assert abs(after - 50.0) < abs(baseline - 50.0)
 
     def test_gender_entry_requires_profession_in_tests(self):
