@@ -11,23 +11,42 @@ Archive layout:
                   "offset" is relative to the start of the payload section
                   (= 16 + header length)
 
-Save followed by load is bitwise lossless.
+Save followed by load is bitwise lossless. The loader accepts exactly the
+tensors the config calls for, each once, with payloads laid out back to back
+from offset 0 to the end of the file.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
+import secrets
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor
-from .encoder import EncoderConfig, EncoderWeights, LayerWeights, Vocab, _LAYER_FIELDS
+from .encoder import (
+    EncoderConfig,
+    EncoderWeights,
+    LayerWeights,
+    Vocab,
+    _LAYER_FIELDS,
+    tensor_shapes,
+)
 from .errors import ArchiveFormatError
 
 MAGIC = b"EMBEDIT1"
 _HEADER_LEN_END = len(MAGIC) + 8
+_HEADER_KEYS = {"config", "vocab", "tensors"}
+_CONFIG_INTS = ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "context_length")
+_ENTRY_KEYS = {"name", "shape", "dtype", "offset", "nbytes"}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _config_to_dict(config: EncoderConfig) -> dict:
@@ -42,10 +61,21 @@ def _config_to_dict(config: EncoderConfig) -> dict:
     }
 
 
-def _config_from_dict(d: dict) -> EncoderConfig:
+def _config_from_dict(d) -> EncoderConfig:
+    if not isinstance(d, dict) or set(d) != {*_CONFIG_INTS, "eps"}:
+        raise ArchiveFormatError(
+            f"bad config in header: need exactly the keys {sorted({*_CONFIG_INTS, 'eps'})}"
+        )
+    eps = d["eps"]
+    if not all(_is_int(d[k]) for k in _CONFIG_INTS) or not (
+        isinstance(eps, (int, float)) and not isinstance(eps, bool) and math.isfinite(eps)
+    ):
+        raise ArchiveFormatError(
+            "bad config in header: sizes must be integers and eps a finite number"
+        )
     try:
         return EncoderConfig(**d)
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise ArchiveFormatError(f"bad config in header: {e}") from e
 
 
@@ -61,14 +91,17 @@ def vocab_to_dict(vocab: Vocab) -> dict:
 
 def vocab_from_dict(d: dict) -> Vocab:
     try:
+        tokens = dict(d["tokens"])
+        if not all(_is_int(i) for i in tokens.values()):
+            raise ValueError("token ids must be integers")
         return Vocab(
-            tokens=dict(d["tokens"]),
+            tokens=tokens,
             splits={w: list(s) for w, s in d.get("splits", {}).items()},
             bos=int(d["bos"]),
             eos=int(d["eos"]),
             pad=int(d["pad"]),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
         raise ArchiveFormatError(f"bad vocab: {e}") from e
 
 
@@ -90,100 +123,174 @@ def save_weights(
     weights: EncoderWeights,
     vocab: Vocab,
 ) -> None:
-    """Write config, vocab, and all tensors to one archive file."""
+    """Write config, vocab, and all tensors to one archive file.
+
+    Each tensor is written from its own buffer, with no bytes copy. The
+    bytes go to a temporary file in the target's directory, which then
+    replaces `path` in one step; a save that raises removes the temporary
+    file and leaves any earlier file at `path` as it was. A symlink at
+    `path` keeps pointing at the replaced file.
+    """
+    path = Path(os.path.realpath(path))
+    arrays = [(name, np.ascontiguousarray(t.array, dtype="<f8"))
+              for name, t in weights.named_tensors()]
     entries = []
-    payloads = []
     offset = 0
-    for name, tensor in weights.named_tensors():
-        raw = np.ascontiguousarray(tensor.array, dtype="<f8").tobytes()
+    for name, a in arrays:
         entries.append({
             "name": name,
-            "shape": list(tensor.shape),
+            "shape": list(a.shape),
             "dtype": "f64",
             "offset": offset,
-            "nbytes": len(raw),
+            "nbytes": a.nbytes,
         })
-        payloads.append(raw)
-        offset += len(raw)
+        offset += a.nbytes
     header = {
         "config": _config_to_dict(config),
         "vocab": vocab_to_dict(vocab),
         "tensors": entries,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<Q", len(header_bytes)))
-        f.write(header_bytes)
-        for raw in payloads:
-            f.write(raw)
+    # Created with open(..., "xb") rather than mkstemp, which would narrow the
+    # archive's permissions to 0600.
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<Q", len(header_bytes)))
+            f.write(header_bytes)
+            for _, a in arrays:
+                f.write(memoryview(a).cast("B"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_weights(path: str | Path) -> tuple[EncoderConfig, EncoderWeights, Vocab]:
-    """Read an archive; raises ArchiveFormatError (with a byte offset) on damage."""
-    blob = Path(path).read_bytes()
-    if blob[: len(MAGIC)] != MAGIC:
-        raise ArchiveFormatError(f"bad magic, expected {MAGIC!r}", offset=0)
-    if len(blob) < _HEADER_LEN_END:
-        raise ArchiveFormatError("truncated before header length", offset=len(blob))
-    (header_len,) = struct.unpack("<Q", blob[len(MAGIC):_HEADER_LEN_END])
-    payload_base = _HEADER_LEN_END + header_len
-    if len(blob) < payload_base:
-        raise ArchiveFormatError("truncated inside header", offset=len(blob))
+    """Read an archive; raises ArchiveFormatError (with a byte offset) on damage.
+
+    The whole header is checked against the file's size before any payload
+    is read. Each payload is then read straight into its tensor's array, so
+    the weights are held once.
+    """
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(_HEADER_LEN_END)
+        if head[: len(MAGIC)] != MAGIC:
+            raise ArchiveFormatError(f"bad magic, expected {MAGIC!r}", offset=0)
+        if len(head) < _HEADER_LEN_END:
+            raise ArchiveFormatError("truncated before header length", offset=len(head))
+        (header_len,) = struct.unpack("<Q", head[len(MAGIC):])
+        if header_len > size - _HEADER_LEN_END:
+            raise ArchiveFormatError("truncated inside header", offset=size)
+        try:
+            header = json.loads(f.read(header_len).decode("utf-8"))
+        except (ValueError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
+            raise ArchiveFormatError(
+                f"header is not valid JSON: {e}", offset=_HEADER_LEN_END
+            ) from e
+        start = _HEADER_LEN_END + header_len
+        config, vocab, index = _check_header(header, start, size)
+
+        tensors: dict[str, Tensor] = {}
+        for name, shape in index:
+            a = np.empty(shape, dtype="<f8")
+            _read_exactly(f, a)
+            if not np.isfinite(a).all():
+                raise ArchiveFormatError(f"tensor {name}: payload is not finite", offset=start)
+            # Native byte order: no copy on a little-endian host.
+            tensors[name] = Tensor._wrap(a.astype(np.float64, copy=False))
+            start += a.nbytes
+    return config, _weights_from_named(tensors, config), vocab
+
+
+def _read_exactly(f, a: np.ndarray) -> None:
+    view = memoryview(a).cast("B")
+    while view:
+        n = f.readinto(view)
+        if not n:
+            raise ArchiveFormatError("payload truncated", offset=f.tell())
+        view = view[n:]
+
+
+def _check_header(header, payload_base: int, size: int):
+    """Check the whole header against the file's size; return the config,
+    the vocab, and (name, shape) pairs in payload order.
+
+    The tensor index must name exactly the tensors the config calls for,
+    once each and with their shapes, and lay their payloads out in order,
+    back to back from offset 0 to the end of the file.
+    """
+    def bad(message: str, offset: int = _HEADER_LEN_END) -> ArchiveFormatError:
+        return ArchiveFormatError(message, offset=offset)
+
+    if not isinstance(header, dict) or set(header) != _HEADER_KEYS:
+        raise bad(f"header must be an object with exactly the keys {sorted(_HEADER_KEYS)}")
     try:
-        header = json.loads(blob[_HEADER_LEN_END:payload_base].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ArchiveFormatError(f"header is not valid JSON: {e}", offset=_HEADER_LEN_END) from e
+        config = _config_from_dict(header["config"])
+        vocab = vocab_from_dict(header["vocab"])
+    except ArchiveFormatError as e:
+        raise bad(str(e)) from e
+    if vocab.vocab_size != config.vocab_size:
+        raise bad(f"vocab has {vocab.vocab_size} ids, config says {config.vocab_size}")
 
-    for key in ("config", "vocab", "tensors"):
-        if key not in header:
-            raise ArchiveFormatError(f"header missing {key!r}", offset=_HEADER_LEN_END)
-    config = _config_from_dict(header["config"])
-    vocab = vocab_from_dict(header["vocab"])
-
-    tensors: dict[str, Tensor] = {}
-    for entry in header["tensors"]:
-        name = entry.get("name", "<unnamed>")
-        shape = tuple(int(s) for s in entry["shape"])
-        if entry.get("dtype") != "f64":
-            raise ArchiveFormatError(
-                f"tensor {name}: unsupported dtype {entry.get('dtype')!r}",
-                offset=_HEADER_LEN_END,
-            )
-        nbytes = int(entry["nbytes"])
-        want = int(np.prod(shape)) * 8
-        start = payload_base + int(entry["offset"])
+    entries = header["tensors"]
+    if not isinstance(entries, list):
+        raise bad("header 'tensors' must be a list")
+    if config.n_layers > len(entries):  # also bounds the work of tensor_shapes
+        raise bad(f"config calls for {config.n_layers} layers, "
+                  f"header lists {len(entries)} tensors")
+    expected = tensor_shapes(config)
+    index: dict[str, tuple[int, ...]] = {}
+    end = 0
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict) or set(entry) != _ENTRY_KEYS:
+            raise bad(f"tensor entry {k} must be an object with exactly the keys "
+                      f"{sorted(_ENTRY_KEYS)}")
+        name, shape = entry["name"], entry["shape"]
+        if not isinstance(name, str) or name not in expected:
+            raise bad(f"tensor entry {k}: unknown tensor name {name!r}")
+        if name in index:
+            raise bad(f"tensor {name}: listed twice")
+        # 8.0 == 8 and True == 1: the type check keeps those out.
+        if not (isinstance(shape, list) and all(_is_int(s) for s in shape)
+                and tuple(shape) == expected[name]):
+            raise bad(f"tensor {name}: shape {shape!r}, config calls for {list(expected[name])}")
+        if entry["dtype"] != "f64":
+            raise bad(f"tensor {name}: unsupported dtype {entry['dtype']!r}")
+        offset, nbytes = entry["offset"], entry["nbytes"]
+        if not (_is_int(offset) and _is_int(nbytes)):
+            raise bad(f"tensor {name}: offset and nbytes must be integers")
+        if offset != end:
+            raise bad(f"tensor {name}: payload offset {offset}, expected {end} "
+                      "(payloads must be in order, back to back, without overlap)",
+                      offset=payload_base + end)
+        want = math.prod(shape) * 8
         if nbytes != want:
-            raise ArchiveFormatError(
-                f"tensor {name}: shape {shape} needs {want} bytes, header says {nbytes}",
-                offset=start,
-            )
-        end = start + nbytes
-        if end > len(blob):
-            raise ArchiveFormatError(f"tensor {name}: payload truncated", offset=len(blob))
-        data = np.frombuffer(blob, dtype="<f8", count=want // 8, offset=start)
-        tensors[name] = Tensor(data.reshape(shape))
-
-    weights = _weights_from_named(tensors, config)
-    weights.validate_shapes(config)
-    return config, weights, vocab
+            raise bad(f"tensor {name}: shape {shape} needs {want} bytes, "
+                      f"header says {nbytes}", offset=payload_base + offset)
+        index[name] = expected[name]
+        end += nbytes
+    missing = [name for name in expected if name not in index]
+    if missing:
+        raise bad(f"archive is missing tensor {missing[0]!r}")
+    if payload_base + end > size:
+        raise bad("payload truncated", offset=size)
+    if payload_base + end < size:
+        raise bad("trailing bytes after the last payload", offset=payload_base + end)
+    return config, vocab, list(index.items())
 
 
 def _weights_from_named(tensors: dict[str, Tensor], config: EncoderConfig) -> EncoderWeights:
-    def take(name: str) -> Tensor:
-        if name not in tensors:
-            raise ArchiveFormatError(f"archive is missing tensor {name!r}")
-        return tensors[name]
-
-    layers = []
-    for i in range(config.n_layers):
-        layers.append(LayerWeights(**{
-            fname: take(f"layers.{i}.{fname}") for fname in _LAYER_FIELDS
-        }))
+    layers = [
+        LayerWeights(**{fname: tensors[f"layers.{i}.{fname}"] for fname in _LAYER_FIELDS})
+        for i in range(config.n_layers)
+    ]
     return EncoderWeights(
-        wte=take("wte"),
-        positional=take("positional"),
+        wte=tensors["wte"],
+        positional=tensors["positional"],
         layers=layers,
-        final_gamma=take("final_gamma"),
-        final_beta=take("final_beta"),
+        final_gamma=tensors["final_gamma"],
+        final_beta=tensors["final_beta"],
     )

@@ -299,12 +299,17 @@ def _optimize_rows(
         if i == 1:
             initial_loss = loss.item()
             tau = hyper.stop_ratio * initial_loss
+        # The tape's closures hold every layer's activations: drop it as soon
+        # as the loop stops or backward returns, so that none is alive during
+        # the final scoring or the table write.
         if loss.item() <= tau:
+            del tape
             break
         try:
             g = backward(tape, loss)[leaf].array
         except NonFiniteError as e:
             raise DivergenceError(f"backward pass: {e}", iteration=i) from e
+        del tape
         if float(np.linalg.norm(g)) < grad_tol:
             break
         rows = opt.step(rows, g)

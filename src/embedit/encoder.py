@@ -204,24 +204,7 @@ class EncoderWeights:
         return Tensor(self.wte.array[token_id])
 
     def validate_shapes(self, config: EncoderConfig) -> None:
-        d, f = config.d_model, config.d_ff
-        expect = {
-            "wte": (config.vocab_size, d),
-            "positional": (config.context_length, d),
-            "final_gamma": (d,),
-            "final_beta": (d,),
-        }
-        for i in range(config.n_layers):
-            expect.update({
-                f"layers.{i}.wq": (d, d), f"layers.{i}.wk": (d, d),
-                f"layers.{i}.wv": (d, d), f"layers.{i}.wo": (d, d),
-                f"layers.{i}.bq": (d,), f"layers.{i}.bk": (d,),
-                f"layers.{i}.bv": (d,), f"layers.{i}.bo": (d,),
-                f"layers.{i}.ln1_gamma": (d,), f"layers.{i}.ln1_beta": (d,),
-                f"layers.{i}.ln2_gamma": (d,), f"layers.{i}.ln2_beta": (d,),
-                f"layers.{i}.mlp_w1": (d, f), f"layers.{i}.mlp_b1": (f,),
-                f"layers.{i}.mlp_w2": (f, d), f"layers.{i}.mlp_b2": (d,),
-            })
+        expect = tensor_shapes(config)
         if len(self.layers) != config.n_layers:
             raise DimensionError(
                 f"expected {config.n_layers} layers, found {len(self.layers)}"
@@ -231,6 +214,26 @@ class EncoderWeights:
                 raise DimensionError(
                     f"tensor {name}: shape {tensor.shape} != expected {expect[name]}"
                 )
+
+
+def tensor_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every tensor `config` calls for, by name, in
+    EncoderWeights.named_tensors() order."""
+    d, f = config.d_model, config.d_ff
+    shapes = {"wte": (config.vocab_size, d), "positional": (config.context_length, d)}
+    for i in range(config.n_layers):
+        shapes.update({
+            f"layers.{i}.wq": (d, d), f"layers.{i}.wk": (d, d),
+            f"layers.{i}.wv": (d, d), f"layers.{i}.wo": (d, d),
+            f"layers.{i}.bq": (d,), f"layers.{i}.bk": (d,),
+            f"layers.{i}.bv": (d,), f"layers.{i}.bo": (d,),
+            f"layers.{i}.ln1_gamma": (d,), f"layers.{i}.ln1_beta": (d,),
+            f"layers.{i}.ln2_gamma": (d,), f"layers.{i}.ln2_beta": (d,),
+            f"layers.{i}.mlp_w1": (d, f), f"layers.{i}.mlp_b1": (f,),
+            f"layers.{i}.mlp_w2": (f, d), f"layers.{i}.mlp_b2": (d,),
+        })
+    shapes.update({"final_gamma": (d,), "final_beta": (d,)})
+    return shapes
 
 
 @dataclass(frozen=True)

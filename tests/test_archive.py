@@ -1,13 +1,16 @@
 import json
 import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from embedit import init_random_weights, load_vocab, load_weights, save_vocab, save_weights
+from embedit import archive, init_random_weights, load_vocab, load_weights, save_vocab, save_weights
 from embedit.archive import MAGIC
 from embedit.errors import ArchiveFormatError
 
-from conftest import make_config
+from conftest import make_config, make_vocab
 
 
 @pytest.fixture
@@ -94,3 +97,253 @@ def test_vocab_json_round_trip(tmp_path, vocab):
     path = tmp_path / "vocab.json"
     save_vocab(path, vocab)
     assert load_vocab(path) == vocab
+
+
+def split_archive(blob: bytes) -> tuple[dict, bytes]:
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    return json.loads(blob[16:16 + hlen]), blob[16 + hlen:]
+
+
+def join_archive(header, payload: bytes) -> bytes:
+    raw = json.dumps(header, sort_keys=True).encode()
+    return MAGIC + struct.pack("<Q", len(raw)) + raw + payload
+
+
+def test_archive_bytes_are_magic_header_and_raw_payloads(saved):
+    # The format written before saves streamed each tensor's buffer.
+    path, config, weights, vocab = saved
+    entries, payloads, offset = [], [], 0
+    for name, t in weights.named_tensors():
+        raw = np.ascontiguousarray(t.array, dtype="<f8").tobytes()
+        entries.append({"name": name, "shape": list(t.shape), "dtype": "f64",
+                        "offset": offset, "nbytes": len(raw)})
+        payloads.append(raw)
+        offset += len(raw)
+    header = {"config": archive._config_to_dict(config),
+              "vocab": archive.vocab_to_dict(vocab), "tensors": entries}
+    assert path.read_bytes() == join_archive(header, b"".join(payloads))
+
+
+def _tensor(header, name):
+    return next(e for e in header["tensors"] if e["name"] == name)
+
+
+def _swap_first_two(h):
+    h["tensors"][0], h["tensors"][1] = h["tensors"][1], h["tensors"][0]
+
+
+def _drop(container, key):
+    del container[key]
+
+
+HEADER_DAMAGE = {
+    "header_not_object": lambda h: [h],
+    "extra_top_level_key": lambda h: h.update(extra=1),
+    "config_not_object": lambda h: h.update(config=[8]),
+    "config_string_size": lambda h: h["config"].update(d_model="8"),
+    "config_nan_eps": lambda h: h["config"].update(eps=float("nan")),
+    "config_huge_layer_count": lambda h: h["config"].update(n_layers=10**12),
+    "vocab_splits_not_object": lambda h: h["vocab"].update(splits=[]),
+    "vocab_float_id": lambda h: h["vocab"]["tokens"].update(bear=4.0),
+    "vocab_size_mismatch": lambda h: h["config"].update(vocab_size=h["config"]["vocab_size"] + 1),
+    "tensors_not_list": lambda h: h.update(tensors=5),
+    "entry_not_object": lambda h: h["tensors"].__setitem__(0, 5),
+    "entry_extra_key": lambda h: h["tensors"][0].update(extra=1),
+    "missing_shape": lambda h: _drop(h["tensors"][0], "shape"),
+    "missing_nbytes": lambda h: _drop(h["tensors"][3], "nbytes"),
+    "missing_name": lambda h: _drop(h["tensors"][3], "name"),
+    "string_offset": lambda h: h["tensors"][0].update(offset="0"),
+    "bool_offset": lambda h: h["tensors"][0].update(offset=False),
+    "negative_offset": lambda h: h["tensors"][1].update(offset=-8),
+    "overlapping": lambda h: h["tensors"][2].update(offset=h["tensors"][2]["offset"] - 8),
+    "gap": lambda h: h["tensors"][2].update(offset=h["tensors"][2]["offset"] + 8),
+    "out_of_order": _swap_first_two,
+    "negative_dim": lambda h: _tensor(h, "positional").update(shape=[-8, -8]),
+    "float_dim": lambda h: _tensor(h, "positional").update(shape=[8.0, 8]),
+    "transposed_shape": lambda h: _tensor(h, "wte").update(shape=_tensor(h, "wte")["shape"][::-1]),
+    "bad_dtype": lambda h: h["tensors"][0].update(dtype="f32"),
+    "unknown_name": lambda h: h["tensors"][0].update(name="wte2"),
+    "duplicate_name": lambda h: _tensor(h, "layers.0.bk").update(name="layers.0.bq"),
+    "missing_tensor": lambda h: _drop(h["tensors"], -1),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(HEADER_DAMAGE))
+def test_damaged_header_is_rejected_before_any_payload_is_read(saved, tmp_path, monkeypatch,
+                                                                damage):
+    header, payload = split_archive(saved[0].read_bytes())
+    header = HEADER_DAMAGE[damage](header) or header  # only header_not_object returns one
+    bad = tmp_path / "bad.embedit"
+    bad.write_bytes(join_archive(header, payload))
+    reads = []
+    monkeypatch.setattr(archive, "_read_exactly", lambda f, a: reads.append(a.shape))
+    with pytest.raises(ArchiveFormatError, match=r"byte offset \d+"):
+        load_weights(bad)
+    assert reads == []
+
+
+@pytest.mark.parametrize("extra", [b"\x00" * 8, b"\x00"])
+def test_trailing_bytes_after_the_payload_are_rejected(saved, tmp_path, extra):
+    blob = saved[0].read_bytes()
+    bad = tmp_path / "bad.embedit"
+    bad.write_bytes(blob + extra)
+    with pytest.raises(ArchiveFormatError, match=f"trailing.*byte offset {len(blob)}"):
+        load_weights(bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_payload_names_tensor_and_offset(saved, tmp_path, value):
+    blob = saved[0].read_bytes()
+    header, payload = split_archive(blob)
+    at = len(blob) - len(payload) + _tensor(header, "layers.1.wv")["offset"] + 24
+    damaged = bytearray(blob)
+    damaged[at:at + 8] = np.float64(value).tobytes()
+    bad = tmp_path / "bad.embedit"
+    bad.write_bytes(bytes(damaged))
+    with pytest.raises(ArchiveFormatError,
+                       match=rf"layers\.1\.wv: payload is not finite \(byte offset {at - 24}\)"):
+        load_weights(bad)
+
+
+class _FailingFile:
+    """A file whose `nth` write writes half its bytes, then raises `error`."""
+
+    def __init__(self, f, nth, error):
+        self._f, self._left, self._error = f, nth, error
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._f.__exit__(*exc)
+
+    def write(self, b):
+        self._left -= 1
+        if self._left == 0:
+            view = memoryview(b).cast("B")
+            self._f.write(view[: len(view) // 2])
+            raise self._error
+        return self._f.write(b)
+
+
+@pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()])
+def test_save_that_raises_leaves_old_archive_and_no_temporary_file(saved, monkeypatch, error):
+    path, config, _, vocab = saved
+    before = path.read_bytes()
+    monkeypatch.setattr(archive, "open",
+                        lambda *a, **k: _FailingFile(open(*a, **k), 6, error), raising=False)
+    with pytest.raises(type(error)):
+        save_weights(path, config, init_random_weights(config, 7), vocab)
+    assert path.read_bytes() == before
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
+def test_save_that_raises_creates_no_file(tmp_path, vocab, monkeypatch):
+    config = make_config(vocab)
+    monkeypatch.setattr(archive, "open",
+                        lambda *a, **k: _FailingFile(open(*a, **k), 4, OSError("disk full")),
+                        raising=False)
+    with pytest.raises(OSError):
+        save_weights(tmp_path / "new.embedit", config, init_random_weights(config, 0), vocab)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_through_a_symlink_replaces_the_file_it_points_to(saved, tmp_path):
+    path, config, _, vocab = saved
+    link = tmp_path / "link.embedit"
+    link.symlink_to(path.name)
+    other = init_random_weights(config, 7)
+    save_weights(link, config, other, vocab)
+    assert link.is_symlink()
+    _, loaded, _ = load_weights(path)
+    assert loaded.wte.array.tobytes() == other.wte.array.tobytes()
+
+
+def test_save_replaces_an_existing_archive(saved):
+    path, config, _, vocab = saved
+    other = init_random_weights(config, 7)
+    save_weights(path, config, other, vocab)
+    _, loaded, _ = load_weights(path)
+    assert loaded.wte.array.tobytes() == other.wte.array.tobytes()
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
+@pytest.fixture(scope="module")
+def desk_archive(tmp_path_factory):
+    """A desk archive's bytes and a scratch path for damaged copies."""
+    vocab = make_vocab(splits={"icecream": ["ice", "cream"]})
+    config = make_config(vocab)
+    d = tmp_path_factory.mktemp("fuzz")
+    save_weights(d / "base.embedit", config, init_random_weights(config, 42), vocab)
+    return (d / "base.embedit").read_bytes(), d / "damaged.embedit"
+
+
+def load_or_format_error(path, blob: bytes) -> None:
+    """Only ArchiveFormatError may escape load_weights for damaged bytes."""
+    path.write_bytes(blob)
+    try:
+        load_weights(path)
+    except ArchiveFormatError as e:
+        assert e.offset is not None
+
+
+def _position(data, blob: bytes) -> int:
+    # Half the positions land in the magic, length and header, which make up
+    # about a third of a desk archive.
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    end = 16 + hlen if data.draw(st.booleans()) else len(blob)
+    return data.draw(st.integers(0, end - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_byte_damage_raises_only_archive_format_error(desk_archive, data):
+    blob, path = desk_archive
+    damaged = bytearray(blob)
+    kind = data.draw(st.sampled_from(["flip", "truncate", "insert"]))
+    if kind == "flip":
+        for _ in range(data.draw(st.integers(1, 4))):
+            damaged[_position(data, blob)] ^= data.draw(st.integers(1, 255))
+    elif kind == "truncate":
+        del damaged[_position(data, blob):]
+    else:
+        at = _position(data, blob)
+        damaged[at:at] = data.draw(st.binary(min_size=1, max_size=16))
+    load_or_format_error(path, bytes(damaged))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+def _slots(node):
+    """Every (container, key) pair inside a JSON value."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in list(items):
+        yield node, key
+        if isinstance(child, (dict, list)):
+            yield from _slots(child)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_header_damage_raises_only_archive_format_error(desk_archive, data):
+    blob, path = desk_archive
+    header, payload = split_archive(blob)
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = list(_slots(header))
+        node, key = data.draw(st.sampled_from(slots))
+        kind = data.draw(st.sampled_from(["replace", "nudge", "delete", "duplicate"]))
+        if kind == "replace":
+            node[key] = data.draw(JSON_VALUES)
+        elif kind == "nudge" and isinstance(node[key], int):
+            node[key] += data.draw(st.integers(-16, 16))
+        elif kind == "delete" and len(slots) > 1:
+            del node[key]
+        elif kind == "duplicate" and isinstance(node, list):
+            node.insert(key, node[key])
+    load_or_format_error(path, join_archive(header, payload))

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -165,6 +166,16 @@ class TestEditRevert:
                    "--out", workdir / "restored.embedit") == 2
         assert capsys.readouterr().err.startswith("data error:")
         assert not (workdir / "restored.embedit").exists()
+
+    def test_revert_onto_its_input_archive_writes_the_base_bytes(self, workdir):
+        base = init_archive(workdir)
+        edited, ledger_path = self.edited_with_ledger(workdir)
+        assert edited.read_bytes() != base.read_bytes()
+        assert run("revert", "--weights", edited, "--ledger", ledger_path,
+                   "--out", edited) == 0
+        assert edited.read_bytes() == base.read_bytes()
+        assert sorted(p.name for p in edited.parent.iterdir()) == [
+            "edit_summary.json", "edited.embedit", "ledger.json"]
 
     def test_revert_deeper_than_ledger_is_usage_error(self, workdir, capsys):
         edited, ledger_path = self.edited_with_ledger(workdir)
@@ -368,6 +379,39 @@ class TestExitCodes:
         bad.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
         assert run("edit", "--weights", bad, "--source", "bear", "--dest", "wolf",
                    "--target", "bear", "--out", workdir / "x") == 2
+
+    @pytest.mark.parametrize("damage", [
+        "tensors_not_list", "negative_offset", "missing_shape", "string_offset",
+        "negative_dim", "nan_payload",
+    ])
+    def test_damaged_archive_is_data_error(self, workdir, capsys, damage):
+        blob = init_archive(workdir).read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[8:16])
+        header, payload = json.loads(blob[16:16 + hlen]), bytearray(blob[16 + hlen:])
+        first, second = header["tensors"][:2]
+        if damage == "tensors_not_list":
+            header["tensors"] = 5
+        elif damage == "negative_offset":
+            second["offset"] = -8
+        elif damage == "missing_shape":
+            del first["shape"]
+        elif damage == "string_offset":
+            second["offset"] = str(second["offset"])
+        elif damage == "negative_dim":
+            second["shape"] = [-s for s in second["shape"]]
+        else:
+            payload[second["offset"]:second["offset"] + 8] = np.float64(np.nan).tobytes()
+        raw = json.dumps(header, sort_keys=True).encode()
+        bad = workdir / "bad.embedit"
+        bad.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + payload)
+        capsys.readouterr()
+        assert run("edit", "--weights", bad, "--source", "bear", "--dest", "wolf",
+                   "--target", "bear", "--out", workdir / "x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "byte offset" in err
+        if damage == "nan_payload":
+            at = 16 + hlen + second["offset"]
+            assert f"positional: payload is not finite (byte offset {at})" in err
 
     def test_missing_file_is_one(self, workdir):
         assert run("edit", "--weights", workdir / "nope.embedit", "--source", "bear",

@@ -1,0 +1,112 @@
+"""Memory guards: archive I/O holds the weights once, and no tape outlives
+its backward pass into the table write."""
+
+import tracemalloc
+import weakref
+
+import pytest
+
+from embedit import (
+    BalanceMode,
+    BalancerParams,
+    BiasEditRequest,
+    EditHyperparams,
+    EditLedger,
+    EditRequest,
+    Tape,
+    edit_balance,
+    edit_single,
+    init_random_weights,
+    load_weights,
+    save_weights,
+)
+from embedit.encoder import EncoderWeights
+
+from conftest import make_bundle, make_config
+
+# The header and one tensor's finiteness mask: small against the payload,
+# which is about 6.4 MB at this shape.
+LOAD_SLACK = 512 * 1024
+
+
+@pytest.fixture
+def wide(tmp_path, vocab):
+    config = make_config(vocab, d_model=256, n_layers=1, n_heads=4, d_ff=1024)
+    weights = init_random_weights(config, 0)
+    path = tmp_path / "wide.embedit"
+    save_weights(path, config, weights, vocab)
+    payload = sum(t.array.nbytes for _, t in weights.named_tensors())
+    assert payload > 4_000_000
+    return path, config, weights, vocab, payload
+
+
+def traced_peak(fn, *args):
+    """Peak of traced allocations during fn(*args), above what was live before."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before, result
+
+
+def test_load_holds_the_payload_once(wide):
+    path, *_, payload = wide
+    peak, (_, weights, _) = traced_peak(load_weights, path)
+    assert peak <= payload + LOAD_SLACK
+    assert weights.total_params() * 8 == payload
+
+
+def test_save_copies_no_payload(wide, tmp_path):
+    _, config, weights, vocab, payload = wide
+    peak, _ = traced_peak(save_weights, tmp_path / "out.embedit", config, weights, vocab)
+    assert peak <= payload // 16
+
+
+@pytest.fixture
+def live_tapes_at_write(monkeypatch):
+    """How many Tape objects are alive at each EncoderWeights.set_wte_rows call."""
+    live = weakref.WeakSet()
+    real_init = Tape.__init__
+
+    def init(self):
+        real_init(self)
+        live.add(self)
+
+    seen = []
+    real_set = EncoderWeights.set_wte_rows
+
+    def set_wte_rows(self, ids, rows):
+        seen.append(len(live))
+        return real_set(self, ids, rows)
+
+    monkeypatch.setattr(Tape, "__init__", init)
+    monkeypatch.setattr(EncoderWeights, "set_wte_rows", set_wte_rows)
+    return seen
+
+
+def test_no_tape_is_alive_at_the_write_when_the_cap_is_reached(live_tapes_at_write):
+    hyper = EditHyperparams(stop_ratio=0.0, max_iters=3, learning_rate=1e-2)
+    result = edit_single(make_bundle(), EditRequest("a bear", "a polar bear", "bear"),
+                         hyper, EditLedger())
+    assert result.iterations_run == result.optimizer_steps == 3
+    assert live_tapes_at_write == [0]
+
+
+def test_no_tape_is_alive_at_the_write_after_reaching_tau(live_tapes_at_write):
+    hyper = EditHyperparams(stop_ratio=0.9, max_iters=200, learning_rate=1e-2)
+    result = edit_single(make_bundle(), EditRequest("a bear", "a polar bear", "bear"),
+                         hyper, EditLedger())
+    assert result.converged and 0 < result.optimizer_steps < result.iterations_run
+    assert live_tapes_at_write == [0]
+
+
+def test_no_tape_is_alive_at_the_write_of_auto_balancing(live_tapes_at_write):
+    request = BiasEditRequest(profession="teacher", stereotypical_prompt="male teacher",
+                              counter_prompt="female teacher", mode=BalanceMode.AUTO)
+    result = edit_balance(make_bundle(), request,
+                          BalancerParams(learning_rate=1e-2, max_iters=3), EditLedger())
+    assert result.optimizer_steps >= 1
+    assert live_tapes_at_write == [0]
