@@ -28,92 +28,28 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .encoder import (
-    EncoderConfig,
-    EncoderWeights,
-    LayerWeights,
-    Vocab,
-    _LAYER_FIELDS,
-    tensor_shapes,
-)
+from .encoder import EncoderConfig, EncoderWeights, Vocab, tensor_shapes
 from .errors import ArchiveFormatError
 
 MAGIC = b"EMBEDIT1"
 _HEADER_LEN_END = len(MAGIC) + 8
 _HEADER_KEYS = {"config", "vocab", "tensors"}
-_CONFIG_INTS = ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "context_length")
 _ENTRY_KEYS = {"name", "shape", "dtype", "offset", "nbytes"}
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _config_to_dict(config: EncoderConfig) -> dict:
-    return {
-        "vocab_size": config.vocab_size,
-        "d_model": config.d_model,
-        "n_layers": config.n_layers,
-        "n_heads": config.n_heads,
-        "d_ff": config.d_ff,
-        "context_length": config.context_length,
-        "eps": config.eps,
-    }
-
-
-def _config_from_dict(d) -> EncoderConfig:
-    if not isinstance(d, dict) or set(d) != {*_CONFIG_INTS, "eps"}:
-        raise ArchiveFormatError(
-            f"bad config in header: need exactly the keys {sorted({*_CONFIG_INTS, 'eps'})}"
-        )
-    eps = d["eps"]
-    if not all(_is_int(d[k]) for k in _CONFIG_INTS) or not (
-        isinstance(eps, (int, float)) and not isinstance(eps, bool) and math.isfinite(eps)
-    ):
-        raise ArchiveFormatError(
-            "bad config in header: sizes must be integers and eps a finite number"
-        )
-    try:
-        return EncoderConfig(**d)
-    except ValueError as e:
-        raise ArchiveFormatError(f"bad config in header: {e}") from e
-
-
-def vocab_to_dict(vocab: Vocab) -> dict:
-    return {
-        "tokens": dict(vocab.tokens),
-        "splits": {w: list(s) for w, s in vocab.splits.items()},
-        "bos": vocab.bos,
-        "eos": vocab.eos,
-        "pad": vocab.pad,
-    }
-
-
-def vocab_from_dict(d: dict) -> Vocab:
-    try:
-        tokens = dict(d["tokens"])
-        if not all(_is_int(i) for i in tokens.values()):
-            raise ValueError("token ids must be integers")
-        return Vocab(
-            tokens=tokens,
-            splits={w: list(s) for w, s in d.get("splits", {}).items()},
-            bos=int(d["bos"]),
-            eos=int(d["eos"]),
-            pad=int(d["pad"]),
-        )
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
-        raise ArchiveFormatError(f"bad vocab: {e}") from e
 
 
 def load_vocab(path: str | Path) -> Vocab:
     """Read a standalone vocabulary JSON file."""
     with open(path, "r", encoding="utf-8") as f:
-        return vocab_from_dict(json.load(f))
+        obj = json.load(f)
+    try:
+        return Vocab.from_json(obj)
+    except ValueError as e:
+        raise ArchiveFormatError(f"bad vocab: {e}") from e
 
 
 def save_vocab(path: str | Path, vocab: Vocab) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(vocab_to_dict(vocab), f, indent=2, sort_keys=True)
+        json.dump(vocab.to_json(), f, indent=2, sort_keys=True)
         f.write("\n")
 
 
@@ -146,8 +82,8 @@ def save_weights(
         })
         offset += a.nbytes
     header = {
-        "config": _config_to_dict(config),
-        "vocab": vocab_to_dict(vocab),
+        "config": config.to_json(),
+        "vocab": vocab.to_json(),
         "tensors": entries,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -202,7 +138,7 @@ def load_weights(path: str | Path) -> tuple[EncoderConfig, EncoderWeights, Vocab
             # Native byte order: no copy on a little-endian host.
             tensors[name] = Tensor._wrap(a.astype(np.float64, copy=False))
             start += a.nbytes
-    return config, _weights_from_named(tensors, config), vocab
+    return config, EncoderWeights.from_named(tensors, config), vocab
 
 
 def _read_exactly(f, a: np.ndarray) -> None:
@@ -228,10 +164,13 @@ def _check_header(header, payload_base: int, size: int):
     if not isinstance(header, dict) or set(header) != _HEADER_KEYS:
         raise bad(f"header must be an object with exactly the keys {sorted(_HEADER_KEYS)}")
     try:
-        config = _config_from_dict(header["config"])
-        vocab = vocab_from_dict(header["vocab"])
-    except ArchiveFormatError as e:
-        raise bad(str(e)) from e
+        config = EncoderConfig.from_json(header["config"])
+    except ValueError as e:
+        raise bad(f"bad config in header: {e}") from e
+    try:
+        vocab = Vocab.from_json(header["vocab"])
+    except ValueError as e:
+        raise bad(f"bad vocab: {e}") from e
     if vocab.vocab_size != config.vocab_size:
         raise bad(f"vocab has {vocab.vocab_size} ids, config says {config.vocab_size}")
 
@@ -254,13 +193,13 @@ def _check_header(header, payload_base: int, size: int):
         if name in index:
             raise bad(f"tensor {name}: listed twice")
         # 8.0 == 8 and True == 1: the type check keeps those out.
-        if not (isinstance(shape, list) and all(_is_int(s) for s in shape)
+        if not (isinstance(shape, list) and all(type(s) is int for s in shape)
                 and tuple(shape) == expected[name]):
             raise bad(f"tensor {name}: shape {shape!r}, config calls for {list(expected[name])}")
         if entry["dtype"] != "f64":
             raise bad(f"tensor {name}: unsupported dtype {entry['dtype']!r}")
         offset, nbytes = entry["offset"], entry["nbytes"]
-        if not (_is_int(offset) and _is_int(nbytes)):
+        if not (type(offset) is int and type(nbytes) is int):
             raise bad(f"tensor {name}: offset and nbytes must be integers")
         if offset != end:
             raise bad(f"tensor {name}: payload offset {offset}, expected {end} "
@@ -280,17 +219,3 @@ def _check_header(header, payload_base: int, size: int):
     if payload_base + end < size:
         raise bad("trailing bytes after the last payload", offset=payload_base + end)
     return config, vocab, list(index.items())
-
-
-def _weights_from_named(tensors: dict[str, Tensor], config: EncoderConfig) -> EncoderWeights:
-    layers = [
-        LayerWeights(**{fname: tensors[f"layers.{i}.{fname}"] for fname in _LAYER_FIELDS})
-        for i in range(config.n_layers)
-    ]
-    return EncoderWeights(
-        wte=tensors["wte"],
-        positional=tensors["positional"],
-        layers=layers,
-        final_gamma=tensors["final_gamma"],
-        final_beta=tensors["final_beta"],
-    )

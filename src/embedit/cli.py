@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -31,20 +32,7 @@ from .editor import (
     revert,
 )
 from .encoder import EncoderBundle, EncoderConfig, init_random_weights
-from .errors import (
-    ArchiveFormatError,
-    DatasetError,
-    DegenerateDataError,
-    DegenerateInputError,
-    DegenerateVectorError,
-    DivergenceError,
-    EmptyPromptError,
-    InconsistentRequestError,
-    LedgerFormatError,
-    LedgerRangeError,
-    PromptTooLongError,
-    UnknownTokenError,
-)
+from .errors import DataError, DatasetError, DivergenceError, LedgerRangeError
 from .evaluation import (
     DESTINATION,
     aggregate_reports,
@@ -57,20 +45,6 @@ from .evaluation import (
     load_gender_entries,
 )
 from .probe import ProbeDataset, accuracy_over_seeds
-
-_DATA_ERRORS = (
-    UnknownTokenError,
-    EmptyPromptError,
-    PromptTooLongError,
-    ArchiveFormatError,
-    InconsistentRequestError,
-    DatasetError,
-    DegenerateInputError,
-    DegenerateDataError,
-    DegenerateVectorError,
-    LedgerFormatError,
-    IndexError,
-)
 
 
 class _UsageError(Exception):
@@ -123,15 +97,11 @@ def cmd_init(args) -> int:
     with open(args.config, "r", encoding="utf-8") as f:
         raw = json.load(f)
     vocab = load_vocab(args.vocab)
-    config = EncoderConfig(
-        vocab_size=vocab.vocab_size,
-        d_model=int(raw["d_model"]),
-        n_layers=int(raw["n_layers"]),
-        n_heads=int(raw["n_heads"]),
-        d_ff=int(raw["d_ff"]),
-        context_length=int(raw["context_length"]),
-        eps=float(raw.get("eps", 1e-5)),
-    )
+    if type(raw) is not dict or "vocab_size" in raw:
+        raise ValueError(f"{args.config}: need a JSON object without vocab_size, "
+                         "which the vocab sets")
+    config = EncoderConfig.from_json(  # eps may be left out
+        {"eps": EncoderConfig.eps, **raw, "vocab_size": vocab.vocab_size})
     weights = init_random_weights(config, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -204,7 +174,9 @@ def cmd_seq_edit(args) -> int:
 
 def cmd_gender(args) -> int:
     bundle = _load_bundle(args.weights)
-    reference = _load_bundle(args.weights)
+    # A second bundle over the same tensors: set_wte_rows rebinds only the
+    # edited bundle's table, so the reference keeps the unedited one.
+    reference = EncoderBundle(bundle.config, dataclasses.replace(bundle.weights), bundle.vocab)
     entries = load_gender_entries(args.dataset)
     mode = BalanceMode(args.mode)
     params = BalancerParams(
@@ -300,11 +272,13 @@ def cmd_eval(args) -> int:
     reference = _load_bundle(args.reference)
     entries = load_edit_entries(args.dataset)
     if args.sequential_filter:
-        excluded = ()
+        excluded = []
         if args.exclude:
             with open(args.exclude, "r", encoding="utf-8") as f:
-                excluded = tuple(json.load(f))
-        entries = filter_sequential_dataset(entries, excluded)
+                excluded = json.load(f)
+            if type(excluded) is not list or not all(type(w) is str for w in excluded):
+                raise DatasetError(f"{args.exclude}: need a JSON list of target words")
+        entries = filter_sequential_dataset(entries, tuple(excluded))
     per_entry = []
     reports = []
     for entry in entries:
@@ -486,7 +460,7 @@ def main(argv=None) -> int:
     except DivergenceError as e:
         print(f"divergence: {e}", file=sys.stderr)
         return 3
-    except _DATA_ERRORS as e:
+    except (DataError, IndexError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:

@@ -116,8 +116,12 @@ def _json_field(obj, key: str, kinds: tuple[type, ...], where: str):
 
 
 def _json_rows(obj, key: str, ids: tuple[int, ...], where: str) -> dict[int, Tensor]:
+    """obj[key] as one row per id, in the order of `ids`."""
+    listed = _json_field(obj, key, (list,), where)
+    if len(listed) != len(ids):
+        raise LedgerFormatError(f"{where}: {len(listed)} {key} for {len(ids)} token ids")
     rows = {}
-    for i, row in zip(ids, _json_field(obj, key, (list,), where)):
+    for i, row in zip(ids, listed):
         if type(row) is not list or any(type(v) not in (int, float) for v in row):
             raise LedgerFormatError(f"{where}: {key} of id {i} is not a list of numbers")
         try:
@@ -167,20 +171,26 @@ class EditLedger:
 
     @classmethod
     def from_json(cls, obj) -> "EditLedger":
-        """Parse a saved ledger; any missing or mistyped key raises LedgerFormatError."""
+        """Parse a saved ledger; any missing or mistyped key, or rows that are
+        not one per token id and all of one width, raise LedgerFormatError."""
         ledger = cls()
         for k, e in enumerate(_json_field(obj, "entries", (list,), "ledger")):
             where = f"ledger entry {k}"
             ids = tuple(_json_field(e, "edited_token_ids", (list,), where))
             if any(type(i) is not int for i in ids):
                 raise LedgerFormatError(f"{where}: token ids {list(ids)} are not all integers")
+            original = _json_rows(e, "original_rows", ids, where)
+            new = _json_rows(e, "new_rows", ids, where)
+            shapes = {r.shape for r in (*original.values(), *new.values())}
+            if len(shapes) > 1:
+                raise LedgerFormatError(f"{where}: rows of shapes {sorted(shapes)} in one entry")
             ledger.append(LedgerEntry(
                 source_prompt=_json_field(e, "source_prompt", (str,), where),
                 destination_prompt=_json_field(e, "destination_prompt", (str,), where),
                 target_word=_json_field(e, "target_word", (str,), where),
                 edited_token_ids=ids,
-                original_rows=_json_rows(e, "original_rows", ids, where),
-                new_rows=_json_rows(e, "new_rows", ids, where),
+                original_rows=original,
+                new_rows=new,
                 result=EditResult.from_json(_json_field(e, "result", (dict,), where), ids),
             ))
         return ledger

@@ -8,7 +8,8 @@ hidden states at the EOS position is the pooled text feature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -76,6 +77,27 @@ class Vocab:
     def vocab_size(self) -> int:
         return len(self.tokens) + 3
 
+    def to_json(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_json(cls, obj) -> "Vocab":
+        """Strict inverse of to_json: exactly its keys ("splits" may be left
+        out), ids that are JSON integers (not bools), and splits that map words
+        to lists of words. A violation raises ValueError."""
+        keys = {"tokens", "bos", "eos", "pad"}
+        if type(obj) is not dict or not keys <= set(obj) <= keys | {"splits"}:
+            raise ValueError(f"need exactly the keys {sorted(keys)}, and optionally 'splits'")
+        tokens, splits = obj["tokens"], obj.get("splits", {})
+        if type(tokens) is not dict or not all(
+                type(i) is int for i in [*tokens.values(), obj["bos"], obj["eos"], obj["pad"]]):
+            raise ValueError("tokens must map words to integer ids, and bos, eos, pad be integers")
+        if type(splits) is not dict or not all(
+                type(s) is list and all(type(w) is str for w in s) for s in splits.values()):
+            raise ValueError("splits must map words to lists of words")
+        return cls(tokens=dict(tokens), splits={w: list(s) for w, s in splits.items()},
+                   bos=obj["bos"], eos=obj["eos"], pad=obj["pad"])
+
     def word_token_ids(self, word: str) -> list[int]:
         """Expand one lowercase word to its token ids (split table wins)."""
         if word in self.splits:
@@ -122,6 +144,23 @@ class EncoderConfig:
     def params_per_wte_row(self) -> int:
         return self.d_model
 
+    def to_json(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_json(cls, obj) -> "EncoderConfig":
+        """Strict inverse of to_json: exactly its keys, sizes that are JSON
+        integers (not bools) and a finite eps. A violation raises ValueError."""
+        names = [f.name for f in fields(cls)]
+        if type(obj) is not dict or set(obj) != set(names):
+            raise ValueError(f"need exactly the keys {sorted(names)}")
+        eps = obj["eps"]
+        # abs() <= max is False for NaN, infinities and ints past float range.
+        if not (all(type(obj[n]) is int for n in names if n != "eps")
+                and type(eps) in (int, float) and abs(eps) <= sys.float_info.max):
+            raise ValueError("sizes must be integers and eps a finite number")
+        return cls(**{**obj, "eps": float(eps)})
+
 
 @dataclass
 class LayerWeights:
@@ -145,11 +184,7 @@ class LayerWeights:
     mlp_b2: Tensor
 
 
-_LAYER_FIELDS = (
-    "wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo",
-    "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta",
-    "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2",
-)
+_LAYER_FIELDS = tuple(f.name for f in fields(LayerWeights))
 
 
 @dataclass
@@ -161,6 +196,14 @@ class EncoderWeights:
     layers: list[LayerWeights]
     final_gamma: Tensor
     final_beta: Tensor
+
+    @classmethod
+    def from_named(cls, tensors: dict[str, Tensor], config: EncoderConfig) -> "EncoderWeights":
+        """Inverse of named_tensors(): `tensors` holds every name `config` calls for."""
+        layers = [LayerWeights(**{f: tensors[f"layers.{i}.{f}"] for f in _LAYER_FIELDS})
+                  for i in range(config.n_layers)]
+        return cls(wte=tensors["wte"], positional=tensors["positional"], layers=layers,
+                   final_gamma=tensors["final_gamma"], final_beta=tensors["final_beta"])
 
     def named_tensors(self) -> Iterator[tuple[str, Tensor]]:
         """Stable (name, tensor) ordering used for archives and init."""
@@ -203,35 +246,17 @@ class EncoderWeights:
     def wte_row(self, token_id: int) -> Tensor:
         return Tensor(self.wte.array[token_id])
 
-    def validate_shapes(self, config: EncoderConfig) -> None:
-        expect = tensor_shapes(config)
-        if len(self.layers) != config.n_layers:
-            raise DimensionError(
-                f"expected {config.n_layers} layers, found {len(self.layers)}"
-            )
-        for name, tensor in self.named_tensors():
-            if tensor.shape != expect[name]:
-                raise DimensionError(
-                    f"tensor {name}: shape {tensor.shape} != expected {expect[name]}"
-                )
-
 
 def tensor_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     """The shape of every tensor `config` calls for, by name, in
     EncoderWeights.named_tensors() order."""
     d, f = config.d_model, config.d_ff
+    layer = dict.fromkeys(_LAYER_FIELDS, (d,))  # biases and layer norms
+    layer.update(wq=(d, d), wk=(d, d), wv=(d, d), wo=(d, d),
+                 mlp_w1=(d, f), mlp_b1=(f,), mlp_w2=(f, d))
     shapes = {"wte": (config.vocab_size, d), "positional": (config.context_length, d)}
     for i in range(config.n_layers):
-        shapes.update({
-            f"layers.{i}.wq": (d, d), f"layers.{i}.wk": (d, d),
-            f"layers.{i}.wv": (d, d), f"layers.{i}.wo": (d, d),
-            f"layers.{i}.bq": (d,), f"layers.{i}.bk": (d,),
-            f"layers.{i}.bv": (d,), f"layers.{i}.bo": (d,),
-            f"layers.{i}.ln1_gamma": (d,), f"layers.{i}.ln1_beta": (d,),
-            f"layers.{i}.ln2_gamma": (d,), f"layers.{i}.ln2_beta": (d,),
-            f"layers.{i}.mlp_w1": (d, f), f"layers.{i}.mlp_b1": (f,),
-            f"layers.{i}.mlp_w2": (f, d), f"layers.{i}.mlp_b2": (d,),
-        })
+        shapes.update({f"layers.{i}.{name}": shape for name, shape in layer.items()})
     shapes.update({"final_gamma": (d,), "final_beta": (d,)})
     return shapes
 
@@ -329,36 +354,19 @@ def encode(
 
 
 def init_random_weights(config: EncoderConfig, seed: int) -> EncoderWeights:
-    """Normal(0, 0.02) everywhere except layer-norm gamma=1 / beta=0.
-
-    Same seed gives bitwise-identical weights; tensors are drawn in
-    named_tensors() order.
-    """
+    """Layer-norm gammas are ones and betas zeros; every other tensor is drawn
+    from Normal(0, 0.02) by one generator, in tensor_shapes() order, so the
+    same seed gives bitwise-identical weights."""
     rng = np.random.default_rng(seed)
-    d, f = config.d_model, config.d_ff
-
-    def normal(*shape):
-        return Tensor(rng.normal(0.0, INIT_STD, size=shape))
-
-    ones = Tensor(np.ones(d))
-    zeros = Tensor(np.zeros(d))
-    wte = normal(config.vocab_size, d)
-    positional = normal(config.context_length, d)
-    layers = []
-    for _ in range(config.n_layers):
-        layers.append(LayerWeights(
-            wq=normal(d, d), wk=normal(d, d), wv=normal(d, d), wo=normal(d, d),
-            bq=normal(d), bk=normal(d), bv=normal(d), bo=normal(d),
-            ln1_gamma=ones, ln1_beta=zeros, ln2_gamma=ones, ln2_beta=zeros,
-            mlp_w1=normal(d, f), mlp_b1=normal(f), mlp_w2=normal(f, d), mlp_b2=normal(d),
-        ))
-    return EncoderWeights(
-        wte=wte,
-        positional=positional,
-        layers=layers,
-        final_gamma=ones,
-        final_beta=zeros,
-    )
+    tensors = {}
+    for name, shape in tensor_shapes(config).items():
+        if name.endswith("_gamma"):
+            tensors[name] = Tensor(np.ones(shape))
+        elif name.endswith("_beta"):
+            tensors[name] = Tensor(np.zeros(shape))
+        else:
+            tensors[name] = Tensor(rng.normal(0.0, INIT_STD, size=shape))
+    return EncoderWeights.from_named(tensors, config)
 
 
 @dataclass

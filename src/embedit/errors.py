@@ -5,6 +5,10 @@ class EmbeditError(Exception):
     """Base class for every error raised by this package."""
 
 
+class DataError(EmbeditError):
+    """Input data is malformed or does not fit; the CLI exits with code 2."""
+
+
 class DimensionError(EmbeditError):
     """Operand shapes do not satisfy an operation's contract."""
 
@@ -17,19 +21,19 @@ class TapeUsageError(EmbeditError):
     """A tape was queried outside its recording contract."""
 
 
-class UnknownTokenError(EmbeditError):
+class UnknownTokenError(DataError):
     """A word is absent from both the vocabulary and the split table."""
 
 
-class EmptyPromptError(EmbeditError):
+class EmptyPromptError(DataError):
     """Prompt is empty after lowercasing and whitespace normalization."""
 
 
-class PromptTooLongError(EmbeditError):
+class PromptTooLongError(DataError):
     """Tokenized prompt (including BOS/EOS) does not fit the context window."""
 
 
-class ArchiveFormatError(EmbeditError):
+class ArchiveFormatError(DataError):
     """Weight archive violates the container format."""
 
     def __init__(self, message: str, offset: int | None = None):
@@ -39,19 +43,19 @@ class ArchiveFormatError(EmbeditError):
         self.offset = offset
 
 
-class InconsistentRequestError(EmbeditError):
+class InconsistentRequestError(DataError):
     """Edit request whose target tokens do not all occur in its source prompt."""
 
 
-class DegenerateInputError(EmbeditError):
+class DegenerateInputError(DataError):
     """Inputs are degenerate for the requested computation."""
 
 
-class DegenerateDataError(EmbeditError):
+class DegenerateDataError(DataError):
     """Dataset cannot support the requested fit (for example, one class only)."""
 
 
-class DegenerateVectorError(EmbeditError):
+class DegenerateVectorError(DataError):
     """A vector that must have nonzero norm is zero."""
 
 
@@ -65,7 +69,7 @@ class DivergenceError(EmbeditError):
         self.iteration = iteration
 
 
-class DatasetError(EmbeditError):
+class DatasetError(DataError):
     """An evaluation dataset entry violates its declared shape."""
 
 
@@ -73,5 +77,5 @@ class LedgerRangeError(EmbeditError):
     """Revert depth exceeds the number of ledger entries."""
 
 
-class LedgerFormatError(EmbeditError):
+class LedgerFormatError(DataError):
     """A ledger is malformed or does not fit the table it would be applied to."""

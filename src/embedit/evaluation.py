@@ -11,7 +11,7 @@ identical to the reference's.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,25 @@ def contains_phrase(prompt: str, phrase: str) -> bool:
     if not ph or len(ph) > len(p):
         return False
     return any(p[i:i + len(ph)] == ph for i in range(len(p) - len(ph) + 1))
+
+
+def _is_strs(value, n: int | None = None) -> bool:
+    return type(value) is list and all(type(s) is str for s in value) and (
+        n is None or len(value) == n)
+
+
+def _json_str(obj, key: str) -> str:
+    if type(obj[key]) is not str:
+        raise TypeError(f"{key} must be a string, got {obj[key]!r}")
+    return obj[key]
+
+
+def _json_pairs(obj, key: str) -> tuple[tuple[str, str], ...]:
+    """obj[key], or no pairs when it is absent: [prompt, prompt] lists."""
+    value = obj.get(key, [])
+    if type(value) is not list or not all(_is_strs(p, 2) for p in value):
+        raise TypeError(f"{key} must be a list of [prompt, prompt] pairs")
+    return tuple((a, b) for a, b in value)
 
 
 @dataclass(frozen=True)
@@ -61,25 +80,21 @@ class EditEntry:
 
     @classmethod
     def from_json(cls, obj: dict) -> "EditEntry":
+        """A missing key, a prompt or word that is not a string, or a test
+        that is not a [prompt, prompt] pair raises DatasetError."""
         try:
             return cls(
-                source=obj["source"],
-                destination=obj["destination"],
-                target_word=obj["target_word"],
-                positives=tuple((a, b) for a, b in obj.get("positives", [])),
-                negatives=tuple((a, b) for a, b in obj.get("negatives", [])),
+                source=_json_str(obj, "source"),
+                destination=_json_str(obj, "destination"),
+                target_word=_json_str(obj, "target_word"),
+                positives=_json_pairs(obj, "positives"),
+                negatives=_json_pairs(obj, "negatives"),
             )
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError) as e:
             raise DatasetError(f"bad edit entry: {e}") from e
 
     def to_json(self) -> dict:
-        return {
-            "source": self.source,
-            "destination": self.destination,
-            "target_word": self.target_word,
-            "positives": [list(p) for p in self.positives],
-            "negatives": [list(n) for n in self.negatives],
-        }
+        return asdict(self)  # tuples, which json writes as lists
 
 
 @dataclass(frozen=True)
@@ -99,25 +114,23 @@ class GenderEntry:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GenderEntry":
+        """A missing key, or a prompt or word that is not a string, raises
+        DatasetError."""
         try:
+            if not _is_strs(obj["tests"]):
+                raise TypeError("tests must be a list of strings")
             return cls(
-                profession=obj["profession"],
-                validation=obj["validation"],
+                profession=_json_str(obj, "profession"),
+                validation=_json_str(obj, "validation"),
                 tests=tuple(obj["tests"]),
-                female_ref=obj["female_ref"],
-                male_ref=obj["male_ref"],
+                female_ref=_json_str(obj, "female_ref"),
+                male_ref=_json_str(obj, "male_ref"),
             )
         except (KeyError, TypeError) as e:
             raise DatasetError(f"bad gender entry: {e}") from e
 
     def to_json(self) -> dict:
-        return {
-            "profession": self.profession,
-            "validation": self.validation,
-            "tests": list(self.tests),
-            "female_ref": self.female_ref,
-            "male_ref": self.male_ref,
-        }
+        return asdict(self)  # tuples, which json writes as lists
 
 
 def load_edit_entries(path: str | Path) -> list[EditEntry]:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import EncoderWeights, Vocab
-from .errors import DegenerateDataError
+from .errors import DatasetError, DegenerateDataError
 
 DEFAULT_LR = 0.1
 DEFAULT_EPOCHS = 2000
@@ -35,11 +35,21 @@ class ProbeDataset:
         return len(self.items)
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ProbeDataset":
-        return cls(
-            items=[(it["word"], int(it["label"])) for it in obj["items"]],
-            label_names=(obj["label_names"][0], obj["label_names"][1]),
-        )
+    def from_json(cls, obj) -> "ProbeDataset":
+        """Strict reader: "label_names" must be two strings and "items" a list
+        of objects with a string "word" and a "label" that is the JSON integer
+        0 or 1 (not a bool). Anything else raises DatasetError."""
+        names = obj.get("label_names") if type(obj) is dict else None
+        if not (type(names) is list and len(names) == 2 and all(type(n) is str for n in names)
+                and type(obj.get("items")) is list):
+            raise DatasetError("probe dataset needs label_names, two strings, and a list of items")
+        items = obj["items"]
+        for k, it in enumerate(items):
+            if not (type(it) is dict and type(it.get("word")) is str
+                    and type(it.get("label")) is int and it["label"] in (0, 1)):
+                raise DatasetError(f"probe dataset: item {k} needs a string word "
+                                   "and a label of 0 or 1")
+        return cls(items=[(it["word"], it["label"]) for it in items], label_names=tuple(names))
 
     @classmethod
     def load(cls, path: str | Path) -> "ProbeDataset":

@@ -119,8 +119,7 @@ def test_archive_bytes_are_magic_header_and_raw_payloads(saved):
                         "offset": offset, "nbytes": len(raw)})
         payloads.append(raw)
         offset += len(raw)
-    header = {"config": archive._config_to_dict(config),
-              "vocab": archive.vocab_to_dict(vocab), "tensors": entries}
+    header = {"config": config.to_json(), "vocab": vocab.to_json(), "tensors": entries}
     assert path.read_bytes() == join_archive(header, b"".join(payloads))
 
 

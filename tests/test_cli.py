@@ -50,6 +50,43 @@ class TestInit:
                    "--vocab", workdir / "vocab.json", "--out", workdir / "x.embedit")
         assert code == 1
 
+    @pytest.mark.parametrize("config", [
+        {"d_model": 8.7}, {"d_model": "8"}, {"n_layers": True}, {"eps": "1e-5"},
+        {"dropout": 0.1}, {"vocab_size": 27}, {"n_heads": None},
+    ])
+    def test_config_with_mistyped_or_unknown_key_exits_one(self, workdir, capsys, config):
+        good = json.loads((workdir / "config.json").read_text())
+        (workdir / "bad.json").write_text(json.dumps({**good, **config}))
+        capsys.readouterr()
+        assert run("init", "--config", workdir / "bad.json", "--vocab", workdir / "vocab.json",
+                   "--out", workdir / "x.embedit") == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (workdir / "x.embedit").exists()
+
+    @pytest.mark.parametrize("config", ["missing_key", "not_object"])
+    def test_config_with_missing_key_or_not_an_object_exits_one(self, workdir, config):
+        good = json.loads((workdir / "config.json").read_text())
+        del good["d_ff"]
+        (workdir / "bad.json").write_text(json.dumps(good if config == "missing_key" else [good]))
+        assert run("init", "--config", workdir / "bad.json", "--vocab", workdir / "vocab.json",
+                   "--out", workdir / "x.embedit") == 1
+
+    def test_eps_may_be_left_out(self, workdir):
+        good = json.loads((workdir / "config.json").read_text())
+        del good["eps"]
+        (workdir / "noeps.json").write_text(json.dumps(good))
+        assert init_archive(workdir, "a.embedit", config="noeps.json").read_bytes() == \
+            init_archive(workdir, "b.embedit").read_bytes()
+
+    def test_mistyped_vocab_ids_are_data_error(self, workdir, capsys):
+        vocab = json.loads((workdir / "vocab.json").read_text())
+        (workdir / "bad_vocab.json").write_text(json.dumps({**vocab, "bos": 0.9, "eos": "1"}))
+        capsys.readouterr()
+        assert run("init", "--config", workdir / "config.json",
+                   "--vocab", workdir / "bad_vocab.json", "--out", workdir / "x.embedit") == 2
+        assert capsys.readouterr().err.startswith("data error: bad vocab")
+        assert not (workdir / "x.embedit").exists()
+
     def test_archive_loadable_by_edit(self, workdir):
         base = init_archive(workdir)
         code = run("edit", "--weights", base, "--source", "bear", "--dest", "wolf",
@@ -126,7 +163,7 @@ class TestEditRevert:
     @pytest.mark.parametrize("damage", [
         "negative_id", "id_past_vocab", "repeated_id", "short_row", "fewer_rows_than_ids",
         "no_ids", "no_result", "string_in_row", "infinity_in_row", "entry_not_object",
-        "not_json", "not_utf8",
+        "not_json", "not_utf8", "extra_row", "short_new_row",
     ])
     def test_revert_rejects_ledger_that_does_not_fit(self, workdir, capsys, damage):
         edited, ledger_path = self.edited_with_ledger(workdir)
@@ -158,6 +195,10 @@ class TestEditRevert:
             raw = b'{"entries": ['
         elif damage == "not_utf8":
             raw = b"\xff\xfe" + json.dumps(ledger).encode()
+        elif damage == "extra_row":
+            entry["original_rows"] = [row, row]
+        elif damage == "short_new_row":
+            entry["new_rows"] = [entry["new_rows"][0][:1]]
         else:
             entry["edited_token_ids"] = [bear, bear + 1]
         ledger_path.write_bytes(json.dumps(ledger).encode() if raw is None else raw)
@@ -251,6 +292,45 @@ class TestSeqEditAndEval:
         err = capsys.readouterr().err
         assert "line 2" in err and "destination" in err
         assert not (workdir / "seqout").exists()
+
+    @pytest.mark.parametrize("field", [
+        {"source": 5}, {"target_word": ["cat"]}, {"destination": None},
+        {"positives": [[1, 2]]}, {"positives": ["ab"]}, {"positives": [["a cat"]]},
+        {"negatives": [["a dog", "a wolf", "a fox"]]}, {"negatives": "a dog"},
+    ])
+    def test_dataset_field_that_is_not_a_string_names_line(self, workdir, capsys, field):
+        base = init_archive(workdir)
+        line = {"source": "cat", "destination": "dog", "target_word": "cat", **field}
+        ds = workdir / "mistyped.jsonl"
+        ds.write_bytes(self.make_dataset(workdir, n=1).read_bytes()
+                       + json.dumps(line).encode() + b"\n")
+        capsys.readouterr()
+        for command in ("seq-edit", "eval"):
+            reference = ("--reference", base) if command == "eval" else ()
+            assert run(command, "--weights", base, *reference, "--dataset", ds,
+                       "--out", workdir / "out") == 2
+            assert capsys.readouterr().err.startswith("data error: line 2:")
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("excluded", ['"bear"', '[1]', '{"bear": 1}', '[["bear"]]'])
+    def test_exclude_that_is_not_a_list_of_words_is_data_error(self, workdir, capsys, excluded):
+        base = init_archive(workdir)
+        (workdir / "exclude.json").write_text(excluded)
+        capsys.readouterr()
+        assert run("eval", "--weights", base, "--reference", base,
+                   "--dataset", self.make_dataset(workdir, n=2), "--sequential-filter",
+                   "--exclude", workdir / "exclude.json", "--out", workdir / "evalout") == 2
+        assert capsys.readouterr().err.startswith("data error:")
+        assert not (workdir / "evalout").exists()
+
+    def test_exclude_drops_the_listed_targets(self, workdir):
+        base = init_archive(workdir)
+        (workdir / "exclude.json").write_text('["bear"]')
+        assert run("eval", "--weights", base, "--reference", base,
+                   "--dataset", self.make_dataset(workdir, n=2), "--sequential-filter",
+                   "--exclude", workdir / "exclude.json", "--out", workdir / "evalout") == 0
+        report = json.loads((workdir / "evalout" / "report.json").read_text())
+        assert [e["target_word"] for e in report["per_entry"]] == ["cat"]
 
 
 class TestReport:
@@ -346,6 +426,91 @@ class TestGenderAndProbe:
                    "--max-iters", 2, "--out", workdir / "auto") == 0
         assert prompts.count("female teacher") == 1
         assert prompts.count("male teacher") == 1
+
+    def test_gender_loads_the_archive_once(self, workdir, monkeypatch):
+        import embedit.cli as cli
+        from embedit.encoder import EncoderBundle
+        from embedit.evaluation import GenderEntry, female_percentage
+
+        base = init_archive(workdir)
+        gender = {
+            "profession": "teacher", "validation": "a teacher",
+            "tests": ["a teacher", "teacher with a dog", "little teacher"],
+            "female_ref": "female teacher", "male_ref": "male teacher",
+        }
+        ds = workdir / "gender.jsonl"
+        ds.write_text(json.dumps(gender) + "\n")
+        loads = []
+        real = cli.load_weights
+        monkeypatch.setattr(cli, "load_weights", lambda path: loads.append(path) or real(path))
+        assert run("gender", "--weights", base, "--dataset", ds, "--mode", "manual",
+                   "--lambda", 0.3, "--lr", 0.01, "--max-iters", 100,
+                   "--out", workdir / "genderout") == 0
+        assert len(loads) == 1
+        assert (workdir / "genderout" / "edited.embedit").read_bytes() != base.read_bytes()
+        # The baseline is scored on the unedited table, as by a reference
+        # loaded on its own.
+        reference = EncoderBundle(*real(base))
+        entry = GenderEntry.from_json(gender)
+        baseline = female_percentage(entry, reference,
+                                     reference.encode_prompt(entry.female_ref).pooled,
+                                     reference.encode_prompt(entry.male_ref).pooled)
+        report = json.loads((workdir / "genderout" / "gender_report.json").read_text())
+        assert report["per_profession"][0]["baseline_f"] == baseline
+
+    @pytest.mark.parametrize("field", [{"profession": 5}, {"tests": [5]}, {"tests": "a teacher"},
+                                       {"male_ref": ["male teacher"]}])
+    def test_gender_field_that_is_not_a_string_is_data_error(self, workdir, capsys, field):
+        base = init_archive(workdir)
+        gender = {"profession": "teacher", "validation": "a teacher", "tests": ["a teacher"],
+                  "female_ref": "female teacher", "male_ref": "male teacher"}
+        ds = workdir / "gender.jsonl"
+        ds.write_text(json.dumps({**gender, **field}) + "\n")
+        capsys.readouterr()
+        assert run("gender", "--weights", base, "--dataset", ds,
+                   "--out", workdir / "genderout") == 2
+        assert capsys.readouterr().err.startswith("data error: line 1:")
+
+    @pytest.mark.parametrize("damage", [
+        "string_label", "float_label", "bool_label", "label_two", "word_not_string",
+        "item_not_object", "one_label_name", "label_name_not_string", "no_items",
+        "items_not_list", "not_object",
+    ])
+    def test_probe_dataset_that_does_not_fit_is_data_error(self, workdir, capsys, damage):
+        base = init_archive(workdir)
+        probe = {
+            "label_names": ["red", "yellow"],
+            "items": [{"word": w, "label": i % 2} for i, w in enumerate(WORDS)],
+        }
+        item = probe["items"][3]
+        if damage == "string_label":
+            item["label"] = "1"
+        elif damage == "float_label":
+            item["label"] = 0.7
+        elif damage == "bool_label":
+            item["label"] = True
+        elif damage == "label_two":
+            item["label"] = 2
+        elif damage == "word_not_string":
+            item["word"] = 5
+        elif damage == "item_not_object":
+            probe["items"][3] = ["cat", 1]
+        elif damage == "one_label_name":
+            probe["label_names"] = ["red"]
+        elif damage == "label_name_not_string":
+            probe["label_names"] = ["red", 1]
+        elif damage == "no_items":
+            del probe["items"]
+        elif damage == "items_not_list":
+            probe["items"] = {"cat": 1}
+        else:
+            probe = [probe]
+        (workdir / "probe.json").write_text(json.dumps(probe))
+        capsys.readouterr()
+        assert run("probe", "--weights", base, "--dataset", workdir / "probe.json",
+                   "--epochs", 10, "--out", workdir / "probeout") == 2
+        assert capsys.readouterr().err.startswith("data error: probe dataset")
+        assert not (workdir / "probeout").exists()
 
     def test_probe_writes_report(self, workdir):
         base = init_archive(workdir)

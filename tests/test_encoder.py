@@ -234,6 +234,90 @@ class TestInitRandomWeights:
         assert np.all(w.final_gamma.array == 1.0)
 
 
+def _explicit_draw_init(config, seed):
+    """Reference: the draw sequence init_random_weights was first written as,
+    one generator drawing wte, positional, then each layer's weights and
+    biases; layer norms draw nothing."""
+    rng = np.random.default_rng(seed)
+    d, f = config.d_model, config.d_ff
+
+    def normal(*shape):
+        return rng.normal(0.0, 0.02, size=shape)
+
+    out = {"wte": normal(config.vocab_size, d), "positional": normal(config.context_length, d)}
+    for i in range(config.n_layers):
+        for name, shape in [("wq", (d, d)), ("wk", (d, d)), ("wv", (d, d)), ("wo", (d, d)),
+                            ("bq", (d,)), ("bk", (d,)), ("bv", (d,)), ("bo", (d,)),
+                            ("mlp_w1", (d, f)), ("mlp_b1", (f,)), ("mlp_w2", (f, d)),
+                            ("mlp_b2", (d,))]:
+            out[f"layers.{i}.{name}"] = normal(*shape)
+        for ln in ("ln1", "ln2"):
+            out[f"layers.{i}.{ln}_gamma"], out[f"layers.{i}.{ln}_beta"] = np.ones(d), np.zeros(d)
+    out["final_gamma"], out["final_beta"] = np.ones(d), np.zeros(d)
+    return out
+
+
+@pytest.mark.parametrize("shape", [
+    dict(),
+    dict(d_model=48, n_layers=3, n_heads=4, d_ff=96, context_length=12),
+])
+def test_init_draws_in_the_explicit_reference_order(vocab, shape):
+    config = make_config(vocab, **shape)
+    expected = _explicit_draw_init(config, 42)
+    named = list(init_random_weights(config, 42).named_tensors())
+    assert sorted(name for name, _ in named) == sorted(expected)
+    for name, t in named:
+        assert t.array.tobytes() == expected[name].tobytes(), name
+
+
+class TestJsonSchema:
+    def test_config_round_trips(self, vocab):
+        config = make_config(vocab)
+        assert EncoderConfig.from_json(config.to_json()) == config
+
+    def test_config_integer_eps_reads_as_float(self, vocab):
+        obj = {**make_config(vocab).to_json(), "eps": 0}
+        assert type(EncoderConfig.from_json(obj).eps) is float
+
+    @pytest.mark.parametrize("damage", [
+        {"d_model": 8.7}, {"d_model": 8.0}, {"d_model": "8"}, {"n_layers": True},
+        {"eps": float("nan")}, {"eps": float("inf")}, {"eps": 10 ** 400}, {"eps": "1e-5"},
+        {"extra": 1}, {"n_heads": 3},
+    ])
+    def test_config_rejects(self, vocab, damage):
+        with pytest.raises(ValueError):
+            EncoderConfig.from_json({**make_config(vocab).to_json(), **damage})
+
+    @pytest.mark.parametrize("key", ["vocab_size", "d_model", "eps"])
+    def test_config_rejects_missing_key(self, vocab, key):
+        obj = make_config(vocab).to_json()
+        del obj[key]
+        with pytest.raises(ValueError):
+            EncoderConfig.from_json(obj)
+
+    def test_vocab_round_trips_and_splits_are_optional(self, vocab):
+        assert Vocab.from_json(vocab.to_json()) == vocab
+        obj = make_vocab().to_json()
+        del obj["splits"]
+        assert Vocab.from_json(obj) == make_vocab()
+
+    @pytest.mark.parametrize("damage", [
+        {"bos": 0.9}, {"eos": "1"}, {"pad": False}, {"tokens": [["a", 3]]},
+        {"splits": {"icecream": "ice cream"}}, {"splits": {"icecream": [3]}},
+        {"extra": 1}, {"pad": 0},
+    ])
+    def test_vocab_rejects(self, vocab, damage):
+        with pytest.raises(ValueError):
+            Vocab.from_json({**vocab.to_json(), **damage})
+
+    def test_vocab_rejects_missing_reserved_id_and_non_object(self, vocab):
+        obj = vocab.to_json()
+        del obj["pad"]
+        for bad in (obj, [vocab.to_json()]):
+            with pytest.raises(ValueError):
+                Vocab.from_json(bad)
+
+
 class TestEncoderConfig:
     def test_heads_must_divide_width(self):
         with pytest.raises(ValueError):
@@ -249,11 +333,3 @@ class TestEncoderConfig:
         config = EncoderConfig(vocab_size=30, d_model=768, n_layers=1, n_heads=8,
                                d_ff=64, context_length=8)
         assert config.params_per_wte_row == 768
-
-
-def test_shape_validation_catches_wrong_layer_count(vocab):
-    config = make_config(vocab)
-    w = init_random_weights(config, 0)
-    w.layers = w.layers[:1]
-    with pytest.raises(DimensionError):
-        w.validate_shapes(config)
