@@ -29,7 +29,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .encoder import EncoderConfig, EncoderWeights, Vocab, tensor_shapes
-from .errors import ArchiveFormatError
+from .errors import ArchiveFormatError, read_json
 
 MAGIC = b"EMBEDIT1"
 _HEADER_LEN_END = len(MAGIC) + 8
@@ -39,8 +39,7 @@ _ENTRY_KEYS = {"name", "shape", "dtype", "offset", "nbytes"}
 
 def load_vocab(path: str | Path) -> Vocab:
     """Read a standalone vocabulary JSON file."""
-    with open(path, "r", encoding="utf-8") as f:
-        obj = json.load(f)
+    obj = read_json(path, ArchiveFormatError)
     try:
         return Vocab.from_json(obj)
     except ValueError as e:

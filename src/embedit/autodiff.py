@@ -23,8 +23,9 @@ class Tensor:
     """Immutable dense tensor of 64-bit floats in row-major order.
 
     Construction copies its input and rejects NaN/Inf entries with
-    NonFiniteError. The backing array is marked read-only; treat a Tensor as
-    a value.
+    NonFiniteError. The primitives on the encoder's path adopt their fresh
+    outputs through _wrap, unchecked; encode checks its output once. The
+    backing array is marked read-only; treat a Tensor as a value.
     """
 
     __slots__ = ("_a",)
@@ -40,8 +41,9 @@ class Tensor:
     def _wrap(cls, a: np.ndarray) -> "Tensor":
         """Adopt a fresh float64 C-order array without copying or checking it.
 
-        The caller vouches that every entry is finite and that nothing else
-        keeps a writable reference to `a`.
+        The caller vouches that `a` is no view of another tensor's array and
+        that nothing else keeps a writable reference to it. Its entries are
+        not checked: a caller that needs them finite checks them itself.
         """
         a.setflags(write=False)
         t = cls.__new__(cls)
@@ -161,7 +163,7 @@ def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     _require_same_shape(a, b, "add")
-    out = Tensor(a.array + b.array)
+    out = Tensor._wrap(a.array + b.array)
 
     def vjp(g, needs):
         return (g if needs[0] else None, g if needs[1] else None)
@@ -208,7 +210,7 @@ def add_bias(x: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     """Add a length-d bias vector to every row of an n-by-d matrix."""
     if len(x.shape) != 2 or len(b.shape) != 1 or x.shape[1] != b.shape[0]:
         raise DimensionError(f"add_bias: shapes {x.shape} and {b.shape} incompatible")
-    out = Tensor(x.array + b.array)
+    out = Tensor._wrap(x.array + b.array)
 
     def vjp(g, needs):
         return (g if needs[0] else None, g.sum(axis=0) if needs[1] else None)
@@ -220,7 +222,7 @@ def add_bias(x: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
 def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} incompatible")
-    out = Tensor(a.array @ b.array)
+    out = Tensor._wrap(a.array @ b.array)
     a_val, b_val = a.array, b.array
 
     def vjp(g, needs):
@@ -314,7 +316,7 @@ def gather_rows(table: Tensor, ids: Sequence[int], tape: Tape | None = None) -> 
     for i in ids:
         if not (0 <= i < n):
             raise IndexError(f"row id {i} out of range for table with {n} rows")
-    out = Tensor(table.array[ids])
+    out = Tensor._wrap(table.array[ids])
     table_shape = table.shape
     ids_arr = np.array(ids, dtype=np.intp)
 
@@ -358,7 +360,7 @@ def substitute_rows(
     slots = np.array([s for _, s in hits], dtype=np.intp)
     a = x.array.copy()
     a[pos] = leaf.array[slots]
-    out = Tensor(a)
+    out = Tensor._wrap(a)
     leaf_shape = leaf.shape
 
     def vjp(g, needs):
@@ -386,9 +388,9 @@ def layer_norm(
     """Normalize the final axis to zero mean / unit variance, then affine.
 
     Uses the population variance. eps=0 is accepted (the contract then
-    requires non-constant slices; a constant slice yields NaN and fails
-    Tensor construction). A variance that overflows raises NonFiniteError
-    rather than saturating the output to beta.
+    requires non-constant slices; a constant slice yields NaN in the output).
+    A variance that overflows raises NonFiniteError rather than saturating
+    the output to beta.
     """
     if eps < 0:
         raise ValueError("layer_norm: eps must be >= 0")
@@ -406,7 +408,7 @@ def layer_norm(
         raise NonFiniteError("layer_norm: variance is not finite")
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor(xhat * gamma.array + beta.array)
+    out = Tensor._wrap(xhat * gamma.array + beta.array)
     gamma_val = gamma.array
 
     def vjp(g, needs):
@@ -498,7 +500,7 @@ def attention(
     if not np.all(np.isfinite(scores)):
         raise NonFiniteError("attention: scores are not finite")
     p = _softmax(scores)
-    out = Tensor(merge(p @ v3))
+    out = Tensor._wrap(merge(p @ v3))
 
     def vjp(g, needs):
         # The per-head VJPs of matmul (g @ b^T, a^T @ g), softmax_rows and
@@ -521,9 +523,9 @@ def gelu(x: Tensor, tape: Tape | None = None) -> Tensor:
     tanh approximation here is the one common CLIP builds use.
     """
     a = x.array
-    u = _GELU_SCALE * (a + _GELU_CUBIC * a ** 3)
+    u = _GELU_SCALE * (a + _GELU_CUBIC * (a * a * a))  # a ** 3 would go through slow pow
     t = np.tanh(u)
-    out = Tensor(0.5 * a * (1.0 + t))
+    out = Tensor._wrap(0.5 * a * (1.0 + t))
 
     def vjp(g, needs):
         if not needs[0]:

@@ -32,7 +32,7 @@ from .editor import (
     revert,
 )
 from .encoder import EncoderBundle, EncoderConfig, init_random_weights
-from .errors import DataError, DatasetError, DivergenceError, LedgerRangeError
+from .errors import DataError, DatasetError, DivergenceError, LedgerRangeError, read_json
 from .evaluation import (
     DESTINATION,
     aggregate_reports,
@@ -268,14 +268,15 @@ def cmd_probe(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.exclude and not args.sequential_filter:
+        raise _UsageError("--exclude needs --sequential-filter")
     edited = _load_bundle(args.weights)
     reference = _load_bundle(args.reference)
     entries = load_edit_entries(args.dataset)
     if args.sequential_filter:
         excluded = []
         if args.exclude:
-            with open(args.exclude, "r", encoding="utf-8") as f:
-                excluded = json.load(f)
+            excluded = read_json(args.exclude, DatasetError)
             if type(excluded) is not list or not all(type(w) is str for w in excluded):
                 raise DatasetError(f"{args.exclude}: need a JSON list of target words")
         entries = filter_sequential_dataset(entries, tuple(excluded))
@@ -431,7 +432,8 @@ def build_parser() -> _Parser:
     p.add_argument("--reference", required=True, help="pre-edit archive")
     p.add_argument("--dataset", required=True, help="edit entries JSONL")
     p.add_argument("--sequential-filter", action="store_true")
-    p.add_argument("--exclude", help="JSON list of target words to drop")
+    p.add_argument("--exclude", help="JSON list of target words to drop "
+                   "(with --sequential-filter)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 

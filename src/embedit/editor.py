@@ -31,6 +31,7 @@ from .errors import (
     LedgerRangeError,
     NonFiniteError,
     UnknownTokenError,
+    read_json,
 )
 from .optim import Adam, Sgd
 
@@ -202,12 +203,7 @@ class EditLedger:
 
     @classmethod
     def load(cls, path: str | Path) -> "EditLedger":
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                obj = json.load(f)
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise LedgerFormatError(f"ledger {path}: not UTF-8 JSON: {e}") from e
-        return cls.from_json(obj)
+        return cls.from_json(read_json(path, LedgerFormatError))
 
 
 def mse_hidden(h1: HiddenStates, h2: HiddenStates, positions: LossPositions) -> float:

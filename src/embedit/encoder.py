@@ -313,7 +313,8 @@ def encode(
     With a tape, `rows` is the only watched leaf and backward gives its k-by-d
     gradient; the table itself is never differentiated, so a taped encode
     requires `edit_rows`. PAD positions are processed like any other token;
-    they attend causally and are not key-masked.
+    they attend causally and are not key-masked. A forward pass that
+    overflows raises NonFiniteError, so the hidden states are always finite.
     """
     for i in tokens.ids:
         if not (0 <= i < config.vocab_size):
@@ -323,32 +324,38 @@ def encode(
             f"token sequence length {len(tokens.ids)} != context length {config.context_length}"
         )
 
-    x = gather_rows(weights.wte, tokens.ids)
-    if edit_rows is not None:
-        leaf_ids, leaf = edit_rows
-        if tape is not None:
-            tape.watch(leaf)
-        x = substitute_rows(x, tokens.ids, leaf_ids, leaf, tape)
-    elif tape is not None:
+    if edit_rows is None and tape is not None:
         raise TapeUsageError("a taped encode needs edit_rows: its rows are the only leaf")
-    x = add(x, weights.positional, tape)
-
     mask = _causal_mask(config.context_length)
 
-    for layer in weights.layers:
-        h = layer_norm(x, layer.ln1_gamma, layer.ln1_beta, config.eps, tape)
-        q = add_bias(matmul(h, layer.wq, tape), layer.bq, tape)
-        k = add_bias(matmul(h, layer.wk, tape), layer.bk, tape)
-        v = add_bias(matmul(h, layer.wv, tape), layer.bv, tape)
-        merged = attention(q, k, v, config.n_heads, mask, tape)
-        x = add(x, add_bias(matmul(merged, layer.wo, tape), layer.bo, tape), tape)
+    # The primitives adopt their outputs unchecked. A value that overflows
+    # raises at a layer norm's variance or attention's scores, or reaches the
+    # output, so the one check below reports it and numpy need not warn.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = gather_rows(weights.wte, tokens.ids)
+        if edit_rows is not None:
+            leaf_ids, leaf = edit_rows
+            if tape is not None:
+                tape.watch(leaf)
+            x = substitute_rows(x, tokens.ids, leaf_ids, leaf, tape)
+        x = add(x, weights.positional, tape)
 
-        h2 = layer_norm(x, layer.ln2_gamma, layer.ln2_beta, config.eps, tape)
-        m = gelu(add_bias(matmul(h2, layer.mlp_w1, tape), layer.mlp_b1, tape), tape)
-        m = add_bias(matmul(m, layer.mlp_w2, tape), layer.mlp_b2, tape)
-        x = add(x, m, tape)
+        for layer in weights.layers:
+            h = layer_norm(x, layer.ln1_gamma, layer.ln1_beta, config.eps, tape)
+            q = add_bias(matmul(h, layer.wq, tape), layer.bq, tape)
+            k = add_bias(matmul(h, layer.wk, tape), layer.bk, tape)
+            v = add_bias(matmul(h, layer.wv, tape), layer.bv, tape)
+            merged = attention(q, k, v, config.n_heads, mask, tape)
+            x = add(x, add_bias(matmul(merged, layer.wo, tape), layer.bo, tape), tape)
 
-    x = layer_norm(x, weights.final_gamma, weights.final_beta, config.eps, tape)
+            h2 = layer_norm(x, layer.ln2_gamma, layer.ln2_beta, config.eps, tape)
+            m = gelu(add_bias(matmul(h2, layer.mlp_w1, tape), layer.mlp_b1, tape), tape)
+            m = add_bias(matmul(m, layer.mlp_w2, tape), layer.mlp_b2, tape)
+            x = add(x, m, tape)
+
+        x = layer_norm(x, weights.final_gamma, weights.final_beta, config.eps, tape)
+    if not np.isfinite(x.array).all():
+        raise NonFiniteError("encode: hidden states are not finite")
     pooled = Tensor(x.array[tokens.eos_position])
     return HiddenStates(sequence=x, pooled=pooled, eos_position=tokens.eos_position)
 

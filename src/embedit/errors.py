@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON file reader that
+reports a file it cannot parse as a data error."""
+
+import json
 
 
 class EmbeditError(Exception):
@@ -79,3 +82,14 @@ class LedgerRangeError(EmbeditError):
 
 class LedgerFormatError(DataError):
     """A ledger is malformed or does not fit the table it would be applied to."""
+
+
+def read_json(path, error: type[DataError]):
+    """The parsed contents of a UTF-8 JSON file. Bytes that are not UTF-8 or
+    not JSON raise `error`, naming the file; OSError passes through."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # UnicodeDecodeError, JSONDecodeError
+        raise error(f"{path}: not UTF-8 JSON: {e}") from e

@@ -7,14 +7,13 @@ descent, so every run is deterministic given the split seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .encoder import EncoderWeights, Vocab
-from .errors import DatasetError, DegenerateDataError
+from .errors import DatasetError, DegenerateDataError, read_json
 
 DEFAULT_LR = 0.1
 DEFAULT_EPOCHS = 2000
@@ -53,8 +52,7 @@ class ProbeDataset:
 
     @classmethod
     def load(cls, path: str | Path) -> "ProbeDataset":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_json(json.load(f))
+        return cls.from_json(read_json(path, DatasetError))
 
     def to_json(self) -> dict:
         return {

@@ -147,6 +147,13 @@ class TestGelu:
         expected = 0.5 * x * (1.0 + math.tanh(inner))
         assert gelu(Tensor([x])).array[0] == pytest.approx(expected, rel=0, abs=1e-15)
 
+    def test_matches_scalar_oracle_over_a_grid(self, rng):
+        xs = np.concatenate([np.linspace(-30.0, 30.0), rng.normal(size=1000)])
+        got = gelu(Tensor(xs)).array
+        for x, y in zip(xs.tolist(), got.tolist()):
+            inner = math.sqrt(2.0 / math.pi) * (x + 0.044715 * x ** 3)
+            assert y == pytest.approx(0.5 * x * (1.0 + math.tanh(inner)), rel=0, abs=1e-15), x
+
 
 class TestBackward:
     def test_sum_gives_ones(self):
@@ -279,6 +286,26 @@ _PRIMITIVES = [
     ("mean_square", lambda tp, x: mean_square(x, tp), [(3, 4)], (0,)),
     ("sum_all", lambda tp, x: sum_all(x, tp), [(3, 4)], (0,)),
 ]
+
+
+_ADOPTING = [p for p in _PRIMITIVES if p[0] in {
+    "gather_rows", "substitute_rows", "add", "add_bias", "matmul", "layer_norm", "attention",
+    "gelu"}] + [
+    # One head: the merged output is a view of the stacked product, not a copy.
+    ("attention_one_head", lambda tp, q, k, v: attention(q, k, v, 1, causal_mask(5), tp),
+     [(5, 6), (5, 6), (5, 6)], (0, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("name,apply_op,shapes,wrt", _ADOPTING, ids=[p[0] for p in _ADOPTING])
+def test_adopted_output_is_fresh_read_only_c_order_float64(name, apply_op, shapes, wrt):
+    """What Tensor._wrap relies on: the primitive's output array is its own."""
+    rng = np.random.default_rng(5)
+    inputs = [Tensor(rng.normal(size=s)) for s in shapes]
+    out = apply_op(None, *inputs).array
+    assert out.dtype == np.float64
+    assert out.flags.c_contiguous and not out.flags.writeable
+    assert not any(np.shares_memory(out, x.array) for x in inputs)
 
 
 @pytest.mark.parametrize("name,apply_op,shapes,wrt", _PRIMITIVES, ids=[p[0] for p in _PRIMITIVES])

@@ -332,6 +332,16 @@ class TestSeqEditAndEval:
         report = json.loads((workdir / "evalout" / "report.json").read_text())
         assert [e["target_word"] for e in report["per_entry"]] == ["cat"]
 
+    def test_exclude_without_sequential_filter_is_usage_error(self, workdir, capsys):
+        base = init_archive(workdir)
+        (workdir / "exclude.json").write_text('["bear"]')
+        capsys.readouterr()
+        assert run("eval", "--weights", base, "--reference", base,
+                   "--dataset", self.make_dataset(workdir, n=2),
+                   "--exclude", workdir / "exclude.json", "--out", workdir / "evalout") == 1
+        assert capsys.readouterr().err.startswith("error: --exclude needs --sequential-filter")
+        assert not (workdir / "evalout").exists()
+
 
 class TestReport:
     def test_wide_single_edit_prints_table_numbers(self, workdir, capsys):
@@ -529,6 +539,29 @@ class TestGenderAndProbe:
 class TestExitCodes:
     def test_usage_error_is_one(self, workdir):
         assert run("edit", "--weights", "x") == 1
+
+    @pytest.mark.parametrize("content", [b'{"tokens": [', "[\"caf\u00e9\"]".encode("latin-1")],
+                             ids=["not_json", "not_utf8"])
+    @pytest.mark.parametrize("kind", ["vocab", "probe", "exclude", "ledger"])
+    def test_json_input_that_does_not_parse_is_data_error(self, workdir, capsys, kind, content):
+        base = init_archive(workdir)
+        bad = workdir / "bad.json"
+        bad.write_bytes(content)
+        ds = workdir / "edits.jsonl"
+        ds.write_text(json.dumps({"source": "bear", "destination": "wolf",
+                                  "target_word": "bear"}) + "\n")
+        args = {
+            "vocab": ("init", "--config", workdir / "config.json", "--vocab", bad),
+            "probe": ("probe", "--weights", base, "--dataset", bad),
+            "exclude": ("eval", "--weights", base, "--reference", base, "--dataset", ds,
+                        "--sequential-filter", "--exclude", bad),
+            "ledger": ("revert", "--weights", base, "--ledger", bad),
+        }[kind]
+        capsys.readouterr()
+        assert run(*args, "--out", workdir / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad}: not UTF-8 JSON:")
+        assert not (workdir / "out").exists()
 
     def test_unknown_command_is_one(self):
         assert run("frobnicate") == 1

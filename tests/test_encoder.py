@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from embedit import (
 from embedit.errors import (
     DimensionError,
     EmptyPromptError,
+    NonFiniteError,
     PromptTooLongError,
     TapeUsageError,
     UnknownTokenError,
@@ -182,6 +185,17 @@ class TestEncode:
         leaf = Tensor(tiny_bundle.weights.wte.array[[bear]])
         taped = tiny_bundle.encode_prompt("a bear", tape, edit_rows=([bear], leaf))
         assert plain.sequence.array.tobytes() == taped.sequence.array.tobytes()
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_overflow_after_the_last_variance_check_raises(self, tiny_bundle, taped):
+        # The final layer norm's variance is finite; its affine step overflows.
+        weights = dataclasses.replace(tiny_bundle.weights,
+                                      final_gamma=Tensor(np.full(8, 1e308)))
+        bear = tiny_bundle.vocab.tokens["bear"]
+        tape, edit_rows = (Tape(), ([bear], Tensor(weights.wte.array[[bear]]))) if taped \
+            else (None, None)
+        with pytest.raises(NonFiniteError, match="encode"):
+            encode(tiny_bundle.tokenize("a bear"), weights, tiny_bundle.config, tape, edit_rows)
 
 
 class TestSetWteRows:
