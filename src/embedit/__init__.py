@@ -25,12 +25,11 @@ from .editor import (
     EditResult,
     LossPositions,
     OptimizerKind,
+    budget_report,
     edit_multi_encoder,
     edit_sequential,
     edit_single,
-    merge_budget_reports,
     mse_hidden,
-    param_budget_report,
     revert,
     target_token_ids,
 )

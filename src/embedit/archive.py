@@ -13,7 +13,8 @@ Archive layout:
 
 Save followed by load is bitwise lossless. The loader accepts exactly the
 tensors the config calls for, each once, with payloads laid out back to back
-from offset 0 to the end of the file.
+from offset 0 to the end of the file. Archive and ledger saves share one
+atomic write, write_atomically.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import os
 import secrets
 import struct
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -58,15 +60,10 @@ def save_weights(
     weights: EncoderWeights,
     vocab: Vocab,
 ) -> None:
-    """Write config, vocab, and all tensors to one archive file.
-
-    Each tensor is written from its own buffer, with no bytes copy. The
-    bytes go to a temporary file in the target's directory, which then
-    replaces `path` in one step; a save that raises removes the temporary
-    file and leaves any earlier file at `path` as it was. A symlink at
-    `path` keeps pointing at the replaced file.
+    """Write config, vocab, and all tensors to one archive file, atomically
+    (write_atomically). Each tensor is written from its own buffer, with no
+    bytes copy.
     """
-    path = Path(os.path.realpath(path))
     arrays = [(name, np.ascontiguousarray(t.array, dtype="<f8"))
               for name, t in weights.named_tensors()]
     entries = []
@@ -86,16 +83,30 @@ def save_weights(
         "tensors": entries,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+
+    def write(f) -> None:
+        f.write(MAGIC)
+        f.write(struct.pack("<Q", len(header_bytes)))
+        f.write(header_bytes)
+        for _, a in arrays:
+            f.write(memoryview(a).cast("B"))
+
+    write_atomically(path, write)
+
+
+def write_atomically(path: str | Path, write: Callable[[BinaryIO], None]) -> None:
+    """Call write() on a new temporary file in the target's directory, then
+    rename it over `path` in one step. If anything raises, the temporary
+    file is removed and any earlier file at `path` is left as it was. A
+    symlink at `path` keeps pointing at the replaced file.
+    """
+    path = Path(os.path.realpath(path))
     # Created with open(..., "xb") rather than mkstemp, which would narrow the
-    # archive's permissions to 0600.
+    # file's permissions to 0600.
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
     try:
         with open(tmp, "xb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<Q", len(header_bytes)))
-            f.write(header_bytes)
-            for _, a in arrays:
-                f.write(memoryview(a).cast("B"))
+            write(f)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -73,9 +73,6 @@ class Tensor:
             raise DimensionError(f"item() requires a scalar, got shape {self.shape}")
         return float(self._a.reshape(-1)[0])
 
-    def tolist(self):
-        return self._a.tolist()
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
@@ -303,11 +300,9 @@ def concat_cols(parts: Sequence[Tensor], tape: Tape | None = None) -> Tensor:
     return out
 
 
-def gather_rows(table: Tensor, ids: Sequence[int], tape: Tape | None = None) -> Tensor:
-    """Select rows of a table by index, in order.
-
-    When taped, the table's gradient is a table-shaped array whose rows are
-    the scatter-added cotangents of the gathered rows.
+def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
+    """Select rows of a table by index, in order. Untaped: an edit
+    differentiates its k-by-d rows through substitute_rows, never the table.
     """
     if len(table.shape) != 2:
         raise DimensionError(f"gather_rows: expected a matrix, got shape {table.shape}")
@@ -316,19 +311,7 @@ def gather_rows(table: Tensor, ids: Sequence[int], tape: Tape | None = None) -> 
     for i in ids:
         if not (0 <= i < n):
             raise IndexError(f"row id {i} out of range for table with {n} rows")
-    out = Tensor._wrap(table.array[ids])
-    table_shape = table.shape
-    ids_arr = np.array(ids, dtype=np.intp)
-
-    def vjp(g, needs):
-        if not needs[0]:
-            return (None,)
-        z = np.zeros(table_shape)
-        np.add.at(z, ids_arr, g)
-        return (z,)
-
-    _maybe_record(tape, out, (table,), vjp)
-    return out
+    return Tensor._wrap(table.array[ids])
 
 
 def substitute_rows(

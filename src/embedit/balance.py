@@ -78,13 +78,15 @@ class BalancerParams:
             raise ValueError("max_iters must be positive")
 
 
-def init_profession_embedding(wte_p: Tensor, wte_female: Tensor, wte_male: Tensor) -> Tensor:
-    """Elementwise average of the three embedding rows."""
-    if not (wte_p.shape == wte_female.shape == wte_male.shape):
+def init_profession_embedding(rows: np.ndarray, female: np.ndarray,
+                              male: np.ndarray) -> np.ndarray:
+    """Elementwise average of each of the profession's k-by-d rows with the
+    female and male d-rows."""
+    if not (rows.shape[-1:] == female.shape == male.shape):
         raise DimensionError(
-            f"row widths differ: {wte_p.shape}, {wte_female.shape}, {wte_male.shape}"
+            f"row widths differ: {rows.shape}, {female.shape}, {male.shape}"
         )
-    return Tensor((wte_p.array + wte_female.array + wte_male.array) / 3.0)
+    return (rows + female + male) / 3.0
 
 
 def bias_rate_delta(mse_sp: float, mse_csp: float, normalizer: float = 2.0) -> float:
@@ -154,11 +156,11 @@ def edit_balance(
     return _edit_balance_auto(bundle, request, edit_request, params, hyper, ledger)
 
 
-def _gendered_row(bundle: EncoderBundle, word: str) -> Tensor:
+def _gendered_row(bundle: EncoderBundle, word: str) -> np.ndarray:
     ids = bundle.vocab.word_token_ids(word)
     if len(ids) != 1:
         raise UnknownTokenError(f"{word!r} must map to a single token for averaging")
-    return bundle.weights.wte_row(ids[0])
+    return bundle.weights.wte.array[ids[0]]
 
 
 def _edit_balance_auto(
@@ -171,12 +173,8 @@ def _edit_balance_auto(
 ) -> EditResult:
     config, weights, vocab = bundle.config, bundle.weights, bundle.vocab
     ids = sorted(target_token_ids(edit_request, vocab))
-
-    female = _gendered_row(bundle, "female")
-    male = _gendered_row(bundle, "male")
-    init_rows = np.stack([
-        init_profession_embedding(weights.wte_row(i), female, male).array for i in ids
-    ])
+    init_rows = init_profession_embedding(
+        weights.wte.array[ids], _gendered_row(bundle, "female"), _gendered_row(bundle, "male"))
     init = (ids, Tensor(init_rows))
 
     p_tokens = tokenize(request.profession, vocab, config)

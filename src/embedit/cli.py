@@ -25,10 +25,9 @@ from .editor import (
     EditResult,
     LossPositions,
     OptimizerKind,
+    budget_report,
     edit_multi_encoder,
     edit_sequential,
-    merge_budget_reports,
-    param_budget_report,
     revert,
 )
 from .encoder import EncoderBundle, EncoderConfig, init_random_weights
@@ -122,15 +121,12 @@ def cmd_edit(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    budgets = []
-    for k, (bundle, ledger, result) in enumerate(zip(bundles, ledgers, results)):
+    for k, (bundle, ledger) in enumerate(zip(bundles, ledgers)):
         suffix = "" if k == 0 else str(k + 1)
         save_weights(out / f"edited{suffix}.embedit", bundle.config, bundle.weights,
                      bundle.vocab)
         ledger.save(out / f"ledger{suffix}.json")
-        budgets.append(param_budget_report(
-            ledger, bundle.weights.total_params(), bundle.config.d_model))
-    merged = merge_budget_reports(budgets, sum(b.weights.total_params() for b in bundles))
+    merged = budget_report(ledgers, sum(b.weights.total_params() for b in bundles))
     _write_json(out / "edit_summary.json", {
         "request": {"source": args.source, "destination": args.dest,
                     "target_word": args.target},
@@ -306,39 +302,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    ledger = EditLedger.load(args.ledger)
-    ledger2 = EditLedger.load(args.ledger2) if args.ledger2 else None
-
-    if args.weights:
-        config, weights, _ = load_weights(args.weights)
-        d_model = config.d_model
-        total = weights.total_params()
-    elif args.d_model is not None:
-        d_model = args.d_model
-        total = 0
-    else:
-        raise _UsageError("report needs --weights or --d-model")
-
-    d2 = None
-    if ledger2 is not None:
-        if args.weights2:
-            config2, weights2, _ = load_weights(args.weights2)
-            d2 = config2.d_model
-            total += weights2.total_params()
-        elif args.d_model2 is not None:
-            d2 = args.d_model2
-        else:
-            raise _UsageError("--ledger2 needs --weights2 or --d-model2")
-
-    if args.total_params is not None:
-        total = args.total_params
+    ledgers = [EditLedger.load(p) for p in (args.ledger, args.ledger2) if p]
+    archives = [args.weights, args.weights2][:len(ledgers)]
+    total = args.total_params
+    if total is None:
+        if not all(archives):
+            raise _UsageError("report needs --total-params, or --weights for each ledger")
+        total = sum(load_weights(p)[1].total_params() for p in archives)
     if total <= 0:
-        raise _UsageError("report needs --total-params when --weights is not given")
-
-    budgets = [param_budget_report(ledger, total, d_model)]
-    if ledger2 is not None:
-        budgets.append(param_budget_report(ledger2, total, d2))
-    merged = merge_budget_reports(budgets, total)
+        raise _UsageError("report needs a positive --total-params")
+    merged = budget_report(ledgers, total)
 
     report = {
         "per_edit": [
@@ -442,8 +415,6 @@ def build_parser() -> _Parser:
     p.add_argument("--ledger2")
     p.add_argument("--weights")
     p.add_argument("--weights2")
-    p.add_argument("--d-model", type=int)
-    p.add_argument("--d-model2", type=int)
     p.add_argument("--total-params", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_report)

@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from .archive import write_atomically
 from .autodiff import Tape, Tensor, backward, mean_square, slice_rows, sub
 from .encoder import EncoderBundle, HiddenStates, TokenSequence, Vocab, encode, tokenize
 from .errors import (
@@ -116,31 +117,46 @@ def _json_field(obj, key: str, kinds: tuple[type, ...], where: str):
     return obj[key]
 
 
-def _json_rows(obj, key: str, ids: tuple[int, ...], where: str) -> dict[int, Tensor]:
-    """obj[key] as one row per id, in the order of `ids`."""
-    listed = _json_field(obj, key, (list,), where)
-    if len(listed) != len(ids):
-        raise LedgerFormatError(f"{where}: {len(listed)} {key} for {len(ids)} token ids")
-    rows = {}
-    for i, row in zip(ids, listed):
-        if type(row) is not list or any(type(v) not in (int, float) for v in row):
-            raise LedgerFormatError(f"{where}: {key} of id {i} is not a list of numbers")
-        try:
-            rows[i] = Tensor(row)
-        except (ValueError, OverflowError) as e:  # NonFiniteError is a ValueError
-            raise LedgerFormatError(f"{where}: {key} of id {i}: {e}") from e
-    return rows
-
-
 @dataclass
 class LedgerEntry:
+    """One edit: its k distinct target token ids and their k-by-d rows before
+    (original_rows) and after (new_rows) the edit, where row s belongs to id
+    s. The rows are held as read-only float64 copies.
+
+    Construction checks what does not depend on a table: at least one id,
+    distinct integer ids, both blocks shaped (k, d) and finite. A violation,
+    or rows that are ragged or past float range, raises LedgerFormatError.
+    """
+
     source_prompt: str
     destination_prompt: str
     target_word: str
     edited_token_ids: tuple[int, ...]
-    original_rows: dict[int, Tensor]
-    new_rows: dict[int, Tensor]
+    original_rows: np.ndarray
+    new_rows: np.ndarray
     result: EditResult
+
+    def __post_init__(self):
+        ids = self.edited_token_ids
+        if not ids:
+            raise LedgerFormatError("no token ids")
+        if any(type(i) is not int for i in ids):
+            raise LedgerFormatError(f"token ids {list(ids)} are not all integers")
+        if len(set(ids)) != len(ids):
+            raise LedgerFormatError(f"repeated token ids {list(ids)}")
+        try:
+            original = np.array(self.original_rows, dtype=np.float64)
+            new = np.array(self.new_rows, dtype=np.float64)
+        except (ValueError, OverflowError) as e:  # ragged, or an int past float range
+            raise LedgerFormatError(f"rows are not a block of numbers: {e}") from e
+        if original.ndim != 2 or len(original) != len(ids) or new.shape != original.shape:
+            raise LedgerFormatError(f"original rows of shape {original.shape} and new rows "
+                                    f"of shape {new.shape} for {len(ids)} token ids")
+        if not (np.all(np.isfinite(original)) and np.all(np.isfinite(new))):
+            raise LedgerFormatError("rows are not all finite")
+        original.setflags(write=False)
+        new.setflags(write=False)
+        self.original_rows, self.new_rows = original, new
 
 
 @dataclass
@@ -156,50 +172,43 @@ class EditLedger:
         self.entries.append(entry)
 
     def to_json(self) -> dict:
-        out = []
-        for e in self.entries:
-            ids = list(e.edited_token_ids)
-            out.append({
-                "source_prompt": e.source_prompt,
-                "destination_prompt": e.destination_prompt,
-                "target_word": e.target_word,
-                "edited_token_ids": ids,
-                "original_rows": [e.original_rows[i].tolist() for i in ids],
-                "new_rows": [e.new_rows[i].tolist() for i in ids],
-                "result": e.result.to_json(),
-            })
-        return {"entries": out}
+        return {"entries": [{
+            "source_prompt": e.source_prompt,
+            "destination_prompt": e.destination_prompt,
+            "target_word": e.target_word,
+            "edited_token_ids": list(e.edited_token_ids),
+            "original_rows": e.original_rows.tolist(),
+            "new_rows": e.new_rows.tolist(),
+            "result": e.result.to_json(),
+        } for e in self.entries]}
 
     @classmethod
     def from_json(cls, obj) -> "EditLedger":
-        """Parse a saved ledger; any missing or mistyped key, or rows that are
-        not one per token id and all of one width, raise LedgerFormatError."""
+        """Parse a saved ledger; a missing or mistyped key, or an entry that
+        LedgerEntry rejects, raises LedgerFormatError."""
         ledger = cls()
         for k, e in enumerate(_json_field(obj, "entries", (list,), "ledger")):
             where = f"ledger entry {k}"
-            ids = tuple(_json_field(e, "edited_token_ids", (list,), where))
-            if any(type(i) is not int for i in ids):
-                raise LedgerFormatError(f"{where}: token ids {list(ids)} are not all integers")
-            original = _json_rows(e, "original_rows", ids, where)
-            new = _json_rows(e, "new_rows", ids, where)
-            shapes = {r.shape for r in (*original.values(), *new.values())}
-            if len(shapes) > 1:
-                raise LedgerFormatError(f"{where}: rows of shapes {sorted(shapes)} in one entry")
-            ledger.append(LedgerEntry(
-                source_prompt=_json_field(e, "source_prompt", (str,), where),
-                destination_prompt=_json_field(e, "destination_prompt", (str,), where),
-                target_word=_json_field(e, "target_word", (str,), where),
-                edited_token_ids=ids,
-                original_rows=original,
-                new_rows=new,
-                result=EditResult.from_json(_json_field(e, "result", (dict,), where), ids),
-            ))
+            fields = {key: _json_field(e, key, kinds, where) for key, kinds in (
+                ("source_prompt", (str,)), ("destination_prompt", (str,)),
+                ("target_word", (str,)), ("edited_token_ids", (list,)),
+                ("original_rows", (list,)), ("new_rows", (list,)), ("result", (dict,)))}
+            ids = fields["edited_token_ids"] = tuple(fields["edited_token_ids"])
+            if any(type(row) is not list or any(type(v) not in (int, float) for v in row)
+                   for row in (*fields["original_rows"], *fields["new_rows"])):
+                raise LedgerFormatError(f"{where}: rows are not all lists of numbers")
+            try:
+                fields["result"] = EditResult.from_json(fields["result"], ids)
+                ledger.append(LedgerEntry(**fields))
+            except LedgerFormatError as err:
+                raise LedgerFormatError(f"{where}: {err}") from err
         return ledger
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_json(), f, indent=2)
-            f.write("\n")
+        """Write the ledger's JSON atomically: a save that raises leaves any
+        earlier file at `path` as it was."""
+        write_atomically(path, lambda f: f.write(
+            (json.dumps(self.to_json(), indent=2) + "\n").encode("utf-8")))
 
     @classmethod
     def load(cls, path: str | Path) -> "EditLedger":
@@ -319,6 +328,10 @@ def _optimize_rows(
         if float(np.linalg.norm(g)) < grad_tol:
             break
         rows = opt.step(rows, g)
+        # Backward allocated g at the tape's memory high-water mark. While it
+        # is alive the heap cannot shrink below it, so the freed activations
+        # would stay resident through the final scoring and the table write.
+        del g
         if not np.all(np.isfinite(rows)):
             raise DivergenceError("embedding rows became non-finite", iteration=i)
         steps += 1
@@ -343,8 +356,8 @@ def _optimize_rows(
         destination_prompt=request.destination_prompt,
         target_word=request.target_word,
         edited_token_ids=tuple(ids),
-        original_rows={t: Tensor(row) for t, row in zip(ids, original)},
-        new_rows={t: Tensor(row) for t, row in zip(ids, rows)},
+        original_rows=original,
+        new_rows=rows,
         result=result,
     ))
     return result
@@ -370,11 +383,10 @@ def revert(weights, ledger: EditLedger, n_last: int) -> None:
     """Undo the last n_last ledger entries, restoring each entry's pre-edit
     rows bitwise. Reverted entries are removed from the ledger.
 
-    Every reverted entry is checked before the table is touched: it needs
-    at least one token id, its ids must be distinct and in [0, vocab_size),
-    with one d-wide original row each. Where several entries edited a row, the oldest entry's original
-    wins, as if the entries were undone newest first; the table is written
-    once.
+    Every reverted entry is checked against the table before it is touched:
+    its ids must be in [0, vocab_size) and its rows as wide as the table.
+    Where several entries edited a row, the oldest entry's original wins, as
+    if the entries were undone newest first; the table is written once.
     """
     if n_last < 0 or n_last > len(ledger.entries):
         raise LedgerRangeError(
@@ -387,8 +399,7 @@ def revert(weights, ledger: EditLedger, n_last: int) -> None:
     for k in range(len(ledger.entries) - 1, first - 1, -1):
         entry = ledger.entries[k]
         _check_entry_fits(entry, k, weights.wte.shape)
-        for i in entry.edited_token_ids:
-            rows[i] = entry.original_rows[i].array
+        rows.update(zip(entry.edited_token_ids, entry.original_rows))
     ids = sorted(rows)
     weights.set_wte_rows(ids, np.stack([rows[i] for i in ids]))
     del ledger.entries[first:]
@@ -396,27 +407,14 @@ def revert(weights, ledger: EditLedger, n_last: int) -> None:
 
 def _check_entry_fits(entry: LedgerEntry, k: int, table_shape: tuple[int, int]) -> None:
     n, d = table_shape
-    ids = entry.edited_token_ids
-    if not ids:
-        raise LedgerFormatError(f"ledger entry {k}: no token ids")
-    if len(set(ids)) != len(ids):
-        raise LedgerFormatError(f"ledger entry {k}: repeated token ids {list(ids)}")
-    bad = [i for i in ids if not 0 <= i < n]
+    bad = [i for i in entry.edited_token_ids if not 0 <= i < n]
     if bad:
         raise LedgerFormatError(
             f"ledger entry {k}: token ids {bad} out of range for vocab size {n}"
         )
-    if set(entry.original_rows) != set(ids):
-        raise LedgerFormatError(
-            f"ledger entry {k}: original rows cover ids {sorted(entry.original_rows)}, "
-            f"not its token ids {list(ids)}"
-        )
-    for i in ids:
-        shape = entry.original_rows[i].shape
-        if shape != (d,):
-            raise LedgerFormatError(
-                f"ledger entry {k}: original row of id {i} has shape {shape}, expected ({d},)"
-            )
+    width = entry.original_rows.shape[1]
+    if width != d:
+        raise LedgerFormatError(f"ledger entry {k}: rows of width {width}, expected {d}")
 
 
 @dataclass
@@ -440,40 +438,18 @@ class BudgetReport:
         return self.total_update_flops / len(self.per_edit)
 
 
-def param_budget_report(
-    ledger: EditLedger, total_model_params: int, d_model: int
-) -> BudgetReport:
-    """Account one multiply-add per modified scalar per step: an edit touching
-    k token rows modifies k*d_model scalars and costs 2*k*d_model FLOPs.
+def budget_report(ledgers: list[EditLedger], total_model_params: int) -> BudgetReport:
+    """Budget of parallel ledgers, one per encoder, edit by edit: edit k
+    modifies the scalars of entry k's k-by-d rows in every ledger and costs
+    one multiply-add (2 FLOPs) per modified scalar.
     """
+    if len({len(ledger) for ledger in ledgers}) > 1:
+        raise ValueError("ledgers cover different numbers of edits")
     per_edit = []
-    for entry in ledger.entries:
-        modified = len(entry.edited_token_ids) * d_model
+    for entries in zip(*(ledger.entries for ledger in ledgers)):
+        modified = sum(e.new_rows.size for e in entries)
         per_edit.append(EditBudget(
-            edited_token_count=len(entry.edited_token_ids),
-            modified_scalars=modified,
-            update_flops=2 * modified,
-            weight_ratio=modified / total_model_params if total_model_params else 0.0,
-        ))
-    return BudgetReport(
-        per_edit=per_edit,
-        total_modified_scalars=sum(b.modified_scalars for b in per_edit),
-        total_update_flops=sum(b.update_flops for b in per_edit),
-    )
-
-
-def merge_budget_reports(reports: list[BudgetReport], total_model_params: int) -> BudgetReport:
-    """Combine per-encoder budgets edit-by-edit (e.g. a dual-encoder model)."""
-    if not reports:
-        return BudgetReport(per_edit=[], total_modified_scalars=0, total_update_flops=0)
-    n = len(reports[0].per_edit)
-    if any(len(r.per_edit) != n for r in reports):
-        raise ValueError("budget reports cover different numbers of edits")
-    per_edit = []
-    for k in range(n):
-        modified = sum(r.per_edit[k].modified_scalars for r in reports)
-        per_edit.append(EditBudget(
-            edited_token_count=sum(r.per_edit[k].edited_token_count for r in reports),
+            edited_token_count=sum(len(e.edited_token_ids) for e in entries),
             modified_scalars=modified,
             update_flops=2 * modified,
             weight_ratio=modified / total_model_params if total_model_params else 0.0,

@@ -243,9 +243,6 @@ class EncoderWeights:
         new[ids] = rows
         self.wte = Tensor._wrap(new)
 
-    def wte_row(self, token_id: int) -> Tensor:
-        return Tensor(self.wte.array[token_id])
-
 
 def tensor_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     """The shape of every tensor `config` calls for, by name, in

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the JSON file reader that
-reports a file it cannot parse as a data error."""
+"""Exception types shared across the package, and the JSON reader that
+reports a file or line it cannot parse as a data error."""
 
 import json
 
@@ -88,8 +88,13 @@ def read_json(path, error: type[DataError]):
     """The parsed contents of a UTF-8 JSON file. Bytes that are not UTF-8 or
     not JSON raise `error`, naming the file; OSError passes through."""
     with open(path, "rb") as f:
-        data = f.read()
+        return parse_json(f.read(), error, str(path))
+
+
+def parse_json(data: bytes, error: type[DataError], where: str):
+    """The parsed value of UTF-8 JSON bytes; bytes that are not UTF-8 or not
+    JSON raise `error`, prefixed by `where`."""
     try:
         return json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as e:  # UnicodeDecodeError, JSONDecodeError
-        raise error(f"{path}: not UTF-8 JSON: {e}") from e
+        raise error(f"{where}: not UTF-8 JSON: {e}") from e

@@ -10,7 +10,6 @@ identical to the reference's.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .encoder import EncoderBundle, HiddenStates
-from .errors import DatasetError, DegenerateInputError, DegenerateVectorError
+from .errors import DatasetError, DegenerateInputError, DegenerateVectorError, parse_json
 
 SOURCE = "source"
 DESTINATION = "destination"
@@ -151,16 +150,12 @@ def _load_jsonl(path: str | Path, parse):
         data = f.read()
     entries = []
     for line_no, raw in enumerate(data.splitlines(), 1):
-        try:
-            line = raw.decode("utf-8").strip()
-            if line:
-                entries.append(parse(json.loads(line)))
-        except UnicodeDecodeError as e:
-            raise DatasetError(f"line {line_no}: not UTF-8: {e}") from e
-        except json.JSONDecodeError as e:
-            raise DatasetError(f"line {line_no}: invalid JSON: {e}") from e
-        except DatasetError as e:
-            raise DatasetError(f"line {line_no}: {e}") from e
+        if raw.strip():
+            obj = parse_json(raw, DatasetError, f"line {line_no}")
+            try:
+                entries.append(parse(obj))
+            except DatasetError as e:
+                raise DatasetError(f"line {line_no}: {e}") from e
     return entries
 
 

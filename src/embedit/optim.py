@@ -6,25 +6,25 @@ import numpy as np
 
 
 class Adam:
-    """Adaptive-moment step over one parameter block (beta1=0.9, beta2=0.999)."""
+    """Adaptive-moment step over one parameter block."""
 
-    def __init__(self, shape: tuple[int, ...], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, shape: tuple[int, ...], lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1 ** self.t)
-        v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = self.BETA1 * self.m + (1.0 - self.BETA1) * grad
+        self.v = self.BETA2 * self.v + (1.0 - self.BETA2) * grad * grad
+        m_hat = self.m / (1.0 - self.BETA1 ** self.t)
+        v_hat = self.v / (1.0 - self.BETA2 ** self.t)
+        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 class Sgd:

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from embedit import (
+    EditLedger,
     EncoderBundle,
     EncoderConfig,
     Vocab,
     init_random_weights,
 )
+from embedit.editor import EditResult, LedgerEntry
 
 WORDS = [
     "a", "bear", "polar", "cat", "dog", "zoo", "with", "red", "blue",
@@ -36,6 +38,21 @@ def make_bundle(seed=42, vocab=None, **config_kwargs):
     vocab = vocab or make_vocab()
     config = make_config(vocab, **config_kwargs)
     return EncoderBundle(config, init_random_weights(config, seed), vocab)
+
+
+def zero_row_ledger(d, *id_groups):
+    """A ledger with one entry per group of token ids, each holding zero
+    rows of width d."""
+    ledger = EditLedger()
+    for ids in id_groups:
+        ids = tuple(ids)
+        rows = np.zeros((len(ids), d))
+        ledger.append(LedgerEntry(
+            source_prompt="s", destination_prompt="d", target_word="t",
+            edited_token_ids=ids, original_rows=rows, new_rows=rows,
+            result=EditResult(1.0, 0.2, 0.1, 1, 1, True, ids),
+        ))
+    return ledger
 
 
 def diverge_adam(monkeypatch, nth_adam, nth_step):

@@ -27,18 +27,17 @@ from embedit import (
     evaluate_edit,
     filter_sequential_dataset,
     finite_difference_grad,
+    budget_report,
     init_random_weights,
-    merge_budget_reports,
     mse_hidden,
-    param_budget_report,
     revert,
     tokenize,
 )
 from embedit.autodiff import Tape, backward
-from embedit.editor import EditResult, LedgerEntry, _hidden_mse
+from embedit.editor import _hidden_mse
 from embedit.encoder import HiddenStates
 
-from conftest import make_bundle, make_config, make_vocab
+from conftest import make_bundle, make_config, make_vocab, zero_row_ledger
 from test_evaluation import brute_force_filter, synthetic_entries
 from test_probe import gaussian_wte_fixture
 
@@ -166,26 +165,15 @@ def test_03_side_effect_freedom():
         assert report.strict_specificity == 100.0
 
 
-def _budget_fixture_ledger(token_ids):
-    rows = {i: Tensor(np.zeros(4)) for i in token_ids}
-    ledger = EditLedger()
-    ledger.append(LedgerEntry(
-        source_prompt="s", destination_prompt="d", target_word="t",
-        edited_token_ids=tuple(token_ids), original_rows=rows, new_rows=rows,
-        result=EditResult(1.0, 0.5, 0.4, 1, 1, True, tuple(token_ids)),
-    ))
-    return ledger
-
-
 def test_04_budget_law_table_numbers():
     with criterion(4, "single-token edit: 768 scalars / 1536 FLOPs; dual encoder "
                       "768+1280: 2048 / 4096 exactly", limit_s=1.0):
-        single = param_budget_report(_budget_fixture_ledger([9]), 10 ** 9, d_model=768)
+        clip_l, clip_g = zero_row_ledger(768, [9]), zero_row_ledger(1280, [9])
+        single = budget_report([clip_l], 10 ** 9)
         assert single.per_edit[0].modified_scalars == 768
         assert single.per_edit[0].update_flops == 1536
 
-        wide = param_budget_report(_budget_fixture_ledger([9]), 10 ** 9, d_model=1280)
-        dual = merge_budget_reports([single, wide], total_model_params=10 ** 9)
+        dual = budget_report([clip_l, clip_g], 10 ** 9)
         assert dual.per_edit[0].modified_scalars == 2048
         assert dual.per_edit[0].update_flops == 4096
 

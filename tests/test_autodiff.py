@@ -261,7 +261,6 @@ _PRIMITIVES = [
     ("slice_rows", lambda tp, a: slice_rows(a, 1, 3, tp), [(4, 3)], (0,)),
     ("slice_cols", lambda tp, a: slice_cols(a, 1, 3, tp), [(3, 4)], (0,)),
     ("concat_cols", lambda tp, a, b: concat_cols([a, b], tp), [(3, 2), (3, 3)], (0, 1)),
-    ("gather_rows", lambda tp, t: gather_rows(t, [2, 0, 2, 1], tp), [(4, 3)], (0,)),
     # Id 2 repeats inside the leaf, 0 repeats outside it, 4 is never used.
     (
         "substitute_rows",
@@ -289,8 +288,9 @@ _PRIMITIVES = [
 
 
 _ADOPTING = [p for p in _PRIMITIVES if p[0] in {
-    "gather_rows", "substitute_rows", "add", "add_bias", "matmul", "layer_norm", "attention",
-    "gelu"}] + [
+    "substitute_rows", "add", "add_bias", "matmul", "layer_norm", "attention", "gelu"}] + [
+    # Untaped, so not among the differentiated primitives.
+    ("gather_rows", lambda tp, t: gather_rows(t, [2, 0, 2, 1]), [(4, 3)], ()),
     # One head: the merged output is a view of the stacked product, not a copy.
     ("attention_one_head", lambda tp, q, k, v: attention(q, k, v, 1, causal_mask(5), tp),
      [(5, 6), (5, 6), (5, 6)], (0, 1, 2)),
@@ -406,13 +406,3 @@ def test_encoder_loss_gradient_matches_finite_differences():
 def test_gather_rows_out_of_range_is_index_error():
     with pytest.raises(IndexError):
         gather_rows(Tensor(np.ones((2, 2))), [0, 2])
-
-
-def test_gather_rows_accumulates_repeated_ids():
-    table = Tensor(np.ones((3, 2)))
-    tape = Tape()
-    tape.watch(table)
-    out = gather_rows(table, [1, 1, 1], tape)
-    loss = sum_all(out, tape)
-    g = backward(tape, loss)[table].array
-    assert np.array_equal(g[1], [3.0, 3.0])

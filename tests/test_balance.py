@@ -45,23 +45,23 @@ def symmetric_bundle(seed=42):
 
 class TestInitProfessionEmbedding:
     def test_three_equal_vectors(self):
-        v = Tensor([1.0, -2.0, 3.0])
-        assert np.allclose(init_profession_embedding(v, v, v).array, v.array)
+        v = np.array([1.0, -2.0, 3.0])
+        assert np.allclose(init_profession_embedding(v[None, :], v, v), v[None, :])
 
     def test_hand_arithmetic(self):
         out = init_profession_embedding(
-            Tensor([3.0, 0.0]), Tensor([0.0, 3.0]), Tensor([0.0, 0.0])
+            np.array([[3.0, 0.0], [0.0, 6.0]]), np.array([0.0, 3.0]), np.array([0.0, 0.0])
         )
-        assert out.array.tolist() == [1.0, 1.0]
+        assert out.tolist() == [[1.0, 1.0], [0.0, 3.0]]
 
     def test_two_zero_one_triple(self):
         e = np.array([0.0, 1.0, 0.0])
-        out = init_profession_embedding(Tensor(3 * e), Tensor(0 * e), Tensor(0 * e))
-        assert np.array_equal(out.array, e)
+        out = init_profession_embedding(3 * e[None, :], 0 * e, 0 * e)
+        assert np.array_equal(out, e[None, :])
 
     def test_width_mismatch(self):
         with pytest.raises(DimensionError):
-            init_profession_embedding(Tensor([1.0]), Tensor([1.0, 2.0]), Tensor([1.0]))
+            init_profession_embedding(np.ones((1, 1)), np.ones(2), np.ones(1))
 
 
 class TestBiasRateDelta:
@@ -259,13 +259,13 @@ class TestEditBalanceAuto:
         vocab, wte = bundle.vocab, bundle.weights.wte
         teacher = vocab.tokens["teacher"]
         averaged = init_profession_embedding(
-            Tensor(wte.array[teacher]), Tensor(wte.array[vocab.tokens["female"]]),
-            Tensor(wte.array[vocab.tokens["male"]])).array
+            wte.array[[teacher]], wte.array[vocab.tokens["female"]],
+            wte.array[vocab.tokens["male"]])
         ledger = EditLedger()
         res = edit_balance(bundle, self.request(), BalancerParams(), ledger)
         assert (res.iterations_run, res.optimizer_steps) == (1, 0)
-        assert np.array_equal(bundle.weights.wte.array[teacher], averaged)
-        assert np.array_equal(ledger.entries[0].new_rows[teacher].array, averaged)
+        assert np.array_equal(bundle.weights.wte.array[[teacher]], averaged)
+        assert np.array_equal(ledger.entries[0].new_rows, averaged)
         revert(bundle.weights, ledger, 1)
         assert bundle.weights.wte.array.tobytes() == before
 

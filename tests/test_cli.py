@@ -163,7 +163,8 @@ class TestEditRevert:
     @pytest.mark.parametrize("damage", [
         "negative_id", "id_past_vocab", "repeated_id", "short_row", "fewer_rows_than_ids",
         "no_ids", "no_result", "string_in_row", "infinity_in_row", "entry_not_object",
-        "not_json", "not_utf8", "extra_row", "short_new_row",
+        "not_json", "not_utf8", "extra_row", "short_new_row", "bool_in_row",
+        "int_past_float_range_in_row", "ragged_rows", "nested_row", "float_id", "no_new_rows",
     ])
     def test_revert_rejects_ledger_that_does_not_fit(self, workdir, capsys, damage):
         edited, ledger_path = self.edited_with_ledger(workdir)
@@ -199,6 +200,19 @@ class TestEditRevert:
             entry["original_rows"] = [row, row]
         elif damage == "short_new_row":
             entry["new_rows"] = [entry["new_rows"][0][:1]]
+        elif damage == "bool_in_row":
+            row[0] = True
+        elif damage == "int_past_float_range_in_row":
+            row[0] = 10 ** 400
+        elif damage == "ragged_rows":
+            entry["edited_token_ids"] = [bear, bear + 1]
+            entry["original_rows"] = entry["new_rows"] = [row, row[:1]]
+        elif damage == "nested_row":
+            row[0] = [row[0]]
+        elif damage == "float_id":
+            entry["edited_token_ids"] = [float(bear)]
+        elif damage == "no_new_rows":
+            del entry["new_rows"]
         else:
             entry["edited_token_ids"] = [bear, bear + 1]
         ledger_path.write_bytes(json.dumps(ledger).encode() if raw is None else raw)
@@ -206,6 +220,31 @@ class TestEditRevert:
         assert run("revert", "--weights", edited, "--ledger", ledger_path,
                    "--out", workdir / "restored.embedit") == 2
         assert capsys.readouterr().err.startswith("data error:")
+        assert not (workdir / "restored.embedit").exists()
+
+    def test_partial_revert_rejects_an_earlier_entry_with_repeated_ids(self, workdir, capsys):
+        # An entry with repeated ids is malformed even where revert does not
+        # undo it: loading fails before --ledger-out could rewrite it.
+        base = init_archive(workdir)
+        ds = workdir / "edits.jsonl"
+        ds.write_text("".join(json.dumps({"source": w, "destination": "wolf",
+                                          "target_word": w}) + "\n" for w in ("bear", "cat")))
+        assert run("seq-edit", "--weights", base, "--dataset", ds, "--lambda", 0.5,
+                   "--max-iters", 5, "--lr", 0.01, "--out", workdir / "seqout") == 0
+        ledger_path = workdir / "seqout" / "ledger.json"
+        ledger = json.loads(ledger_path.read_text())
+        entry = ledger["entries"][0]
+        (bear,), (row,) = entry["edited_token_ids"], entry["original_rows"]
+        entry["edited_token_ids"] = [bear, bear]
+        entry["original_rows"] = entry["new_rows"] = [row, [v + 1.0 for v in row]]
+        ledger_path.write_text(json.dumps(ledger))
+        before = ledger_path.read_bytes()
+        capsys.readouterr()
+        assert run("revert", "--weights", workdir / "seqout" / "edited.embedit",
+                   "--ledger", ledger_path, "--n", 1, "--ledger-out", ledger_path,
+                   "--out", workdir / "restored.embedit") == 2
+        assert capsys.readouterr().err.startswith("data error: ledger entry 0: repeated")
+        assert ledger_path.read_bytes() == before
         assert not (workdir / "restored.embedit").exists()
 
     def test_revert_onto_its_input_archive_writes_the_base_bytes(self, workdir):
@@ -367,17 +406,28 @@ class TestReport:
         assert "modified=16 flops=32" in out
         assert (workdir / "dual" / "edited2.embedit").exists()
         capsys.readouterr()
+        # The widths come from the ledgers' rows, so report agrees with edit.
         assert run("report", "--ledger", workdir / "dual" / "ledger.json",
                    "--ledger2", workdir / "dual" / "ledger2.json",
-                   "--d-model", 768, "--d-model2", 1280,
                    "--total-params", 10 ** 9) == 0
         out = capsys.readouterr().out
-        assert "modified=2048 flops=4096" in out
+        assert "total: modified=16 flops=32" in out
+
+    def test_second_ledger_without_its_archive_or_a_total_is_usage_error(
+            self, workdir, capsys):
+        base = init_archive(workdir)
+        assert run("edit", "--weights", base, "--weights2", base, "--source", "bear",
+                   "--dest", "wolf", "--target", "bear", "--lambda", 1.0,
+                   "--out", workdir / "dual") == 0
+        capsys.readouterr()
+        assert run("report", "--ledger", workdir / "dual" / "ledger.json",
+                   "--ledger2", workdir / "dual" / "ledger2.json", "--weights", base) == 1
+        assert capsys.readouterr().err.startswith("error: report needs --total-params")
 
     def test_ledger_that_is_not_json_is_data_error(self, workdir, capsys):
         bad = workdir / "ledger.json"
         bad.write_text('{"entries": [')
-        assert run("report", "--ledger", bad, "--d-model", 8, "--total-params", 100,
+        assert run("report", "--ledger", bad, "--total-params", 100,
                    "--out", workdir / "rep") == 2
         assert capsys.readouterr().err.startswith("data error:")
         assert not (workdir / "rep").exists()

@@ -1,5 +1,11 @@
+import copy
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embedit import (
     EditHyperparams,
@@ -8,12 +14,11 @@ from embedit import (
     LossPositions,
     OptimizerKind,
     Tensor,
+    budget_report,
     edit_multi_encoder,
     edit_sequential,
     edit_single,
-    merge_budget_reports,
     mse_hidden,
-    param_budget_report,
     revert,
     target_token_ids,
 )
@@ -23,10 +28,12 @@ from embedit.errors import (
     DimensionError,
     DivergenceError,
     InconsistentRequestError,
+    LedgerFormatError,
     LedgerRangeError,
 )
 
-from conftest import diverge_adam, make_bundle, make_vocab
+from conftest import diverge_adam, make_bundle, make_vocab, zero_row_ledger
+from test_archive import JSON_VALUES, _slots
 
 
 def hs(matrix, eos_position=None):
@@ -334,39 +341,115 @@ class TestRevert:
         assert wte_bytes(bundle) == before
 
 
-def _ledger_with_edited_ids(*id_groups):
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def ledgers(draw, d=None, n_ids=10 ** 6):
+    """Valid ledgers whose entries all have rows of width d (drawn if None)
+    and ids below n_ids."""
+    d = draw(st.integers(1, 4)) if d is None else d
     ledger = EditLedger()
-    for ids in id_groups:
-        ids = tuple(ids)
-        rows = {i: Tensor(np.zeros(4)) for i in ids}
-        ledger.append(LedgerEntry(
-            source_prompt="s", destination_prompt="d", target_word="t",
-            edited_token_ids=ids, original_rows=rows, new_rows=rows,
-            result=EditResult(1.0, 0.2, 0.1, 1, 1, True, ids),
-        ))
+    for _ in range(draw(st.integers(0, 3))):
+        ids = tuple(draw(st.lists(st.integers(0, n_ids - 1), min_size=1, max_size=3,
+                                  unique=True)))
+        block = st.lists(st.lists(FINITE, min_size=d, max_size=d),
+                         min_size=len(ids), max_size=len(ids))
+        result = EditResult(draw(FINITE), draw(FINITE), draw(FINITE), draw(st.integers(0, 99)),
+                            draw(st.integers(0, 99)), draw(st.booleans()), ids)
+        ledger.append(LedgerEntry(draw(st.text()), draw(st.text()), draw(st.text()), ids,
+                                  draw(block), draw(block), result))
     return ledger
+
+
+class TestLedgerJson:
+    @settings(max_examples=100, deadline=None)
+    @given(ledger=ledgers())
+    def test_round_trip_is_bitwise(self, ledger):
+        text = json.dumps(ledger.to_json())
+        back = EditLedger.from_json(json.loads(text))
+        assert json.dumps(back.to_json()) == text
+        for a, b in zip(ledger.entries, back.entries, strict=True):
+            assert a.edited_token_ids == b.edited_token_ids
+            assert a.original_rows.tobytes() == b.original_rows.tobytes()
+            assert a.new_rows.tobytes() == b.new_rows.tobytes()
+
+    def test_entry_rows_are_read_only_float64_copies(self):
+        rows = np.ones((1, 3), dtype=np.float32)
+        entry = zero_row_ledger(3, [5]).entries[0]
+        entry = dataclasses.replace(entry, original_rows=rows, new_rows=rows)
+        rows[0, 0] = 7.0
+        assert entry.original_rows.dtype == np.float64
+        assert not entry.original_rows.flags.writeable
+        assert entry.original_rows.tolist() == [[1.0, 1.0, 1.0]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_damaged_json_raises_only_ledger_format_error(self, data):
+        """Damage anywhere in a saved ledger: from_json accepts it or raises
+        LedgerFormatError, and revert of what it accepts writes the table or
+        raises LedgerFormatError."""
+        bundle = make_bundle()
+        n, d = bundle.weights.wte.shape
+        obj = data.draw(ledgers(d=d, n_ids=n).filter(len)).to_json()
+        for _ in range(data.draw(st.integers(1, 3))):
+            slots = list(_slots(obj))
+            if not slots:
+                break
+            node, key = data.draw(st.sampled_from(slots))
+            kind = data.draw(st.sampled_from(["replace", "nudge", "delete", "duplicate"]))
+            if kind == "replace":
+                node[key] = data.draw(JSON_VALUES | st.just(10 ** 400) | st.just([[0.0] * d]))
+            elif kind == "nudge" and type(node[key]) in (int, float):
+                node[key] += data.draw(st.integers(-16, 16))
+            elif kind == "delete" and len(slots) > 1:
+                del node[key]
+            elif kind == "duplicate" and isinstance(node, list):
+                node.insert(key, copy.deepcopy(node[key]))
+        try:
+            ledger = EditLedger.from_json(obj)
+            revert(bundle.weights, ledger, len(ledger))
+        except LedgerFormatError:
+            pass
+
+    def test_error_in_a_result_names_its_entry(self):
+        obj = zero_row_ledger(8, [3], [4]).to_json()
+        del obj["entries"][1]["result"]["tau"]
+        with pytest.raises(LedgerFormatError, match="^ledger entry 1: ledger result: .*'tau'"):
+            EditLedger.from_json(obj)
+
+    def test_save_that_raises_leaves_old_bytes_and_no_temporary_file(self, tmp_path):
+        path = tmp_path / "ledger.json"
+        ledger = zero_row_ledger(8, [3], [4])
+        ledger.save(path)
+        before = path.read_bytes()
+        ledger.entries[1].result.final_loss = object()  # json cannot write it
+        with pytest.raises(TypeError):
+            ledger.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ledger.json"]
 
 
 class TestBudgetReport:
     def test_single_token_768(self):
-        report = param_budget_report(_ledger_with_edited_ids([9]), 10 ** 9, d_model=768)
+        report = budget_report([zero_row_ledger(768, [9])], 10 ** 9)
         assert report.per_edit[0].modified_scalars == 768
         assert report.per_edit[0].update_flops == 1536
         assert report.per_edit[0].weight_ratio == 768 / 1e9
 
     def test_dual_encoder_widths_768_and_1280(self):
-        r1 = param_budget_report(_ledger_with_edited_ids([9]), 10 ** 9, d_model=768)
-        r2 = param_budget_report(_ledger_with_edited_ids([9]), 10 ** 9, d_model=1280)
-        merged = merge_budget_reports([r1, r2], total_model_params=2 * 10 ** 9)
+        merged = budget_report([zero_row_ledger(768, [9]), zero_row_ledger(1280, [9])],
+                               total_model_params=2 * 10 ** 9)
+        assert merged.per_edit[0].edited_token_count == 2
         assert merged.per_edit[0].modified_scalars == 2048
         assert merged.per_edit[0].update_flops == 4096
 
     def test_ratio_arithmetic(self):
-        report = param_budget_report(_ledger_with_edited_ids([9]), int(1.0e9), d_model=768)
+        report = budget_report([zero_row_ledger(768, [9])], int(1.0e9))
         assert report.per_edit[0].weight_ratio == pytest.approx(7.68e-7)
 
     def test_two_token_edit(self):
-        report = param_budget_report(_ledger_with_edited_ids([7, 8]), 100, d_model=8)
+        report = budget_report([zero_row_ledger(8, [7, 8])], 100)
         assert report.per_edit[0].modified_scalars == 16
         assert report.per_edit[0].update_flops == 32
 
