@@ -28,7 +28,7 @@ class Tensor:
     backing array is marked read-only; treat a Tensor as a value.
     """
 
-    __slots__ = ("_a",)
+    __slots__ = ("_a", "_node")
 
     def __init__(self, values):
         a = np.array(values, dtype=np.float64, order="C")
@@ -36,6 +36,7 @@ class Tensor:
             raise NonFiniteError("tensor entries must be finite")
         a.setflags(write=False)
         self._a = a
+        self._node = None
 
     @classmethod
     def _wrap(cls, a: np.ndarray) -> "Tensor":
@@ -48,6 +49,7 @@ class Tensor:
         a.setflags(write=False)
         t = cls.__new__(cls)
         t._a = a
+        t._node = None
         return t
 
     @property
@@ -77,49 +79,46 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-class _TapeEntry:
-    __slots__ = ("out", "inputs", "needs", "vjp")
-
-    def __init__(self, out, inputs, needs, vjp):
-        self.out = out
-        self.inputs = inputs
-        self.needs = needs
-        self.vjp = vjp
-
-
 class Tape:
     """Record of one forward pass, in execution order.
 
-    Every operand of entry k was produced by an earlier entry or is a leaf.
-    Gradients flow only into leaves registered with watch(); operations whose
-    inputs carry no gradient are not recorded at all. Tapes are single-owner:
-    build one per forward pass and do not share across threads.
+    Each watched leaf and each recorded output gets the next node number,
+    which the tensor holds with the tape's key: a bare object, so a tensor
+    that outlives the pass never keeps the tape alive. A step holds its
+    output's node, its inputs' nodes (None for one that carries no gradient)
+    and its VJP, never a tensor, so the tape keeps only what the VJPs read.
+    Operations whose inputs carry no gradient are not recorded at all. A
+    tensor belongs to the last tape that watched or produced it. Tapes are
+    single-owner: build one per forward pass and do not share across threads.
     """
 
     def __init__(self):
-        self._entries: list[_TapeEntry] = []
-        self._watched: dict[int, Tensor] = {}
-        self._tracked: set[int] = set()
-        self._produced: set[int] = set()
+        self._key = object()
+        self._count = 0
+        self._steps: list[tuple[int, tuple[int | None, ...], Callable]] = []
+        self._leaves: dict[int, Tensor] = {}
 
     def watch(self, leaf: Tensor) -> None:
-        """Mark a leaf tensor as differentiable."""
-        self._watched[id(leaf)] = leaf
-        self._tracked.add(id(leaf))
+        """Mark a leaf tensor as differentiable. Watching it again is a no-op."""
+        if self._node_of(leaf) is None:
+            self._leaves[self._number(leaf)] = leaf
 
-    def _needs(self, t: Tensor) -> bool:
-        return id(t) in self._tracked
+    def _node_of(self, t: Tensor) -> int | None:
+        node = t._node
+        return node[1] if node is not None and node[0] is self._key else None
 
-    def _record(self, out: Tensor, inputs: Sequence[Tensor], vjp: Callable) -> None:
-        needs = tuple(self._needs(x) for x in inputs)
-        self._entries.append(_TapeEntry(out, tuple(inputs), needs, vjp))
-        self._tracked.add(id(out))
-        self._produced.add(id(out))
+    def _number(self, t: Tensor) -> int:
+        n = self._count
+        self._count += 1
+        t._node = (self._key, n)
+        return n
 
 
 def _maybe_record(tape: Tape | None, out: Tensor, inputs: Sequence[Tensor], vjp) -> None:
-    if tape is not None and any(tape._needs(x) for x in inputs):
-        tape._record(out, inputs, vjp)
+    if tape is not None:
+        nodes = tuple(tape._node_of(x) for x in inputs)
+        if any(n is not None for n in nodes):
+            tape._steps.append((tape._number(out), nodes, vjp))
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
@@ -129,28 +128,30 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
     does not depend on receive zero gradients; nothing is materialized for
     unwatched tensors.
     """
-    if id(loss) not in tape._produced:
+    node = tape._node_of(loss)
+    if node is None or node in tape._leaves:
         raise TapeUsageError("loss was not produced on this tape")
     if loss.size != 1:
         raise TapeUsageError(f"loss must be a scalar, got shape {loss.shape}")
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.array)}
-    for entry in reversed(tape._entries):
-        g = grads.pop(id(entry.out), None)
+    grads: list[np.ndarray | None] = [None] * tape._count
+    grads[node] = np.ones_like(loss.array)
+    for out, nodes, vjp in reversed(tape._steps):
+        g = grads[out]
         if g is None:
             continue
-        contribs = entry.vjp(g, entry.needs)
-        for x, c in zip(entry.inputs, contribs):
+        grads[out] = None
+        contribs = vjp(g, tuple(n is not None for n in nodes))
+        for n, c in zip(nodes, contribs):
             if c is None:
                 continue
-            acc = grads.get(id(x))
-            grads[id(x)] = c if acc is None else acc + c
+            acc = grads[n]
+            grads[n] = c if acc is None else acc + c
 
-    out: dict[Tensor, Tensor] = {}
-    for lid, leaf in tape._watched.items():
-        g = grads.get(lid)
-        out[leaf] = Tensor(g) if g is not None else Tensor(np.zeros(leaf.shape))
-    return out
+    return {
+        leaf: Tensor(grads[n]) if grads[n] is not None else Tensor(np.zeros(leaf.shape))
+        for n, leaf in tape._leaves.items()
+    }
 
 
 def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -220,7 +221,9 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} incompatible")
     out = Tensor._wrap(a.array @ b.array)
-    a_val, b_val = a.array, b.array
+    b_val = b.array
+    # Only b's gradient reads a; the encoder never tracks a weight.
+    a_val = a.array if tape is not None and tape._node_of(b) is not None else None
 
     def vjp(g, needs):
         return (

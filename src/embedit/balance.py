@@ -13,6 +13,7 @@ the table once, after the loop, and a failure leaves it unchanged.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -68,12 +69,12 @@ class BalancerParams:
     max_iters: int = 100
 
     def __post_init__(self):
-        if self.alpha_min < 1.0:
-            raise ValueError("alpha_min must be >= 1")
-        if self.delta_normalizer <= 0.0:
-            raise ValueError("delta_normalizer must be positive")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.alpha_min) and self.alpha_min >= 1.0):
+            raise ValueError("alpha_min must be finite and >= 1")
+        if not (math.isfinite(self.delta_normalizer) and self.delta_normalizer > 0.0):
+            raise ValueError("delta_normalizer must be positive and finite")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError("learning_rate must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
 

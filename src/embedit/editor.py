@@ -75,8 +75,8 @@ class EditHyperparams:
             raise ValueError(f"stop_ratio must be in [0, 1], got {self.stop_ratio}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError("learning_rate must be positive and finite")
 
 
 @dataclass

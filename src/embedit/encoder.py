@@ -140,10 +140,6 @@ class EncoderConfig:
         if self.eps < 0:
             raise ValueError("eps must be >= 0")
 
-    @property
-    def params_per_wte_row(self) -> int:
-        return self.d_model
-
     def to_json(self) -> dict:
         return asdict(self)
 

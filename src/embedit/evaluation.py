@@ -215,12 +215,17 @@ class MetricReport:
         }
 
 
-def _pct(outcomes: list[bool]) -> tuple[float, float]:
-    """Percentage of successes and its standard error (population std / sqrt n)."""
-    if not outcomes:
+def _mean_se(values) -> tuple[float, float]:
+    """Mean and its standard error (population std / sqrt n); (0, 0) when empty."""
+    if len(values) == 0:
         return 0.0, 0.0
-    arr = 100.0 * np.array(outcomes, dtype=np.float64)
+    arr = np.asarray(values, dtype=np.float64)
     return float(arr.mean()), float(arr.std() / np.sqrt(len(arr)))
+
+
+def _pct(outcomes: list[bool]) -> tuple[float, float]:
+    """Percentage of successes and its standard error."""
+    return _mean_se(100.0 * np.array(outcomes, dtype=np.float64))
 
 
 def _encode_each(bundle: EncoderBundle, prompts: list[str]) -> dict[str, HiddenStates]:
@@ -288,19 +293,13 @@ def aggregate_reports(reports: list[MetricReport]) -> MetricReport:
     if not reports:
         raise DatasetError("no reports to aggregate")
 
-    def mean_se(key: str, values: list[float]) -> tuple[float, float]:
-        scored = [
-            v for v, r in zip(values, reports) if r.counts.get(key, (0, 1))[1] > 0
-        ]
-        if not scored:
-            return 0.0, 0.0
-        arr = np.array(scored)
-        return float(arr.mean()), float(arr.std() / np.sqrt(len(arr)))
+    def mean_se(key: str) -> tuple[float, float]:
+        return _mean_se([getattr(r, key) for r in reports if r.counts.get(key, (0, 1))[1] > 0])
 
-    e, e_se = mean_se("efficacy", [r.efficacy for r in reports])
-    g, g_se = mean_se("generality", [r.generality for r in reports])
-    s, s_se = mean_se("specificity", [r.specificity for r in reports])
-    strict, _ = mean_se("strict_specificity", [r.strict_specificity for r in reports])
+    e, e_se = mean_se("efficacy")
+    g, g_se = mean_se("generality")
+    s, s_se = mean_se("specificity")
+    strict, _ = mean_se("strict_specificity")
     counts: dict[str, tuple[int, int]] = {}
     for key in ("efficacy", "generality", "specificity", "strict_specificity"):
         succ = sum(r.counts.get(key, (0, 0))[0] for r in reports)

@@ -89,7 +89,7 @@ def test_wide_archive_reports_768_params_per_row(tmp_path, vocab):
     path = tmp_path / "wide.embedit"
     save_weights(path, config, weights, vocab)
     config2, weights2, _ = load_weights(path)
-    assert config2.params_per_wte_row == 768
+    assert config2.d_model == 768
     assert weights2.wte.shape[1] == 768
 
 

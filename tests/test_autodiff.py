@@ -182,6 +182,39 @@ class TestBackward:
         with pytest.raises(TapeUsageError):
             backward(tape, stray)
 
+    def test_watched_leaf_or_other_tapes_output_is_not_a_loss(self):
+        x = Tensor([1.0])
+        tape, other = Tape(), Tape()
+        tape.watch(x)
+        with pytest.raises(TapeUsageError):
+            backward(tape, x)
+        y = Tensor([2.0])
+        other.watch(y)
+        with pytest.raises(TapeUsageError):
+            backward(tape, sum_all(y, other))
+
+    def test_tensor_watched_by_another_tape_is_untracked(self):
+        x = Tensor([1.0, 2.0])
+        z = Tensor([3.0, 4.0])
+        first, second = Tape(), Tape()
+        first.watch(x)
+        second.watch(z)
+        # Nothing is recorded for x on the second tape, so its sum is no loss there.
+        with pytest.raises(TapeUsageError):
+            backward(second, sum_all(x, second))
+        grads = backward(second, sum_all(mul(x, z, second), second))
+        assert list(grads) == [z]
+        assert np.array_equal(grads[z].array, x.array)
+
+    def test_watching_twice_gives_one_gradient(self):
+        x = Tensor([1.0, 2.0])
+        tape = Tape()
+        tape.watch(x)
+        tape.watch(x)
+        grads = backward(tape, sum_all(add(x, x, tape), tape))
+        assert list(grads) == [x]
+        assert np.array_equal(grads[x].array, np.full(2, 2.0))
+
     def test_non_scalar_loss_is_usage_error(self):
         x = Tensor([1.0, 2.0])
         tape = Tape()

@@ -677,6 +677,29 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("divergence:")
         assert not (workdir / "x" / "edited.embedit").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command,flag", [
+        ("edit", "--lr"), ("gender", "--lr"), ("gender", "--alpha-min"),
+        ("gender", "--delta-normalizer"),
+    ])
+    def test_non_finite_hyperparameter_is_usage_error(self, workdir, capsys, command, flag,
+                                                      value):
+        base = init_archive(workdir)
+        if command == "edit":
+            args = ("edit", "--weights", base, "--source", "bear", "--dest", "wolf",
+                    "--target", "bear")
+        else:
+            ds = workdir / "gender.jsonl"
+            ds.write_text(json.dumps({
+                "profession": "teacher", "validation": "a teacher", "tests": ["a teacher"],
+                "female_ref": "female teacher", "male_ref": "male teacher",
+            }) + "\n")
+            args = ("gender", "--weights", base, "--dataset", ds, "--mode", "auto")
+        capsys.readouterr()
+        assert run(*args, flag, value, "--out", workdir / "x") == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (workdir / "x").exists()
+
     def test_divergence_is_three(self, workdir, monkeypatch):
         import embedit.optim as optim
 

@@ -503,6 +503,42 @@ class TestSideEffectFreedom:
             b = reference.encode_prompt(prompt).sequence.array.tobytes()
             assert a == b
 
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_sequence_with_forced_divergences_then_full_revert(self, data):
+        n = data.draw(st.integers(2, 5))
+        targets = data.draw(st.lists(st.sampled_from(["bear", "cat", "dog", "wolf", "fox"]),
+                                     min_size=n, max_size=n))
+        adjectives = data.draw(st.lists(st.sampled_from(["polar", "red", "little"]),
+                                        min_size=n, max_size=n))
+        diverges = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        bundle, reference = make_bundle(), make_bundle()
+        original = wte_bytes(bundle)
+        hyper = EditHyperparams(stop_ratio=0.0, max_iters=3, learning_rate=1e-2)
+        ledger = EditLedger()
+        with pytest.MonkeyPatch.context() as mp:
+            # stop_ratio=0: every edit's Adam steps, so edit k owns Adam k.
+            for k, diverge in enumerate(diverges):
+                if diverge:
+                    diverge_adam(mp, nth_adam=k + 1, nth_step=data.draw(st.integers(1, 3)))
+            for t, adj, diverge in zip(targets, adjectives, diverges):
+                request = EditRequest(f"a {t}", f"a {adj} {t}", t)
+                if diverge:
+                    before = wte_bytes(bundle)
+                    with pytest.raises(DivergenceError):
+                        edit_single(bundle, request, hyper, ledger)
+                    assert wte_bytes(bundle) == before
+                else:
+                    edit_single(bundle, request, hyper, ledger)
+        assert len(ledger) == diverges.count(False)
+        edited_ids = {i for e in ledger.entries for i in e.edited_token_ids}
+        for prompt in ["a bear", "little cat on tree", "a panda with a koala", "ceo painting"]:
+            if not set(bundle.vocab.prompt_token_ids(prompt)) & edited_ids:
+                a = bundle.encode_prompt(prompt).sequence.array.tobytes()
+                assert a == reference.encode_prompt(prompt).sequence.array.tobytes()
+        revert(bundle.weights, ledger, len(ledger))
+        assert wte_bytes(bundle) == original
+
 
 class TestHyperparamValidation:
     def test_stop_ratio_range(self):

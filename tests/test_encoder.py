@@ -342,8 +342,3 @@ class TestEncoderConfig:
         with pytest.raises(ValueError):
             EncoderConfig(vocab_size=10, d_model=8, n_layers=1, n_heads=2,
                           d_ff=16, context_length=2)
-
-    def test_wide_config_params_per_row(self):
-        config = EncoderConfig(vocab_size=30, d_model=768, n_layers=1, n_heads=8,
-                               d_ff=64, context_length=8)
-        assert config.params_per_wte_row == 768

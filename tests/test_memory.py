@@ -1,9 +1,10 @@
-"""Memory guards: archive I/O holds the weights once, and no tape outlives
-its backward pass into the table write."""
+"""Memory guards: archive I/O holds the weights once, a tape holds only what
+its VJPs read, and no tape outlives its backward pass into the table write."""
 
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 
 from embedit import (
@@ -14,12 +15,15 @@ from embedit import (
     EditLedger,
     EditRequest,
     Tape,
+    Tensor,
+    backward,
     edit_balance,
     edit_single,
     init_random_weights,
     load_weights,
     save_weights,
 )
+from embedit.autodiff import add_bias, matmul, sum_all
 from embedit.encoder import EncoderWeights
 
 from conftest import make_bundle, make_config
@@ -40,29 +44,53 @@ def wide(tmp_path, vocab):
     return path, config, weights, vocab, payload
 
 
-def traced_peak(fn, *args):
-    """Peak of traced allocations during fn(*args), above what was live before."""
+def traced(fn, *args):
+    """Traced allocations above what was live before fn(*args): still held
+    when it returns (with its result alive), and at its peak."""
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
         result = fn(*args)
-        _, peak = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak - before, result
+    return held - before, peak - before, result
 
 
 def test_load_holds_the_payload_once(wide):
     path, *_, payload = wide
-    peak, (_, weights, _) = traced_peak(load_weights, path)
+    _, peak, (_, weights, _) = traced(load_weights, path)
     assert peak <= payload + LOAD_SLACK
     assert weights.total_params() * 8 == payload
 
 
 def test_save_copies_no_payload(wide, tmp_path):
     _, config, weights, vocab, payload = wide
-    peak, _ = traced_peak(save_weights, tmp_path / "out.embedit", config, weights, vocab)
+    _, peak, _ = traced(save_weights, tmp_path / "out.embedit", config, weights, vocab)
     assert peak <= payload // 16
+
+
+def test_tape_holds_no_activation_that_no_vjp_reads():
+    # Through untracked weights, matmul's VJP reads only its weight and
+    # add_bias's reads nothing, so 30 layers leave only the output alive.
+    rng = np.random.default_rng(0)
+    n, layers = 128, 30
+    x = Tensor(rng.normal(size=(n, n)))
+    w = Tensor(rng.normal(size=(n, n)) / np.sqrt(n))
+    b = Tensor(rng.normal(size=n))
+    activation = n * n * 8
+
+    def forward():
+        tape = Tape()
+        tape.watch(x)
+        y = x
+        for _ in range(layers):
+            y = add_bias(matmul(y, w, tape), b, tape)
+        return tape, y
+
+    held, _, (tape, y) = traced(forward)
+    assert held <= 2 * activation
+    assert np.all(backward(tape, sum_all(y, tape))[x].array != 0.0)
 
 
 @pytest.fixture
