@@ -87,9 +87,11 @@ class Tape:
     that outlives the pass never keeps the tape alive. A step holds its
     output's node, its inputs' nodes (None for one that carries no gradient)
     and its VJP, never a tensor, so the tape keeps only what the VJPs read.
-    Operations whose inputs carry no gradient are not recorded at all. A
-    tensor belongs to the last tape that watched or produced it. Tapes are
-    single-owner: build one per forward pass and do not share across threads.
+    Operations whose inputs carry no gradient are not recorded at all, so the
+    VJP of a one-input operation always sees needs == (True,) and does not
+    test it. A tensor belongs to the last tape that watched or produced it.
+    Tapes are single-owner: build one per forward pass and do not share
+    across threads.
     """
 
     def __init__(self):
@@ -198,7 +200,7 @@ def scale(a: Tensor, c: float, tape: Tape | None = None) -> Tensor:
     out = Tensor(a.array * c)
 
     def vjp(g, needs):
-        return (g * c if needs[0] else None,)
+        return (g * c,)
 
     _maybe_record(tape, out, (a,), vjp)
     return out
@@ -241,7 +243,7 @@ def transpose(a: Tensor, tape: Tape | None = None) -> Tensor:
     out = Tensor(a.array.T)
 
     def vjp(g, needs):
-        return (g.T if needs[0] else None,)
+        return (g.T,)
 
     _maybe_record(tape, out, (a,), vjp)
     return out
@@ -254,8 +256,6 @@ def slice_rows(x: Tensor, start: int, stop: int, tape: Tape | None = None) -> Te
     full_shape = x.shape
 
     def vjp(g, needs):
-        if not needs[0]:
-            return (None,)
         z = np.zeros(full_shape)
         z[start:stop] = g
         return (z,)
@@ -271,8 +271,6 @@ def slice_cols(x: Tensor, start: int, stop: int, tape: Tape | None = None) -> Te
     full_shape = x.shape
 
     def vjp(g, needs):
-        if not needs[0]:
-            return (None,)
         z = np.zeros(full_shape)
         z[:, start:stop] = g
         return (z,)
@@ -434,8 +432,6 @@ def softmax_rows(m: Tensor, tape: Tape | None = None) -> Tensor:
     out = Tensor(s)
 
     def vjp(g, needs):
-        if not needs[0]:
-            return (None,)
         return (_softmax_vjp(s, g),)
 
     _maybe_record(tape, out, (m,), vjp)
@@ -514,8 +510,6 @@ def gelu(x: Tensor, tape: Tape | None = None) -> Tensor:
     out = Tensor._wrap(0.5 * a * (1.0 + t))
 
     def vjp(g, needs):
-        if not needs[0]:
-            return (None,)
         du = _GELU_SCALE * (1.0 + 3.0 * _GELU_CUBIC * a * a)
         dy = 0.5 * (1.0 + t) + 0.5 * a * (1.0 - t * t) * du
         return (g * dy,)
@@ -531,8 +525,6 @@ def mean_square(x: Tensor, tape: Tape | None = None) -> Tensor:
     n = a.size
 
     def vjp(g, needs):
-        if not needs[0]:
-            return (None,)
         return (g * (2.0 / n) * a,)
 
     _maybe_record(tape, out, (x,), vjp)
@@ -545,8 +537,6 @@ def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
     shape = x.shape
 
     def vjp(g, needs):
-        if not needs[0]:
-            return (None,)
         return (g * np.ones(shape),)
 
     _maybe_record(tape, out, (x,), vjp)

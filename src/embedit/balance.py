@@ -71,8 +71,10 @@ class BalancerParams:
     def __post_init__(self):
         if not (math.isfinite(self.alpha_min) and self.alpha_min >= 1.0):
             raise ValueError("alpha_min must be finite and >= 1")
-        if not (math.isfinite(self.delta_normalizer) and self.delta_normalizer > 0.0):
-            raise ValueError("delta_normalizer must be positive and finite")
+        # The raw bias ratio lies in [0, 2]; a smaller normalizer could push
+        # delta past 1, where alpha_weight rejects it only once data arrive.
+        if not (math.isfinite(self.delta_normalizer) and self.delta_normalizer >= 2.0):
+            raise ValueError("delta_normalizer must be finite and >= 2")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError("learning_rate must be positive and finite")
         if self.max_iters < 1:

@@ -213,6 +213,7 @@ def cmd_gender(args) -> int:
         })
         print(f"{entry.profession}: baseline F={baseline:.2f} edited F={after:.2f}")
 
+    baseline_delta, edited_delta = gender_delta(baseline_f), gender_delta(edited_f)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_weights(out / "edited.embedit", bundle.config, bundle.weights, bundle.vocab)
@@ -220,11 +221,10 @@ def cmd_gender(args) -> int:
     _write_json(out / "gender_report.json", {
         "mode": mode.value,
         "per_profession": rows,
-        "baseline_delta": gender_delta(baseline_f),
-        "edited_delta": gender_delta(edited_f),
+        "baseline_delta": baseline_delta,
+        "edited_delta": edited_delta,
     })
-    print(f"delta: baseline={gender_delta(baseline_f):.4f} "
-          f"edited={gender_delta(edited_f):.4f}")
+    print(f"delta: baseline={baseline_delta:.4f} edited={edited_delta:.4f}")
     return 0
 
 
@@ -436,7 +436,7 @@ def main(argv=None) -> int:
     except (DataError, IndexError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

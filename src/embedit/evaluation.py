@@ -10,7 +10,7 @@ identical to the reference's.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,8 @@ from .errors import DatasetError, DegenerateInputError, DegenerateVectorError, p
 
 SOURCE = "source"
 DESTINATION = "destination"
+# MetricReport's buckets, in report order.
+_BUCKETS = ("efficacy", "generality", "specificity", "strict_specificity")
 
 
 def _words(text: str) -> list[str]:
@@ -163,19 +165,12 @@ def _vec(v) -> np.ndarray:
     return v.array if isinstance(v, Tensor) else np.asarray(v, dtype=np.float64)
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    nb = float(np.linalg.norm(b))
-    if nb == 0.0:
-        return 0.0
-    na = float(np.linalg.norm(a))
-    return float(a @ b) / (na * nb)
-
-
 def classify(pooled_test, pooled_src_ref, pooled_dst_ref) -> str:
     """Label a pooled state by cosine proximity to the two reference states.
 
     Returns DESTINATION only when strictly closer to the destination
-    reference; exact ties fall back to SOURCE.
+    reference; exact ties fall back to SOURCE. A zero reference has cosine 0
+    with any test state.
     """
     t = _vec(pooled_test)
     s = _vec(pooled_src_ref)
@@ -184,11 +179,14 @@ def classify(pooled_test, pooled_src_ref, pooled_dst_ref) -> str:
         raise DegenerateInputError(
             f"vector widths differ: {t.shape}, {s.shape}, {d.shape}"
         )
-    if np.linalg.norm(s) == 0.0 and np.linalg.norm(d) == 0.0:
+    nt, ns, nd = (float(np.linalg.norm(v)) for v in (t, s, d))
+    if ns == 0.0 and nd == 0.0:
         raise DegenerateInputError("both reference vectors are zero")
-    if np.linalg.norm(t) == 0.0:
+    if nt == 0.0:
         raise DegenerateVectorError("test vector has zero norm")
-    return DESTINATION if _cosine(t, d) > _cosine(t, s) else SOURCE
+    cos_s = float(t @ s) / (nt * ns) if ns != 0.0 else 0.0
+    cos_d = float(t @ d) / (nt * nd) if nd != 0.0 else 0.0
+    return DESTINATION if cos_d > cos_s else SOURCE
 
 
 @dataclass
@@ -223,9 +221,19 @@ def _mean_se(values) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std() / np.sqrt(len(arr)))
 
 
-def _pct(outcomes: list[bool]) -> tuple[float, float]:
-    """Percentage of successes and its standard error."""
-    return _mean_se(100.0 * np.array(outcomes, dtype=np.float64))
+def _report(scores: dict[str, tuple[float, float]],
+            counts: dict[str, tuple[int, int]]) -> MetricReport:
+    """A MetricReport from each bucket's (mean, se) and its (successes,
+    total), the latter keyed in _BUCKETS order. Strict specificity carries
+    no standard error."""
+    (e, e_se), (g, g_se), (s, s_se), (strict, _) = (scores[k] for k in _BUCKETS)
+    return MetricReport(
+        efficacy=e, efficacy_se=e_se,
+        generality=g, generality_se=g_se,
+        specificity=s, specificity_se=s_se,
+        strict_specificity=strict,
+        counts=counts,
+    )
 
 
 def _encode_each(bundle: EncoderBundle, prompts: list[str]) -> dict[str, HiddenStates]:
@@ -240,46 +248,35 @@ def evaluate_edit(
 ) -> MetricReport:
     """Score one entry. The reference bundle must be the pre-edit encoder.
 
-    Efficacy: the edited source prompt classifies as the destination.
-    Generality: same test per positive pair. Specificity: each negative must
-    still classify as its own source. Strict specificity: each negative's
-    hidden states must match the reference's bitwise.
+    Efficacy, generality and specificity score their buckets of (prompt,
+    reference prompt) pairs by one rule: the edited prompt's pooled state
+    must classify, against the pair's reference states, as the bucket
+    expects. Strict specificity: each negative's hidden states must match
+    the reference's bitwise.
 
     Each distinct prompt is encoded once per bundle and call; nothing is
     shared between the two bundles or across calls, so the strict check
     compares states computed independently from each.
     """
-    pos, neg = entry.positives, entry.negatives
-    ed = _encode_each(edited, [entry.source, *(sv for sv, _ in pos), *(sn for sn, _ in neg)])
-    ref = _encode_each(reference, [entry.source, entry.destination,
-                                   *(p for pair in pos + neg for p in pair)])
-
-    def label(prompt, dst):
-        return classify(ed[prompt].pooled, ref[prompt].pooled, ref[dst].pooled)
-
-    eff = [label(entry.source, entry.destination) == DESTINATION]
-    gen = [label(sv, dv) == DESTINATION for sv, dv in pos]
-    spec = [label(sn, dn) == SOURCE for sn, dn in neg]
-    strict = [
-        ed[sn].sequence.array.tobytes() == ref[sn].sequence.array.tobytes()
-        for sn, _ in neg
+    buckets = (
+        ("efficacy", ((entry.source, entry.destination),), DESTINATION),
+        ("generality", entry.positives, DESTINATION),
+        ("specificity", entry.negatives, SOURCE),
+    )
+    ed = _encode_each(edited, [p for _, pairs, _ in buckets for p, _ in pairs])
+    ref = _encode_each(reference, [x for _, pairs, _ in buckets for pair in pairs for x in pair])
+    outcomes = {
+        name: [classify(ed[p].pooled, ref[p].pooled, ref[q].pooled) == expected
+               for p, q in pairs]
+        for name, pairs, expected in buckets
+    }
+    outcomes["strict_specificity"] = [
+        ed[p].sequence.array.tobytes() == ref[p].sequence.array.tobytes()
+        for p, _ in entry.negatives
     ]
-
-    e_pct, e_se = _pct(eff)
-    g_pct, g_se = _pct(gen)
-    s_pct, s_se = _pct(spec)
-    strict_pct, _ = _pct(strict)
-    return MetricReport(
-        efficacy=e_pct, efficacy_se=e_se,
-        generality=g_pct, generality_se=g_se,
-        specificity=s_pct, specificity_se=s_se,
-        strict_specificity=strict_pct,
-        counts={
-            "efficacy": (sum(eff), len(eff)),
-            "generality": (sum(gen), len(gen)),
-            "specificity": (sum(spec), len(spec)),
-            "strict_specificity": (sum(strict), len(strict)),
-        },
+    return _report(
+        {k: _mean_se(100.0 * np.array(v, dtype=np.float64)) for k, v in outcomes.items()},
+        {k: (sum(v), len(v)) for k, v in outcomes.items()},
     )
 
 
@@ -292,26 +289,13 @@ def aggregate_reports(reports: list[MetricReport]) -> MetricReport:
     """
     if not reports:
         raise DatasetError("no reports to aggregate")
-
-    def mean_se(key: str) -> tuple[float, float]:
-        return _mean_se([getattr(r, key) for r in reports if r.counts.get(key, (0, 1))[1] > 0])
-
-    e, e_se = mean_se("efficacy")
-    g, g_se = mean_se("generality")
-    s, s_se = mean_se("specificity")
-    strict, _ = mean_se("strict_specificity")
-    counts: dict[str, tuple[int, int]] = {}
-    for key in ("efficacy", "generality", "specificity", "strict_specificity"):
-        succ = sum(r.counts.get(key, (0, 0))[0] for r in reports)
-        tot = sum(r.counts.get(key, (0, 0))[1] for r in reports)
-        counts[key] = (succ, tot)
-    return MetricReport(
-        efficacy=e, efficacy_se=e_se,
-        generality=g, generality_se=g_se,
-        specificity=s, specificity_se=s_se,
-        strict_specificity=strict,
-        counts=counts,
-    )
+    scores, counts = {}, {}
+    for key in _BUCKETS:
+        scores[key] = _mean_se(
+            [getattr(r, key) for r in reports if r.counts.get(key, (0, 1))[1] > 0])
+        tallies = [r.counts.get(key, (0, 0)) for r in reports]
+        counts[key] = (sum(n for n, _ in tallies), sum(n for _, n in tallies))
+    return _report(scores, counts)
 
 
 def filter_sequential_dataset(
@@ -336,13 +320,7 @@ def filter_sequential_dataset(
             for sn, dn in entry.negatives
             if not any(contains_phrase(sn, t) for t in others)
         )
-        out.append(EditEntry(
-            source=entry.source,
-            destination=entry.destination,
-            target_word=entry.target_word,
-            positives=entry.positives,
-            negatives=negatives,
-        ))
+        out.append(replace(entry, negatives=negatives))
     return out
 
 

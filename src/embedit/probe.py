@@ -7,6 +7,7 @@ descent, so every run is deterministic given the split seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -134,6 +135,15 @@ def train_logreg(
     epochs: int = DEFAULT_EPOCHS,
     l2: float = DEFAULT_L2,
 ) -> ProbeModel:
+    """Logistic regression by full-batch gradient descent from zeros. lr must
+    be finite and positive, l2 finite and nonnegative, epochs at least 1; a
+    run that overflows raises DegenerateDataError."""
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise ValueError("lr must be positive and finite")
+    if not (math.isfinite(l2) and l2 >= 0.0):
+        raise ValueError("l2 must be nonnegative and finite")
+    if epochs < 1:
+        raise ValueError("epochs must be at least 1")
     if len(labels) < 2:
         raise DegenerateDataError("need at least 2 examples")
     classes = set(int(v) for v in labels)
@@ -141,10 +151,12 @@ def train_logreg(
         raise DegenerateDataError(f"need both classes present, got labels {sorted(classes)}")
     w = np.zeros(features.shape[1])
     b = 0.0
-    for _ in range(epochs):
-        dw, db = logreg_grad(w, b, features, labels, l2)
-        w = w - lr * dw
-        b = b - lr * db
+    # An overflow leaves w or b non-finite, which the check below reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            dw, db = logreg_grad(w, b, features, labels, l2)
+            w = w - lr * dw
+            b = b - lr * db
     if not (np.all(np.isfinite(w)) and np.isfinite(b)):
         raise DegenerateDataError("training diverged; lower the learning rate")
     return ProbeModel(weight=w, bias=b)

@@ -104,6 +104,12 @@ class TestAlphaWeight:
         with pytest.raises(ValueError):
             alpha_weight(1.5, BalancerParams())
 
+    @pytest.mark.parametrize("normalizer", [1.999, 1.0, 0.1])
+    def test_normalizer_below_two_is_rejected(self, normalizer):
+        # Below 2 the raw ratio in [0, 2] could give a delta past 1.
+        with pytest.raises(ValueError, match="delta_normalizer"):
+            BalancerParams(delta_normalizer=normalizer)
+
 
 class TestBalancedLoss:
     def test_alpha_one_is_plain_sum(self):

@@ -28,6 +28,15 @@ def run(*args):
     return main([str(a) for a in args])
 
 
+def write_probe_dataset(workdir):
+    path = workdir / "probe.json"
+    path.write_text(json.dumps({
+        "label_names": ["red", "yellow"],
+        "items": [{"word": w, "label": i % 2} for i, w in enumerate(WORDS)],
+    }))
+    return path
+
+
 def init_archive(workdir, name="base.embedit", seed=42, config="config.json"):
     out = workdir / name
     assert run("init", "--config", workdir / config, "--vocab", workdir / "vocab.json",
@@ -131,7 +140,17 @@ class TestEditRevert:
                    "--ledger", workdir / "seqout" / "ledger.json", "--n", 2,
                    "--out", workdir / "restored.embedit") == 0
         assert (workdir / "restored.embedit").read_bytes() == base.read_bytes()
-
+        # Undo the newest edit only; the written ledger then undoes the rest.
+        assert run("revert", "--weights", workdir / "seqout" / "edited.embedit",
+                   "--ledger", workdir / "seqout" / "ledger.json", "--n", 1,
+                   "--ledger-out", workdir / "rest.json",
+                   "--out", workdir / "partial.embedit") == 0
+        rest = json.loads((workdir / "rest.json").read_text())
+        assert [e["target_word"] for e in rest["entries"]] == ["bear"]
+        assert run("revert", "--weights", workdir / "partial.embedit",
+                   "--ledger", workdir / "rest.json",
+                   "--out", workdir / "restored2.embedit") == 0
+        assert (workdir / "restored2.embedit").read_bytes() == base.read_bytes()
 
     def test_diverging_second_seq_edit_exits_three_and_reverts_to_base(
             self, workdir, monkeypatch):
@@ -165,6 +184,7 @@ class TestEditRevert:
         "no_ids", "no_result", "string_in_row", "infinity_in_row", "entry_not_object",
         "not_json", "not_utf8", "extra_row", "short_new_row", "bool_in_row",
         "int_past_float_range_in_row", "ragged_rows", "nested_row", "float_id", "no_new_rows",
+        "narrow_rows",
     ])
     def test_revert_rejects_ledger_that_does_not_fit(self, workdir, capsys, damage):
         edited, ledger_path = self.edited_with_ledger(workdir)
@@ -213,6 +233,9 @@ class TestEditRevert:
             entry["edited_token_ids"] = [float(bear)]
         elif damage == "no_new_rows":
             del entry["new_rows"]
+        elif damage == "narrow_rows":
+            entry["original_rows"] = [row[:1]]
+            entry["new_rows"] = [entry["new_rows"][0][:1]]
         else:
             entry["edited_token_ids"] = [bear, bear + 1]
         ledger_path.write_bytes(json.dumps(ledger).encode() if raw is None else raw)
@@ -409,9 +432,12 @@ class TestReport:
         # The widths come from the ledgers' rows, so report agrees with edit.
         assert run("report", "--ledger", workdir / "dual" / "ledger.json",
                    "--ledger2", workdir / "dual" / "ledger2.json",
-                   "--total-params", 10 ** 9) == 0
+                   "--total-params", 10 ** 9, "--out", workdir / "rep") == 0
         out = capsys.readouterr().out
         assert "total: modified=16 flops=32" in out
+        budget = json.loads((workdir / "rep" / "budget.json").read_text())
+        assert (budget["total_modified_scalars"], budget["total_update_flops"]) == (16, 32)
+        assert budget["total_model_params"] == 10 ** 9
 
     def test_second_ledger_without_its_archive_or_a_total_is_usage_error(
             self, workdir, capsys):
@@ -423,6 +449,9 @@ class TestReport:
         assert run("report", "--ledger", workdir / "dual" / "ledger.json",
                    "--ledger2", workdir / "dual" / "ledger2.json", "--weights", base) == 1
         assert capsys.readouterr().err.startswith("error: report needs --total-params")
+        assert run("report", "--ledger", workdir / "dual" / "ledger.json",
+                   "--total-params", 0) == 1
+        assert capsys.readouterr().err.startswith("error: report needs a positive")
 
     def test_ledger_that_is_not_json_is_data_error(self, workdir, capsys):
         bad = workdir / "ledger.json"
@@ -574,12 +603,7 @@ class TestGenderAndProbe:
 
     def test_probe_writes_report(self, workdir):
         base = init_archive(workdir)
-        probe = {
-            "label_names": ["red", "yellow"],
-            "items": [{"word": w, "label": i % 2} for i, w in enumerate(WORDS)],
-        }
-        (workdir / "probe.json").write_text(json.dumps(probe))
-        assert run("probe", "--weights", base, "--dataset", workdir / "probe.json",
+        assert run("probe", "--weights", base, "--dataset", write_probe_dataset(workdir),
                    "--epochs", 200, "--out", workdir / "probeout") == 0
         report = json.loads((workdir / "probeout" / "probe_report.json").read_text())
         assert 0.0 <= report["mean_accuracy"] <= 100.0
@@ -680,7 +704,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("command,flag", [
         ("edit", "--lr"), ("gender", "--lr"), ("gender", "--alpha-min"),
-        ("gender", "--delta-normalizer"),
+        ("gender", "--delta-normalizer"), ("probe", "--lr"), ("probe", "--l2"),
     ])
     def test_non_finite_hyperparameter_is_usage_error(self, workdir, capsys, command, flag,
                                                       value):
@@ -688,6 +712,8 @@ class TestExitCodes:
         if command == "edit":
             args = ("edit", "--weights", base, "--source", "bear", "--dest", "wolf",
                     "--target", "bear")
+        elif command == "probe":
+            args = ("probe", "--weights", base, "--dataset", write_probe_dataset(workdir))
         else:
             ds = workdir / "gender.jsonl"
             ds.write_text(json.dumps({
@@ -698,6 +724,33 @@ class TestExitCodes:
         capsys.readouterr()
         assert run(*args, flag, value, "--out", workdir / "x") == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert not (workdir / "x").exists()
+
+    @pytest.mark.parametrize("flag,value,code", [
+        ("--lr", "-1", 1), ("--lr", "0", 1), ("--l2", "-1", 1), ("--epochs", "0", 1),
+        ("--epochs", "-5", 1), ("--lr", "1e200", 2),
+    ])
+    def test_probe_hyperparameter_out_of_range(self, workdir, capsys, flag, value, code):
+        # A finite lr too large for the data overflows in training: a data error.
+        base = init_archive(workdir)
+        dataset = write_probe_dataset(workdir)
+        capsys.readouterr()
+        assert run("probe", "--weights", base, "--dataset", dataset, flag, value,
+                   "--out", workdir / "x") == code
+        err = capsys.readouterr().err
+        assert err.startswith("error:" if code == 1 else "data error: training diverged")
+        assert not (workdir / "x").exists()
+
+    @pytest.mark.parametrize("command", ["gender", "eval"])
+    def test_empty_dataset_is_data_error_and_writes_nothing(self, workdir, capsys, command):
+        base = init_archive(workdir)
+        ds = workdir / "empty.jsonl"
+        ds.write_text("")
+        args = ("--reference", base) if command == "eval" else ()
+        capsys.readouterr()
+        assert run(command, "--weights", base, *args, "--dataset", ds,
+                   "--out", workdir / "x") == 2
+        assert capsys.readouterr().err.startswith("data error:")
         assert not (workdir / "x").exists()
 
     def test_divergence_is_three(self, workdir, monkeypatch):
