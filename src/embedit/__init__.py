@@ -18,7 +18,6 @@ from .balance import (
     init_profession_embedding,
 )
 from .editor import (
-    BudgetReport,
     EditHyperparams,
     EditLedger,
     EditRequest,

@@ -13,8 +13,9 @@ Archive layout:
 
 Save followed by load is bitwise lossless. The loader accepts exactly the
 tensors the config calls for, each once, with payloads laid out back to back
-from offset 0 to the end of the file. Archive and ledger saves share one
-atomic write, write_atomically.
+from offset 0 to the end of the file. Every file the package writes (archive,
+vocab, ledger and the CLI's JSON and text reports) goes through one atomic
+write, write_atomically.
 """
 
 from __future__ import annotations
@@ -31,12 +32,10 @@ import numpy as np
 
 from .autodiff import Tensor
 from .encoder import EncoderConfig, EncoderWeights, Vocab, tensor_shapes
-from .errors import ArchiveFormatError, read_json
+from .errors import ArchiveFormatError, json_object, read_json
 
 MAGIC = b"EMBEDIT1"
 _HEADER_LEN_END = len(MAGIC) + 8
-_HEADER_KEYS = {"config", "vocab", "tensors"}
-_ENTRY_KEYS = {"name", "shape", "dtype", "offset", "nbytes"}
 
 
 def load_vocab(path: str | Path) -> Vocab:
@@ -49,9 +48,9 @@ def load_vocab(path: str | Path) -> Vocab:
 
 
 def save_vocab(path: str | Path, vocab: Vocab) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(vocab.to_json(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    """Write the vocab's JSON atomically (write_atomically)."""
+    text = json.dumps(vocab.to_json(), indent=2, sort_keys=True) + "\n"
+    write_atomically(path, lambda f: f.write(text.encode("utf-8")))
 
 
 def save_weights(
@@ -171,8 +170,7 @@ def _check_header(header, payload_base: int, size: int):
     def bad(message: str, offset: int = _HEADER_LEN_END) -> ArchiveFormatError:
         return ArchiveFormatError(message, offset=offset)
 
-    if not isinstance(header, dict) or set(header) != _HEADER_KEYS:
-        raise bad(f"header must be an object with exactly the keys {sorted(_HEADER_KEYS)}")
+    json_object(header, {"config": (dict,), "vocab": (dict,), "tensors": (list,)}, bad, "header")
     try:
         config = EncoderConfig.from_json(header["config"])
     except ValueError as e:
@@ -185,8 +183,6 @@ def _check_header(header, payload_base: int, size: int):
         raise bad(f"vocab has {vocab.vocab_size} ids, config says {config.vocab_size}")
 
     entries = header["tensors"]
-    if not isinstance(entries, list):
-        raise bad("header 'tensors' must be a list")
     if config.n_layers > len(entries):  # also bounds the work of tensor_shapes
         raise bad(f"config calls for {config.n_layers} layers, "
                   f"header lists {len(entries)} tensors")
@@ -194,23 +190,19 @@ def _check_header(header, payload_base: int, size: int):
     index: dict[str, tuple[int, ...]] = {}
     end = 0
     for k, entry in enumerate(entries):
-        if not isinstance(entry, dict) or set(entry) != _ENTRY_KEYS:
-            raise bad(f"tensor entry {k} must be an object with exactly the keys "
-                      f"{sorted(_ENTRY_KEYS)}")
+        json_object(entry, {"name": (str,), "shape": (list,), "dtype": (str,),
+                            "offset": (int,), "nbytes": (int,)}, bad, f"tensor entry {k}")
         name, shape = entry["name"], entry["shape"]
-        if not isinstance(name, str) or name not in expected:
+        if name not in expected:
             raise bad(f"tensor entry {k}: unknown tensor name {name!r}")
         if name in index:
             raise bad(f"tensor {name}: listed twice")
         # 8.0 == 8 and True == 1: the type check keeps those out.
-        if not (isinstance(shape, list) and all(type(s) is int for s in shape)
-                and tuple(shape) == expected[name]):
+        if not (all(type(s) is int for s in shape) and tuple(shape) == expected[name]):
             raise bad(f"tensor {name}: shape {shape!r}, config calls for {list(expected[name])}")
         if entry["dtype"] != "f64":
             raise bad(f"tensor {name}: unsupported dtype {entry['dtype']!r}")
         offset, nbytes = entry["offset"], entry["nbytes"]
-        if not (type(offset) is int and type(nbytes) is int):
-            raise bad(f"tensor {name}: offset and nbytes must be integers")
         if offset != end:
             raise bad(f"tensor {name}: payload offset {offset}, expected {end} "
                       "(payloads must be in order, back to back, without overlap)",

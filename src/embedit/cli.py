@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .archive import load_vocab, load_weights, save_weights
+from .archive import load_vocab, load_weights, save_weights, write_atomically
 from .balance import BalanceMode, BalancerParams, BiasEditRequest, edit_balance
 from .editor import (
     EditHyperparams,
@@ -31,7 +31,14 @@ from .editor import (
     revert,
 )
 from .encoder import EncoderBundle, EncoderConfig, init_random_weights
-from .errors import DataError, DatasetError, DivergenceError, LedgerRangeError, read_json
+from .errors import (
+    DataError,
+    DatasetError,
+    DivergenceError,
+    LedgerRangeError,
+    NonFiniteError,
+    read_json,
+)
 from .evaluation import (
     DESTINATION,
     aggregate_reports,
@@ -57,9 +64,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _write_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _write_text(path: Path, text: str) -> None:
+    write_atomically(path, lambda f: f.write(text.encode("utf-8")))
 
 
 def _load_bundle(path: str) -> EncoderBundle:
@@ -126,27 +135,27 @@ def cmd_edit(args) -> int:
         save_weights(out / f"edited{suffix}.embedit", bundle.config, bundle.weights,
                      bundle.vocab)
         ledger.save(out / f"ledger{suffix}.json")
-    merged = budget_report(ledgers, sum(b.weights.total_params() for b in bundles))
+    budget = budget_report(ledgers, sum(b.weights.total_params() for b in bundles))
+    modified, flops = budget["total_modified_scalars"], budget["total_update_flops"]
     _write_json(out / "edit_summary.json", {
         "request": {"source": args.source, "destination": args.dest,
                     "target_word": args.target},
         "results": [_result_json(r) for r in results],
-        "budget": {
-            "modified_scalars": merged.total_modified_scalars,
-            "update_flops": merged.total_update_flops,
-        },
+        "budget": {"modified_scalars": modified, "update_flops": flops},
     })
     for k, r in enumerate(results):
         print(f"encoder {k}: converged={r.converged} iterations={r.iterations_run} "
               f"steps={r.optimizer_steps} initial={r.initial_loss:.6g} "
               f"tau={r.threshold_tau:.6g} final={r.final_loss:.6g}")
-    print(f"modified={merged.total_modified_scalars} flops={merged.total_update_flops}")
+    print(f"modified={modified} flops={flops}")
     return 0
 
 
 def cmd_seq_edit(args) -> int:
-    bundle = _load_bundle(args.weights)
     entries = load_edit_entries(args.dataset)
+    if not entries:
+        raise DatasetError(f"{args.dataset}: no edit entries")
+    bundle = _load_bundle(args.weights)
     requests = [EditRequest(e.source, e.destination, e.target_word) for e in entries]
     hyper = _hyper_from_args(args)
     ledger = EditLedger()
@@ -169,11 +178,6 @@ def cmd_seq_edit(args) -> int:
 
 
 def cmd_gender(args) -> int:
-    bundle = _load_bundle(args.weights)
-    # A second bundle over the same tensors: set_wte_rows rebinds only the
-    # edited bundle's table, so the reference keeps the unedited one.
-    reference = EncoderBundle(bundle.config, dataclasses.replace(bundle.weights), bundle.vocab)
-    entries = load_gender_entries(args.dataset)
     mode = BalanceMode(args.mode)
     params = BalancerParams(
         alpha_min=args.alpha_min,
@@ -181,6 +185,14 @@ def cmd_gender(args) -> int:
         learning_rate=args.lr,
         max_iters=args.max_iters,
     )
+    # --lambda is checked by the edit's own rule, in either mode, before
+    # anything is read.
+    EditHyperparams(stop_ratio=args.stop_ratio)
+    bundle = _load_bundle(args.weights)
+    # A second bundle over the same tensors: set_wte_rows rebinds only the
+    # edited bundle's table, so the reference keeps the unedited one.
+    reference = EncoderBundle(bundle.config, dataclasses.replace(bundle.weights), bundle.vocab)
+    entries = load_gender_entries(args.dataset)
     ledger = EditLedger()
     rows = []
     baseline_f = []
@@ -296,7 +308,7 @@ def cmd_eval(args) -> int:
         f"entries: {len(entries)}",
     ]
     table = "\n".join(lines) + "\n"
-    (out / "report.txt").write_text(table, encoding="utf-8")
+    _write_text(out / "report.txt", table)
     print(table, end="")
     return 0
 
@@ -311,30 +323,14 @@ def cmd_report(args) -> int:
         total = sum(load_weights(p)[1].total_params() for p in archives)
     if total <= 0:
         raise _UsageError("report needs a positive --total-params")
-    merged = budget_report(ledgers, total)
-
-    report = {
-        "per_edit": [
-            {
-                "edited_tokens": b.edited_token_count,
-                "modified_scalars": b.modified_scalars,
-                "update_flops": b.update_flops,
-                "weight_ratio": b.weight_ratio,
-            }
-            for b in merged.per_edit
-        ],
-        "total_modified_scalars": merged.total_modified_scalars,
-        "total_update_flops": merged.total_update_flops,
-        "average_flops_per_edit": merged.average_flops,
-        "total_model_params": total,
-    }
+    budget = budget_report(ledgers, total)
     if args.out:
-        _write_json(Path(args.out) / "budget.json", report)
-    for b in merged.per_edit:
-        print(f"modified={b.modified_scalars} flops={b.update_flops} "
-              f"ratio={b.weight_ratio:.3g}")
-    print(f"total: modified={merged.total_modified_scalars} "
-          f"flops={merged.total_update_flops}")
+        _write_json(Path(args.out) / "budget.json", budget)
+    for b in budget["per_edit"]:
+        print(f"modified={b['modified_scalars']} flops={b['update_flops']} "
+              f"ratio={b['weight_ratio']:.3g}")
+    print(f"total: modified={budget['total_modified_scalars']} "
+          f"flops={budget['total_update_flops']}")
     return 0
 
 
@@ -430,7 +426,9 @@ def main(argv=None) -> int:
     except (_UsageError, LedgerRangeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except DivergenceError as e:
+    # An encode that overflows outside an edit loop raises NonFiniteError, a
+    # ValueError: it is a divergence too.
+    except (DivergenceError, NonFiniteError) as e:
         print(f"divergence: {e}", file=sys.stderr)
         return 3
     except (DataError, IndexError) as e:

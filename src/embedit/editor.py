@@ -32,6 +32,7 @@ from .errors import (
     LedgerRangeError,
     NonFiniteError,
     UnknownTokenError,
+    json_object,
     read_json,
 )
 from .optim import Adam, Sgd
@@ -102,19 +103,12 @@ class EditResult:
 
     @classmethod
     def from_json(cls, obj, ids: tuple[int, ...]) -> "EditResult":
-        """Parse to_json's record; a missing or mistyped key raises LedgerFormatError."""
-        fields = {attr: _json_field(obj, key, kinds, "ledger result")
-                  for key, (attr, kinds) in cls._JSON.items()}
-        return cls(**fields, edited_token_ids=ids)
-
-
-def _json_field(obj, key: str, kinds: tuple[type, ...], where: str):
-    """obj[key], whose JSON type must be one of `kinds` (so a bool is not an int)."""
-    if type(obj) is not dict or key not in obj:
-        raise LedgerFormatError(f"{where}: not a JSON object with key {key!r}")
-    if type(obj[key]) not in kinds:
-        raise LedgerFormatError(f"{where}: key {key!r} has type {type(obj[key]).__name__}")
-    return obj[key]
+        """Parse to_json's record; a missing, unknown or mistyped key raises
+        LedgerFormatError."""
+        json_object(obj, {key: kinds for key, (_, kinds) in cls._JSON.items()},
+                    LedgerFormatError, "ledger result")
+        return cls(**{attr: obj[key] for key, (attr, _) in cls._JSON.items()},
+                   edited_token_ids=ids)
 
 
 @dataclass
@@ -184,15 +178,16 @@ class EditLedger:
 
     @classmethod
     def from_json(cls, obj) -> "EditLedger":
-        """Parse a saved ledger; a missing or mistyped key, or an entry that
-        LedgerEntry rejects, raises LedgerFormatError."""
+        """Parse a saved ledger; a missing, unknown or mistyped key, or an
+        entry that LedgerEntry rejects, raises LedgerFormatError."""
         ledger = cls()
-        for k, e in enumerate(_json_field(obj, "entries", (list,), "ledger")):
+        json_object(obj, {"entries": (list,)}, LedgerFormatError, "ledger")
+        for k, e in enumerate(obj["entries"]):
             where = f"ledger entry {k}"
-            fields = {key: _json_field(e, key, kinds, where) for key, kinds in (
-                ("source_prompt", (str,)), ("destination_prompt", (str,)),
-                ("target_word", (str,)), ("edited_token_ids", (list,)),
-                ("original_rows", (list,)), ("new_rows", (list,)), ("result", (dict,)))}
+            fields = dict(json_object(e, {
+                "source_prompt": (str,), "destination_prompt": (str,), "target_word": (str,),
+                "edited_token_ids": (list,), "original_rows": (list,), "new_rows": (list,),
+                "result": (dict,)}, LedgerFormatError, where))
             ids = fields["edited_token_ids"] = tuple(fields["edited_token_ids"])
             if any(type(row) is not list or any(type(v) not in (int, float) for v in row)
                    for row in (*fields["original_rows"], *fields["new_rows"])):
@@ -417,48 +412,31 @@ def _check_entry_fits(entry: LedgerEntry, k: int, table_shape: tuple[int, int]) 
         raise LedgerFormatError(f"ledger entry {k}: rows of width {width}, expected {d}")
 
 
-@dataclass
-class EditBudget:
-    edited_token_count: int
-    modified_scalars: int
-    update_flops: int
-    weight_ratio: float
-
-
-@dataclass
-class BudgetReport:
-    per_edit: list[EditBudget]
-    total_modified_scalars: int
-    total_update_flops: int
-
-    @property
-    def average_flops(self) -> float:
-        if not self.per_edit:
-            return 0.0
-        return self.total_update_flops / len(self.per_edit)
-
-
-def budget_report(ledgers: list[EditLedger], total_model_params: int) -> BudgetReport:
-    """Budget of parallel ledgers, one per encoder, edit by edit: edit k
-    modifies the scalars of entry k's k-by-d rows in every ledger and costs
-    one multiply-add (2 FLOPs) per modified scalar.
+def budget_report(ledgers: list[EditLedger], total_model_params: int) -> dict:
+    """Budget of parallel ledgers, one per encoder, as the JSON object
+    `embedit report` writes: edit k modifies the scalars of entry k's k-by-d
+    rows in every ledger and costs one multiply-add (2 FLOPs) per modified
+    scalar.
     """
     if len({len(ledger) for ledger in ledgers}) > 1:
         raise ValueError("ledgers cover different numbers of edits")
     per_edit = []
     for entries in zip(*(ledger.entries for ledger in ledgers)):
         modified = sum(e.new_rows.size for e in entries)
-        per_edit.append(EditBudget(
-            edited_token_count=sum(len(e.edited_token_ids) for e in entries),
-            modified_scalars=modified,
-            update_flops=2 * modified,
-            weight_ratio=modified / total_model_params if total_model_params else 0.0,
-        ))
-    return BudgetReport(
-        per_edit=per_edit,
-        total_modified_scalars=sum(b.modified_scalars for b in per_edit),
-        total_update_flops=sum(b.update_flops for b in per_edit),
-    )
+        per_edit.append({
+            "edited_tokens": sum(len(e.edited_token_ids) for e in entries),
+            "modified_scalars": modified,
+            "update_flops": 2 * modified,
+            "weight_ratio": modified / total_model_params if total_model_params else 0.0,
+        })
+    total_flops = sum(b["update_flops"] for b in per_edit)
+    return {
+        "per_edit": per_edit,
+        "total_modified_scalars": sum(b["modified_scalars"] for b in per_edit),
+        "total_update_flops": total_flops,
+        "average_flops_per_edit": total_flops / len(per_edit) if per_edit else 0.0,
+        "total_model_params": total_model_params,
+    }
 
 
 def edit_multi_encoder(

@@ -36,6 +36,7 @@ from .errors import (
     PromptTooLongError,
     TapeUsageError,
     UnknownTokenError,
+    json_object,
 )
 
 ATTENTION_MASK_VALUE = -1e9
@@ -85,15 +86,12 @@ class Vocab:
         """Strict inverse of to_json: exactly its keys ("splits" may be left
         out), ids that are JSON integers (not bools), and splits that map words
         to lists of words. A violation raises ValueError."""
-        keys = {"tokens", "bos", "eos", "pad"}
-        if type(obj) is not dict or not keys <= set(obj) <= keys | {"splits"}:
-            raise ValueError(f"need exactly the keys {sorted(keys)}, and optionally 'splits'")
+        json_object(obj, {"tokens": (dict,), "splits": (dict,), "bos": (int,), "eos": (int,),
+                          "pad": (int,)}, ValueError, "vocab", optional=("splits",))
         tokens, splits = obj["tokens"], obj.get("splits", {})
-        if type(tokens) is not dict or not all(
-                type(i) is int for i in [*tokens.values(), obj["bos"], obj["eos"], obj["pad"]]):
-            raise ValueError("tokens must map words to integer ids, and bos, eos, pad be integers")
-        if type(splits) is not dict or not all(
-                type(s) is list and all(type(w) is str for w in s) for s in splits.values()):
+        if not all(type(i) is int for i in tokens.values()):
+            raise ValueError("tokens must map words to integer ids")
+        if not all(type(s) is list and all(type(w) is str for w in s) for s in splits.values()):
             raise ValueError("splits must map words to lists of words")
         return cls(tokens=dict(tokens), splits={w: list(s) for w, s in splits.items()},
                    bos=obj["bos"], eos=obj["eos"], pad=obj["pad"])
@@ -147,15 +145,12 @@ class EncoderConfig:
     def from_json(cls, obj) -> "EncoderConfig":
         """Strict inverse of to_json: exactly its keys, sizes that are JSON
         integers (not bools) and a finite eps. A violation raises ValueError."""
-        names = [f.name for f in fields(cls)]
-        if type(obj) is not dict or set(obj) != set(names):
-            raise ValueError(f"need exactly the keys {sorted(names)}")
-        eps = obj["eps"]
+        json_object(obj, {f.name: (int, float) if f.name == "eps" else (int,)
+                          for f in fields(cls)}, ValueError, "config")
         # abs() <= max is False for NaN, infinities and ints past float range.
-        if not (all(type(obj[n]) is int for n in names if n != "eps")
-                and type(eps) in (int, float) and abs(eps) <= sys.float_info.max):
-            raise ValueError("sizes must be integers and eps a finite number")
-        return cls(**{**obj, "eps": float(eps)})
+        if not abs(obj["eps"]) <= sys.float_info.max:
+            raise ValueError("eps must be a finite number")
+        return cls(**{**obj, "eps": float(obj["eps"])})
 
 
 @dataclass

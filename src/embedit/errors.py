@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the JSON reader that
-reports a file or line it cannot parse as a data error."""
+"""Exception types shared across the package, the JSON reader that reports
+a file or line it cannot parse as a data error, and the one check of a JSON
+object's keys and value types."""
 
 import json
 
@@ -98,3 +99,24 @@ def parse_json(data: bytes, error: type[DataError], where: str):
         return json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as e:  # UnicodeDecodeError, JSONDecodeError
         raise error(f"{where}: not UTF-8 JSON: {e}") from e
+
+
+def json_object(obj, kinds: dict[str, tuple[type, ...]], error, where: str,
+                optional=()) -> dict:
+    """obj, which must be a JSON object with exactly the keys of `kinds`
+    (a key in `optional` may be left out), each value of one of the types
+    kinds[key]; the type must match exactly, so a bool is not an int. A
+    violation raises error(message), the message prefixed by `where` and
+    naming the missing, unknown or mistyped key."""
+    if type(obj) is not dict:
+        raise error(f"{where}: need a JSON object, got {type(obj).__name__}")
+    for key in obj:
+        if key not in kinds:
+            raise error(f"{where}: unknown key {key!r}")
+    for key, types in kinds.items():
+        if key not in obj:
+            if key not in optional:
+                raise error(f"{where}: missing key {key!r}")
+        elif type(obj[key]) not in types:
+            raise error(f"{where}: key {key!r} has type {type(obj[key]).__name__}")
+    return obj

@@ -17,7 +17,13 @@ import numpy as np
 
 from .autodiff import Tensor
 from .encoder import EncoderBundle, HiddenStates
-from .errors import DatasetError, DegenerateInputError, DegenerateVectorError, parse_json
+from .errors import (
+    DatasetError,
+    DegenerateInputError,
+    DegenerateVectorError,
+    json_object,
+    parse_json,
+)
 
 SOURCE = "source"
 DESTINATION = "destination"
@@ -43,17 +49,11 @@ def _is_strs(value, n: int | None = None) -> bool:
         n is None or len(value) == n)
 
 
-def _json_str(obj, key: str) -> str:
-    if type(obj[key]) is not str:
-        raise TypeError(f"{key} must be a string, got {obj[key]!r}")
-    return obj[key]
-
-
 def _json_pairs(obj, key: str) -> tuple[tuple[str, str], ...]:
     """obj[key], or no pairs when it is absent: [prompt, prompt] lists."""
     value = obj.get(key, [])
-    if type(value) is not list or not all(_is_strs(p, 2) for p in value):
-        raise TypeError(f"{key} must be a list of [prompt, prompt] pairs")
+    if not all(_is_strs(p, 2) for p in value):
+        raise DatasetError(f"edit entry: {key} must be a list of [prompt, prompt] pairs")
     return tuple((a, b) for a, b in value)
 
 
@@ -80,19 +80,19 @@ class EditEntry:
                 )
 
     @classmethod
-    def from_json(cls, obj: dict) -> "EditEntry":
-        """A missing key, a prompt or word that is not a string, or a test
-        that is not a [prompt, prompt] pair raises DatasetError."""
-        try:
-            return cls(
-                source=_json_str(obj, "source"),
-                destination=_json_str(obj, "destination"),
-                target_word=_json_str(obj, "target_word"),
-                positives=_json_pairs(obj, "positives"),
-                negatives=_json_pairs(obj, "negatives"),
-            )
-        except (KeyError, TypeError) as e:
-            raise DatasetError(f"bad edit entry: {e}") from e
+    def from_json(cls, obj) -> "EditEntry":
+        """A missing or unknown key, a prompt or word that is not a string, or
+        a test that is not a [prompt, prompt] pair raises DatasetError."""
+        json_object(obj, {"source": (str,), "destination": (str,), "target_word": (str,),
+                          "positives": (list,), "negatives": (list,)},
+                    DatasetError, "edit entry", optional=("positives", "negatives"))
+        return cls(
+            source=obj["source"],
+            destination=obj["destination"],
+            target_word=obj["target_word"],
+            positives=_json_pairs(obj, "positives"),
+            negatives=_json_pairs(obj, "negatives"),
+        )
 
     def to_json(self) -> dict:
         return asdict(self)  # tuples, which json writes as lists
@@ -114,21 +114,15 @@ class GenderEntry:
                 )
 
     @classmethod
-    def from_json(cls, obj: dict) -> "GenderEntry":
-        """A missing key, or a prompt or word that is not a string, raises
-        DatasetError."""
-        try:
-            if not _is_strs(obj["tests"]):
-                raise TypeError("tests must be a list of strings")
-            return cls(
-                profession=_json_str(obj, "profession"),
-                validation=_json_str(obj, "validation"),
-                tests=tuple(obj["tests"]),
-                female_ref=_json_str(obj, "female_ref"),
-                male_ref=_json_str(obj, "male_ref"),
-            )
-        except (KeyError, TypeError) as e:
-            raise DatasetError(f"bad gender entry: {e}") from e
+    def from_json(cls, obj) -> "GenderEntry":
+        """A missing or unknown key, or a prompt or word that is not a string,
+        raises DatasetError."""
+        json_object(obj, {"profession": (str,), "validation": (str,), "tests": (list,),
+                          "female_ref": (str,), "male_ref": (str,)},
+                    DatasetError, "gender entry")
+        if not _is_strs(obj["tests"]):
+            raise DatasetError("gender entry: tests must be a list of strings")
+        return cls(**{**obj, "tests": tuple(obj["tests"])})
 
     def to_json(self) -> dict:
         return asdict(self)  # tuples, which json writes as lists

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import EncoderWeights, Vocab
-from .errors import DatasetError, DegenerateDataError, read_json
+from .errors import DatasetError, DegenerateDataError, json_object, read_json
 
 DEFAULT_LR = 0.1
 DEFAULT_EPOCHS = 2000
@@ -36,19 +36,21 @@ class ProbeDataset:
 
     @classmethod
     def from_json(cls, obj) -> "ProbeDataset":
-        """Strict reader: "label_names" must be two strings and "items" a list
-        of objects with a string "word" and a "label" that is the JSON integer
-        0 or 1 (not a bool). Anything else raises DatasetError."""
-        names = obj.get("label_names") if type(obj) is dict else None
-        if not (type(names) is list and len(names) == 2 and all(type(n) is str for n in names)
-                and type(obj.get("items")) is list):
-            raise DatasetError("probe dataset needs label_names, two strings, and a list of items")
+        """Strict reader: exactly the keys "label_names", two strings, and
+        "items", a list of objects with exactly a string "word" and a "label"
+        that is the JSON integer 0 or 1 (not a bool). Anything else raises
+        DatasetError."""
+        json_object(obj, {"label_names": (list,), "items": (list,)}, DatasetError,
+                    "probe dataset")
+        names = obj["label_names"]
+        if not (len(names) == 2 and all(type(n) is str for n in names)):
+            raise DatasetError("probe dataset: label_names must be two strings")
         items = obj["items"]
         for k, it in enumerate(items):
-            if not (type(it) is dict and type(it.get("word")) is str
-                    and type(it.get("label")) is int and it["label"] in (0, 1)):
-                raise DatasetError(f"probe dataset: item {k} needs a string word "
-                                   "and a label of 0 or 1")
+            json_object(it, {"word": (str,), "label": (int,)}, DatasetError,
+                        f"probe dataset: item {k}")
+            if it["label"] not in (0, 1):
+                raise DatasetError(f"probe dataset: item {k}: label must be 0 or 1")
         return cls(items=[(it["word"], it["label"]) for it in items], label_names=tuple(names))
 
     @classmethod

@@ -55,6 +55,27 @@ def zero_row_ledger(d, *id_groups):
     return ledger
 
 
+class FailingFile:
+    """A file whose `nth` write writes half its bytes, then raises `error`."""
+
+    def __init__(self, f, nth, error):
+        self._f, self._left, self._error = f, nth, error
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._f.__exit__(*exc)
+
+    def write(self, b):
+        self._left -= 1
+        if self._left == 0:
+            view = memoryview(b).cast("B")
+            self._f.write(view[: len(view) // 2])
+            raise self._error
+        return self._f.write(b)
+
+
 def diverge_adam(monkeypatch, nth_adam, nth_step):
     """Make the `nth_step`-th step of the `nth_adam`-th Adam instance that
     steps return non-finite rows (both counted from 1); other steps are real."""

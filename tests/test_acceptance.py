@@ -170,12 +170,12 @@ def test_04_budget_law_table_numbers():
                       "768+1280: 2048 / 4096 exactly", limit_s=1.0):
         clip_l, clip_g = zero_row_ledger(768, [9]), zero_row_ledger(1280, [9])
         single = budget_report([clip_l], 10 ** 9)
-        assert single.per_edit[0].modified_scalars == 768
-        assert single.per_edit[0].update_flops == 1536
+        assert single["per_edit"][0]["modified_scalars"] == 768
+        assert single["per_edit"][0]["update_flops"] == 1536
 
         dual = budget_report([clip_l, clip_g], 10 ** 9)
-        assert dual.per_edit[0].modified_scalars == 2048
-        assert dual.per_edit[0].update_flops == 4096
+        assert dual["per_edit"][0]["modified_scalars"] == 2048
+        assert dual["per_edit"][0]["update_flops"] == 4096
 
 
 def test_05_convergence_rate():

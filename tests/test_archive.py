@@ -10,7 +10,7 @@ from embedit import archive, init_random_weights, load_vocab, load_weights, save
 from embedit.archive import MAGIC
 from embedit.errors import ArchiveFormatError
 
-from conftest import make_config, make_vocab
+from conftest import FailingFile, make_config, make_vocab
 
 
 @pytest.fixture
@@ -70,6 +70,14 @@ def test_truncated_payload(saved, tmp_path):
     bad = tmp_path / "bad.embedit"
     bad.write_bytes(blob[:-100])
     with pytest.raises(ArchiveFormatError, match="truncated"):
+        load_weights(bad)
+
+
+def test_truncated_before_header_length(tmp_path):
+    bad = tmp_path / "bad.embedit"
+    bad.write_bytes(MAGIC + b"\x00" * 7)
+    with pytest.raises(ArchiveFormatError, match=r"truncated before header length "
+                                                 r"\(byte offset 15\)"):
         load_weights(bad)
 
 
@@ -204,33 +212,12 @@ def test_non_finite_payload_names_tensor_and_offset(saved, tmp_path, value):
         load_weights(bad)
 
 
-class _FailingFile:
-    """A file whose `nth` write writes half its bytes, then raises `error`."""
-
-    def __init__(self, f, nth, error):
-        self._f, self._left, self._error = f, nth, error
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return self._f.__exit__(*exc)
-
-    def write(self, b):
-        self._left -= 1
-        if self._left == 0:
-            view = memoryview(b).cast("B")
-            self._f.write(view[: len(view) // 2])
-            raise self._error
-        return self._f.write(b)
-
-
 @pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()])
 def test_save_that_raises_leaves_old_archive_and_no_temporary_file(saved, monkeypatch, error):
     path, config, _, vocab = saved
     before = path.read_bytes()
     monkeypatch.setattr(archive, "open",
-                        lambda *a, **k: _FailingFile(open(*a, **k), 6, error), raising=False)
+                        lambda *a, **k: FailingFile(open(*a, **k), 6, error), raising=False)
     with pytest.raises(type(error)):
         save_weights(path, config, init_random_weights(config, 7), vocab)
     assert path.read_bytes() == before
@@ -240,7 +227,7 @@ def test_save_that_raises_leaves_old_archive_and_no_temporary_file(saved, monkey
 def test_save_that_raises_creates_no_file(tmp_path, vocab, monkeypatch):
     config = make_config(vocab)
     monkeypatch.setattr(archive, "open",
-                        lambda *a, **k: _FailingFile(open(*a, **k), 4, OSError("disk full")),
+                        lambda *a, **k: FailingFile(open(*a, **k), 4, OSError("disk full")),
                         raising=False)
     with pytest.raises(OSError):
         save_weights(tmp_path / "new.embedit", config, init_random_weights(config, 0), vocab)

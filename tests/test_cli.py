@@ -4,9 +4,10 @@ import struct
 import numpy as np
 import pytest
 
+from embedit import EncoderWeights, Tensor, archive, load_weights, save_weights
 from embedit.cli import main
 
-from conftest import WORDS, diverge_adam
+from conftest import WORDS, FailingFile, diverge_adam, zero_row_ledger
 
 
 @pytest.fixture
@@ -22,6 +23,12 @@ def workdir(tmp_path):
         "context_length": 8, "eps": 1e-5,
     }))
     return tmp_path
+
+
+GENDER_LINE = json.dumps({
+    "profession": "teacher", "validation": "a teacher", "tests": ["a teacher"],
+    "female_ref": "female teacher", "male_ref": "male teacher",
+}) + "\n"
 
 
 def run(*args):
@@ -184,7 +191,7 @@ class TestEditRevert:
         "no_ids", "no_result", "string_in_row", "infinity_in_row", "entry_not_object",
         "not_json", "not_utf8", "extra_row", "short_new_row", "bool_in_row",
         "int_past_float_range_in_row", "ragged_rows", "nested_row", "float_id", "no_new_rows",
-        "narrow_rows",
+        "narrow_rows", "entry_extra_key", "result_extra_key",
     ])
     def test_revert_rejects_ledger_that_does_not_fit(self, workdir, capsys, damage):
         edited, ledger_path = self.edited_with_ledger(workdir)
@@ -236,6 +243,10 @@ class TestEditRevert:
         elif damage == "narrow_rows":
             entry["original_rows"] = [row[:1]]
             entry["new_rows"] = [entry["new_rows"][0][:1]]
+        elif damage == "entry_extra_key":
+            entry["target"] = entry["target_word"]
+        elif damage == "result_extra_key":
+            entry["result"]["threshold_tau"] = entry["result"]["tau"]
         else:
             entry["edited_token_ids"] = [bear, bear + 1]
         ledger_path.write_bytes(json.dumps(ledger).encode() if raw is None else raw)
@@ -359,6 +370,7 @@ class TestSeqEditAndEval:
         {"source": 5}, {"target_word": ["cat"]}, {"destination": None},
         {"positives": [[1, 2]]}, {"positives": ["ab"]}, {"positives": [["a cat"]]},
         {"negatives": [["a dog", "a wolf", "a fox"]]}, {"negatives": "a dog"},
+        {"negative": [["a dog", "a wolf"]]},
     ])
     def test_dataset_field_that_is_not_a_string_names_line(self, workdir, capsys, field):
         base = init_archive(workdir)
@@ -452,6 +464,19 @@ class TestReport:
         assert run("report", "--ledger", workdir / "dual" / "ledger.json",
                    "--total-params", 0) == 1
         assert capsys.readouterr().err.startswith("error: report needs a positive")
+
+    def test_budget_write_that_raises_leaves_old_file_and_no_temporary_file(
+            self, workdir, monkeypatch):
+        ledger, out = workdir / "ledger.json", workdir / "rep"
+        zero_row_ledger(8, [3]).save(ledger)
+        assert run("report", "--ledger", ledger, "--total-params", 100, "--out", out) == 0
+        before = (out / "budget.json").read_bytes()
+        monkeypatch.setattr(archive, "open",
+                            lambda *a, **k: FailingFile(open(*a, **k), 1, OSError("disk full")),
+                            raising=False)
+        assert run("report", "--ledger", ledger, "--total-params", 200, "--out", out) == 1
+        assert (out / "budget.json").read_bytes() == before
+        assert [p.name for p in out.iterdir()] == ["budget.json"]
 
     def test_ledger_that_is_not_json_is_data_error(self, workdir, capsys):
         bad = workdir / "ledger.json"
@@ -548,7 +573,7 @@ class TestGenderAndProbe:
         assert report["per_profession"][0]["baseline_f"] == baseline
 
     @pytest.mark.parametrize("field", [{"profession": 5}, {"tests": [5]}, {"tests": "a teacher"},
-                                       {"male_ref": ["male teacher"]}])
+                                       {"male_ref": ["male teacher"]}, {"test": ["a teacher"]}])
     def test_gender_field_that_is_not_a_string_is_data_error(self, workdir, capsys, field):
         base = init_archive(workdir)
         gender = {"profession": "teacher", "validation": "a teacher", "tests": ["a teacher"],
@@ -563,7 +588,7 @@ class TestGenderAndProbe:
     @pytest.mark.parametrize("damage", [
         "string_label", "float_label", "bool_label", "label_two", "word_not_string",
         "item_not_object", "one_label_name", "label_name_not_string", "no_items",
-        "items_not_list", "not_object",
+        "items_not_list", "not_object", "item_extra_key", "extra_top_level_key",
     ])
     def test_probe_dataset_that_does_not_fit_is_data_error(self, workdir, capsys, damage):
         base = init_archive(workdir)
@@ -592,6 +617,10 @@ class TestGenderAndProbe:
             del probe["items"]
         elif damage == "items_not_list":
             probe["items"] = {"cat": 1}
+        elif damage == "item_extra_key":
+            item["lable"] = 1
+        elif damage == "extra_top_level_key":
+            probe["labels"] = ["red", "yellow"]
         else:
             probe = [probe]
         (workdir / "probe.json").write_text(json.dumps(probe))
@@ -654,7 +683,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("damage", [
         "tensors_not_list", "negative_offset", "missing_shape", "string_offset",
-        "negative_dim", "nan_payload",
+        "negative_dim", "header_extra_key", "nan_payload",
     ])
     def test_damaged_archive_is_data_error(self, workdir, capsys, damage):
         blob = init_archive(workdir).read_bytes()
@@ -671,6 +700,8 @@ class TestExitCodes:
             second["offset"] = str(second["offset"])
         elif damage == "negative_dim":
             second["shape"] = [-s for s in second["shape"]]
+        elif damage == "header_extra_key":
+            header["version"] = 2
         else:
             payload[second["offset"]:second["offset"] + 8] = np.float64(np.nan).tobytes()
         raw = json.dumps(header, sort_keys=True).encode()
@@ -726,6 +757,22 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error:")
         assert not (workdir / "x").exists()
 
+    @pytest.mark.parametrize("mode,stop_ratio,dataset", [
+        ("manual", "2", "empty"), ("auto", "5", "one_entry"),
+    ])
+    def test_gender_lambda_outside_unit_interval_is_usage_error(self, workdir, capsys, mode,
+                                                                stop_ratio, dataset):
+        # Checked before anything is read, in either mode, so neither an empty
+        # dataset nor auto mode (which does not use it) hides it.
+        base = init_archive(workdir)
+        ds = workdir / "gender.jsonl"
+        ds.write_text("" if dataset == "empty" else GENDER_LINE)
+        capsys.readouterr()
+        assert run("gender", "--weights", base, "--dataset", ds, "--mode", mode,
+                   "--lambda", stop_ratio, "--out", workdir / "x") == 1
+        assert capsys.readouterr().err.startswith("error: stop_ratio must be in [0, 1]")
+        assert not (workdir / "x").exists()
+
     @pytest.mark.parametrize("flag,value,code", [
         ("--lr", "-1", 1), ("--lr", "0", 1), ("--l2", "-1", 1), ("--epochs", "0", 1),
         ("--epochs", "-5", 1), ("--lr", "1e200", 2),
@@ -741,7 +788,7 @@ class TestExitCodes:
         assert err.startswith("error:" if code == 1 else "data error: training diverged")
         assert not (workdir / "x").exists()
 
-    @pytest.mark.parametrize("command", ["gender", "eval"])
+    @pytest.mark.parametrize("command", ["gender", "eval", "seq-edit"])
     def test_empty_dataset_is_data_error_and_writes_nothing(self, workdir, capsys, command):
         base = init_archive(workdir)
         ds = workdir / "empty.jsonl"
@@ -752,6 +799,30 @@ class TestExitCodes:
                    "--out", workdir / "x") == 2
         assert capsys.readouterr().err.startswith("data error:")
         assert not (workdir / "x").exists()
+
+    def test_encode_that_overflows_outside_the_edit_loop_is_three(self, workdir, capsys):
+        # Layer 0's attention scores overflow in every encode: the destination
+        # encode of edit, the reference encodes of eval and gender.
+        base = init_archive(workdir)
+        config, weights, vocab = load_weights(base)
+        tensors = dict(weights.named_tensors())
+        for name in ("layers.0.wq", "layers.0.wk"):
+            tensors[name] = Tensor(tensors[name].array * 1e200)
+        bad = workdir / "overflow.embedit"
+        save_weights(bad, config, EncoderWeights.from_named(tensors, config), vocab)
+        (workdir / "edits.jsonl").write_text(json.dumps(
+            {"source": "bear", "destination": "wolf", "target_word": "bear"}) + "\n")
+        (workdir / "gender.jsonl").write_text(GENDER_LINE)
+        for args in [
+            ("edit", "--source", "bear", "--dest", "wolf", "--target", "bear"),
+            ("eval", "--reference", bad, "--dataset", workdir / "edits.jsonl"),
+            ("gender", "--dataset", workdir / "gender.jsonl"),
+        ]:
+            capsys.readouterr()
+            assert run(*args, "--weights", bad, "--out", workdir / "x") == 3
+            assert capsys.readouterr().err.startswith(
+                "divergence: attention: scores are not finite")
+            assert not (workdir / "x").exists()
 
     def test_divergence_is_three(self, workdir, monkeypatch):
         import embedit.optim as optim

@@ -433,25 +433,25 @@ class TestLedgerJson:
 class TestBudgetReport:
     def test_single_token_768(self):
         report = budget_report([zero_row_ledger(768, [9])], 10 ** 9)
-        assert report.per_edit[0].modified_scalars == 768
-        assert report.per_edit[0].update_flops == 1536
-        assert report.per_edit[0].weight_ratio == 768 / 1e9
+        assert report["per_edit"][0]["modified_scalars"] == 768
+        assert report["per_edit"][0]["update_flops"] == 1536
+        assert report["per_edit"][0]["weight_ratio"] == 768 / 1e9
 
     def test_dual_encoder_widths_768_and_1280(self):
         merged = budget_report([zero_row_ledger(768, [9]), zero_row_ledger(1280, [9])],
                                total_model_params=2 * 10 ** 9)
-        assert merged.per_edit[0].edited_token_count == 2
-        assert merged.per_edit[0].modified_scalars == 2048
-        assert merged.per_edit[0].update_flops == 4096
+        assert merged["per_edit"][0]["edited_tokens"] == 2
+        assert merged["per_edit"][0]["modified_scalars"] == 2048
+        assert merged["per_edit"][0]["update_flops"] == 4096
 
     def test_ratio_arithmetic(self):
         report = budget_report([zero_row_ledger(768, [9])], int(1.0e9))
-        assert report.per_edit[0].weight_ratio == pytest.approx(7.68e-7)
+        assert report["per_edit"][0]["weight_ratio"] == pytest.approx(7.68e-7)
 
     def test_two_token_edit(self):
         report = budget_report([zero_row_ledger(8, [7, 8])], 100)
-        assert report.per_edit[0].modified_scalars == 16
-        assert report.per_edit[0].update_flops == 32
+        assert report["per_edit"][0]["modified_scalars"] == 16
+        assert report["per_edit"][0]["update_flops"] == 32
 
 
 class TestMultiEncoder:
