@@ -43,7 +43,7 @@ from .encoder import (
     init_random_weights,
     tokenize,
 )
-from .archive import load_vocab, load_weights, save_vocab, save_weights
+from .archive import load_config, load_vocab, load_weights, save_vocab, save_weights
 from .evaluation import (
     EditEntry,
     GenderEntry,

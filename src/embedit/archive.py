@@ -11,11 +11,11 @@ Archive layout:
                   "offset" is relative to the start of the payload section
                   (= 16 + header length)
 
-Save followed by load is bitwise lossless. The loader accepts exactly the
-tensors the config calls for, each once, with payloads laid out back to back
-from offset 0 to the end of the file. Every file the package writes (archive,
-vocab, ledger and the CLI's JSON and text reports) goes through one atomic
-write, write_atomically.
+The tensor index is a function of the config (_tensor_index): save writes
+it, and load accepts exactly it, with the payloads filling the file to its
+end. Save followed by load is bitwise lossless. Every file the package
+writes (archive, vocab, ledger and the CLI's JSON and text reports) goes
+through one atomic write, write_atomically.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def load_vocab(path: str | Path) -> Vocab:
     try:
         return Vocab.from_json(obj)
     except ValueError as e:
-        raise ArchiveFormatError(f"bad vocab: {e}") from e
+        raise ArchiveFormatError(f"{path}: {e}") from e
 
 
 def save_vocab(path: str | Path, vocab: Vocab) -> None:
@@ -61,33 +61,23 @@ def save_weights(
 ) -> None:
     """Write config, vocab, and all tensors to one archive file, atomically
     (write_atomically). Each tensor is written from its own buffer, with no
-    bytes copy.
+    bytes copy. A tensor whose shape is not the one the config calls for
+    raises ValueError before any file is made.
     """
-    arrays = [(name, np.ascontiguousarray(t.array, dtype="<f8"))
-              for name, t in weights.named_tensors()]
-    entries = []
-    offset = 0
-    for name, a in arrays:
-        entries.append({
-            "name": name,
-            "shape": list(a.shape),
-            "dtype": "f64",
-            "offset": offset,
-            "nbytes": a.nbytes,
-        })
-        offset += a.nbytes
-    header = {
-        "config": config.to_json(),
-        "vocab": vocab.to_json(),
-        "tensors": entries,
-    }
+    index = _tensor_index(config)
+    arrays = [np.ascontiguousarray(t.array, dtype="<f8") for _, t in weights.named_tensors()]
+    for entry, a in zip(index, arrays, strict=True):
+        if list(a.shape) != entry["shape"]:
+            raise ValueError(f"tensor {entry['name']}: shape {list(a.shape)}, "
+                             f"config calls for {entry['shape']}")
+    header = {"config": config.to_json(), "vocab": vocab.to_json(), "tensors": index}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
 
     def write(f) -> None:
         f.write(MAGIC)
         f.write(struct.pack("<Q", len(header_bytes)))
         f.write(header_bytes)
-        for _, a in arrays:
+        for a in arrays:
             f.write(memoryview(a).cast("B"))
 
     write_atomically(path, write)
@@ -112,6 +102,18 @@ def write_atomically(path: str | Path, write: Callable[[BinaryIO], None]) -> Non
         raise
 
 
+def _tensor_index(config: EncoderConfig) -> list[dict]:
+    """The header's "tensors" list for `config`: every tensor in
+    tensor_shapes() order, float64, payloads back to back from offset 0."""
+    index, offset = [], 0
+    for name, shape in tensor_shapes(config).items():
+        nbytes = math.prod(shape) * 8
+        index.append({"name": name, "shape": list(shape), "dtype": "f64",
+                      "offset": offset, "nbytes": nbytes})
+        offset += nbytes
+    return index
+
+
 def load_weights(path: str | Path) -> tuple[EncoderConfig, EncoderWeights, Vocab]:
     """Read an archive; raises ArchiveFormatError (with a byte offset) on damage.
 
@@ -120,34 +122,25 @@ def load_weights(path: str | Path) -> tuple[EncoderConfig, EncoderWeights, Vocab
     the weights are held once.
     """
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        head = f.read(_HEADER_LEN_END)
-        if head[: len(MAGIC)] != MAGIC:
-            raise ArchiveFormatError(f"bad magic, expected {MAGIC!r}", offset=0)
-        if len(head) < _HEADER_LEN_END:
-            raise ArchiveFormatError("truncated before header length", offset=len(head))
-        (header_len,) = struct.unpack("<Q", head[len(MAGIC):])
-        if header_len > size - _HEADER_LEN_END:
-            raise ArchiveFormatError("truncated inside header", offset=size)
-        try:
-            header = json.loads(f.read(header_len).decode("utf-8"))
-        except (ValueError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
-            raise ArchiveFormatError(
-                f"header is not valid JSON: {e}", offset=_HEADER_LEN_END
-            ) from e
-        start = _HEADER_LEN_END + header_len
-        config, vocab, index = _check_header(header, start, size)
-
+        config, vocab, index = _read_header(f, os.fstat(f.fileno()).st_size)
+        start = f.tell()
         tensors: dict[str, Tensor] = {}
-        for name, shape in index:
-            a = np.empty(shape, dtype="<f8")
+        for entry in index:
+            a = np.empty(entry["shape"], dtype="<f8")
             _read_exactly(f, a)
             if not np.isfinite(a).all():
-                raise ArchiveFormatError(f"tensor {name}: payload is not finite", offset=start)
+                raise ArchiveFormatError(f"tensor {entry['name']}: payload is not finite",
+                                         offset=start + entry["offset"])
             # Native byte order: no copy on a little-endian host.
-            tensors[name] = Tensor._wrap(a.astype(np.float64, copy=False))
-            start += a.nbytes
+            tensors[entry["name"]] = Tensor._wrap(a.astype(np.float64, copy=False))
     return config, EncoderWeights.from_named(tensors, config), vocab
+
+
+def load_config(path: str | Path) -> EncoderConfig:
+    """An archive's config, from its header alone. The header is checked as
+    load_weights checks it, but no payload is read."""
+    with open(path, "rb") as f:
+        return _read_header(f, os.fstat(f.fileno()).st_size)[0]
 
 
 def _read_exactly(f, a: np.ndarray) -> None:
@@ -159,13 +152,33 @@ def _read_exactly(f, a: np.ndarray) -> None:
         view = view[n:]
 
 
+def _read_header(f, size: int):
+    """Read and check the header of an archive of `size` bytes; return what
+    _check_header does, leaving f at the first payload."""
+    head = f.read(_HEADER_LEN_END)
+    if head[: len(MAGIC)] != MAGIC:
+        raise ArchiveFormatError(f"bad magic, expected {MAGIC!r}", offset=0)
+    if len(head) < _HEADER_LEN_END:
+        raise ArchiveFormatError("truncated before header length", offset=len(head))
+    (header_len,) = struct.unpack("<Q", head[len(MAGIC):])
+    if header_len > size - _HEADER_LEN_END:
+        raise ArchiveFormatError("truncated inside header", offset=size)
+    try:
+        header = json.loads(f.read(header_len).decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
+        raise ArchiveFormatError(
+            f"header is not valid JSON: {e}", offset=_HEADER_LEN_END
+        ) from e
+    return _check_header(header, _HEADER_LEN_END + header_len, size)
+
+
 def _check_header(header, payload_base: int, size: int):
     """Check the whole header against the file's size; return the config,
-    the vocab, and (name, shape) pairs in payload order.
+    the vocab and the tensor index.
 
-    The tensor index must name exactly the tensors the config calls for,
-    once each and with their shapes, and lay their payloads out in order,
-    back to back from offset 0 to the end of the file.
+    The tensor index must be exactly the one the config calls for
+    (_tensor_index), compared as canonical JSON so that 8.0 is not 8 and
+    false is not 0, and its payloads must end where the file does.
     """
     def bad(message: str, offset: int = _HEADER_LEN_END) -> ArchiveFormatError:
         return ArchiveFormatError(message, offset=offset)
@@ -173,12 +186,9 @@ def _check_header(header, payload_base: int, size: int):
     json_object(header, {"config": (dict,), "vocab": (dict,), "tensors": (list,)}, bad, "header")
     try:
         config = EncoderConfig.from_json(header["config"])
-    except ValueError as e:
-        raise bad(f"bad config in header: {e}") from e
-    try:
         vocab = Vocab.from_json(header["vocab"])
     except ValueError as e:
-        raise bad(f"bad vocab: {e}") from e
+        raise bad(str(e)) from e
     if vocab.vocab_size != config.vocab_size:
         raise bad(f"vocab has {vocab.vocab_size} ids, config says {config.vocab_size}")
 
@@ -186,38 +196,16 @@ def _check_header(header, payload_base: int, size: int):
     if config.n_layers > len(entries):  # also bounds the work of tensor_shapes
         raise bad(f"config calls for {config.n_layers} layers, "
                   f"header lists {len(entries)} tensors")
-    expected = tensor_shapes(config)
-    index: dict[str, tuple[int, ...]] = {}
-    end = 0
-    for k, entry in enumerate(entries):
-        json_object(entry, {"name": (str,), "shape": (list,), "dtype": (str,),
-                            "offset": (int,), "nbytes": (int,)}, bad, f"tensor entry {k}")
-        name, shape = entry["name"], entry["shape"]
-        if name not in expected:
-            raise bad(f"tensor entry {k}: unknown tensor name {name!r}")
-        if name in index:
-            raise bad(f"tensor {name}: listed twice")
-        # 8.0 == 8 and True == 1: the type check keeps those out.
-        if not (all(type(s) is int for s in shape) and tuple(shape) == expected[name]):
-            raise bad(f"tensor {name}: shape {shape!r}, config calls for {list(expected[name])}")
-        if entry["dtype"] != "f64":
-            raise bad(f"tensor {name}: unsupported dtype {entry['dtype']!r}")
-        offset, nbytes = entry["offset"], entry["nbytes"]
-        if offset != end:
-            raise bad(f"tensor {name}: payload offset {offset}, expected {end} "
-                      "(payloads must be in order, back to back, without overlap)",
-                      offset=payload_base + end)
-        want = math.prod(shape) * 8
-        if nbytes != want:
-            raise bad(f"tensor {name}: shape {shape} needs {want} bytes, "
-                      f"header says {nbytes}", offset=payload_base + offset)
-        index[name] = expected[name]
-        end += nbytes
-    missing = [name for name in expected if name not in index]
-    if missing:
-        raise bad(f"archive is missing tensor {missing[0]!r}")
-    if payload_base + end > size:
+    index = _tensor_index(config)
+    for k in range(max(len(entries), len(index))):
+        # json.dumps never writes a bare `none`, so it marks a missing entry.
+        got = json.dumps(entries[k], sort_keys=True) if k < len(entries) else "none"
+        want = json.dumps(index[k], sort_keys=True) if k < len(index) else "none"
+        if got != want:
+            raise bad(f"tensor entry {k} is {got}, config calls for {want}")
+    end = payload_base + index[-1]["offset"] + index[-1]["nbytes"]
+    if end > size:
         raise bad("payload truncated", offset=size)
-    if payload_base + end < size:
-        raise bad("trailing bytes after the last payload", offset=payload_base + end)
-    return config, vocab, list(index.items())
+    if end < size:
+        raise bad("trailing bytes after the last payload", offset=end)
+    return config, vocab, index

@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .archive import load_vocab, load_weights, save_weights, write_atomically
+from .archive import load_config, load_vocab, load_weights, save_weights, write_atomically
 from .balance import BalanceMode, BalancerParams, BiasEditRequest, edit_balance
 from .editor import (
     EditHyperparams,
@@ -115,7 +115,7 @@ def cmd_init(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     save_weights(out, config, weights, vocab)
     print(f"wrote {out} (vocab_size={config.vocab_size} d_model={config.d_model} "
-          f"params={weights.total_params()})")
+          f"params={config.total_params()})")
     return 0
 
 
@@ -135,7 +135,7 @@ def cmd_edit(args) -> int:
         save_weights(out / f"edited{suffix}.embedit", bundle.config, bundle.weights,
                      bundle.vocab)
         ledger.save(out / f"ledger{suffix}.json")
-    budget = budget_report(ledgers, sum(b.weights.total_params() for b in bundles))
+    budget = budget_report(ledgers, sum(b.config.total_params() for b in bundles))
     modified, flops = budget["total_modified_scalars"], budget["total_update_flops"]
     _write_json(out / "edit_summary.json", {
         "request": {"source": args.source, "destination": args.dest,
@@ -314,13 +314,17 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if args.weights2 and not args.ledger2:
+        raise _UsageError("--weights2 needs --ledger2")
+    if args.total_params is not None and (args.weights or args.weights2):
+        raise _UsageError("give --total-params or --weights, not both")
     ledgers = [EditLedger.load(p) for p in (args.ledger, args.ledger2) if p]
     archives = [args.weights, args.weights2][:len(ledgers)]
     total = args.total_params
     if total is None:
         if not all(archives):
             raise _UsageError("report needs --total-params, or --weights for each ledger")
-        total = sum(load_weights(p)[1].total_params() for p in archives)
+        total = sum(load_config(p).total_params() for p in archives)
     if total <= 0:
         raise _UsageError("report needs a positive --total-params")
     budget = budget_report(ledgers, total)

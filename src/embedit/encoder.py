@@ -8,6 +8,7 @@ hidden states at the EOS position is the pooled text feature.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
@@ -152,6 +153,10 @@ class EncoderConfig:
             raise ValueError("eps must be a finite number")
         return cls(**{**obj, "eps": float(obj["eps"])})
 
+    def total_params(self) -> int:
+        """Scalars in all the tensors this config calls for (tensor_shapes)."""
+        return sum(math.prod(shape) for shape in tensor_shapes(self).values())
+
 
 @dataclass
 class LayerWeights:
@@ -205,9 +210,6 @@ class EncoderWeights:
                 yield f"layers.{i}.{fname}", getattr(layer, fname)
         yield "final_gamma", self.final_gamma
         yield "final_beta", self.final_beta
-
-    def total_params(self) -> int:
-        return sum(t.size for _, t in self.named_tensors())
 
     def set_wte_rows(self, ids: Sequence[int], rows: np.ndarray) -> None:
         """Replace the given WTE rows; every other scalar keeps its bits.

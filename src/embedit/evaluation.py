@@ -195,16 +195,7 @@ class MetricReport:
     counts: dict[str, tuple[int, int]] = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "efficacy": self.efficacy,
-            "efficacy_se": self.efficacy_se,
-            "generality": self.generality,
-            "generality_se": self.generality_se,
-            "specificity": self.specificity,
-            "specificity_se": self.specificity_se,
-            "strict_specificity": self.strict_specificity,
-            "counts": {k: list(v) for k, v in self.counts.items()},
-        }
+        return asdict(self)  # tuples, which json writes as lists
 
 
 def _mean_se(values) -> tuple[float, float]:

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embedit import archive, init_random_weights, load_vocab, load_weights, save_vocab, save_weights
+from embedit import (
+    Tensor,
+    archive,
+    init_random_weights,
+    load_vocab,
+    load_weights,
+    save_vocab,
+    save_weights,
+)
 from embedit.archive import MAGIC
 from embedit.errors import ArchiveFormatError
 
@@ -252,6 +260,15 @@ def test_save_replaces_an_existing_archive(saved):
     _, loaded, _ = load_weights(path)
     assert loaded.wte.array.tobytes() == other.wte.array.tobytes()
     assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
+def test_save_of_a_tensor_the_config_does_not_call_for_makes_no_file(tmp_path, vocab):
+    config = make_config(vocab)
+    weights = init_random_weights(config, 0)
+    weights.wte = Tensor(weights.wte.array.T.copy())
+    with pytest.raises(ValueError, match=r"wte: shape \[8, 27\], config calls for \[27, 8\]"):
+        save_weights(tmp_path / "new.embedit", config, weights, vocab)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture(scope="module")

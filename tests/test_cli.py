@@ -100,7 +100,8 @@ class TestInit:
         capsys.readouterr()
         assert run("init", "--config", workdir / "config.json",
                    "--vocab", workdir / "bad_vocab.json", "--out", workdir / "x.embedit") == 2
-        assert capsys.readouterr().err.startswith("data error: bad vocab")
+        assert capsys.readouterr().err == (
+            f"data error: {workdir / 'bad_vocab.json'}: vocab: key 'bos' has type float\n")
         assert not (workdir / "x.embedit").exists()
 
     def test_archive_loadable_by_edit(self, workdir):
@@ -464,6 +465,50 @@ class TestReport:
         assert run("report", "--ledger", workdir / "dual" / "ledger.json",
                    "--total-params", 0) == 1
         assert capsys.readouterr().err.startswith("error: report needs a positive")
+
+    def test_report_weights_reads_only_the_header(self, workdir, capsys, monkeypatch):
+        base = init_archive(workdir)
+        assert run("edit", "--weights", base, "--source", "bear", "--dest", "wolf",
+                   "--target", "bear", "--lambda", 1.0, "--out", workdir / "eo") == 0
+        # The header's count must equal the count over every loaded tensor.
+        total = sum(t.size for _, t in load_weights(base)[1].named_tensors())
+        reads = []
+        monkeypatch.setattr(archive, "_read_exactly", lambda f, a: reads.append(a.shape))
+        capsys.readouterr()
+        assert run("report", "--ledger", workdir / "eo" / "ledger.json",
+                   "--weights", base) == 0
+        assert f"modified=8 flops=16 ratio={8 / total:.3g}\n" in capsys.readouterr().out
+        assert reads == []
+
+    def test_report_on_a_damaged_header_is_data_error(self, workdir, capsys):
+        base = init_archive(workdir)
+        ledger = workdir / "ledger.json"
+        zero_row_ledger(8, [3]).save(ledger)
+        blob = bytearray(base.read_bytes())
+        blob[blob.index(b'"n_layers": 2') + 12] = ord("3")
+        bad = workdir / "bad.embedit"
+        bad.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert run("report", "--ledger", ledger, "--weights", bad) == 2
+        assert capsys.readouterr().err.startswith("data error: tensor entry")
+
+    def test_second_archive_without_its_ledger_is_usage_error(self, workdir, capsys):
+        ledger = workdir / "ledger.json"
+        zero_row_ledger(8, [3]).save(ledger)
+        # Checked before any file is read: the archives do not exist.
+        assert run("report", "--ledger", ledger, "--weights", workdir / "a.embedit",
+                   "--weights2", workdir / "b.embedit") == 1
+        assert capsys.readouterr().err == "error: --weights2 needs --ledger2\n"
+
+    @pytest.mark.parametrize("flag", ["--weights", "--weights2"])
+    def test_archive_with_total_params_is_usage_error(self, workdir, capsys, flag):
+        ledger = workdir / "ledger.json"
+        zero_row_ledger(8, [3]).save(ledger)
+        assert run("report", "--ledger", ledger, "--ledger2", ledger, "--total-params", 100,
+                   flag, workdir / "missing.embedit", "--out", workdir / "rep") == 1
+        assert capsys.readouterr().err == (
+            "error: give --total-params or --weights, not both\n")
+        assert not (workdir / "rep").exists()
 
     def test_budget_write_that_raises_leaves_old_file_and_no_temporary_file(
             self, workdir, monkeypatch):
