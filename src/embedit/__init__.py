@@ -40,6 +40,7 @@ from .encoder import (
     TokenSequence,
     Vocab,
     encode,
+    encode_pooled,
     init_random_weights,
     tokenize,
 )

@@ -446,33 +446,39 @@ def attention(
     mask: Tensor,
     tape: Tape | None = None,
 ) -> Tensor:
-    """Multi-head attention over T-by-d queries, keys and values.
+    """Multi-head attention over B sequences of n positions each.
 
-    Column block h of width dh = d / n_heads is head h. Each head computes
-    softmax((q_h @ k_h^T) / sqrt(dh) + mask) @ v_h, and the heads' outputs
-    are concatenated back to T-by-d. All heads run as one stacked (n_heads,
-    T, dh) matmul; the result, and the q, k and v gradients, are bitwise
-    those of the per-head composition of slice_cols, transpose, matmul,
-    scale, add, softmax_rows and concat_cols. The additive T-by-T mask is
-    not differentiated. Scores that are not finite raise NonFiniteError.
+    q, k and v are (B*n)-by-d stacks: rows b*n .. b*n + n - 1 are sequence
+    b, and the additive n-by-n mask, which is not differentiated, sets n.
+    Column block h of width dh = d / n_heads is head h. Each sequence's head
+    computes softmax((q_h @ k_h^T) / sqrt(dh) + mask) @ v_h, and the heads'
+    outputs are concatenated back to (B*n)-by-d. All B*n_heads heads run as
+    one stacked (B*n_heads, n, dh) matmul, so each sequence's output is
+    bitwise that of attending over it alone. At B=1 the result, and the q, k
+    and v gradients, are bitwise those of the per-head composition of
+    slice_cols, transpose, matmul, scale, add, softmax_rows and concat_cols.
+    Scores that are not finite raise NonFiniteError.
     """
     if len(q.shape) != 2 or k.shape != q.shape or v.shape != q.shape:
         raise DimensionError(
             f"attention: q {q.shape}, k {k.shape} and v {v.shape} must be one T-by-d shape"
         )
-    t, d = q.shape
+    rows, d = q.shape
     if n_heads <= 0 or d % n_heads:
         raise DimensionError(f"attention: width {d} does not split into {n_heads} heads")
-    if mask.shape != (t, t):
-        raise DimensionError(f"attention: mask shape {mask.shape} != ({t}, {t})")
-    dh = d // n_heads
+    n = mask.shape[0] if mask.shape else 0
+    if n == 0 or mask.shape != (n, n) or rows % n:
+        raise DimensionError(f"attention: mask shape {mask.shape} is not n-by-n for n "
+                             f"dividing the {rows} rows")
+    b, dh = rows // n, d // n_heads
     inv_sqrt = 1.0 / np.sqrt(dh)
 
     def split(a):
-        return np.ascontiguousarray(a.reshape(t, n_heads, dh).transpose(1, 0, 2))
+        return np.ascontiguousarray(
+            a.reshape(b, n, n_heads, dh).transpose(0, 2, 1, 3)).reshape(b * n_heads, n, dh)
 
     def merge(a):
-        return a.transpose(1, 0, 2).reshape(t, d)
+        return a.reshape(b, n_heads, n, dh).transpose(0, 2, 1, 3).reshape(rows, d)
 
     # C-contiguous stacks, like the copies slice_cols and transpose make, give
     # BLAS the same operands per head, hence the same bits.

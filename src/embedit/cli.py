@@ -30,7 +30,7 @@ from .editor import (
     edit_sequential,
     revert,
 )
-from .encoder import EncoderBundle, EncoderConfig, init_random_weights
+from .encoder import EncoderBundle, EncoderConfig, encode_pooled, init_random_weights
 from .errors import (
     DataError,
     DatasetError,
@@ -198,9 +198,9 @@ def cmd_gender(args) -> int:
     baseline_f = []
     edited_f = []
     for entry in entries:
-        f_ref = reference.encode_prompt(entry.female_ref).pooled
-        m_ref = reference.encode_prompt(entry.male_ref).pooled
-        validation = reference.encode_prompt(entry.validation).pooled
+        prompts = (entry.female_ref, entry.male_ref, entry.validation)
+        refs = encode_pooled(reference, prompts)
+        f_ref, m_ref, validation = (refs[p] for p in prompts)
         leans_female = classify(validation, m_ref, f_ref) == DESTINATION
         sp = entry.female_ref if leans_female else entry.male_ref
         csp = entry.male_ref if leans_female else entry.female_ref

@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -284,8 +284,58 @@ def tokenize(prompt: str, vocab: Vocab, config: EncoderConfig) -> TokenSequence:
 
 @lru_cache(maxsize=8)
 def _causal_mask(context_length: int) -> Tensor:
+    """The context-by-context causal mask; a forward over n positions cuts
+    its n-by-n block, so one mask per context serves every n."""
     m = np.full((context_length, context_length), ATTENTION_MASK_VALUE)
     return Tensor(np.triu(m, k=1))
+
+
+def _forward(
+    ids: Sequence[Sequence[int]],
+    weights: EncoderWeights,
+    config: EncoderConfig,
+    tape: Tape | None = None,
+    edit_rows: tuple[Sequence[int], Tensor] | None = None,
+) -> Tensor:
+    """The encoder over B token rows of n positions each, run as one
+    (B*n)-by-d stack: row b*n + p of the result is position p of token row
+    b. Every position attends causally within its own row, so each row's
+    states are those of encoding it alone. Raises NonFiniteError when a
+    computed state is not finite."""
+    n = len(ids[0])
+    mask = Tensor(_causal_mask(config.context_length).array[:n, :n])
+    positional = Tensor._wrap(np.tile(weights.positional.array[:n], (len(ids), 1)))
+    flat = [i for row in ids for i in row]
+
+    # The primitives adopt their outputs unchecked. A value that overflows
+    # raises at a layer norm's variance or attention's scores, or reaches the
+    # output, so the one check below reports it and numpy need not warn.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = gather_rows(weights.wte, flat)
+        if edit_rows is not None:
+            leaf_ids, leaf = edit_rows
+            if tape is not None:
+                tape.watch(leaf)
+            x = substitute_rows(x, flat, leaf_ids, leaf, tape)
+        x = add(x, positional, tape)
+
+        for layer in weights.layers:
+            h = layer_norm(x, layer.ln1_gamma, layer.ln1_beta, config.eps, tape)
+            q = add_bias(matmul(h, layer.wq, tape), layer.bq, tape)
+            k = add_bias(matmul(h, layer.wk, tape), layer.bk, tape)
+            v = add_bias(matmul(h, layer.wv, tape), layer.bv, tape)
+            merged = attention(q, k, v, config.n_heads, mask, tape)
+            x = add(x, add_bias(matmul(merged, layer.wo, tape), layer.bo, tape), tape)
+
+            h2 = layer_norm(x, layer.ln2_gamma, layer.ln2_beta, config.eps, tape)
+            m = gelu(add_bias(matmul(h2, layer.mlp_w1, tape), layer.mlp_b1, tape), tape)
+            m = add_bias(matmul(m, layer.mlp_w2, tape), layer.mlp_b2, tape)
+            x = add(x, m, tape)
+
+        x = layer_norm(x, weights.final_gamma, weights.final_beta, config.eps, tape)
+    if not np.isfinite(x.array).all():
+        raise NonFiniteError("encode: hidden states are not finite")
+    return x
 
 
 def encode(
@@ -313,39 +363,9 @@ def encode(
         raise DimensionError(
             f"token sequence length {len(tokens.ids)} != context length {config.context_length}"
         )
-
     if edit_rows is None and tape is not None:
         raise TapeUsageError("a taped encode needs edit_rows: its rows are the only leaf")
-    mask = _causal_mask(config.context_length)
-
-    # The primitives adopt their outputs unchecked. A value that overflows
-    # raises at a layer norm's variance or attention's scores, or reaches the
-    # output, so the one check below reports it and numpy need not warn.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x = gather_rows(weights.wte, tokens.ids)
-        if edit_rows is not None:
-            leaf_ids, leaf = edit_rows
-            if tape is not None:
-                tape.watch(leaf)
-            x = substitute_rows(x, tokens.ids, leaf_ids, leaf, tape)
-        x = add(x, weights.positional, tape)
-
-        for layer in weights.layers:
-            h = layer_norm(x, layer.ln1_gamma, layer.ln1_beta, config.eps, tape)
-            q = add_bias(matmul(h, layer.wq, tape), layer.bq, tape)
-            k = add_bias(matmul(h, layer.wk, tape), layer.bk, tape)
-            v = add_bias(matmul(h, layer.wv, tape), layer.bv, tape)
-            merged = attention(q, k, v, config.n_heads, mask, tape)
-            x = add(x, add_bias(matmul(merged, layer.wo, tape), layer.bo, tape), tape)
-
-            h2 = layer_norm(x, layer.ln2_gamma, layer.ln2_beta, config.eps, tape)
-            m = gelu(add_bias(matmul(h2, layer.mlp_w1, tape), layer.mlp_b1, tape), tape)
-            m = add_bias(matmul(m, layer.mlp_w2, tape), layer.mlp_b2, tape)
-            x = add(x, m, tape)
-
-        x = layer_norm(x, weights.final_gamma, weights.final_beta, config.eps, tape)
-    if not np.isfinite(x.array).all():
-        raise NonFiniteError("encode: hidden states are not finite")
+    x = _forward([tokens.ids], weights, config, tape, edit_rows)
     pooled = Tensor(x.array[tokens.eos_position])
     return HiddenStates(sequence=x, pooled=pooled, eos_position=tokens.eos_position)
 
@@ -384,3 +404,28 @@ class EncoderBundle:
         edit_rows: tuple[Sequence[int], Tensor] | None = None,
     ) -> HiddenStates:
         return encode(self.tokenize(prompt), self.weights, self.config, tape, edit_rows)
+
+
+def encode_pooled(bundle: EncoderBundle, prompts: Iterable[str]) -> dict[str, Tensor]:
+    """The pooled state of each distinct prompt, keyed by prompt.
+
+    Position eos of a causal encoder depends only on positions 0..eos, so a
+    prompt runs over its first n = min(context, 8 * ceil((eos + 1) / 8))
+    positions, and the prompts of one n run as one batch. Each pooled state
+    is bitwise bundle.encode_prompt(prompt).pooled. That n is a multiple of 8
+    is what makes it bitwise: numpy's pairwise sum keeps 8 accumulators, so
+    the softmax adds the masked keys' exact zeros in whole blocks and adds
+    the unmasked terms in the same order at every such n (measured, not
+    documented). Raises NonFiniteError when a computed state is not finite.
+    """
+    tokens = {p: bundle.tokenize(p) for p in dict.fromkeys(prompts)}
+    groups: dict[int, list[str]] = {}
+    for p, t in tokens.items():
+        n = min(bundle.config.context_length, -(-(t.eos_position + 1) // 8) * 8)
+        groups.setdefault(n, []).append(p)
+    pooled = {}
+    for n, group in groups.items():
+        x = _forward([tokens[p].ids[:n] for p in group], bundle.weights, bundle.config).array
+        for b, p in enumerate(group):
+            pooled[p] = Tensor(x[b * n + tokens[p].eos_position])
+    return pooled

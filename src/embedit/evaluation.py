@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .encoder import EncoderBundle, HiddenStates
+from .encoder import EncoderBundle, HiddenStates, encode_pooled
 from .errors import (
     DatasetError,
     DegenerateInputError,
@@ -221,9 +221,14 @@ def _report(scores: dict[str, tuple[float, float]],
     )
 
 
-def _encode_each(bundle: EncoderBundle, prompts: list[str]) -> dict[str, HiddenStates]:
-    """Hidden states of each distinct prompt, each encoded once."""
-    return {p: bundle.encode_prompt(p) for p in dict.fromkeys(prompts)}
+def _read(bundle: EncoderBundle, full: list[str],
+          pooled: list[str]) -> tuple[dict[str, HiddenStates], dict[str, Tensor]]:
+    """Each distinct prompt read once: the hidden states of each prompt in
+    `full`, and the pooled state of every prompt in either list, those of
+    `full` taken from its states."""
+    states = {p: bundle.encode_prompt(p) for p in dict.fromkeys(full)}
+    rows = {p: h.pooled for p, h in states.items()}
+    return states, rows | encode_pooled(bundle, [p for p in pooled if p not in rows])
 
 
 def evaluate_edit(
@@ -239,25 +244,27 @@ def evaluate_edit(
     expects. Strict specificity: each negative's hidden states must match
     the reference's bitwise.
 
-    Each distinct prompt is encoded once per bundle and call; nothing is
-    shared between the two bundles or across calls, so the strict check
-    compares states computed independently from each.
+    Each distinct prompt is read once per bundle and call: a negative's
+    source in full on both bundles, every other prompt by encode_pooled.
+    Nothing is shared between the two bundles or across calls, so the
+    strict check compares states computed independently from each.
     """
     buckets = (
         ("efficacy", ((entry.source, entry.destination),), DESTINATION),
         ("generality", entry.positives, DESTINATION),
         ("specificity", entry.negatives, SOURCE),
     )
-    ed = _encode_each(edited, [p for _, pairs, _ in buckets for p, _ in pairs])
-    ref = _encode_each(reference, [x for _, pairs, _ in buckets for pair in pairs for x in pair])
+    negatives = [p for p, _ in entry.negatives]
+    ed_states, ed = _read(edited, negatives, [p for _, pairs, _ in buckets for p, _ in pairs])
+    ref_states, ref = _read(reference, negatives,
+                            [x for _, pairs, _ in buckets for pair in pairs for x in pair])
     outcomes = {
-        name: [classify(ed[p].pooled, ref[p].pooled, ref[q].pooled) == expected
-               for p, q in pairs]
+        name: [classify(ed[p], ref[p], ref[q]) == expected for p, q in pairs]
         for name, pairs, expected in buckets
     }
     outcomes["strict_specificity"] = [
-        ed[p].sequence.array.tobytes() == ref[p].sequence.array.tobytes()
-        for p, _ in entry.negatives
+        ed_states[p].sequence.array.tobytes() == ref_states[p].sequence.array.tobytes()
+        for p in negatives
     ]
     return _report(
         {k: _mean_se(100.0 * np.array(v, dtype=np.float64)) for k, v in outcomes.items()},
@@ -323,9 +330,9 @@ def female_percentage(
     """
     if not entry.tests:
         raise DatasetError(f"gender entry {entry.profession!r} has no test prompts")
+    pooled = encode_pooled(edited, entry.tests)
     female = sum(
-        classify(edited.encode_prompt(prompt).pooled, male_ref, female_ref) == DESTINATION
-        for prompt in entry.tests
+        classify(pooled[prompt], male_ref, female_ref) == DESTINATION for prompt in entry.tests
     )
     return 100.0 * female / len(entry.tests)
 

@@ -392,12 +392,31 @@ def test_attention_is_bitwise_the_per_head_composition(d, n_heads, t):
     assert run(attention) == run(_per_head_attention)
 
 
+@pytest.mark.parametrize("b,n", [(2, 77), (7, 8), (16, 8), (3, 24)])
+def test_batched_attention_is_bitwise_each_sequence_alone(b, n):
+    rng = np.random.default_rng(b * n)
+    q, k, v = (rng.normal(size=(b * n, 768)) for _ in range(3))
+    mask = causal_mask(n)
+    batched = attention(Tensor(q), Tensor(k), Tensor(v), 12, mask).array
+    for s in range(b):
+        rows = slice(s * n, (s + 1) * n)
+        alone = attention(Tensor(q[rows]), Tensor(k[rows]), Tensor(v[rows]), 12, mask)
+        assert batched[rows].tobytes() == alone.array.tobytes(), (
+            f"sequence {s} of a batch of {b} is not bitwise itself alone: on this build "
+            "encode_pooled's grouping must change (fewer prompts per forward), not a tolerance")
+
+
 def test_attention_rejects_bad_shapes():
     x = Tensor(np.ones((3, 4)))
     with pytest.raises(DimensionError, match="heads"):
         attention(x, x, x, 3, causal_mask(3))
+    # The mask is n-by-n, for an n that divides the rows into sequences.
     with pytest.raises(DimensionError, match="mask"):
         attention(x, x, x, 2, causal_mask(4))
+    with pytest.raises(DimensionError, match="mask"):
+        attention(x, x, x, 2, Tensor(np.zeros((3, 1))))
+    with pytest.raises(DimensionError, match="mask"):
+        attention(x, x, x, 2, Tensor(np.zeros(3)))
     with pytest.raises(DimensionError):
         attention(x, Tensor(np.ones((3, 2))), x, 2, causal_mask(3))
 

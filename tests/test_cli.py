@@ -564,6 +564,7 @@ class TestGenderAndProbe:
         assert (workdir / "auto" / "ledger.json").exists()
 
     def test_gender_encodes_each_reference_once(self, workdir, monkeypatch):
+        import embedit.cli as cli
         from embedit.encoder import EncoderBundle
 
         base = init_archive(workdir)
@@ -574,13 +575,20 @@ class TestGenderAndProbe:
         ds = workdir / "gender.jsonl"
         ds.write_text(json.dumps(gender) + "\n")
         prompts = []
-        real = EncoderBundle.encode_prompt
+        real, real_pooled = EncoderBundle.encode_prompt, cli.encode_pooled
 
         def spy(self, prompt, *args, **kwargs):
             prompts.append(prompt)
             return real(self, prompt, *args, **kwargs)
 
+        def spy_pooled(bundle, batch):
+            pooled = real_pooled(bundle, batch)
+            prompts.extend(pooled)
+            return pooled
+
+        # The references are read in full or pooled; either way, once.
         monkeypatch.setattr(EncoderBundle, "encode_prompt", spy)
+        monkeypatch.setattr(cli, "encode_pooled", spy_pooled)
         assert run("gender", "--weights", base, "--dataset", ds, "--mode", "auto",
                    "--max-iters", 2, "--out", workdir / "auto") == 0
         assert prompts.count("female teacher") == 1

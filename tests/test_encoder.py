@@ -11,6 +11,7 @@ from embedit import (
     Tensor,
     Vocab,
     encode,
+    encode_pooled,
     init_random_weights,
     tokenize,
 )
@@ -23,7 +24,7 @@ from embedit.errors import (
     UnknownTokenError,
 )
 
-from conftest import make_config, make_vocab
+from conftest import make_bundle, make_config, make_vocab
 
 
 def spec_example_vocab():
@@ -196,6 +197,43 @@ class TestEncode:
             else (None, None)
         with pytest.raises(NonFiniteError, match="encode"):
             encode(tiny_bundle.tokenize("a bear"), weights, tiny_bundle.config, tape, edit_rows)
+
+
+# CLIP-L's widths, heads and context with 2 layers and a small vocabulary.
+CLIP_L_WIDTHS = dict(d_model=768, n_layers=2, n_heads=12, d_ff=3072, context_length=77)
+
+
+@pytest.mark.parametrize("shape", [{}, CLIP_L_WIDTHS], ids=["desk", "clip_l_widths"])
+def test_pooled_reads_are_bitwise_the_full_encode_at_every_eos(shape):
+    bundle = make_bundle(seed=7, **shape)
+    context = bundle.config.context_length
+    rng = np.random.default_rng(0)
+    words = sorted(bundle.vocab.tokens)
+    # One prompt per reachable eos, and at least seven prompts in all.
+    copies = -(-7 // (context - 2))
+    prompts = list(dict.fromkeys(" ".join(rng.choice(words, size=eos - 1))
+                                 for eos in range(2, context) for _ in range(copies)))
+    full = {p: bundle.encode_prompt(p).pooled.array.tobytes() for p in prompts}
+
+    def check(batch):
+        pooled = encode_pooled(bundle, batch)
+        for p in batch:
+            eos = bundle.tokenize(p).eos_position
+            assert pooled[p].array.tobytes() == full[p], (
+                f"the pooled read at eos {eos}, in a batch of {len(batch)}, is not bitwise "
+                "encode(...).pooled: on this build the sums depend on n, so encode_pooled's "
+                "grouping must change (a wider n, up to the context), not a tolerance")
+
+    for p in prompts:
+        check([p])
+    # Batches of 2 and 7 of mixed lengths (and of mixed n at CLIP-L's
+    # context), over three rounds of prompts to bound the test's time.
+    order = [prompts[i] for i in rng.permutation(len(prompts))][:27]
+    while order:
+        for size in (2, 7):
+            batch, order = order[:size], order[size:]
+            if batch:
+                check(batch)
 
 
 class TestSetWteRows:

@@ -14,7 +14,6 @@ from embedit import (
     EditHyperparams,
     EditLedger,
     EditRequest,
-    EncoderBundle,
     GenderEntry,
     aggregate_reports,
     classify,
@@ -153,33 +152,64 @@ class TestEvaluateEdit:
         assert report.counts["strict_specificity"] == (1, 2)
         assert report.strict_specificity < 100.0
 
-    def test_each_distinct_prompt_is_encoded_once_per_bundle_and_call(self, monkeypatch):
-        edited = make_bundle(seed=42)
-        reference = make_bundle(seed=42)
+    def test_each_distinct_prompt_is_read_once_per_bundle_and_call(self, forward_reads):
+        # Context 24 leaves room for pooled reads shorter than a full one.
+        edited = make_bundle(seed=42, context_length=24)
+        reference = make_bundle(seed=42, context_length=24)
+        long = "a little bear with a cat on a tree"  # eos 10, so n = 16
         entry = EditEntry(
             source="bear", destination="wolf", target_word="bear",
-            positives=(("a bear", "a wolf"), ("little bear", "a wolf")),
+            positives=(("a bear", "a wolf"), ("little bear", "a wolf"), (long, "a wolf")),
             # "wolf" repeats the destination, "a wolf" the positives'
             # destination, and the last negative repeats the one before it.
             negatives=(("wolf", "a wolf"), ("a cat", "a dog"), ("a cat", "a dog")),
         )
-        calls = Counter()
-        real = EncoderBundle.encode_prompt
+        bundles = {id(edited.weights): edited, id(reference.weights): reference}
+        prompts = {entry.source, entry.destination, *(x for pairs in (entry.positives,
+                   entry.negatives) for pair in pairs for x in pair)}
 
-        def spy(self, prompt, *args, **kwargs):
-            calls[id(self), prompt] += 1
-            return real(self, prompt, *args, **kwargs)
+        def reads():
+            """(bundle, n, prompt) of each token row read, and the forwards
+            run per (bundle, n)."""
+            rows, forwards = Counter(), Counter()
+            for weights, n, ids in forward_reads:
+                bundle = bundles[weights]
+                forwards[bundle is edited, n] += 1
+                for row in ids:
+                    p, = (p for p in prompts if bundle.tokenize(p).ids[:n] == row)
+                    rows[bundle is edited, n, p] += 1
+            return rows, forwards
 
-        monkeypatch.setattr(EncoderBundle, "encode_prompt", spy)
-        expected = Counter(
-            [(id(edited), p) for p in ("bear", "a bear", "little bear", "wolf", "a cat")]
-            + [(id(reference), p) for p in
-               ("bear", "wolf", "a bear", "a wolf", "little bear", "a cat", "a dog")]
-        )
+        full = {(e, 24, p) for e in (True, False) for p in ("wolf", "a cat")}
+        pooled = ({(True, 8, p) for p in ("bear", "a bear", "little bear")}
+                  | {(False, 8, p) for p in ("bear", "a bear", "little bear", "a wolf",
+                                             "a dog")}
+                  | {(e, 16, long) for e in (True, False)})
         evaluate_edit(entry, edited, reference)
-        assert calls == expected
+        rows, forwards = reads()
+        # Each (bundle, prompt) once; only the negatives' sources in full.
+        assert rows == Counter(full | pooled)
+        # One forward per (bundle, n) of the pooled reads, and one per full read.
+        assert forwards == Counter({(True, 8): 1, (False, 8): 1, (True, 16): 1, (False, 16): 1,
+                                    (True, 24): 2, (False, 24): 2})
         evaluate_edit(entry, edited, reference)
-        assert calls == expected + expected
+        assert reads()[0] == Counter(full | pooled) + Counter(full | pooled)
+
+
+@pytest.fixture
+def forward_reads(monkeypatch):
+    """(id(weights), n, token rows) of each call of the encoder's forward."""
+    import embedit.encoder as encoder
+
+    calls = []
+    real = encoder._forward
+
+    def spy(ids, weights, config, *args, **kwargs):
+        calls.append((id(weights), len(ids[0]), [tuple(row) for row in ids]))
+        return real(ids, weights, config, *args, **kwargs)
+
+    monkeypatch.setattr(encoder, "_forward", spy)
+    return calls
 
 
 class TestEntryValidation:
@@ -337,6 +367,20 @@ class TestFemalePercentage:
         )
         after = female_percentage(entry, edited, *_refs(entry, reference))
         assert abs(after - 50.0) < abs(baseline - 50.0)
+
+    def test_tests_are_read_in_one_batch(self, forward_reads):
+        bundle = make_bundle(seed=0)
+        entry = GenderEntry(
+            profession="teacher", validation="a teacher",
+            tests=("a teacher", "little teacher", "a teacher", "teacher with a dog"),
+            female_ref="female teacher", male_ref="male teacher",
+        )
+        refs = _refs(entry, bundle)
+        forward_reads.clear()
+        female_percentage(entry, bundle, *refs)
+        assert [rows for _, _, rows in forward_reads] == [
+            [bundle.tokenize(p).ids for p in ("a teacher", "little teacher",
+                                              "teacher with a dog")]]
 
     def test_gender_entry_requires_profession_in_tests(self):
         with pytest.raises(DatasetError):
