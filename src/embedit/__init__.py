@@ -39,6 +39,7 @@ from .encoder import (
     HiddenStates,
     TokenSequence,
     Vocab,
+    WteTable,
     encode,
     encode_pooled,
     init_random_weights,

@@ -31,7 +31,7 @@ from typing import BinaryIO, Callable
 import numpy as np
 
 from .autodiff import Tensor
-from .encoder import EncoderConfig, EncoderWeights, Vocab, tensor_shapes
+from .encoder import EncoderConfig, EncoderWeights, Vocab, WteTable, tensor_shapes
 from .errors import ArchiveFormatError, json_object, read_json
 
 MAGIC = b"EMBEDIT1"
@@ -61,15 +61,19 @@ def save_weights(
 ) -> None:
     """Write config, vocab, and all tensors to one archive file, atomically
     (write_atomically). Each tensor is written from its own buffer, with no
-    bytes copy. A tensor whose shape is not the one the config calls for
-    raises ValueError before any file is made.
+    bytes copy; the WTE is written as its table's blocks, base slices and
+    overriding rows, so no merged table is built. A tensor whose shape is
+    not the one the config calls for raises ValueError before any file is
+    made.
     """
     index = _tensor_index(config)
-    arrays = [np.ascontiguousarray(t.array, dtype="<f8") for _, t in weights.named_tensors()]
-    for entry, a in zip(index, arrays, strict=True):
-        if list(a.shape) != entry["shape"]:
-            raise ValueError(f"tensor {entry['name']}: shape {list(a.shape)}, "
+    tensors = list(weights.named_tensors())
+    for entry, (_, t) in zip(index, tensors, strict=True):
+        if list(t.shape) != entry["shape"]:
+            raise ValueError(f"tensor {entry['name']}: shape {list(t.shape)}, "
                              f"config calls for {entry['shape']}")
+    blocks = [np.ascontiguousarray(a, dtype="<f8") for _, t in tensors
+              for a in (t.blocks() if isinstance(t, WteTable) else [t.array])]
     header = {"config": config.to_json(), "vocab": vocab.to_json(), "tensors": index}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
 
@@ -77,7 +81,7 @@ def save_weights(
         f.write(MAGIC)
         f.write(struct.pack("<Q", len(header_bytes)))
         f.write(header_bytes)
-        for a in arrays:
+        for a in blocks:
             f.write(memoryview(a).cast("B"))
 
     write_atomically(path, write)

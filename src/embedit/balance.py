@@ -163,7 +163,7 @@ def _gendered_row(bundle: EncoderBundle, word: str) -> np.ndarray:
     ids = bundle.vocab.word_token_ids(word)
     if len(ids) != 1:
         raise UnknownTokenError(f"{word!r} must map to a single token for averaging")
-    return bundle.weights.wte.array[ids[0]]
+    return bundle.weights.wte.rows(ids)[0]
 
 
 def _edit_balance_auto(
@@ -177,7 +177,7 @@ def _edit_balance_auto(
     config, weights, vocab = bundle.config, bundle.weights, bundle.vocab
     ids = sorted(target_token_ids(edit_request, vocab))
     init_rows = init_profession_embedding(
-        weights.wte.array[ids], _gendered_row(bundle, "female"), _gendered_row(bundle, "male"))
+        weights.wte.rows(ids), _gendered_row(bundle, "female"), _gendered_row(bundle, "male"))
     init = (ids, Tensor(init_rows))
 
     p_tokens = tokenize(request.profession, vocab, config)

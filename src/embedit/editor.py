@@ -264,7 +264,7 @@ def edit_single(
     src_tokens = tokenize(request.source_prompt, vocab, config)
     h_new = encode(tokenize(request.destination_prompt, vocab, config), weights, config)
     return _optimize_rows(
-        bundle, request, ids, weights.wte.array[ids], src_tokens,
+        bundle, request, ids, weights.wte.rows(ids), src_tokens,
         lambda h, tape: _hidden_mse(h, h_new, hyper.loss_positions, tape),
         0.0, hyper, ledger,
     )
@@ -287,7 +287,7 @@ def _optimize_rows(
     appended.
     """
     weights, config = bundle.weights, bundle.config
-    original = weights.wte.array[ids]
+    original = weights.wte.rows(ids)
     lr = hyper.learning_rate
     opt = Adam(init_rows.shape, lr) if hyper.optimizer is OptimizerKind.ADAM else Sgd(lr)
 

@@ -183,26 +183,126 @@ class LayerWeights:
 _LAYER_FIELDS = tuple(f.name for f in fields(LayerWeights))
 
 
+class WteTable:
+    """The token embedding table: a frozen base plus overriding rows.
+
+    Immutable. The base Tensor is shared by every table derived from it;
+    with_rows returns a new table that holds the written rows as overrides,
+    so a k-row write costs about k*d*8 bytes and never copies the base. An
+    override whose bytes equal its base row's is dropped, so writing the
+    base rows back (a full revert) leaves the base alone again. Ids must be
+    integers (not bools) in [0, vocab_size).
+    """
+
+    __slots__ = ("base", "override_ids", "overrides")
+
+    def __init__(self, base: Tensor):
+        self.base = base
+        self.override_ids: tuple[int, ...] = ()
+        self.overrides = Tensor._wrap(np.empty((0, base.shape[1])))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.base.shape
+
+    @property
+    def array(self) -> np.ndarray:
+        """The base's read-only array when nothing overrides it. Otherwise a
+        read-only merged V-by-d copy, built anew on each call."""
+        if not self.override_ids:
+            return self.base.array
+        a = self.base.array.copy()
+        a[list(self.override_ids)] = self.overrides.array
+        a.setflags(write=False)
+        return a
+
+    def rows(self, ids: Sequence[int]) -> np.ndarray:
+        """A k-by-d copy of the rows of `ids`, overrides applied."""
+        ids = self._checked_ids(ids)
+        out = self.base.array[ids]
+        slot = {i: s for s, i in enumerate(self.override_ids)}
+        for p, i in enumerate(ids):
+            if i in slot:
+                out[p] = self.overrides.array[slot[i]]
+        return out
+
+    def with_rows(self, ids: Sequence[int], rows: np.ndarray) -> "WteTable":
+        """A table whose rows of `ids` are `rows` and whose other rows are
+        this table's. Repeated ids, rows not shaped (len(ids), d_model) and
+        non-finite rows are rejected."""
+        ids = self._checked_ids(ids)
+        d = self.shape[1]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"repeated row ids in {ids}")
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.shape != (len(ids), d):
+            raise DimensionError(f"rows have shape {rows.shape}, expected {(len(ids), d)}")
+        if not np.all(np.isfinite(rows)):
+            raise NonFiniteError("tensor entries must be finite")
+        merged = dict(zip(self.override_ids, self.overrides.array))
+        merged.update(zip(ids, rows))
+        keys = sorted(merged)
+        stacked = np.array([merged[i] for i in keys], dtype=np.float64).reshape(len(keys), d)
+        # Bytes, not values: a row that differs from its base row only in the
+        # sign of a zero stays an override.
+        differs = (stacked.view(np.int64) != self.base.array[keys].view(np.int64)).any(axis=1)
+        table = WteTable.__new__(WteTable)
+        table.base = self.base
+        table.override_ids = tuple(i for i, keep in zip(keys, differs) if keep)
+        table.overrides = Tensor._wrap(stacked[differs])
+        return table
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The merged table's rows in order, as base slices between the
+        overridden rows and each overriding row: what .array holds, without
+        building it."""
+        base, start = self.base.array, 0
+        for i, row in zip(self.override_ids, self.overrides.array):
+            if start < i:
+                yield base[start:i]
+            yield row
+            start = i + 1
+        if start < len(base):
+            yield base[start:]
+
+    def _checked_ids(self, ids: Sequence[int]) -> list[int]:
+        ids = list(ids)
+        for i in ids:
+            # bool is an int: True would silently stand for row 1.
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                raise TypeError(f"row id {i!r} is not an integer")
+        ids = [int(i) for i in ids]
+        n = self.shape[0]
+        bad = [i for i in ids if not 0 <= i < n]
+        if bad:
+            raise IndexError(f"row ids {bad} out of range for table with {n} rows")
+        return ids
+
+
 @dataclass
 class EncoderWeights:
     """All encoder parameters. Only WTE rows may change after construction."""
 
-    wte: Tensor
+    wte: WteTable
     positional: Tensor
     layers: list[LayerWeights]
     final_gamma: Tensor
     final_beta: Tensor
 
     @classmethod
-    def from_named(cls, tensors: dict[str, Tensor], config: EncoderConfig) -> "EncoderWeights":
-        """Inverse of named_tensors(): `tensors` holds every name `config` calls for."""
+    def from_named(cls, tensors: dict, config: EncoderConfig) -> "EncoderWeights":
+        """Inverse of named_tensors(): `tensors` holds every name `config` calls
+        for; "wte" may be a WteTable or the Tensor of its base."""
         layers = [LayerWeights(**{f: tensors[f"layers.{i}.{f}"] for f in _LAYER_FIELDS})
                   for i in range(config.n_layers)]
-        return cls(wte=tensors["wte"], positional=tensors["positional"], layers=layers,
+        wte = tensors["wte"]
+        return cls(wte=wte if isinstance(wte, WteTable) else WteTable(wte),
+                   positional=tensors["positional"], layers=layers,
                    final_gamma=tensors["final_gamma"], final_beta=tensors["final_beta"])
 
-    def named_tensors(self) -> Iterator[tuple[str, Tensor]]:
-        """Stable (name, tensor) ordering used for archives and init."""
+    def named_tensors(self) -> Iterator[tuple[str, Tensor | WteTable]]:
+        """Stable (name, tensor) ordering used for archives and init; "wte"
+        is the WteTable."""
         yield "wte", self.wte
         yield "positional", self.positional
         for i, layer in enumerate(self.layers):
@@ -214,27 +314,14 @@ class EncoderWeights:
     def set_wte_rows(self, ids: Sequence[int], rows: np.ndarray) -> None:
         """Replace the given WTE rows; every other scalar keeps its bits.
 
-        Ids outside [0, vocab_size), repeated ids, rows not shaped
-        (len(ids), d_model) and non-finite rows are rejected before anything
-        is written. Only the new rows are checked: the others come from the
-        current table, which was checked when it was built. The table is
-        copied once.
+        Ids that are not integers or lie outside [0, vocab_size), repeated
+        ids, rows not shaped (len(ids), d_model) and non-finite rows are
+        rejected before anything is written. The table is never mutated:
+        self.wte is rebound to WteTable.with_rows, which shares the base, so
+        a write costs about k*d*8 bytes and any other EncoderWeights holding
+        the old table (a dataclasses.replace copy) keeps its rows.
         """
-        ids = list(ids)
-        n, d = self.wte.shape
-        bad = [i for i in ids if not 0 <= i < n]
-        if bad:
-            raise IndexError(f"row ids {bad} out of range for table with {n} rows")
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"repeated row ids in {ids}")
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.shape != (len(ids), d):
-            raise DimensionError(f"rows have shape {rows.shape}, expected {(len(ids), d)}")
-        if not np.all(np.isfinite(rows)):
-            raise NonFiniteError("tensor entries must be finite")
-        new = self.wte.array.copy()
-        new[ids] = rows
-        self.wte = Tensor._wrap(new)
+        self.wte = self.wte.with_rows(ids, rows)
 
 
 def tensor_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -311,7 +398,12 @@ def _forward(
     # raises at a layer norm's variance or attention's scores, or reaches the
     # output, so the one check below reports it and numpy need not warn.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x = gather_rows(weights.wte, flat)
+        # Overrides are placed untaped and before the edit leaf, so a batch
+        # that reads no overridden id reads only base rows.
+        table = weights.wte
+        x = gather_rows(table.base, flat)
+        if not set(table.override_ids).isdisjoint(flat):
+            x = substitute_rows(x, flat, table.override_ids, table.overrides)
         if edit_rows is not None:
             leaf_ids, leaf = edit_rows
             if tape is not None:

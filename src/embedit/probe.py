@@ -76,7 +76,7 @@ def extract_features(dataset: ProbeDataset, weights: EncoderWeights, vocab: Voca
     out = np.zeros((len(dataset.items), d))
     for k, (word, _) in enumerate(dataset.items):
         ids = vocab.word_token_ids(word.lower())
-        rows = weights.wte.array[ids]
+        rows = weights.wte.rows(ids)
         out[k] = rows[0] if len(ids) == 1 else rows.mean(axis=0)
     return out
 

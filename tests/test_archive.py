@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -7,11 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embedit import (
+    EditHyperparams,
+    EditLedger,
+    EditRequest,
+    EncoderBundle,
     Tensor,
+    WteTable,
     archive,
+    edit_single,
     init_random_weights,
     load_vocab,
     load_weights,
+    revert,
     save_vocab,
     save_weights,
 )
@@ -262,10 +270,37 @@ def test_save_replaces_an_existing_archive(saved):
     assert [p.name for p in path.parent.iterdir()] == [path.name]
 
 
+def test_overrides_save_the_bytes_of_their_merged_table(tmp_path, vocab):
+    config = make_config(vocab)
+    weights = init_random_weights(config, 3)
+    ids = [0, 1, 5, 6, config.vocab_size - 1]  # the first and last rows, and neighbours
+    weights.set_wte_rows(ids, weights.wte.rows(ids) * 2.0)
+    merged = dataclasses.replace(weights, wte=WteTable(Tensor(weights.wte.array)))
+    assert weights.wte.override_ids == tuple(ids) and merged.wte.override_ids == ()
+    save_weights(tmp_path / "overrides.embedit", config, weights, vocab)
+    save_weights(tmp_path / "merged.embedit", config, merged, vocab)
+    assert (tmp_path / "overrides.embedit").read_bytes() == \
+        (tmp_path / "merged.embedit").read_bytes()
+
+
+def test_an_edit_then_a_full_revert_saves_the_base_archive(saved, tmp_path):
+    path, config, _, vocab = saved
+    weights = load_weights(path)[1]
+    bundle, ledger = EncoderBundle(config, weights, vocab), EditLedger()
+    hyper = EditHyperparams(stop_ratio=0.0, max_iters=2, learning_rate=1e-2)
+    edit_single(bundle, EditRequest("a bear", "a polar bear", "bear"), hyper, ledger)
+    edit_single(bundle, EditRequest("a red tree", "a blue tree", "red tree"), hyper, ledger)
+    assert len(weights.wte.override_ids) == 3
+    revert(weights, ledger, len(ledger))
+    assert weights.wte.override_ids == () and weights.wte.array is weights.wte.base.array
+    save_weights(tmp_path / "restored.embedit", config, weights, vocab)
+    assert (tmp_path / "restored.embedit").read_bytes() == path.read_bytes()
+
+
 def test_save_of_a_tensor_the_config_does_not_call_for_makes_no_file(tmp_path, vocab):
     config = make_config(vocab)
     weights = init_random_weights(config, 0)
-    weights.wte = Tensor(weights.wte.array.T.copy())
+    weights.wte = WteTable(Tensor(weights.wte.array.T.copy()))
     with pytest.raises(ValueError, match=r"wte: shape \[8, 27\], config calls for \[27, 8\]"):
         save_weights(tmp_path / "new.embedit", config, weights, vocab)
     assert list(tmp_path.iterdir()) == []

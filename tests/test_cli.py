@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -471,7 +472,7 @@ class TestReport:
         assert run("edit", "--weights", base, "--source", "bear", "--dest", "wolf",
                    "--target", "bear", "--lambda", 1.0, "--out", workdir / "eo") == 0
         # The header's count must equal the count over every loaded tensor.
-        total = sum(t.size for _, t in load_weights(base)[1].named_tensors())
+        total = sum(math.prod(t.shape) for _, t in load_weights(base)[1].named_tensors())
         reads = []
         monkeypatch.setattr(archive, "_read_exactly", lambda f, a: reads.append(a.shape))
         capsys.readouterr()

@@ -248,6 +248,24 @@ class TestEditSequential:
         for tid, row in single_rows.items():
             assert seq_bundle.weights.wte.array[tid].tobytes() == row.tobytes()
 
+    def test_a_replaced_reference_keeps_its_rows_across_edits(self):
+        # cmd_gender's reference bundle is made this way: every tensor shared.
+        bundle = make_bundle()
+        reference = dataclasses.replace(bundle.weights)
+        table = bundle.weights.wte
+        before = wte_bytes(bundle)
+        states = bundle.encode_prompt("a bear with a cat").sequence.array.tobytes()
+        hyper = EditHyperparams(stop_ratio=0.0, max_iters=2, learning_rate=1e-2)
+        for req in [EditRequest("a bear", "a wolf", "bear"), EditRequest("a cat", "a dog", "cat"),
+                    EditRequest("a bear", "a fox", "bear")]:
+            edit_single(bundle, req, hyper, EditLedger())
+            assert reference.wte is table and reference.wte.array.tobytes() == before
+        tokens = bundle.vocab.tokens
+        assert bundle.weights.wte.base is table.base
+        assert bundle.weights.wte.override_ids == tuple(sorted([tokens["bear"], tokens["cat"]]))
+        ref_bundle = dataclasses.replace(bundle, weights=reference)
+        assert ref_bundle.encode_prompt("a bear with a cat").sequence.array.tobytes() == states
+
     def test_repeated_request_starts_near_destination(self):
         bundle = make_bundle()
         hyper = EditHyperparams(stop_ratio=0.3, max_iters=300, learning_rate=1e-2)
@@ -312,6 +330,8 @@ class TestRevert:
         ], hyper, ledger)
         revert(bundle.weights, ledger, 2)
         assert wte_bytes(bundle) == original
+        assert bundle.weights.wte.override_ids == ()
+        assert bundle.weights.wte.array is bundle.weights.wte.base.array
 
     def test_revert_zero_is_noop(self):
         bundle = make_bundle()

@@ -6,13 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embedit import (
+    EditHyperparams,
+    EditLedger,
+    EditRequest,
+    EncoderBundle,
     EncoderConfig,
     Tape,
     Tensor,
     Vocab,
+    WteTable,
+    edit_single,
     encode,
     encode_pooled,
     init_random_weights,
+    load_weights,
+    save_weights,
     tokenize,
 )
 from embedit.errors import (
@@ -244,7 +252,11 @@ class TestSetWteRows:
         ([4, 5], np.zeros(8), DimensionError),
         ([4], np.zeros((1, 7)), DimensionError),
         ([4], np.full((1, 8), np.inf), ValueError),
-    ], ids=["negative", "past_vocab", "repeated", "one_row_for_two_ids", "narrow", "inf"])
+        ([True], np.zeros((1, 8)), TypeError),
+        ([np.True_], np.zeros((1, 8)), TypeError),
+        ([4, 1.0], np.zeros((2, 8)), TypeError),
+    ], ids=["negative", "past_vocab", "repeated", "one_row_for_two_ids", "narrow", "inf",
+            "bool", "numpy_bool", "float"])
     def test_rejects_before_writing(self, tiny_bundle, ids, rows, error):
         table = tiny_bundle.weights.wte
         assert table.shape == (27, 8)
@@ -259,6 +271,65 @@ class TestSetWteRows:
         assert np.array_equal(after[[5, 3]], [[1.0] * 8, [2.0] * 8])
         assert np.array_equal(np.delete(after, [3, 5], axis=0), np.delete(before, [3, 5], axis=0))
         assert not after.flags.writeable
+
+    def test_writes_rebind_and_share_the_base(self, tiny_bundle):
+        weights = tiny_bundle.weights
+        table = weights.wte
+        weights.set_wte_rows([np.int64(5), 3], np.array([[1.0] * 8, [2.0] * 8]))
+        assert weights.wte is not table and weights.wte.base is table.base
+        assert table.override_ids == () and table.array is table.base.array
+        assert weights.wte.override_ids == (3, 5)
+        assert not weights.wte.overrides.array.flags.writeable
+
+    @pytest.mark.parametrize("ids,error", [
+        ([True], TypeError), ([np.False_], TypeError), ([2.0], TypeError),
+        ([-1], IndexError), ([27], IndexError),
+    ], ids=["bool", "numpy_bool", "float", "negative", "past_vocab"])
+    def test_rows_rejects_ids_that_are_not_rows(self, tiny_bundle, ids, error):
+        with pytest.raises(error):
+            tiny_bundle.weights.wte.rows(ids)
+
+    def test_rows_apply_the_overrides(self, tiny_bundle):
+        weights = tiny_bundle.weights
+        weights.set_wte_rows([6, 2], np.array([[1.0] * 8, [2.0] * 8]))
+        assert np.array_equal(weights.wte.rows([2, 9, 6, 2]),
+                              weights.wte.array[[2, 9, 6, 2]])
+        assert np.array_equal(weights.wte.rows([6]), [[1.0] * 8])
+
+    def test_an_override_is_dropped_only_when_its_bytes_are_the_base_rows(self, tiny_bundle,
+                                                                         tmp_path):
+        config, weights, vocab = tiny_bundle.config, tiny_bundle.weights, tiny_bundle.vocab
+        base = weights.wte.array.copy()
+        base[4] = 0.0
+        weights.wte = WteTable(Tensor(base))
+        negative_zero = np.full((1, 8), -0.0)
+        weights.set_wte_rows([4], negative_zero)
+        # Equal in value, not in bytes: the row stays an override and is saved
+        # with its own bytes.
+        assert weights.wte.override_ids == (4,)
+        assert weights.wte.rows([4]).tobytes() == negative_zero.tobytes()
+        save_weights(tmp_path / "w.embedit", config, weights, vocab)
+        assert load_weights(tmp_path / "w.embedit")[1].wte.array[4].tobytes() \
+            == negative_zero[0].tobytes()
+        weights.set_wte_rows([4], np.zeros((1, 8)))
+        assert weights.wte.override_ids == ()
+        assert weights.wte.array is weights.wte.base.array
+
+    def test_overrides_encode_and_edit_bitwise_as_their_merged_table(self, tiny_bundle):
+        config, weights, vocab = tiny_bundle.config, tiny_bundle.weights, tiny_bundle.vocab
+        ids = [vocab.tokens["bear"], vocab.tokens["wolf"]]
+        weights.set_wte_rows(ids, weights.wte.rows(ids) + 0.25)
+        merged = dataclasses.replace(weights, wte=WteTable(Tensor(weights.wte.array)))
+        for prompt in ("a bear", "a wolf with a bear", "red tree"):
+            assert tiny_bundle.encode_prompt(prompt).sequence.array.tobytes() == \
+                encode(tiny_bundle.tokenize(prompt), merged, config).sequence.array.tobytes()
+        # The edit's gradients read the overridden row of "bear" through its leaf.
+        hyper = EditHyperparams(stop_ratio=0.0, max_iters=3, learning_rate=1e-2)
+        ledgers = [EditLedger(), EditLedger()]
+        for w, ledger in zip((weights, merged), ledgers):
+            edit_single(EncoderBundle(config, w, vocab),
+                        EditRequest("a bear with a wolf", "a polar bear", "bear"), hyper, ledger)
+        assert ledgers[0].to_json() == ledgers[1].to_json()
 
 
 class TestInitRandomWeights:

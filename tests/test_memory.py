@@ -1,6 +1,8 @@
 """Memory guards: archive I/O holds the weights once, a tape holds only what
-its VJPs read, and no tape outlives its backward pass into the table write."""
+its VJPs read, no tape outlives its backward pass into the table write, and
+no k-row edit, read or save of the WTE builds a V-by-d table."""
 
+import dataclasses
 import tracemalloc
 import weakref
 
@@ -14,11 +16,14 @@ from embedit import (
     EditHyperparams,
     EditLedger,
     EditRequest,
+    ProbeDataset,
     Tape,
     Tensor,
+    WteTable,
     backward,
     edit_balance,
     edit_single,
+    extract_features,
     init_random_weights,
     load_weights,
     save_weights,
@@ -26,7 +31,7 @@ from embedit import (
 from embedit.autodiff import add_bias, matmul, sum_all
 from embedit.encoder import EncoderWeights
 
-from conftest import make_bundle, make_config
+from conftest import WORDS, make_bundle, make_config, make_vocab
 
 # The header and one tensor's finiteness mask: small against the payload,
 # which is about 6.4 MB at this shape.
@@ -138,3 +143,62 @@ def test_no_tape_is_alive_at_the_write_of_auto_balancing(live_tapes_at_write):
                           BalancerParams(learning_rate=1e-2, max_iters=3), EditLedger())
     assert result.optimizer_steps >= 1
     assert live_tapes_at_write == [0]
+
+
+@pytest.fixture
+def wide_v():
+    """A table of about 13 MB beside weights of well under 1 MB, with some
+    rows already overridden."""
+    vocab = make_vocab(WORDS + [f"w{i}" for i in range(25_000)])
+    bundle = make_bundle(vocab=vocab, d_model=64, n_layers=1, n_heads=2, d_ff=128)
+    weights = bundle.weights
+    ids = [vocab.tokens[w] for w in ("cat", "dog", "w7", "w24999")]
+    weights.set_wte_rows(ids, weights.wte.rows(ids) + 0.5)
+    assert weights.wte.override_ids == tuple(sorted(ids))
+    return bundle, weights.wte.base.array.nbytes
+
+
+def test_a_k_row_write_allocates_k_rows(wide_v):
+    bundle, table_bytes = wide_v
+    weights, tokens = bundle.weights, bundle.vocab.tokens
+    ids = [tokens["bear"], tokens["w3"], tokens["w9000"]]
+    rows = weights.wte.rows(ids) + 1.0
+    base = weights.wte.base
+    held, peak, _ = traced(weights.set_wte_rows, ids, rows)
+    # Seven overrides of 64 float64s are 3.5 KB: allow a few such blocks and
+    # the bookkeeping, all far below the table.
+    k_d_bytes = 7 * 64 * 8
+    assert peak <= 4 * k_d_bytes + 8_192 < table_bytes // 500
+    assert held <= 2 * k_d_bytes + 4_096
+    assert weights.wte.base is base and len(weights.wte.override_ids) == 7
+
+
+def test_an_edit_over_overrides_builds_no_table(wide_v):
+    bundle, table_bytes = wide_v
+    hyper = EditHyperparams(stop_ratio=0.0, max_iters=2, learning_rate=1e-2)
+    _, peak, result = traced(edit_single, bundle, EditRequest("a cat", "a dog", "cat"),
+                             hyper, EditLedger())
+    assert result.optimizer_steps == 2
+    assert peak < table_bytes // 10
+
+
+def test_probe_features_over_overrides_build_no_table(wide_v):
+    bundle, table_bytes = wide_v
+    dataset = ProbeDataset(items=[("cat", 0), ("dog", 1), ("w7", 0), ("bear", 1)],
+                           label_names=("a", "b"))
+    _, peak, features = traced(extract_features, dataset, bundle.weights, bundle.vocab)
+    tokens = bundle.vocab.tokens
+    assert np.array_equal(features, bundle.weights.wte.rows([tokens[w] for w, _ in dataset.items]))
+    assert peak < table_bytes // 100
+
+
+def test_save_over_overrides_builds_no_table(wide_v, tmp_path):
+    bundle, table_bytes = wide_v
+    plain = dataclasses.replace(bundle.weights, wte=WteTable(bundle.weights.wte.base))
+
+    def save_peak(weights):
+        return traced(save_weights, tmp_path / "out.embedit", bundle.config, weights,
+                      bundle.vocab)[1]
+
+    # The header, which holds the 25k-word vocabulary, costs both saves alike.
+    assert save_peak(bundle.weights) <= save_peak(plain) + table_bytes // 100
