@@ -113,19 +113,20 @@ def alpha_weight(delta: float, params: BalancerParams) -> float:
     return max(params.alpha_min, 10.0 * delta)
 
 
-def balanced_loss(h_p, h_csp, h_sp, alpha: float, positions: LossPositions) -> float:
-    """alpha^2 * MSE(p, csp) + (1/alpha)^2 * MSE(p, sp)."""
+def balanced_loss(h_p, h_csp, h_sp, alpha: float) -> float:
+    """alpha^2 * MSE(p, csp) + (1/alpha)^2 * MSE(p, sp), over the full
+    sequence."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    return _reward_penalty(h_p, h_csp, h_sp, alpha, positions).item()
+    return _reward_penalty(h_p, h_csp, h_sp, alpha).item()
 
 
-def _reward_penalty(h_p, h_csp, h_sp, alpha: float, positions: LossPositions,
-                    tape: Tape | None = None) -> Tensor:
+def _reward_penalty(h_p, h_csp, h_sp, alpha: float, tape: Tape | None = None) -> Tensor:
     """balanced_loss as a Tensor, recorded on `tape` when one is given."""
+    full = LossPositions.FULL_SEQUENCE
     return add(
-        scale(_hidden_mse(h_p, h_csp, positions, tape), alpha ** 2, tape),
-        scale(_hidden_mse(h_p, h_sp, positions, tape), (1.0 / alpha) ** 2, tape),
+        scale(_hidden_mse(h_p, h_csp, full, tape), alpha ** 2, tape),
+        scale(_hidden_mse(h_p, h_sp, full, tape), (1.0 / alpha) ** 2, tape),
         tape,
     )
 
@@ -185,7 +186,6 @@ def _edit_balance_auto(
     csp_tokens = tokenize(request.counter_prompt, vocab, config)
     h_sp = encode(sp_tokens, weights, config, edit_rows=init)
     h_csp = encode(csp_tokens, weights, config, edit_rows=init)
-    positions = LossPositions.FULL_SEQUENCE
     alpha = None
 
     def loss_fn(h_p, tape):
@@ -193,19 +193,18 @@ def _edit_balance_auto(
         # encoded at the averaged rows.
         nonlocal alpha
         if alpha is None:
-            alpha = _alpha(request.profession, h_p, h_csp, h_sp, positions, params)
-        return _reward_penalty(h_p, h_csp, h_sp, alpha, positions, tape)
+            alpha = _alpha(request.profession, h_p, h_csp, h_sp, params)
+        return _reward_penalty(h_p, h_csp, h_sp, alpha, tape)
 
     return _optimize_rows(bundle, edit_request, ids, init_rows, p_tokens, loss_fn,
                           GRAD_NORM_STOP, hyper, ledger)
 
 
-def _alpha(profession: str, h_p, h_csp, h_sp, positions: LossPositions,
-           params: BalancerParams) -> float:
-    """alpha_weight of the bias rate at h_p; alpha_min, with a warning, when
-    h_p equals both gendered states."""
-    mse_sp = mse_hidden(h_p, h_sp, positions)
-    mse_csp = mse_hidden(h_p, h_csp, positions)
+def _alpha(profession: str, h_p, h_csp, h_sp, params: BalancerParams) -> float:
+    """alpha_weight of the bias rate at h_p, over the full sequence;
+    alpha_min, with a warning, when h_p equals both gendered states."""
+    mse_sp = mse_hidden(h_p, h_sp, LossPositions.FULL_SEQUENCE)
+    mse_csp = mse_hidden(h_p, h_csp, LossPositions.FULL_SEQUENCE)
     if mse_sp == 0.0 and mse_csp == 0.0:
         warnings.warn(
             f"profession {profession!r} is representationally gender-neutral; "

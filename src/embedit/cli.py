@@ -120,11 +120,11 @@ def cmd_init(args) -> int:
 
 
 def cmd_edit(args) -> int:
+    hyper = _hyper_from_args(args)
     bundles = [_load_bundle(args.weights)]
     if args.weights2:
         bundles.append(_load_bundle(args.weights2))
     request = EditRequest(args.source, args.dest, args.target)
-    hyper = _hyper_from_args(args)
     ledgers = [EditLedger() for _ in bundles]
     results = edit_multi_encoder(bundles, request, hyper, ledgers)
 
@@ -152,12 +152,12 @@ def cmd_edit(args) -> int:
 
 
 def cmd_seq_edit(args) -> int:
+    hyper = _hyper_from_args(args)
     entries = load_edit_entries(args.dataset)
     if not entries:
         raise DatasetError(f"{args.dataset}: no edit entries")
     bundle = _load_bundle(args.weights)
     requests = [EditRequest(e.source, e.destination, e.target_word) for e in entries]
-    hyper = _hyper_from_args(args)
     ledger = EditLedger()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -280,6 +280,8 @@ def cmd_eval(args) -> int:
         raise _UsageError("--exclude needs --sequential-filter")
     edited = _load_bundle(args.weights)
     reference = _load_bundle(args.reference)
+    if (edited.config, edited.vocab) != (reference.config, reference.vocab):
+        raise DataError(f"{args.reference}: config or vocab differs from {args.weights}'s")
     entries = load_edit_entries(args.dataset)
     if args.sequential_filter:
         excluded = []

@@ -416,10 +416,11 @@ def budget_report(ledgers: list[EditLedger], total_model_params: int) -> dict:
     """Budget of parallel ledgers, one per encoder, as the JSON object
     `embedit report` writes: edit k modifies the scalars of entry k's k-by-d
     rows in every ledger and costs one multiply-add (2 FLOPs) per modified
-    scalar.
+    scalar. Ledgers that cover different numbers of edits do not pair up:
+    LedgerFormatError.
     """
     if len({len(ledger) for ledger in ledgers}) > 1:
-        raise ValueError("ledgers cover different numbers of edits")
+        raise LedgerFormatError("ledgers cover different numbers of edits")
     per_edit = []
     for entries in zip(*(ledger.entries for ledger in ledgers)):
         modified = sum(e.new_rows.size for e in entries)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -190,8 +189,10 @@ class WteTable:
     with_rows returns a new table that holds the written rows as overrides,
     so a k-row write costs about k*d*8 bytes and never copies the base. An
     override whose bytes equal its base row's is dropped, so writing the
-    base rows back (a full revert) leaves the base alone again. Ids must be
-    integers (not bools) in [0, vocab_size).
+    base rows back (a full revert) leaves the base alone again. rows is the
+    one read: the encoder, .array and every k-row read go through it; only
+    blocks, save's stream, reads the layout too. Ids must be integers (not
+    bools) in [0, vocab_size).
     """
 
     __slots__ = ("base", "override_ids", "overrides")
@@ -207,24 +208,19 @@ class WteTable:
 
     @property
     def array(self) -> np.ndarray:
-        """The base's read-only array when nothing overrides it. Otherwise a
-        read-only merged V-by-d copy, built anew on each call."""
-        if not self.override_ids:
-            return self.base.array
-        a = self.base.array.copy()
-        a[list(self.override_ids)] = self.overrides.array
-        a.setflags(write=False)
-        return a
+        """The base's read-only array when nothing overrides it. Otherwise
+        rows of every id: a read-only V-by-d copy, built anew on each call."""
+        return self.rows(range(self.shape[0])) if self.override_ids else self.base.array
 
     def rows(self, ids: Sequence[int]) -> np.ndarray:
-        """A k-by-d copy of the rows of `ids`, overrides applied."""
+        """The rows of `ids`, overrides applied: the table's one read. A fresh
+        read-only k-by-d array that no live Tensor holds, so a caller may
+        adopt it with Tensor._wrap."""
         ids = self._checked_ids(ids)
-        out = self.base.array[ids]
-        slot = {i: s for s, i in enumerate(self.override_ids)}
-        for p, i in enumerate(ids):
-            if i in slot:
-                out[p] = self.overrides.array[slot[i]]
-        return out
+        x = gather_rows(self.base, ids)
+        if not set(self.override_ids).isdisjoint(ids):
+            x = substitute_rows(x, ids, self.override_ids, self.overrides)
+        return x.array
 
     def with_rows(self, ids: Sequence[int], rows: np.ndarray) -> "WteTable":
         """A table whose rows of `ids` are `rows` and whose other rows are
@@ -241,15 +237,13 @@ class WteTable:
             raise NonFiniteError("tensor entries must be finite")
         merged = dict(zip(self.override_ids, self.overrides.array))
         merged.update(zip(ids, rows))
-        keys = sorted(merged)
-        stacked = np.array([merged[i] for i in keys], dtype=np.float64).reshape(len(keys), d)
         # Bytes, not values: a row that differs from its base row only in the
         # sign of a zero stays an override.
-        differs = (stacked.view(np.int64) != self.base.array[keys].view(np.int64)).any(axis=1)
-        table = WteTable.__new__(WteTable)
-        table.base = self.base
-        table.override_ids = tuple(i for i, keep in zip(keys, differs) if keep)
-        table.overrides = Tensor._wrap(stacked[differs])
+        base = self.base.array
+        keep = sorted(i for i, row in merged.items() if row.tobytes() != base[i].tobytes())
+        table = WteTable(self.base)
+        table.override_ids = tuple(keep)
+        table.overrides = Tensor._wrap(np.array([merged[i] for i in keep]).reshape(len(keep), d))
         return table
 
     def blocks(self) -> Iterator[np.ndarray]:
@@ -369,14 +363,6 @@ def tokenize(prompt: str, vocab: Vocab, config: EncoderConfig) -> TokenSequence:
     return TokenSequence(tuple(ids), eos_position)
 
 
-@lru_cache(maxsize=8)
-def _causal_mask(context_length: int) -> Tensor:
-    """The context-by-context causal mask; a forward over n positions cuts
-    its n-by-n block, so one mask per context serves every n."""
-    m = np.full((context_length, context_length), ATTENTION_MASK_VALUE)
-    return Tensor(np.triu(m, k=1))
-
-
 def _forward(
     ids: Sequence[Sequence[int]],
     weights: EncoderWeights,
@@ -390,7 +376,7 @@ def _forward(
     states are those of encoding it alone. Raises NonFiniteError when a
     computed state is not finite."""
     n = len(ids[0])
-    mask = Tensor(_causal_mask(config.context_length).array[:n, :n])
+    mask = Tensor._wrap(np.triu(np.full((n, n), ATTENTION_MASK_VALUE), k=1))
     positional = Tensor._wrap(np.tile(weights.positional.array[:n], (len(ids), 1)))
     flat = [i for row in ids for i in row]
 
@@ -398,12 +384,8 @@ def _forward(
     # raises at a layer norm's variance or attention's scores, or reaches the
     # output, so the one check below reports it and numpy need not warn.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # Overrides are placed untaped and before the edit leaf, so a batch
-        # that reads no overridden id reads only base rows.
-        table = weights.wte
-        x = gather_rows(table.base, flat)
-        if not set(table.override_ids).isdisjoint(flat):
-            x = substitute_rows(x, flat, table.override_ids, table.overrides)
+        # The table places its overrides untaped, before the edit leaf.
+        x = Tensor._wrap(weights.wte.rows(flat))
         if edit_rows is not None:
             leaf_ids, leaf = edit_rows
             if tape is not None:
@@ -448,9 +430,6 @@ def encode(
     they attend causally and are not key-masked. A forward pass that
     overflows raises NonFiniteError, so the hidden states are always finite.
     """
-    for i in tokens.ids:
-        if not (0 <= i < config.vocab_size):
-            raise IndexError(f"token id {i} out of range for vocab size {config.vocab_size}")
     if len(tokens.ids) != config.context_length:
         raise DimensionError(
             f"token sequence length {len(tokens.ids)} != context length {config.context_length}"

@@ -236,7 +236,7 @@ def test_07_bias_balancer_laws():
         h_p = hs(np.zeros((2, 2)))
         h_csp = hs(np.ones((2, 2)))      # MSE(p, csp) = 1
         h_sp = hs(2.0 * np.ones((2, 2)))  # MSE(p, sp) = 4
-        assert balanced_loss(h_p, h_csp, h_sp, 2.0, LossPositions.FULL_SEQUENCE) == 5.0
+        assert balanced_loss(h_p, h_csp, h_sp, 2.0) == 5.0
 
         bundle = make_bundle(seed=42)
         male = bundle.vocab.tokens["male"]

@@ -116,26 +116,26 @@ class TestBalancedLoss:
         h_p = hs(np.zeros((2, 2)))
         h_csp = hs(np.ones((2, 2)))
         h_sp = hs(2.0 * np.ones((2, 2)))
-        out = balanced_loss(h_p, h_csp, h_sp, 1.0, LossPositions.FULL_SEQUENCE)
+        out = balanced_loss(h_p, h_csp, h_sp, 1.0)
         assert out == 1.0 + 4.0
 
     def test_all_equal_is_zero(self):
         h = hs(np.ones((3, 2)))
-        assert balanced_loss(h, h, h, 2.0, LossPositions.FULL_SEQUENCE) == 0.0
+        assert balanced_loss(h, h, h, 2.0) == 0.0
 
     def test_hand_arithmetic(self):
         # alpha=2, MSE(p,csp)=1, MSE(p,sp)=4: 4*1 + 0.25*4 = 5
         h_p = hs(np.zeros((2, 2)))
         h_csp = hs(np.ones((2, 2)))
         h_sp = hs(2.0 * np.ones((2, 2)))
-        assert balanced_loss(h_p, h_csp, h_sp, 2.0, LossPositions.FULL_SEQUENCE) == 5.0
+        assert balanced_loss(h_p, h_csp, h_sp, 2.0) == 5.0
 
     def test_nonnegative_random(self, rng):
         for _ in range(50):
             h_p = hs(rng.normal(size=(3, 4)))
             h_csp = hs(rng.normal(size=(3, 4)))
             h_sp = hs(rng.normal(size=(3, 4)))
-            assert balanced_loss(h_p, h_csp, h_sp, 3.0, LossPositions.FULL_SEQUENCE) >= 0.0
+            assert balanced_loss(h_p, h_csp, h_sp, 3.0) >= 0.0
 
 
 class TestEditBalanceManual:
@@ -208,7 +208,7 @@ class TestEditBalanceAuto:
                                 params.delta_normalizer)
         alpha = alpha_weight(delta, params)
         res = edit_balance(bundle, self.request(), params, EditLedger())
-        assert res.initial_loss == balanced_loss(h_p0, h_csp, h_sp, alpha, full)
+        assert res.initial_loss == balanced_loss(h_p0, h_csp, h_sp, alpha)
         assert res.threshold_tau == 0.0
 
     def test_profession_is_encoded_once_per_score(self, monkeypatch):
@@ -315,6 +315,6 @@ class TestEditBalanceAuto:
 
         g_pure = grad_of(lambda tape, h_p: _hidden_mse(h_p, h_csp, full, tape))
         g_balanced = grad_of(lambda tape, h_p: balance._reward_penalty(
-            h_p, h_csp, h_sp, alpha, full, tape))
+            h_p, h_csp, h_sp, alpha, tape))
         rel = np.abs(g_balanced / alpha ** 2 - g_pure) / np.maximum(np.abs(g_pure), 1e-12)
         assert rel.max() < 1e-6

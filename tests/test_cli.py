@@ -418,6 +418,30 @@ class TestSeqEditAndEval:
         assert capsys.readouterr().err.startswith("error: --exclude needs --sequential-filter")
         assert not (workdir / "evalout").exists()
 
+    @pytest.mark.parametrize("differs", ["config", "vocab", "both"])
+    def test_reference_that_does_not_match_the_weights_is_data_error(self, workdir, capsys,
+                                                                     differs):
+        config = json.loads((workdir / "config.json").read_text())
+        vocab = json.loads((workdir / "vocab.json").read_text())
+        if differs != "vocab":
+            config["n_layers"] = 1
+        if differs != "config":
+            tokens = vocab["tokens"]
+            tokens["bear"], tokens["cat"] = tokens["cat"], tokens["bear"]
+        (workdir / "other_config.json").write_text(json.dumps(config))
+        (workdir / "other_vocab.json").write_text(json.dumps(vocab))
+        other = workdir / "other.embedit"
+        assert run("init", "--config", workdir / "other_config.json",
+                   "--vocab", workdir / "other_vocab.json", "--out", other) == 0
+        base = init_archive(workdir)
+        capsys.readouterr()
+        assert run("eval", "--weights", other, "--reference", base,
+                   "--dataset", self.make_dataset(workdir, n=2),
+                   "--out", workdir / "evalout") == 2
+        assert capsys.readouterr().err == (
+            f"data error: {base}: config or vocab differs from {other}'s\n")
+        assert not (workdir / "evalout").exists()
+
 
 class TestReport:
     def test_wide_single_edit_prints_table_numbers(self, workdir, capsys):
@@ -523,6 +547,18 @@ class TestReport:
         assert run("report", "--ledger", ledger, "--total-params", 200, "--out", out) == 1
         assert (out / "budget.json").read_bytes() == before
         assert [p.name for p in out.iterdir()] == ["budget.json"]
+
+    def test_ledgers_that_cover_different_numbers_of_edits_are_data_error(self, workdir,
+                                                                           capsys):
+        one, two = workdir / "one.json", workdir / "two.json"
+        zero_row_ledger(8, [3]).save(one)
+        zero_row_ledger(8, [3], [4]).save(two)
+        capsys.readouterr()
+        assert run("report", "--ledger", one, "--ledger2", two, "--total-params", 100,
+                   "--out", workdir / "rep") == 2
+        assert capsys.readouterr().err == (
+            "data error: ledgers cover different numbers of edits\n")
+        assert not (workdir / "rep").exists()
 
     def test_ledger_that_is_not_json_is_data_error(self, workdir, capsys):
         bad = workdir / "ledger.json"
@@ -809,6 +845,26 @@ class TestExitCodes:
         capsys.readouterr()
         assert run(*args, flag, value, "--out", workdir / "x") == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert not (workdir / "x").exists()
+
+    @pytest.mark.parametrize("command", ["edit", "seq-edit"])
+    def test_edit_hyperparameters_are_checked_before_any_file_is_read(self, workdir, capsys,
+                                                                       command):
+        # The archive is damaged too; the flags are read first, as gender reads
+        # them, so the usage error wins over the data error.
+        truncated = workdir / "truncated.embedit"
+        truncated.write_bytes(init_archive(workdir).read_bytes()[:40])
+        if command == "edit":
+            args = ("--source", "bear", "--dest", "wolf", "--target", "bear")
+        else:
+            ds = workdir / "edits.jsonl"
+            ds.write_text(json.dumps({"source": "bear", "destination": "wolf",
+                                      "target_word": "bear"}) + "\n")
+            args = ("--dataset", ds)
+        capsys.readouterr()
+        assert run(command, "--weights", truncated, *args, "--lr", "-1",
+                   "--out", workdir / "x") == 1
+        assert capsys.readouterr().err.startswith("error: learning_rate")
         assert not (workdir / "x").exists()
 
     @pytest.mark.parametrize("mode,stop_ratio,dataset", [

@@ -13,6 +13,7 @@ from embedit import (
     EncoderConfig,
     Tape,
     Tensor,
+    TokenSequence,
     Vocab,
     WteTable,
     edit_single,
@@ -330,6 +331,51 @@ class TestSetWteRows:
             edit_single(EncoderBundle(config, w, vocab),
                         EditRequest("a bear with a wolf", "a polar bear", "bear"), hyper, ledger)
         assert ledgers[0].to_json() == ledgers[1].to_json()
+
+
+ZERO_ROWS = [4, 9]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_every_read_of_an_override_set_agrees_bitwise(data):
+    # Writes of random rows, of -0.0 rows (over 0.0 base rows at ZERO_ROWS)
+    # and of base rows written back; then rows(), .array, the concatenated
+    # blocks() and an encode against the merged table must agree bitwise, and
+    # with the written rows.
+    bundle = make_bundle()
+    config, weights = bundle.config, bundle.weights
+    n, d = weights.wte.shape
+    base = weights.wte.array.copy()
+    base[ZERO_ROWS] = 0.0
+    weights.wte = WteTable(Tensor(base))
+    expected = base.copy()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    for _ in range(data.draw(st.integers(1, 4))):
+        ids = data.draw(st.lists(st.sampled_from(ZERO_ROWS) | st.integers(0, n - 1),
+                                 min_size=1, max_size=5, unique=True))
+        kinds = data.draw(st.lists(st.sampled_from(["random", "negative_zero", "base"]),
+                                   min_size=len(ids), max_size=len(ids)))
+        rows = np.array([rng.normal(size=d) if kind == "random"
+                         else np.full(d, -0.0) if kind == "negative_zero" else base[i]
+                         for i, kind in zip(ids, kinds)])
+        weights.set_wte_rows(ids, rows)
+        expected[ids] = rows
+    table = weights.wte
+    merged = np.concatenate([b.reshape(-1, d) for b in table.blocks()])
+    assert merged.tobytes() == expected.tobytes()
+    assert table.array.tobytes() == merged.tobytes()
+    assert table.rows(range(n)).tobytes() == merged.tobytes()
+    if not table.override_ids:
+        assert table.array is table.base.array
+    seq = data.draw(st.lists(st.sampled_from([*table.override_ids, *ZERO_ROWS])
+                             | st.integers(0, n - 1),
+                             min_size=config.context_length, max_size=config.context_length))
+    assert table.rows(seq).tobytes() == table.array[seq].tobytes() == merged[seq].tobytes()
+    tokens = TokenSequence(tuple(seq), config.context_length - 1)
+    plain = dataclasses.replace(weights, wte=WteTable(Tensor(merged)))
+    assert encode(tokens, weights, config).sequence.array.tobytes() == \
+        encode(tokens, plain, config).sequence.array.tobytes()
 
 
 class TestInitRandomWeights:
