@@ -42,6 +42,7 @@ from .encoder import (
     WteTable,
     encode,
     encode_pooled,
+    encode_reads,
     init_random_weights,
     tokenize,
 )

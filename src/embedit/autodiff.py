@@ -8,6 +8,7 @@ gradient oracles and bitwise-equality checks stay exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -17,6 +18,8 @@ from .errors import DimensionError, NonFiniteError, TapeUsageError
 
 _GELU_SCALE = math.sqrt(2.0 / math.pi)
 _GELU_CUBIC = 0.044715
+# The additive score of a key a causal mask hides: its softmax weight is exactly 0.
+ATTENTION_MASK_VALUE = -1e9
 
 
 class Tensor:
@@ -438,26 +441,56 @@ def softmax_rows(m: Tensor, tape: Tape | None = None) -> Tensor:
     return out
 
 
+def _runs(lengths: Sequence[int]) -> list[tuple[int, int, int]]:
+    """(first row, B, n) of each run of B adjacent sequences of length n."""
+    runs, start = [], 0
+    for n, group in itertools.groupby(lengths):
+        b = len(list(group))
+        runs.append((start, b, n))
+        start += b * n
+    return runs
+
+
+def _split_heads(a: np.ndarray, b: int, n_heads: int) -> np.ndarray:
+    """The (B*n)-by-d rows of B sequences as a C-contiguous (B*n_heads, n, dh)
+    stack: one n-by-dh matrix per sequence and head."""
+    rows, d = a.shape
+    n, dh = rows // b, d // n_heads
+    return np.ascontiguousarray(
+        a.reshape(b, n, n_heads, dh).transpose(0, 2, 1, 3)).reshape(b * n_heads, n, dh)
+
+
+def _merge_heads(a: np.ndarray, out: np.ndarray, b: int) -> None:
+    """Write a (B*n_heads, n, dh) stack into the (B*n)-by-d rows `out`, a
+    C-contiguous row slice: _split_heads undone."""
+    bh, n, dh = a.shape
+    n_heads = bh // b
+    out.reshape(b, n, n_heads, dh).transpose(0, 2, 1, 3)[...] = a.reshape(b, n_heads, n, dh)
+
+
 def attention(
     q: Tensor,
     k: Tensor,
     v: Tensor,
     n_heads: int,
-    mask: Tensor,
+    lengths: Sequence[int],
     tape: Tape | None = None,
 ) -> Tensor:
-    """Multi-head attention over B sequences of n positions each.
+    """Causal multi-head attention over sequences of mixed lengths.
 
-    q, k and v are (B*n)-by-d stacks: rows b*n .. b*n + n - 1 are sequence
-    b, and the additive n-by-n mask, which is not differentiated, sets n.
-    Column block h of width dh = d / n_heads is head h. Each sequence's head
-    computes softmax((q_h @ k_h^T) / sqrt(dh) + mask) @ v_h, and the heads'
-    outputs are concatenated back to (B*n)-by-d. All B*n_heads heads run as
-    one stacked (B*n_heads, n, dh) matmul, so each sequence's output is
-    bitwise that of attending over it alone. At B=1 the result, and the q, k
-    and v gradients, are bitwise those of the per-head composition of
-    slice_cols, transpose, matmul, scale, add, softmax_rows and concat_cols.
-    Scores that are not finite raise NonFiniteError.
+    q, k and v are T-by-d stacks of sequences laid end to end, whose
+    lengths, in order, are `lengths`; they sum to T. Column block h of width
+    dh = d / n_heads is head h. Each sequence's head computes
+    softmax((q_h @ k_h^T) / sqrt(dh) + mask) @ v_h, where the n-by-n causal
+    mask lets position p see positions 0..p of its own sequence, and the
+    heads' outputs are concatenated back to T-by-d. Adjacent sequences of
+    equal length n form a run; each run builds its own mask and runs all its
+    sequences' heads as one stacked (B*n_heads, n, dh) matmul, in the forward
+    and in the VJP, so each sequence's output is bitwise that of attending
+    over it alone. For one sequence the result, and the q, k and v
+    gradients, are bitwise those of the per-head composition of slice_cols,
+    transpose, matmul, scale, add, softmax_rows and concat_cols. Scores that
+    are not finite raise NonFiniteError.
     """
     if len(q.shape) != 2 or k.shape != q.shape or v.shape != q.shape:
         raise DimensionError(
@@ -466,38 +499,44 @@ def attention(
     rows, d = q.shape
     if n_heads <= 0 or d % n_heads:
         raise DimensionError(f"attention: width {d} does not split into {n_heads} heads")
-    n = mask.shape[0] if mask.shape else 0
-    if n == 0 or mask.shape != (n, n) or rows % n:
-        raise DimensionError(f"attention: mask shape {mask.shape} is not n-by-n for n "
-                             f"dividing the {rows} rows")
-    b, dh = rows // n, d // n_heads
-    inv_sqrt = 1.0 / np.sqrt(dh)
-
-    def split(a):
-        return np.ascontiguousarray(
-            a.reshape(b, n, n_heads, dh).transpose(0, 2, 1, 3)).reshape(b * n_heads, n, dh)
-
-    def merge(a):
-        return a.reshape(b, n_heads, n, dh).transpose(0, 2, 1, 3).reshape(rows, d)
-
-    # C-contiguous stacks, like the copies slice_cols and transpose make, give
-    # BLAS the same operands per head, hence the same bits.
-    q3, v3 = split(q.array), split(v.array)
-    kt3 = np.ascontiguousarray(split(k.array).transpose(0, 2, 1))
-    scores = (q3 @ kt3) * inv_sqrt + mask.array
-    if not np.all(np.isfinite(scores)):
-        raise NonFiniteError("attention: scores are not finite")
-    p = _softmax(scores)
-    out = Tensor._wrap(merge(p @ v3))
+    lengths = list(lengths)
+    if not lengths or min(lengths) <= 0 or sum(lengths) != rows:
+        raise DimensionError(f"attention: sequence lengths {lengths} are not positive "
+                             f"lengths summing to the {rows} rows")
+    runs = _runs(lengths)
+    inv_sqrt = 1.0 / np.sqrt(d // n_heads)
+    out = np.empty((rows, d))
+    saved = []
+    for start, b, n in runs:
+        stop = start + b * n
+        # C-contiguous stacks, like the copies slice_cols and transpose make,
+        # give BLAS the same operands per head, hence the same bits.
+        q3 = _split_heads(q.array[start:stop], b, n_heads)
+        v3 = _split_heads(v.array[start:stop], b, n_heads)
+        kt3 = np.ascontiguousarray(
+            _split_heads(k.array[start:stop], b, n_heads).transpose(0, 2, 1))
+        scores = (q3 @ kt3) * inv_sqrt + np.triu(np.full((n, n), ATTENTION_MASK_VALUE), k=1)
+        if not np.all(np.isfinite(scores)):
+            raise NonFiniteError("attention: scores are not finite")
+        p = _softmax(scores)
+        _merge_heads(p @ v3, out[start:stop], b)
+        saved.append((q3, kt3, v3, p))
+    out = Tensor._wrap(out)
 
     def vjp(g, needs):
         # The per-head VJPs of matmul (g @ b^T, a^T @ g), softmax_rows and
-        # scale, run on all heads at once.
-        g3 = split(g)
-        g_v = merge(p.transpose(0, 2, 1) @ g3) if needs[2] else None
-        g_s = _softmax_vjp(p, g3 @ v3.transpose(0, 2, 1)) * inv_sqrt
-        g_q = merge(g_s @ kt3.transpose(0, 2, 1)) if needs[0] else None
-        g_k = merge((q3.transpose(0, 2, 1) @ g_s).transpose(0, 2, 1)) if needs[1] else None
+        # scale, run on all heads of a run at once.
+        g_q, g_k, g_v = (np.empty((rows, d)) if need else None for need in needs)
+        for (start, b, n), (q3, kt3, v3, p) in zip(runs, saved):
+            stop = start + b * n
+            g3 = _split_heads(g[start:stop], b, n_heads)
+            if needs[2]:
+                _merge_heads(p.transpose(0, 2, 1) @ g3, g_v[start:stop], b)
+            g_s = _softmax_vjp(p, g3 @ v3.transpose(0, 2, 1)) * inv_sqrt
+            if needs[0]:
+                _merge_heads(g_s @ kt3.transpose(0, 2, 1), g_q[start:stop], b)
+            if needs[1]:
+                _merge_heads((q3.transpose(0, 2, 1) @ g_s).transpose(0, 2, 1), g_k[start:stop], b)
         return (g_q, g_k, g_v)
 
     _maybe_record(tape, out, (q, k, v), vjp)

@@ -50,7 +50,7 @@ from .evaluation import (
     load_edit_entries,
     load_gender_entries,
 )
-from .probe import ProbeDataset, accuracy_over_seeds
+from .probe import ProbeDataset, accuracy_over_seeds, check_probe_params
 
 
 class _UsageError(Exception):
@@ -255,9 +255,15 @@ def cmd_revert(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    # Flags first, as every command checks them, so that the exit code does
+    # not depend on whether a file is damaged too.
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        raise _UsageError(f"--seeds must be integers, not {args.seeds!r}") from None
+    check_probe_params(seeds, args.train_fraction, args.lr, args.epochs, args.l2)
     config, weights, vocab = load_weights(args.weights)
     dataset = ProbeDataset.load(args.dataset)
-    seeds = [int(s) for s in args.seeds.split(",")]
     mean, std = accuracy_over_seeds(
         dataset, weights, vocab, seeds,
         train_fraction=args.train_fraction, lr=args.lr, epochs=args.epochs, l2=args.l2,

@@ -39,7 +39,6 @@ from .errors import (
     json_object,
 )
 
-ATTENTION_MASK_VALUE = -1e9
 INIT_STD = 0.02
 
 
@@ -370,14 +369,13 @@ def _forward(
     tape: Tape | None = None,
     edit_rows: tuple[Sequence[int], Tensor] | None = None,
 ) -> Tensor:
-    """The encoder over B token rows of n positions each, run as one
-    (B*n)-by-d stack: row b*n + p of the result is position p of token row
-    b. Every position attends causally within its own row, so each row's
-    states are those of encoding it alone. Raises NonFiniteError when a
-    computed state is not finite."""
-    n = len(ids[0])
-    mask = Tensor._wrap(np.triu(np.full((n, n), ATTENTION_MASK_VALUE), k=1))
-    positional = Tensor._wrap(np.tile(weights.positional.array[:n], (len(ids), 1)))
+    """The encoder over token rows of mixed lengths, each at most the
+    context, run as one stack: the positions of ids[0], then those of
+    ids[1], and so on, one row each. Every position attends causally within
+    its own token row, so each row's states are those of encoding it alone.
+    Raises NonFiniteError when a computed state is not finite."""
+    lengths = [len(row) for row in ids]
+    positional = Tensor._wrap(np.concatenate([weights.positional.array[:n] for n in lengths]))
     flat = [i for row in ids for i in row]
 
     # The primitives adopt their outputs unchecked. A value that overflows
@@ -398,7 +396,7 @@ def _forward(
             q = add_bias(matmul(h, layer.wq, tape), layer.bq, tape)
             k = add_bias(matmul(h, layer.wk, tape), layer.bk, tape)
             v = add_bias(matmul(h, layer.wv, tape), layer.bv, tape)
-            merged = attention(q, k, v, config.n_heads, mask, tape)
+            merged = attention(q, k, v, config.n_heads, lengths, tape)
             x = add(x, add_bias(matmul(merged, layer.wo, tape), layer.bo, tape), tape)
 
             h2 = layer_norm(x, layer.ln2_gamma, layer.ln2_beta, config.eps, tape)
@@ -449,11 +447,15 @@ def init_random_weights(config: EncoderConfig, seed: int) -> EncoderWeights:
     tensors = {}
     for name, shape in tensor_shapes(config).items():
         if name.endswith("_gamma"):
-            tensors[name] = Tensor(np.ones(shape))
+            a = np.ones(shape)
         elif name.endswith("_beta"):
-            tensors[name] = Tensor(np.zeros(shape))
+            a = np.zeros(shape)
         else:
-            tensors[name] = Tensor(rng.normal(0.0, INIT_STD, size=shape))
+            a = rng.normal(0.0, INIT_STD, size=shape)
+            if not np.isfinite(a).all():
+                raise NonFiniteError(f"init: {name} drew entries that are not finite")
+        # Fresh arrays, adopted without the copy Tensor(...) would make.
+        tensors[name] = Tensor._wrap(a)
     return EncoderWeights.from_named(tensors, config)
 
 
@@ -477,26 +479,46 @@ class EncoderBundle:
         return encode(self.tokenize(prompt), self.weights, self.config, tape, edit_rows)
 
 
-def encode_pooled(bundle: EncoderBundle, prompts: Iterable[str]) -> dict[str, Tensor]:
-    """The pooled state of each distinct prompt, keyed by prompt.
+def encode_reads(
+    bundle: EncoderBundle, full: Iterable[str], pooled: Iterable[str],
+) -> tuple[dict[str, HiddenStates], dict[str, Tensor]]:
+    """Each distinct prompt read once, all in one forward: the hidden states
+    of each prompt in `full`, and the pooled state of every prompt in either
+    list, each keyed by prompt.
 
-    Position eos of a causal encoder depends only on positions 0..eos, so a
-    prompt runs over its first n = min(context, 8 * ceil((eos + 1) / 8))
-    positions, and the prompts of one n run as one batch. Each pooled state
-    is bitwise bundle.encode_prompt(prompt).pooled. That n is a multiple of 8
-    is what makes it bitwise: numpy's pairwise sum keeps 8 accumulators, so
-    the softmax adds the masked keys' exact zeros in whole blocks and adds
-    the unmasked terms in the same order at every such n (measured, not
-    documented). Raises NonFiniteError when a computed state is not finite.
+    A `full` prompt runs over the whole context, and its pooled state is
+    taken from its states. Position eos of a causal encoder depends only on
+    positions 0..eos, so any other prompt runs over its first
+    n = min(context, 8 * ceil((eos + 1) / 8)) positions. The token rows are
+    stacked in order of n, so the rows of one n share attention's runs.
+    Every state is bitwise bundle.encode_prompt(prompt)'s. That n is a
+    multiple of 8 is what makes a pooled state bitwise: numpy's pairwise sum
+    keeps 8 accumulators, so the softmax adds the masked keys' exact zeros
+    in whole blocks and adds the unmasked terms in the same order at every
+    such n; and a row block of a stacked matmul is bitwise its own matmul
+    (both measured, not documented). Raises NonFiniteError when a computed
+    state is not finite.
     """
-    tokens = {p: bundle.tokenize(p) for p in dict.fromkeys(prompts)}
-    groups: dict[int, list[str]] = {}
-    for p, t in tokens.items():
-        n = min(bundle.config.context_length, -(-(t.eos_position + 1) // 8) * 8)
-        groups.setdefault(n, []).append(p)
-    pooled = {}
-    for n, group in groups.items():
-        x = _forward([tokens[p].ids[:n] for p in group], bundle.weights, bundle.config).array
-        for b, p in enumerate(group):
-            pooled[p] = Tensor(x[b * n + tokens[p].eos_position])
-    return pooled
+    full = dict.fromkeys(full)
+    tokens = {p: bundle.tokenize(p) for p in dict.fromkeys([*full, *pooled])}
+    if not tokens:
+        return {}, {}
+    context = bundle.config.context_length
+    n_of = {p: context if p in full else min(context, -(-(t.eos_position + 1) // 8) * 8)
+            for p, t in tokens.items()}
+    order = sorted(tokens, key=n_of.__getitem__)
+    x = _forward([tokens[p].ids[:n_of[p]] for p in order], bundle.weights, bundle.config).array
+    states, rows, start = {}, {}, 0
+    for p in order:
+        eos = tokens[p].eos_position
+        rows[p] = Tensor(x[start + eos])
+        if p in full:
+            states[p] = HiddenStates(Tensor(x[start:start + context]), rows[p], eos)
+        start += n_of[p]
+    return states, rows
+
+
+def encode_pooled(bundle: EncoderBundle, prompts: Iterable[str]) -> dict[str, Tensor]:
+    """The pooled state of each distinct prompt, keyed by prompt: the
+    pooled-only case of encode_reads, so all in one forward."""
+    return encode_reads(bundle, (), prompts)[1]

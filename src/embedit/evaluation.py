@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .encoder import EncoderBundle, HiddenStates, encode_pooled
+from .encoder import EncoderBundle, encode_pooled, encode_reads
 from .errors import (
     DatasetError,
     DegenerateInputError,
@@ -221,16 +221,6 @@ def _report(scores: dict[str, tuple[float, float]],
     )
 
 
-def _read(bundle: EncoderBundle, full: list[str],
-          pooled: list[str]) -> tuple[dict[str, HiddenStates], dict[str, Tensor]]:
-    """Each distinct prompt read once: the hidden states of each prompt in
-    `full`, and the pooled state of every prompt in either list, those of
-    `full` taken from its states."""
-    states = {p: bundle.encode_prompt(p) for p in dict.fromkeys(full)}
-    rows = {p: h.pooled for p, h in states.items()}
-    return states, rows | encode_pooled(bundle, [p for p in pooled if p not in rows])
-
-
 def evaluate_edit(
     entry: EditEntry,
     edited: EncoderBundle,
@@ -244,10 +234,11 @@ def evaluate_edit(
     expects. Strict specificity: each negative's hidden states must match
     the reference's bitwise.
 
-    Each distinct prompt is read once per bundle and call: a negative's
-    source in full on both bundles, every other prompt by encode_pooled.
-    Nothing is shared between the two bundles or across calls, so the
-    strict check compares states computed independently from each.
+    Each bundle is read by one encode_reads per call, so by one forward:
+    each distinct prompt once, a negative's source in full and every other
+    prompt pooled. Nothing is shared between the two bundles or across
+    calls, so the strict check compares states computed independently from
+    each.
     """
     buckets = (
         ("efficacy", ((entry.source, entry.destination),), DESTINATION),
@@ -255,9 +246,10 @@ def evaluate_edit(
         ("specificity", entry.negatives, SOURCE),
     )
     negatives = [p for p, _ in entry.negatives]
-    ed_states, ed = _read(edited, negatives, [p for _, pairs, _ in buckets for p, _ in pairs])
-    ref_states, ref = _read(reference, negatives,
-                            [x for _, pairs, _ in buckets for pair in pairs for x in pair])
+    ed_states, ed = encode_reads(edited, negatives,
+                                 [p for _, pairs, _ in buckets for p, _ in pairs])
+    ref_states, ref = encode_reads(reference, negatives,
+                                   [x for _, pairs, _ in buckets for pair in pairs for x in pair])
     outcomes = {
         name: [classify(ed[p], ref[p], ref[q]) == expected for p, q in pairs]
         for name, pairs, expected in buckets

@@ -89,8 +89,7 @@ def split(
     dataset: ProbeDataset, train_fraction: float = 0.8, seed: int = 0
 ) -> tuple[ProbeDataset, ProbeDataset]:
     """Seeded shuffle, then prefix split; the parts are disjoint and exhaustive."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
+    _check_fraction(train_fraction)
     n = len(dataset.items)
     order = np.random.default_rng(seed).permutation(n)
     cut = int(round(n * train_fraction))
@@ -101,6 +100,33 @@ def split(
         ProbeDataset(train, dataset.label_names),
         ProbeDataset(test, dataset.label_names),
     )
+
+
+def _check_fraction(train_fraction: float) -> None:
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must be in (0, 1)")
+
+
+def _check_training(lr: float, epochs: int, l2: float) -> None:
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise ValueError("lr must be positive and finite")
+    if not (math.isfinite(l2) and l2 >= 0.0):
+        raise ValueError("l2 must be nonnegative and finite")
+    if epochs < 1:
+        raise ValueError("epochs must be at least 1")
+
+
+def check_probe_params(seeds: list[int], train_fraction: float, lr: float, epochs: int,
+                       l2: float) -> None:
+    """Raise ValueError unless there are at least 2 integer seeds,
+    train_fraction is in (0, 1), lr is positive and finite, l2 nonnegative
+    and finite and epochs at least 1: every check accuracy_over_seeds makes
+    before it reads any data."""
+    if len(seeds) < 2 or not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool)
+                                 for s in seeds):
+        raise ValueError("need at least 2 integer seeds")
+    _check_fraction(train_fraction)
+    _check_training(lr, epochs, l2)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -140,12 +166,7 @@ def train_logreg(
     """Logistic regression by full-batch gradient descent from zeros. lr must
     be finite and positive, l2 finite and nonnegative, epochs at least 1; a
     run that overflows raises DegenerateDataError."""
-    if not (math.isfinite(lr) and lr > 0.0):
-        raise ValueError("lr must be positive and finite")
-    if not (math.isfinite(l2) and l2 >= 0.0):
-        raise ValueError("l2 must be nonnegative and finite")
-    if epochs < 1:
-        raise ValueError("epochs must be at least 1")
+    _check_training(lr, epochs, l2)
     if len(labels) < 2:
         raise DegenerateDataError("need at least 2 examples")
     classes = set(int(v) for v in labels)
@@ -183,9 +204,9 @@ def accuracy_over_seeds(
     epochs: int = DEFAULT_EPOCHS,
     l2: float = DEFAULT_L2,
 ) -> tuple[float, float]:
-    """Mean and population std of test accuracy, in percent, across seeds."""
-    if len(seeds) < 2:
-        raise ValueError("need at least 2 seeds")
+    """Mean and population std of test accuracy, in percent, across seeds.
+    Its arguments are checked first, by check_probe_params."""
+    check_probe_params(seeds, train_fraction, lr, epochs, l2)
     accs = []
     for seed in seeds:
         train, test = split(dataset, train_fraction, seed)

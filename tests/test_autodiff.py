@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from embedit.autodiff import (
+    ATTENTION_MASK_VALUE,
     Tape,
     Tensor,
     add,
@@ -27,7 +28,6 @@ from embedit.autodiff import (
     sum_all,
     transpose,
 )
-from embedit.encoder import ATTENTION_MASK_VALUE
 from embedit.errors import DimensionError, NonFiniteError, TapeUsageError
 
 
@@ -310,8 +310,15 @@ _PRIMITIVES = [
     ("softmax_rows", lambda tp, m: softmax_rows(m, tp), [(3, 5)], (0,)),
     (
         "attention",
-        lambda tp, q, k, v: attention(q, k, v, 2, causal_mask(5), tp),
+        lambda tp, q, k, v: attention(q, k, v, 2, [5], tp),
         [(5, 6), (5, 6), (5, 6)],
+        (0, 1, 2),
+    ),
+    # Four sequences in three runs: lengths 3, 3 | 2 | 5.
+    (
+        "attention_mixed_lengths",
+        lambda tp, q, k, v: attention(q, k, v, 2, [3, 3, 2, 5], tp),
+        [(13, 6), (13, 6), (13, 6)],
         (0, 1, 2),
     ),
     ("gelu", lambda tp, x: gelu(x, tp), [(3, 4)], (0,)),
@@ -321,11 +328,12 @@ _PRIMITIVES = [
 
 
 _ADOPTING = [p for p in _PRIMITIVES if p[0] in {
-    "substitute_rows", "add", "add_bias", "matmul", "layer_norm", "attention", "gelu"}] + [
+    "substitute_rows", "add", "add_bias", "matmul", "layer_norm", "attention",
+    "attention_mixed_lengths", "gelu"}] + [
     # Untaped, so not among the differentiated primitives.
     ("gather_rows", lambda tp, t: gather_rows(t, [2, 0, 2, 1]), [(4, 3)], ()),
     # One head: the merged output is a view of the stacked product, not a copy.
-    ("attention_one_head", lambda tp, q, k, v: attention(q, k, v, 1, causal_mask(5), tp),
+    ("attention_one_head", lambda tp, q, k, v: attention(q, k, v, 1, [5], tp),
      [(5, 6), (5, 6), (5, 6)], (0, 1, 2)),
 ]
 
@@ -379,46 +387,66 @@ def test_attention_is_bitwise_the_per_head_composition(d, n_heads, t):
     rng = np.random.default_rng(d)
     q, k, v = (Tensor(rng.normal(size=(t, d))) for _ in range(3))
     cotangent = Tensor(rng.normal(size=(t, d)))
-    mask = causal_mask(t)
 
-    def run(op):
+    def run(apply):
         tape = Tape()
         for x in (q, k, v):
             tape.watch(x)
-        out = op(q, k, v, n_heads, mask, tape)
+        out = apply(tape)
         grads = backward(tape, sum_all(mul(out, cotangent, tape), tape))
         return [out.array.tobytes()] + [grads[x].array.tobytes() for x in (q, k, v)]
 
-    assert run(attention) == run(_per_head_attention)
+    assert run(lambda tp: attention(q, k, v, n_heads, [t], tp)) == \
+        run(lambda tp: _per_head_attention(q, k, v, n_heads, causal_mask(t), tp))
+
+
+def _assert_each_sequence_alone(lengths):
+    """Output and q, k, v gradients of a stack, sequence by sequence, are
+    bitwise those of the sequence alone, whatever its run."""
+    rng = np.random.default_rng(sum(lengths))
+    q, k, v, cot = (rng.normal(size=(sum(lengths), 768)) for _ in range(4))
+
+    def run(rows, lens):
+        ins = [Tensor(a[rows]) for a in (q, k, v)]
+        tape = Tape()
+        for x in ins:
+            tape.watch(x)
+        out = attention(*ins, 12, lens, tape)
+        grads = backward(tape, sum_all(mul(out, Tensor(cot[rows]), tape), tape))
+        return [out.array] + [grads[x].array for x in ins]
+
+    stacked = run(slice(None), lengths)
+    start = 0
+    for s, n in enumerate(lengths):
+        rows = slice(start, start + n)
+        alone = run(rows, [n])
+        assert [a[rows].tobytes() for a in stacked] == [a.tobytes() for a in alone], (
+            f"sequence {s} (n={n}) of the stack {lengths} is not bitwise itself alone: on "
+            "this build the encoder's forward must run one n per stack, not a tolerance")
+        start += n
 
 
 @pytest.mark.parametrize("b,n", [(2, 77), (7, 8), (16, 8), (3, 24)])
 def test_batched_attention_is_bitwise_each_sequence_alone(b, n):
-    rng = np.random.default_rng(b * n)
-    q, k, v = (rng.normal(size=(b * n, 768)) for _ in range(3))
-    mask = causal_mask(n)
-    batched = attention(Tensor(q), Tensor(k), Tensor(v), 12, mask).array
-    for s in range(b):
-        rows = slice(s * n, (s + 1) * n)
-        alone = attention(Tensor(q[rows]), Tensor(k[rows]), Tensor(v[rows]), 12, mask)
-        assert batched[rows].tobytes() == alone.array.tobytes(), (
-            f"sequence {s} of a batch of {b} is not bitwise itself alone: on this build "
-            "encode_pooled's grouping must change (fewer prompts per forward), not a tolerance")
+    _assert_each_sequence_alone([n] * b)
+
+
+@pytest.mark.parametrize("lengths", [[8, 16, 8, 77, 24, 24, 8], [77, 24, 16, 8, 8]],
+                         ids=["interleaved", "descending"])
+def test_mixed_length_attention_is_bitwise_each_sequence_alone(lengths):
+    _assert_each_sequence_alone(lengths)
 
 
 def test_attention_rejects_bad_shapes():
     x = Tensor(np.ones((3, 4)))
     with pytest.raises(DimensionError, match="heads"):
-        attention(x, x, x, 3, causal_mask(3))
-    # The mask is n-by-n, for an n that divides the rows into sequences.
-    with pytest.raises(DimensionError, match="mask"):
-        attention(x, x, x, 2, causal_mask(4))
-    with pytest.raises(DimensionError, match="mask"):
-        attention(x, x, x, 2, Tensor(np.zeros((3, 1))))
-    with pytest.raises(DimensionError, match="mask"):
-        attention(x, x, x, 2, Tensor(np.zeros(3)))
+        attention(x, x, x, 3, [3])
+    # The lengths are positive and sum to the rows.
+    for lengths in ([4], [1, 1], [], [3, 0], [4, -1]):
+        with pytest.raises(DimensionError, match="lengths"):
+            attention(x, x, x, 2, lengths)
     with pytest.raises(DimensionError):
-        attention(x, Tensor(np.ones((3, 2))), x, 2, causal_mask(3))
+        attention(x, Tensor(np.ones((3, 2))), x, 2, [3])
 
 
 def test_encoder_loss_gradient_matches_finite_differences():

@@ -867,6 +867,23 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: learning_rate")
         assert not (workdir / "x").exists()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--lr", "nan", "lr must"), ("--l2", "-1", "l2 must"), ("--epochs", "0", "epochs must"),
+        ("--train-fraction", "1.5", "train_fraction must"), ("--seeds", "3", "need at least 2"),
+        ("--seeds", "1,x", "--seeds must"),
+    ])
+    def test_probe_flags_are_checked_before_any_file_is_read(self, workdir, capsys, flag, value,
+                                                             message):
+        # A truncated archive and a dataset that does not exist: the usage
+        # error still wins, as it does for edit, seq-edit and gender.
+        truncated = workdir / "truncated.embedit"
+        truncated.write_bytes(init_archive(workdir).read_bytes()[:40])
+        capsys.readouterr()
+        assert run("probe", "--weights", truncated, "--dataset", workdir / "missing.json",
+                   flag, value, "--out", workdir / "x") == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (workdir / "x").exists()
+
     @pytest.mark.parametrize("mode,stop_ratio,dataset", [
         ("manual", "2", "empty"), ("auto", "5", "one_entry"),
     ])

@@ -19,11 +19,13 @@ from embedit import (
     edit_single,
     encode,
     encode_pooled,
+    encode_reads,
     init_random_weights,
     load_weights,
     save_weights,
     tokenize,
 )
+from embedit.encoder import _forward
 from embedit.errors import (
     DimensionError,
     EmptyPromptError,
@@ -243,6 +245,40 @@ def test_pooled_reads_are_bitwise_the_full_encode_at_every_eos(shape):
             batch, order = order[:size], order[size:]
             if batch:
                 check(batch)
+
+
+@pytest.mark.parametrize("shape", [dict(context_length=77), CLIP_L_WIDTHS],
+                         ids=["desk", "clip_l_widths"])
+def test_a_mixed_length_stack_is_bitwise_each_row_alone(shape):
+    bundle = make_bundle(seed=7, **shape)
+    config, weights = bundle.config, bundle.weights
+    rng = np.random.default_rng(3)
+    rows = [tuple(int(i) for i in rng.integers(0, config.vocab_size, size=n))
+            for n in (8, 16, 24, 77) for _ in range(2)]
+    # A context-length row alone is an encode (eos placed anywhere).
+    alone = {row: (encode(TokenSequence(row, 5), weights, config).sequence if len(row) == 77
+                   else _forward([row], weights, config)).array.tobytes() for row in rows}
+    ascending = sorted(rows, key=len)
+    for stack in (ascending, ascending[::-1], [rows[k] for k in (0, 6, 2, 4, 5, 3, 7, 1)]):
+        x, start = _forward(stack, weights, config).array, 0
+        for row in stack:
+            assert x[start:start + len(row)].tobytes() == alone[row], (
+                f"a row of n={len(row)} in the stack {[len(r) for r in stack]} is not bitwise "
+                "itself alone: on this build the forward must run one n per stack (one "
+                "_forward per n), not a tolerance")
+            start += len(row)
+    # encode_reads: full states and pooled rows, from one stack, as encode_prompt's.
+    words = sorted(bundle.vocab.tokens)
+    full = [" ".join(rng.choice(words, size=3))]
+    pooled = [full[0], *(" ".join(rng.choice(words, size=m)) for m in (1, 20))]
+    states, rows_of = encode_reads(bundle, full, pooled)
+    assert sorted(states) == sorted(full) and sorted(rows_of) == sorted(set(full + pooled))
+    for p in full:
+        h = bundle.encode_prompt(p)
+        assert states[p].sequence.array.tobytes() == h.sequence.array.tobytes()
+        assert states[p].eos_position == h.eos_position
+    for p in rows_of:
+        assert rows_of[p].array.tobytes() == bundle.encode_prompt(p).pooled.array.tobytes()
 
 
 class TestSetWteRows:

@@ -169,13 +169,14 @@ class TestEvaluateEdit:
                    entry.negatives) for pair in pairs for x in pair)}
 
         def reads():
-            """(bundle, n, prompt) of each token row read, and the forwards
-            run per (bundle, n)."""
+            """(bundle, n, prompt) of each token row read, n being the row's
+            length, and the forwards run per bundle."""
             rows, forwards = Counter(), Counter()
-            for weights, n, ids in forward_reads:
+            for weights, ids in forward_reads:
                 bundle = bundles[weights]
-                forwards[bundle is edited, n] += 1
+                forwards[bundle is edited] += 1
                 for row in ids:
+                    n = len(row)
                     p, = (p for p in prompts if bundle.tokenize(p).ids[:n] == row)
                     rows[bundle is edited, n, p] += 1
             return rows, forwards
@@ -189,23 +190,23 @@ class TestEvaluateEdit:
         rows, forwards = reads()
         # Each (bundle, prompt) once; only the negatives' sources in full.
         assert rows == Counter(full | pooled)
-        # One forward per (bundle, n) of the pooled reads, and one per full read.
-        assert forwards == Counter({(True, 8): 1, (False, 8): 1, (True, 16): 1, (False, 16): 1,
-                                    (True, 24): 2, (False, 24): 2})
+        # Every read of a bundle in one forward.
+        assert forwards == Counter({True: 1, False: 1})
         evaluate_edit(entry, edited, reference)
-        assert reads()[0] == Counter(full | pooled) + Counter(full | pooled)
+        assert reads() == (Counter(full | pooled) + Counter(full | pooled),
+                           Counter({True: 2, False: 2}))
 
 
 @pytest.fixture
 def forward_reads(monkeypatch):
-    """(id(weights), n, token rows) of each call of the encoder's forward."""
+    """(id(weights), token rows) of each call of the encoder's forward."""
     import embedit.encoder as encoder
 
     calls = []
     real = encoder._forward
 
     def spy(ids, weights, config, *args, **kwargs):
-        calls.append((id(weights), len(ids[0]), [tuple(row) for row in ids]))
+        calls.append((id(weights), [tuple(row) for row in ids]))
         return real(ids, weights, config, *args, **kwargs)
 
     monkeypatch.setattr(encoder, "_forward", spy)
@@ -378,7 +379,7 @@ class TestFemalePercentage:
         refs = _refs(entry, bundle)
         forward_reads.clear()
         female_percentage(entry, bundle, *refs)
-        assert [rows for _, _, rows in forward_reads] == [
+        assert [rows for _, rows in forward_reads] == [
             [bundle.tokenize(p).ids for p in ("a teacher", "little teacher",
                                               "teacher with a dog")]]
 
