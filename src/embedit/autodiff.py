@@ -394,8 +394,11 @@ def layer_norm(
     if not np.all(np.isfinite(var)):
         raise NonFiniteError("layer_norm: variance is not finite")
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor._wrap(xhat * gamma.array + beta.array)
+    xhat = xc
+    xhat *= inv
+    out = xhat * gamma.array
+    out += beta.array
+    out = Tensor._wrap(out)
     gamma_val = gamma.array
 
     def vjp(g, needs):
@@ -420,9 +423,10 @@ def layer_norm(
 
 
 def _softmax(a: np.ndarray) -> np.ndarray:
-    shifted = a - a.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = a - a.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _softmax_vjp(s: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -468,6 +472,21 @@ def _merge_heads(a: np.ndarray, out: np.ndarray, b: int) -> None:
     out.reshape(b, n, n_heads, dh).transpose(0, 2, 1, 3)[...] = a.reshape(b, n_heads, n, dh)
 
 
+def _attention_probs(q3: np.ndarray, kt3: np.ndarray, inv_sqrt: float) -> np.ndarray:
+    """softmax((q3 @ kt3) * inv_sqrt + causal mask) for one run's stacked heads.
+
+    The forward and the VJP both call it, so the VJP's probabilities are
+    bitwise the forward's. Scores that are not finite raise NonFiniteError.
+    """
+    n = q3.shape[1]
+    scores = q3 @ kt3
+    scores *= inv_sqrt
+    scores += np.triu(np.full((n, n), ATTENTION_MASK_VALUE), k=1)
+    if not np.all(np.isfinite(scores)):
+        raise NonFiniteError("attention: scores are not finite")
+    return _softmax(scores)
+
+
 def attention(
     q: Tensor,
     k: Tensor,
@@ -490,7 +509,9 @@ def attention(
     over it alone. For one sequence the result, and the q, k and v
     gradients, are bitwise those of the per-head composition of slice_cols,
     transpose, matmul, scale, add, softmax_rows and concat_cols. Scores that
-    are not finite raise NonFiniteError.
+    are not finite raise NonFiniteError. When taped it keeps each run's q, k
+    and v head stacks, not its n-by-n probabilities: the VJP recomputes
+    those, bitwise, at the cost of one stacked product and softmax per run.
     """
     if len(q.shape) != 2 or k.shape != q.shape or v.shape != q.shape:
         raise DimensionError(
@@ -515,20 +536,18 @@ def attention(
         v3 = _split_heads(v.array[start:stop], b, n_heads)
         kt3 = np.ascontiguousarray(
             _split_heads(k.array[start:stop], b, n_heads).transpose(0, 2, 1))
-        scores = (q3 @ kt3) * inv_sqrt + np.triu(np.full((n, n), ATTENTION_MASK_VALUE), k=1)
-        if not np.all(np.isfinite(scores)):
-            raise NonFiniteError("attention: scores are not finite")
-        p = _softmax(scores)
-        _merge_heads(p @ v3, out[start:stop], b)
-        saved.append((q3, kt3, v3, p))
+        _merge_heads(_attention_probs(q3, kt3, inv_sqrt) @ v3, out[start:stop], b)
+        saved.append((q3, kt3, v3))
     out = Tensor._wrap(out)
 
     def vjp(g, needs):
         # The per-head VJPs of matmul (g @ b^T, a^T @ g), softmax_rows and
-        # scale, run on all heads of a run at once.
+        # scale, run on all heads of a run at once, over probabilities
+        # recomputed from the saved heads rather than kept.
         g_q, g_k, g_v = (np.empty((rows, d)) if need else None for need in needs)
-        for (start, b, n), (q3, kt3, v3, p) in zip(runs, saved):
+        for (start, b, n), (q3, kt3, v3) in zip(runs, saved):
             stop = start + b * n
+            p = _attention_probs(q3, kt3, inv_sqrt)
             g3 = _split_heads(g[start:stop], b, n_heads)
             if needs[2]:
                 _merge_heads(p.transpose(0, 2, 1) @ g3, g_v[start:stop], b)
@@ -547,16 +566,41 @@ def gelu(x: Tensor, tape: Tape | None = None) -> Tensor:
     """Elementwise 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
 
     The erf form 0.5*x*(1 + erf(x/sqrt(2))) is the textbook alternative; the
-    tanh approximation here is the one common CLIP builds use.
+    tanh approximation here is the one common CLIP builds use. When taped it
+    computes its derivative in the forward and keeps only that, not its input
+    and tanh; an untaped call computes no derivative.
     """
     a = x.array
-    u = _GELU_SCALE * (a + _GELU_CUBIC * (a * a * a))  # a ** 3 would go through slow pow
-    t = np.tanh(u)
-    out = Tensor._wrap(0.5 * a * (1.0 + t))
+    # The elementwise chains run in place, each product and sum in the order
+    # of the formulas; a ** 3 would go through slow pow.
+    t = a * a
+    t *= a
+    t *= _GELU_CUBIC
+    t += a
+    t *= _GELU_SCALE
+    np.tanh(t, out=t)
+    out = 0.5 * a
+    if tape is None or tape._node_of(x) is None:
+        t += 1.0
+        out *= t
+        return Tensor._wrap(out)
+
+    # dy = 0.5*(1 + t) + 0.5*a*(1 - t*t)*du, du = sqrt(2/pi)*(1 + 3*0.044715*a*a).
+    dy = (3.0 * _GELU_CUBIC) * a
+    dy *= a
+    dy += 1.0
+    dy *= _GELU_SCALE
+    w = t * t
+    np.subtract(1.0, w, out=w)
+    w *= out
+    dy *= w
+    t += 1.0
+    out *= t
+    t *= 0.5
+    dy += t
+    out = Tensor._wrap(out)
 
     def vjp(g, needs):
-        du = _GELU_SCALE * (1.0 + 3.0 * _GELU_CUBIC * a * a)
-        dy = 0.5 * (1.0 + t) + 0.5 * a * (1.0 - t * t) * du
         return (g * dy,)
 
     _maybe_record(tape, out, (x,), vjp)

@@ -241,6 +241,8 @@ def cmd_gender(args) -> int:
 
 
 def cmd_revert(args) -> int:
+    if args.n is not None and args.n < 0:
+        raise _UsageError(f"--n must be >= 0, not {args.n}")
     config, weights, vocab = load_weights(args.weights)
     ledger = EditLedger.load(args.ledger)
     n = len(ledger.entries) if args.n is None else args.n
@@ -324,17 +326,18 @@ def cmd_eval(args) -> int:
 def cmd_report(args) -> int:
     if args.weights2 and not args.ledger2:
         raise _UsageError("--weights2 needs --ledger2")
-    if args.total_params is not None and (args.weights or args.weights2):
-        raise _UsageError("give --total-params or --weights, not both")
-    ledgers = [EditLedger.load(p) for p in (args.ledger, args.ledger2) if p]
-    archives = [args.weights, args.weights2][:len(ledgers)]
     total = args.total_params
-    if total is None:
-        if not all(archives):
-            raise _UsageError("report needs --total-params, or --weights for each ledger")
-        total = sum(load_config(p).total_params() for p in archives)
-    if total <= 0:
+    if total is not None and (args.weights or args.weights2):
+        raise _UsageError("give --total-params or --weights, not both")
+    paths = [p for p in (args.ledger, args.ledger2) if p]
+    archives = [args.weights, args.weights2][:len(paths)]
+    if total is None and not all(archives):
+        raise _UsageError("report needs --total-params, or --weights for each ledger")
+    if total is not None and total <= 0:
         raise _UsageError("report needs a positive --total-params")
+    ledgers = [EditLedger.load(p) for p in paths]
+    if total is None:
+        total = sum(load_config(p).total_params() for p in archives)
     budget = budget_report(ledgers, total)
     if args.out:
         _write_json(Path(args.out) / "budget.json", budget)

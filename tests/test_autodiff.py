@@ -154,6 +154,31 @@ class TestGelu:
             inner = math.sqrt(2.0 / math.pi) * (x + 0.044715 * x ** 3)
             assert y == pytest.approx(0.5 * x * (1.0 + math.tanh(inner)), rel=0, abs=1e-15), x
 
+    @pytest.mark.parametrize("call", ["untaped", "unrecorded", "recorded"])
+    def test_forward_and_vjp_are_bitwise_the_written_out_expressions(self, call):
+        # CLIP-L's MLP width, with pre-activations over +-10: there the cubic
+        # term reaches the last bit, so an operation out of order shows.
+        rng = np.random.default_rng(21)
+        a = rng.uniform(-10.0, 10.0, size=(77, 3072))
+        cot = rng.normal(size=a.shape)
+        c, k = 0.044715, math.sqrt(2.0 / math.pi)
+        t = np.tanh(k * (a + c * (a * a * a)))
+        expected = 0.5 * a * (1.0 + t)
+        du = k * (1.0 + 3.0 * c * a * a)
+        expected_grad = cot * (0.5 * (1.0 + t) + 0.5 * a * (1.0 - t * t) * du)
+
+        x = Tensor(a)
+        tape = None if call == "untaped" else Tape()
+        if call == "recorded":
+            tape.watch(x)
+        out = gelu(x, tape)
+        assert out.array.tobytes() == expected.tobytes()
+        if call == "recorded":
+            grad = backward(tape, sum_all(mul(out, Tensor(cot), tape), tape))[x]
+            assert grad.array.tobytes() == expected_grad.tobytes()
+        elif tape is not None:
+            assert tape._steps == []
+
 
 class TestBackward:
     def test_sum_gives_ones(self):
@@ -382,8 +407,11 @@ def _per_head_attention(q, k, v, n_heads, mask, tape):
     return concat_cols(heads, tape)
 
 
-@pytest.mark.parametrize("d,n_heads,t", [(8, 2, 8), (64, 4, 77)])
+@pytest.mark.parametrize("d,n_heads,t", [(8, 2, 8), (64, 4, 77), (768, 12, 77)])
 def test_attention_is_bitwise_the_per_head_composition(d, n_heads, t):
+    # The causal mask hides keys from every row but the last, so the
+    # probabilities the VJP recomputes must hold the forward's exact zeros.
+    assert np.count_nonzero(causal_mask(t).array == ATTENTION_MASK_VALUE) == t * (t - 1) // 2 > 0
     rng = np.random.default_rng(d)
     q, k, v = (Tensor(rng.normal(size=(t, d))) for _ in range(3))
     cotangent = Tensor(rng.normal(size=(t, d)))

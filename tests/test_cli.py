@@ -300,6 +300,17 @@ class TestEditRevert:
                    "--out", workdir / "restored.embedit") == 1
         assert capsys.readouterr().err.startswith("error: cannot revert 2 of 1")
 
+    def test_negative_n_is_usage_error_before_any_file_is_read(self, workdir, capsys):
+        # A truncated archive and a ledger that does not exist: the flag is
+        # checked first, as edit, gender and probe check theirs.
+        truncated = workdir / "truncated.embedit"
+        truncated.write_bytes(init_archive(workdir).read_bytes()[:40])
+        capsys.readouterr()
+        assert run("revert", "--weights", truncated, "--ledger", workdir / "missing.json",
+                   "--n", -1, "--out", workdir / "restored.embedit") == 1
+        assert capsys.readouterr().err == "error: --n must be >= 0, not -1\n"
+        assert not (workdir / "restored.embedit").exists()
+
 
 class TestSeqEditAndEval:
     def make_dataset(self, workdir, n=10):
@@ -566,6 +577,23 @@ class TestReport:
         assert run("report", "--ledger", bad, "--total-params", 100,
                    "--out", workdir / "rep") == 2
         assert capsys.readouterr().err.startswith("data error:")
+        assert not (workdir / "rep").exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--total-params", 0), "report needs a positive --total-params"),
+        (("--total-params", -5), "report needs a positive --total-params"),
+        (("--ledger2", "LEDGER", "--weights", "base.embedit"),
+         "report needs --total-params, or --weights for each ledger"),
+    ], ids=["zero_total", "negative_total", "second_ledger_without_archive"])
+    def test_flags_are_checked_before_any_ledger_is_read(self, workdir, capsys, flags,
+                                                         message):
+        # The ledgers are not JSON; the usage error still wins, as it does for
+        # edit, gender and probe.
+        bad = workdir / "ledger.json"
+        bad.write_text('{"entries": [')
+        flags = [bad if f == "LEDGER" else f for f in flags]
+        assert run("report", "--ledger", bad, *flags, "--out", workdir / "rep") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (workdir / "rep").exists()
 
 

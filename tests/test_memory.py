@@ -1,6 +1,7 @@
 """Memory guards: archive I/O holds the weights once, a tape holds only what
-its VJPs read, no tape outlives its backward pass into the table write, and
-no k-row edit, read or save of the WTE builds a V-by-d table."""
+its VJPs read, a taped encoder layer keeps no n-by-n or second n-by-d_ff
+array, no tape outlives its backward pass into the table write, and no k-row
+edit, read or save of the WTE builds a V-by-d table."""
 
 import dataclasses
 import tracemalloc
@@ -28,8 +29,8 @@ from embedit import (
     load_weights,
     save_weights,
 )
-from embedit.autodiff import add_bias, matmul, sum_all
-from embedit.encoder import EncoderWeights
+from embedit.autodiff import add_bias, matmul, mean_square, sub, sum_all
+from embedit.encoder import EncoderWeights, encode
 
 from conftest import WORDS, make_bundle, make_config, make_vocab
 
@@ -96,6 +97,51 @@ def test_tape_holds_no_activation_that_no_vjp_reads():
     held, _, (tape, y) = traced(forward)
     assert held <= 2 * activation
     assert np.all(backward(tape, sum_all(y, tape))[x].array != 0.0)
+
+
+def _arrays_held_by_vjps(tape):
+    """The distinct arrays in the closures of a tape's VJPs, also inside lists
+    and tuples."""
+    found = {}
+
+    def visit(obj):
+        if isinstance(obj, np.ndarray):
+            found[id(obj)] = obj
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                visit(item)
+
+    for _, _, vjp in tape._steps:
+        for cell in vjp.__closure__ or ():
+            visit(cell.cell_contents)
+    return list(found.values())
+
+
+def test_a_taped_layer_keeps_its_norms_heads_and_gelu_derivative():
+    # CLIP-L's widths with 2 layers and a small vocabulary. Per layer the VJPs
+    # read two layer norms' n-by-d xhat, the n-by-d q, k and v head stacks
+    # and gelu's n-by-d_ff derivative: attention recomputes its probabilities.
+    n, d, d_ff, layers = 77, 768, 3072, 2
+    bundle = make_bundle(seed=7, d_model=d, n_layers=layers, n_heads=12, d_ff=d_ff,
+                         context_length=n)
+    bear = bundle.vocab.tokens["bear"]
+    leaf = Tensor(bundle.weights.wte.rows([bear]))
+    target = bundle.encode_prompt("a polar bear").sequence
+
+    def forward():
+        tape = Tape()
+        h = encode(bundle.tokenize("a bear"), bundle.weights, bundle.config, tape,
+                   ([bear], leaf))
+        return tape, mean_square(sub(h.sequence, target, tape), tape)
+
+    held, _, (tape, loss) = traced(forward)
+    shapes = [a.shape for a in _arrays_held_by_vjps(tape)]
+    assert not [s for s in shapes if s[-2:] == (n, n)]
+    assert shapes.count((n, d_ff)) == layers
+    # Besides the layers: the final layer norm's xhat, the loss's difference
+    # and the tape's bookkeeping, within four n-by-d arrays.
+    assert held <= layers * n * (5 * d + d_ff) * 8 + 4 * n * d * 8
+    assert np.any(backward(tape, loss)[leaf].array != 0.0)
 
 
 @pytest.fixture
