@@ -63,6 +63,7 @@ from .evaluation import (
 from .probe import (
     ProbeDataset,
     ProbeModel,
+    ProbeParams,
     accuracy_over_seeds,
     extract_features,
     split,

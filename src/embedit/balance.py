@@ -47,26 +47,23 @@ class BalanceMode(str, Enum):
 
 @dataclass(frozen=True)
 class BiasEditRequest:
+    """What to balance: the profession, its two gendered prompts and the mode."""
+
     profession: str
     stereotypical_prompt: str
     counter_prompt: str
     mode: BalanceMode = BalanceMode.MANUAL
-    lambda_manual: float | None = None
-
-    def __post_init__(self):
-        if self.mode is BalanceMode.MANUAL:
-            if self.lambda_manual is None:
-                raise ValueError("manual mode requires lambda_manual")
-            if not 0.0 <= self.lambda_manual <= 1.0:
-                raise ValueError("lambda_manual must be in [0, 1]")
 
 
 @dataclass(frozen=True)
 class BalancerParams:
+    """Alpha's settings and the edit loop's, which hyper(mode) makes an EditHyperparams."""
+
     alpha_min: float = 2.0
     delta_normalizer: float = 2.0
-    learning_rate: float = 0.001
-    max_iters: int = 100
+    learning_rate: float = EditHyperparams.learning_rate
+    max_iters: int = EditHyperparams.max_iters
+    stop_ratio: float = EditHyperparams.stop_ratio
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha_min) and self.alpha_min >= 1.0):
@@ -75,10 +72,14 @@ class BalancerParams:
         # delta past 1, where alpha_weight rejects it only once data arrive.
         if not (math.isfinite(self.delta_normalizer) and self.delta_normalizer >= 2.0):
             raise ValueError("delta_normalizer must be finite and >= 2")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ValueError("learning_rate must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        # Manual mode's settings hold stop_ratio, so it is checked in either mode.
+        self.hyper(BalanceMode.MANUAL)
+
+    def hyper(self, mode: BalanceMode) -> EditHyperparams:
+        """The loop's settings in `mode`: stop_ratio in manual mode, 0 in auto."""
+        stop_ratio = self.stop_ratio if mode is BalanceMode.MANUAL else 0.0
+        return EditHyperparams(stop_ratio=stop_ratio, max_iters=self.max_iters,
+                               learning_rate=self.learning_rate)
 
 
 def init_profession_embedding(rows: np.ndarray, female: np.ndarray,
@@ -138,7 +139,8 @@ def edit_balance(
     ledger: EditLedger,
 ) -> EditResult:
     """Balance one profession. Manual mode delegates to the ordinary editor
-    with destination = counter prompt; its threshold law holds unchanged.
+    with destination = counter prompt and stop_ratio = params.stop_ratio; its
+    threshold law holds unchanged.
 
     Auto mode is the same loop with stop_ratio = 0, so tau = 0, and a
     gradient-norm stop of GRAD_NORM_STOP (1e-10): it runs until max_iters or
@@ -152,9 +154,7 @@ def edit_balance(
         destination_prompt=request.counter_prompt,
         target_word=request.profession,
     )
-    stop_ratio = request.lambda_manual if request.mode is BalanceMode.MANUAL else 0.0
-    hyper = EditHyperparams(stop_ratio=stop_ratio, max_iters=params.max_iters,
-                            learning_rate=params.learning_rate)
+    hyper = params.hyper(request.mode)
     if request.mode is BalanceMode.MANUAL:
         return edit_single(bundle, edit_request, hyper, ledger)
     return _edit_balance_auto(bundle, request, edit_request, params, hyper, ledger)

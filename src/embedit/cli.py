@@ -50,7 +50,7 @@ from .evaluation import (
     load_edit_entries,
     load_gender_entries,
 )
-from .probe import ProbeDataset, accuracy_over_seeds, check_probe_params
+from .probe import ProbeDataset, ProbeParams, accuracy_over_seeds
 
 
 class _UsageError(Exception):
@@ -91,14 +91,14 @@ def _hyper_from_args(args) -> EditHyperparams:
 
 
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="stop_ratio", type=float, default=0.2,
-                   help="stopping ratio in [0, 1] (default 0.2)")
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--lr", type=float, default=0.001)
+    p.add_argument("--lambda", dest="stop_ratio", type=float, default=EditHyperparams.stop_ratio,
+                   help="stopping ratio in [0, 1] (default %(default)s)")
+    p.add_argument("--max-iters", type=int, default=EditHyperparams.max_iters)
+    p.add_argument("--lr", type=float, default=EditHyperparams.learning_rate)
     p.add_argument("--optimizer", choices=[k.value for k in OptimizerKind],
-                   default=OptimizerKind.ADAM.value)
+                   default=EditHyperparams.optimizer.value)
     p.add_argument("--loss-positions", choices=[k.value for k in LossPositions],
-                   default=LossPositions.FULL_SEQUENCE.value)
+                   default=EditHyperparams.loss_positions.value)
 
 
 def cmd_init(args) -> int:
@@ -179,15 +179,9 @@ def cmd_seq_edit(args) -> int:
 
 def cmd_gender(args) -> int:
     mode = BalanceMode(args.mode)
-    params = BalancerParams(
-        alpha_min=args.alpha_min,
-        delta_normalizer=args.delta_normalizer,
-        learning_rate=args.lr,
-        max_iters=args.max_iters,
-    )
-    # --lambda is checked by the edit's own rule, in either mode, before
-    # anything is read.
-    EditHyperparams(stop_ratio=args.stop_ratio)
+    params = BalancerParams(alpha_min=args.alpha_min, delta_normalizer=args.delta_normalizer,
+                            learning_rate=args.lr, max_iters=args.max_iters,
+                            stop_ratio=args.stop_ratio)
     bundle = _load_bundle(args.weights)
     # A second bundle over the same tensors: set_wte_rows rebinds only the
     # edited bundle's table, so the reference keeps the unedited one.
@@ -209,7 +203,6 @@ def cmd_gender(args) -> int:
             stereotypical_prompt=sp,
             counter_prompt=csp,
             mode=mode,
-            lambda_manual=args.stop_ratio if mode is BalanceMode.MANUAL else None,
         )
         baseline = female_percentage(entry, reference, f_ref, m_ref)
         result = edit_balance(bundle, request, params, ledger)
@@ -260,26 +253,23 @@ def cmd_probe(args) -> int:
     # Flags first, as every command checks them, so that the exit code does
     # not depend on whether a file is damaged too.
     try:
-        seeds = [int(s) for s in args.seeds.split(",")]
+        seeds = tuple(int(s) for s in args.seeds.split(","))
     except ValueError:
         raise _UsageError(f"--seeds must be integers, not {args.seeds!r}") from None
-    check_probe_params(seeds, args.train_fraction, args.lr, args.epochs, args.l2)
+    params = ProbeParams(seeds, args.train_fraction, args.lr, args.epochs, args.l2)
     config, weights, vocab = load_weights(args.weights)
     dataset = ProbeDataset.load(args.dataset)
-    mean, std = accuracy_over_seeds(
-        dataset, weights, vocab, seeds,
-        train_fraction=args.train_fraction, lr=args.lr, epochs=args.epochs, l2=args.l2,
-    )
+    mean, std = accuracy_over_seeds(dataset, weights, vocab, params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "probe_report.json", {
         "mean_accuracy": mean,
         "std_accuracy": std,
-        "seeds": seeds,
+        "seeds": params.seeds,
         "n_items": len(dataset),
         "label_names": list(dataset.label_names),
     })
-    print(f"probe accuracy: {mean:.2f}% (+/- {std:.2f}%) over {len(seeds)} seeds")
+    print(f"probe accuracy: {mean:.2f}% (+/- {std:.2f}%) over {len(params.seeds)} seeds")
     return 0
 
 
@@ -381,13 +371,13 @@ def build_parser() -> _Parser:
     p.add_argument("--weights", required=True)
     p.add_argument("--dataset", required=True, help="gender entries JSONL")
     p.add_argument("--mode", choices=[m.value for m in BalanceMode],
-                   default=BalanceMode.MANUAL.value)
-    p.add_argument("--lambda", dest="stop_ratio", type=float, default=0.2,
-                   help="stopping ratio for manual mode")
-    p.add_argument("--alpha-min", type=float, default=2.0)
-    p.add_argument("--delta-normalizer", type=float, default=2.0)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--max-iters", type=int, default=100)
+                   default=BiasEditRequest.mode.value)
+    p.add_argument("--lambda", dest="stop_ratio", type=float,
+                   default=BalancerParams.stop_ratio, help="stopping ratio for manual mode")
+    p.add_argument("--alpha-min", type=float, default=BalancerParams.alpha_min)
+    p.add_argument("--delta-normalizer", type=float, default=BalancerParams.delta_normalizer)
+    p.add_argument("--lr", type=float, default=BalancerParams.learning_rate)
+    p.add_argument("--max-iters", type=int, default=BalancerParams.max_iters)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gender)
 
@@ -403,11 +393,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("probe", help="linear probe over embedding rows")
     p.add_argument("--weights", required=True)
     p.add_argument("--dataset", required=True, help="probe dataset JSON")
-    p.add_argument("--seeds", default="0,1,2,3,4")
-    p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=2000)
-    p.add_argument("--l2", type=float, default=1e-4)
+    p.add_argument("--seeds", default=",".join(map(str, ProbeParams.seeds)))
+    p.add_argument("--train-fraction", type=float, default=ProbeParams.train_fraction)
+    p.add_argument("--lr", type=float, default=ProbeParams.lr)
+    p.add_argument("--epochs", type=int, default=ProbeParams.epochs)
+    p.add_argument("--l2", type=float, default=ProbeParams.l2)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_probe)
 

@@ -32,6 +32,7 @@ from .errors import (
     LedgerRangeError,
     NonFiniteError,
     UnknownTokenError,
+    is_integer,
     json_object,
     read_json,
 )
@@ -74,6 +75,8 @@ class EditHyperparams:
     def __post_init__(self):
         if not 0.0 <= self.stop_ratio <= 1.0:
             raise ValueError(f"stop_ratio must be in [0, 1], got {self.stop_ratio}")
+        if not is_integer(self.max_iters):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):

@@ -341,11 +341,14 @@ class TokenSequence:
 
 @dataclass(frozen=True)
 class HiddenStates:
-    """Final-layer output matrix plus its EOS-pooled row."""
+    """Final-layer output matrix; its row at eos_position is the pooled state."""
 
     sequence: Tensor
-    pooled: Tensor
     eos_position: int
+
+    @property
+    def pooled(self) -> Tensor:
+        return Tensor(self.sequence.array[self.eos_position])
 
 
 def tokenize(prompt: str, vocab: Vocab, config: EncoderConfig) -> TokenSequence:
@@ -435,8 +438,7 @@ def encode(
     if edit_rows is None and tape is not None:
         raise TapeUsageError("a taped encode needs edit_rows: its rows are the only leaf")
     x = _forward([tokens.ids], weights, config, tape, edit_rows)
-    pooled = Tensor(x.array[tokens.eos_position])
-    return HiddenStates(sequence=x, pooled=pooled, eos_position=tokens.eos_position)
+    return HiddenStates(sequence=x, eos_position=tokens.eos_position)
 
 
 def init_random_weights(config: EncoderConfig, seed: int) -> EncoderWeights:
@@ -513,7 +515,7 @@ def encode_reads(
         eos = tokens[p].eos_position
         rows[p] = Tensor(x[start + eos])
         if p in full:
-            states[p] = HiddenStates(Tensor(x[start:start + context]), rows[p], eos)
+            states[p] = HiddenStates(Tensor(x[start:start + context]), eos)
         start += n_of[p]
     return states, rows
 

@@ -1,8 +1,10 @@
 """Exception types shared across the package, the JSON reader that reports
-a file or line it cannot parse as a data error, and the one check of a JSON
-object's keys and value types."""
+a file or line it cannot parse as a data error, the one check of a JSON
+object's keys and value types, and the one rule for an integer setting."""
 
 import json
+
+import numpy as np
 
 
 class EmbeditError(Exception):
@@ -120,3 +122,8 @@ def json_object(obj, kinds: dict[str, tuple[type, ...]], error, where: str,
         elif type(obj[key]) not in types:
             raise error(f"{where}: key {key!r} has type {type(obj[key]).__name__}")
     return obj
+
+
+def is_integer(x) -> bool:
+    """A Python or numpy integer, not a bool: True would silently stand for 1."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)

@@ -14,11 +14,40 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import EncoderWeights, Vocab
-from .errors import DatasetError, DegenerateDataError, json_object, read_json
+from .errors import DatasetError, DegenerateDataError, is_integer, json_object, read_json
 
-DEFAULT_LR = 0.1
-DEFAULT_EPOCHS = 2000
-DEFAULT_L2 = 1e-4
+
+def _check_fraction(train_fraction: float) -> None:
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must be in (0, 1)")
+
+
+def _check_training(lr: float, epochs: int, l2: float) -> None:
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise ValueError("lr must be positive and finite")
+    if not (math.isfinite(l2) and l2 >= 0.0):
+        raise ValueError("l2 must be nonnegative and finite")
+    if not is_integer(epochs):
+        raise ValueError(f"epochs must be an integer, got {epochs!r}")
+    if epochs < 1:
+        raise ValueError("epochs must be at least 1")
+
+
+@dataclass(frozen=True)
+class ProbeParams:
+    """A probe's split seeds, train fraction and training settings, checked when made."""
+
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
+    train_fraction: float = 0.8
+    lr: float = 0.1
+    epochs: int = 2000
+    l2: float = 1e-4
+
+    def __post_init__(self):
+        if len(self.seeds) < 2 or not all(is_integer(s) for s in self.seeds):
+            raise ValueError("need at least 2 integer seeds")
+        _check_fraction(self.train_fraction)
+        _check_training(self.lr, self.epochs, self.l2)
 
 
 @dataclass
@@ -86,7 +115,7 @@ def labels_array(dataset: ProbeDataset) -> np.ndarray:
 
 
 def split(
-    dataset: ProbeDataset, train_fraction: float = 0.8, seed: int = 0
+    dataset: ProbeDataset, train_fraction: float = ProbeParams.train_fraction, seed: int = 0
 ) -> tuple[ProbeDataset, ProbeDataset]:
     """Seeded shuffle, then prefix split; the parts are disjoint and exhaustive."""
     _check_fraction(train_fraction)
@@ -100,33 +129,6 @@ def split(
         ProbeDataset(train, dataset.label_names),
         ProbeDataset(test, dataset.label_names),
     )
-
-
-def _check_fraction(train_fraction: float) -> None:
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
-
-
-def _check_training(lr: float, epochs: int, l2: float) -> None:
-    if not (math.isfinite(lr) and lr > 0.0):
-        raise ValueError("lr must be positive and finite")
-    if not (math.isfinite(l2) and l2 >= 0.0):
-        raise ValueError("l2 must be nonnegative and finite")
-    if epochs < 1:
-        raise ValueError("epochs must be at least 1")
-
-
-def check_probe_params(seeds: list[int], train_fraction: float, lr: float, epochs: int,
-                       l2: float) -> None:
-    """Raise ValueError unless there are at least 2 integer seeds,
-    train_fraction is in (0, 1), lr is positive and finite, l2 nonnegative
-    and finite and epochs at least 1: every check accuracy_over_seeds makes
-    before it reads any data."""
-    if len(seeds) < 2 or not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool)
-                                 for s in seeds):
-        raise ValueError("need at least 2 integer seeds")
-    _check_fraction(train_fraction)
-    _check_training(lr, epochs, l2)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -159,13 +161,13 @@ def logreg_grad(weight: np.ndarray, bias: float, features: np.ndarray,
 def train_logreg(
     features: np.ndarray,
     labels: np.ndarray,
-    lr: float = DEFAULT_LR,
-    epochs: int = DEFAULT_EPOCHS,
-    l2: float = DEFAULT_L2,
+    lr: float = ProbeParams.lr,
+    epochs: int = ProbeParams.epochs,
+    l2: float = ProbeParams.l2,
 ) -> ProbeModel:
     """Logistic regression by full-batch gradient descent from zeros. lr must
-    be finite and positive, l2 finite and nonnegative, epochs at least 1; a
-    run that overflows raises DegenerateDataError."""
+    be finite and positive, l2 finite and nonnegative, epochs an integer of at
+    least 1; a run that overflows raises DegenerateDataError."""
     _check_training(lr, epochs, l2)
     if len(labels) < 2:
         raise DegenerateDataError("need at least 2 examples")
@@ -198,21 +200,15 @@ def accuracy_over_seeds(
     dataset: ProbeDataset,
     weights: EncoderWeights,
     vocab: Vocab,
-    seeds: list[int],
-    train_fraction: float = 0.8,
-    lr: float = DEFAULT_LR,
-    epochs: int = DEFAULT_EPOCHS,
-    l2: float = DEFAULT_L2,
+    params: ProbeParams = ProbeParams(),
 ) -> tuple[float, float]:
-    """Mean and population std of test accuracy, in percent, across seeds.
-    Its arguments are checked first, by check_probe_params."""
-    check_probe_params(seeds, train_fraction, lr, epochs, l2)
+    """Mean and population std of test accuracy, in percent, across
+    params.seeds."""
     accs = []
-    for seed in seeds:
-        train, test = split(dataset, train_fraction, seed)
-        model = train_logreg(
-            extract_features(train, weights, vocab), labels_array(train), lr, epochs, l2
-        )
+    for seed in params.seeds:
+        train, test = split(dataset, params.train_fraction, seed)
+        model = train_logreg(extract_features(train, weights, vocab), labels_array(train),
+                             params.lr, params.epochs, params.l2)
         accs.append(accuracy(model, extract_features(test, weights, vocab), labels_array(test)))
     accs_pct = 100.0 * np.array(accs)
     return float(accs_pct.mean()), float(accs_pct.std())

@@ -230,8 +230,7 @@ def test_07_bias_balancer_laws():
 
         def hs(matrix):
             t = Tensor(matrix)
-            return HiddenStates(sequence=t, pooled=Tensor(t.array[-1]),
-                                eos_position=t.shape[0] - 1)
+            return HiddenStates(sequence=t, eos_position=t.shape[0] - 1)
 
         h_p = hs(np.zeros((2, 2)))
         h_csp = hs(np.ones((2, 2)))      # MSE(p, csp) = 1
@@ -255,13 +254,14 @@ def test_07_bias_balancer_laws():
 def test_08_probe_sanity():
     with criterion(8, "separable synthetic WTEs reach >= 95% mean accuracy; "
                       "shuffled labels land in the 35-65% chance band", limit_s=30.0):
-        from embedit import accuracy_over_seeds
+        from embedit import ProbeParams, accuracy_over_seeds
         from embedit.probe import ProbeDataset
 
         dataset, weights, vocab = gaussian_wte_fixture(
             n_items=200, separation=4.0, sigma=1.0
         )
-        mean, _ = accuracy_over_seeds(dataset, weights, vocab, seeds=[0, 1, 2, 3, 4])
+        params = ProbeParams(seeds=(0, 1, 2, 3, 4))
+        mean, _ = accuracy_over_seeds(dataset, weights, vocab, params)
         assert mean >= 95.0, f"separable mean accuracy {mean:.2f}%"
 
         rng = np.random.default_rng(8)
@@ -271,8 +271,7 @@ def test_08_probe_sanity():
                    zip(dataset.items, shuffled_labels)],
             label_names=dataset.label_names,
         )
-        chance_mean, _ = accuracy_over_seeds(shuffled, weights, vocab,
-                                             seeds=[0, 1, 2, 3, 4])
+        chance_mean, _ = accuracy_over_seeds(shuffled, weights, vocab, params)
         assert 35.0 <= chance_mean <= 65.0, f"chance mean {chance_mean:.2f}%"
 
 

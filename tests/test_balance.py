@@ -31,7 +31,7 @@ from conftest import diverge_adam, make_bundle
 def hs(matrix, eos_position=None):
     t = Tensor(matrix)
     eos = t.shape[0] - 1 if eos_position is None else eos_position
-    return HiddenStates(sequence=t, pooled=Tensor(t.array[eos]), eos_position=eos)
+    return HiddenStates(sequence=t, eos_position=eos)
 
 
 def symmetric_bundle(seed=42):
@@ -145,9 +145,8 @@ class TestEditBalanceManual:
             stereotypical_prompt="female teacher",
             counter_prompt="male teacher",
             mode=BalanceMode.MANUAL,
-            lambda_manual=0.3,
         )
-        params = BalancerParams(learning_rate=1e-2, max_iters=200)
+        params = BalancerParams(learning_rate=1e-2, max_iters=200, stop_ratio=0.3)
         balanced = make_bundle(seed=5)
         res = edit_balance(balanced, request, params, EditLedger())
 
@@ -161,14 +160,30 @@ class TestEditBalanceManual:
         assert res == expected
         assert res.threshold_tau == 0.3 * res.initial_loss
 
-    def test_manual_requires_lambda(self):
-        with pytest.raises(ValueError):
-            BiasEditRequest(
-                profession="teacher",
-                stereotypical_prompt="female teacher",
-                counter_prompt="male teacher",
-                mode=BalanceMode.MANUAL,
-            )
+
+class TestBalancerParams:
+    def test_hyper_is_the_loops_settings_in_each_mode(self):
+        params = BalancerParams(learning_rate=1e-2, max_iters=7, stop_ratio=0.3)
+        loop = EditHyperparams(stop_ratio=0.3, max_iters=7, learning_rate=1e-2)
+        assert params.hyper(BalanceMode.MANUAL) == loop
+        assert params.hyper(BalanceMode.AUTO) == EditHyperparams(
+            stop_ratio=0.0, max_iters=7, learning_rate=1e-2)
+
+    def test_defaults_are_the_edits(self):
+        assert BalancerParams().hyper(BalanceMode.MANUAL) == EditHyperparams()
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("stop_ratio", 1.5, "stop_ratio must be in"), ("stop_ratio", -0.1, "stop_ratio must be in"),
+        ("learning_rate", 0.0, "learning_rate must"), ("learning_rate", float("nan"),
+                                                       "learning_rate must"),
+        ("max_iters", 0, "max_iters must be positive"),
+        ("max_iters", 2.5, "max_iters must be an integer"),
+        ("max_iters", True, "max_iters must be an integer"),
+    ])
+    def test_loop_settings_are_checked_by_the_edits_rule(self, field, value, message):
+        # Checked when made, whatever the mode it will run in.
+        with pytest.raises(ValueError, match=message):
+            BalancerParams(**{field: value})
 
 
 class TestEditBalanceAuto:

@@ -5,7 +5,17 @@ import struct
 import numpy as np
 import pytest
 
-from embedit import EncoderWeights, Tensor, archive, load_weights, save_weights
+import embedit.cli as cli
+from embedit import (
+    BalancerParams,
+    EditHyperparams,
+    EncoderWeights,
+    ProbeParams,
+    Tensor,
+    archive,
+    load_weights,
+    save_weights,
+)
 from embedit.cli import main
 
 from conftest import WORDS, FailingFile, diverge_adam, zero_row_ledger
@@ -50,6 +60,42 @@ def init_archive(workdir, name="base.embedit", seed=42, config="config.json"):
     assert run("init", "--config", workdir / config, "--vocab", workdir / "vocab.json",
                "--seed", seed, "--out", out) == 0
     return out
+
+
+class _Built(Exception):
+    pass
+
+
+@pytest.mark.parametrize("command,consumer,expected", [
+    ("edit", "edit_multi_encoder", EditHyperparams()),
+    ("seq-edit", "edit_sequential", EditHyperparams()),
+    ("gender", "edit_balance", BalancerParams()),
+    ("probe", "accuracy_over_seeds", ProbeParams()),
+])
+def test_flag_defaults_are_the_settings_defaults(workdir, monkeypatch, command, consumer,
+                                                 expected):
+    # Only the required flags: the settings the command hands on must be the
+    # library's defaults, which the flags take their defaults from.
+    base = init_archive(workdir)
+    edits = workdir / "edits.jsonl"
+    edits.write_text(json.dumps({"source": "bear", "destination": "wolf",
+                                 "target_word": "bear"}) + "\n")
+    gender = workdir / "gender.jsonl"
+    gender.write_text(GENDER_LINE)
+    args = {
+        "edit": ("--source", "bear", "--dest", "wolf", "--target", "bear"),
+        "seq-edit": ("--dataset", edits),
+        "gender": ("--dataset", gender),
+        "probe": ("--dataset", write_probe_dataset(workdir)),
+    }[command]
+
+    def built(*args):
+        raise _Built(args)
+
+    monkeypatch.setattr(cli, consumer, built)
+    with pytest.raises(_Built) as settings:
+        run(command, "--weights", base, *args, "--out", workdir / "out")
+    assert [a for a in settings.value.args[0] if type(a) is type(expected)] == [expected]
 
 
 class TestInit:

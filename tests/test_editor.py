@@ -39,7 +39,7 @@ from test_archive import JSON_VALUES, _slots
 def hs(matrix, eos_position=None):
     t = Tensor(matrix)
     eos = t.shape[0] - 1 if eos_position is None else eos_position
-    return HiddenStates(sequence=t, pooled=Tensor(t.array[eos]), eos_position=eos)
+    return HiddenStates(sequence=t, eos_position=eos)
 
 
 def wte_bytes(bundle):
@@ -574,3 +574,12 @@ class TestHyperparamValidation:
     def test_max_iters_positive(self):
         with pytest.raises(ValueError):
             EditHyperparams(max_iters=0)
+
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_max_iters_must_be_an_integer(self, value):
+        # 2.5 would die in range() mid-edit; True would run as 1.
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            EditHyperparams(max_iters=value)
+
+    def test_numpy_integer_max_iters_is_an_integer(self):
+        assert EditHyperparams(max_iters=np.int64(3)).max_iters == 3

@@ -3,6 +3,7 @@ import pytest
 
 from embedit import (
     ProbeDataset,
+    ProbeParams,
     Vocab,
     accuracy_over_seeds,
     extract_features,
@@ -102,6 +103,12 @@ class TestTrainLogreg:
         assert model.weight[0] > 0
         assert accuracy(model, feats, labels) == 1.0
 
+    @pytest.mark.parametrize("epochs", [2.5, True])
+    def test_epochs_must_be_an_integer(self, epochs):
+        # 2.5 would die in range(); True would train for one epoch.
+        with pytest.raises(ValueError, match="epochs must be an integer"):
+            train_logreg(np.array([[-1.0], [1.0]]), np.array([0.0, 1.0]), epochs=epochs)
+
     def test_single_class_is_degenerate(self):
         with pytest.raises(DegenerateDataError):
             train_logreg(np.ones((4, 2)), np.zeros(4))
@@ -154,26 +161,46 @@ class TestTrainLogreg:
 
     def test_separated_gaussians_reach_95(self):
         dataset, weights, vocab = gaussian_wte_fixture()
-        mean, _ = accuracy_over_seeds(dataset, weights, vocab, seeds=[0, 1, 2, 3, 4])
+        mean, _ = accuracy_over_seeds(dataset, weights, vocab,
+                                      ProbeParams(seeds=(0, 1, 2, 3, 4)))
         assert mean >= 95.0
 
 
 class TestAccuracyOverSeeds:
     def test_repeated_seed_has_zero_std(self):
         dataset, weights, vocab = gaussian_wte_fixture()
-        _, std = accuracy_over_seeds(dataset, weights, vocab, seeds=[3, 3])
+        _, std = accuracy_over_seeds(dataset, weights, vocab, ProbeParams(seeds=(3, 3)))
         assert std == 0.0
 
     def test_five_seeds_mean_and_spread(self):
         dataset, weights, vocab = gaussian_wte_fixture()
-        mean, std = accuracy_over_seeds(dataset, weights, vocab, seeds=[0, 1, 2, 3, 4])
+        mean, std = accuracy_over_seeds(dataset, weights, vocab,
+                                        ProbeParams(seeds=(0, 1, 2, 3, 4)))
         assert mean >= 95.0
         assert std <= 5.0
 
     def test_requires_two_seeds(self):
-        dataset, weights, vocab = gaussian_wte_fixture()
-        with pytest.raises(ValueError):
-            accuracy_over_seeds(dataset, weights, vocab, seeds=[0])
+        with pytest.raises(ValueError, match="need at least 2 integer seeds"):
+            ProbeParams(seeds=(0,))
+
+
+class TestProbeParams:
+    @pytest.mark.parametrize("field,value,message", [
+        ("seeds", (0, 1.0), "need at least 2 integer seeds"),
+        ("seeds", (0, True), "need at least 2 integer seeds"),
+        ("train_fraction", 1.0, "train_fraction must"),
+        ("lr", float("inf"), "lr must"), ("l2", -1.0, "l2 must"),
+        ("epochs", 0, "epochs must be at least 1"),
+        ("epochs", 2.5, "epochs must be an integer"),
+        ("epochs", True, "epochs must be an integer"),
+    ])
+    def test_each_setting_is_checked_when_made(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ProbeParams(**{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        params = ProbeParams(seeds=(np.int64(0), np.int64(1)), epochs=np.int64(3))
+        assert params.epochs == 3
 
 
 def test_dataset_rejects_bad_label():
