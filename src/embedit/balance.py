@@ -47,12 +47,16 @@ class BalanceMode(str, Enum):
 
 @dataclass(frozen=True)
 class BiasEditRequest:
-    """What to balance: the profession, its two gendered prompts and the mode."""
+    """What to balance: the profession, its two gendered prompts and the mode,
+    a BalanceMode or the string that names one."""
 
     profession: str
     stereotypical_prompt: str
     counter_prompt: str
     mode: BalanceMode = BalanceMode.MANUAL
+
+    def __post_init__(self):
+        object.__setattr__(self, "mode", BalanceMode(self.mode))
 
 
 @dataclass(frozen=True)
@@ -75,9 +79,9 @@ class BalancerParams:
         # Manual mode's settings hold stop_ratio, so it is checked in either mode.
         self.hyper(BalanceMode.MANUAL)
 
-    def hyper(self, mode: BalanceMode) -> EditHyperparams:
+    def hyper(self, mode: BalanceMode | str) -> EditHyperparams:
         """The loop's settings in `mode`: stop_ratio in manual mode, 0 in auto."""
-        stop_ratio = self.stop_ratio if mode is BalanceMode.MANUAL else 0.0
+        stop_ratio = self.stop_ratio if BalanceMode(mode) is BalanceMode.MANUAL else 0.0
         return EditHyperparams(stop_ratio=stop_ratio, max_iters=self.max_iters,
                                learning_rate=self.learning_rate)
 
@@ -93,7 +97,8 @@ def init_profession_embedding(rows: np.ndarray, female: np.ndarray,
     return (rows + female + male) / 3.0
 
 
-def bias_rate_delta(mse_sp: float, mse_csp: float, normalizer: float = 2.0) -> float:
+def bias_rate_delta(mse_sp: float, mse_csp: float,
+                    normalizer: float = BalancerParams.delta_normalizer) -> float:
     """Normalized gap between the two representation distances.
 
     The raw ratio |sp - csp| / (0.5 * (sp + csp)) lies in [0, 2]; dividing by

@@ -35,7 +35,7 @@ from .errors import (
     DataError,
     DatasetError,
     DivergenceError,
-    LedgerRangeError,
+    EmbeditError,
     NonFiniteError,
     read_json,
 )
@@ -53,7 +53,7 @@ from .evaluation import (
 from .probe import ProbeDataset, ProbeParams, accuracy_over_seeds
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -85,8 +85,8 @@ def _hyper_from_args(args) -> EditHyperparams:
         stop_ratio=args.stop_ratio,
         max_iters=args.max_iters,
         learning_rate=args.lr,
-        optimizer=OptimizerKind(args.optimizer),
-        loss_positions=LossPositions(args.loss_positions),
+        optimizer=args.optimizer,
+        loss_positions=args.loss_positions,
     )
 
 
@@ -102,8 +102,7 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_init(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as f:
-        raw = json.load(f)
+    raw = read_json(args.config, _UsageError)
     vocab = load_vocab(args.vocab)
     if type(raw) is not dict or "vocab_size" in raw:
         raise ValueError(f"{args.config}: need a JSON object without vocab_size, "
@@ -178,7 +177,6 @@ def cmd_seq_edit(args) -> int:
 
 
 def cmd_gender(args) -> int:
-    mode = BalanceMode(args.mode)
     params = BalancerParams(alpha_min=args.alpha_min, delta_normalizer=args.delta_normalizer,
                             learning_rate=args.lr, max_iters=args.max_iters,
                             stop_ratio=args.stop_ratio)
@@ -202,7 +200,7 @@ def cmd_gender(args) -> int:
             profession=entry.profession,
             stereotypical_prompt=sp,
             counter_prompt=csp,
-            mode=mode,
+            mode=args.mode,
         )
         baseline = female_percentage(entry, reference, f_ref, m_ref)
         result = edit_balance(bundle, request, params, ledger)
@@ -224,7 +222,7 @@ def cmd_gender(args) -> int:
     save_weights(out / "edited.embedit", bundle.config, bundle.weights, bundle.vocab)
     ledger.save(out / "ledger.json")
     _write_json(out / "gender_report.json", {
-        "mode": mode.value,
+        "mode": args.mode,
         "per_profession": rows,
         "baseline_delta": baseline_delta,
         "edited_delta": edited_delta,
@@ -428,18 +426,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_UsageError, LedgerRangeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     # An encode that overflows outside an edit loop raises NonFiniteError, a
-    # ValueError: it is a divergence too.
+    # ValueError: it is a divergence too, so this handler comes first.
     except (DivergenceError, NonFiniteError) as e:
         print(f"divergence: {e}", file=sys.stderr)
         return 3
-    except (DataError, IndexError) as e:
+    except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as e:
+    except (EmbeditError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

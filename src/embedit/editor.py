@@ -63,7 +63,9 @@ class EditHyperparams:
     """Stopping ratio, iteration cap, and step rule for one edit.
 
     stop_ratio is the fraction of the initial loss used as the convergence
-    threshold; 1 stops immediately, 0 never stops early.
+    threshold; 1 stops immediately, 0 never stops early. optimizer and
+    loss_positions take a member or the string that names one, and hold the
+    member.
     """
 
     stop_ratio: float = 0.2
@@ -73,6 +75,8 @@ class EditHyperparams:
     loss_positions: LossPositions = LossPositions.FULL_SEQUENCE
 
     def __post_init__(self):
+        object.__setattr__(self, "optimizer", OptimizerKind(self.optimizer))
+        object.__setattr__(self, "loss_positions", LossPositions(self.loss_positions))
         if not 0.0 <= self.stop_ratio <= 1.0:
             raise ValueError(f"stop_ratio must be in [0, 1], got {self.stop_ratio}")
         if not is_integer(self.max_iters):
@@ -213,14 +217,16 @@ class EditLedger:
         return cls.from_json(read_json(path, LedgerFormatError))
 
 
-def mse_hidden(h1: HiddenStates, h2: HiddenStates, positions: LossPositions) -> float:
-    """Mean squared difference over the selected rows of the two matrices."""
-    return _hidden_mse(h1, h2, positions).item()
+def mse_hidden(h1: HiddenStates, h2: HiddenStates, positions: LossPositions | str) -> float:
+    """Mean squared difference over the selected rows of the two matrices;
+    positions is a LossPositions or the string that names one."""
+    return _hidden_mse(h1, h2, LossPositions(positions)).item()
 
 
 def _hidden_mse(h: HiddenStates, target: HiddenStates, positions: LossPositions,
                 tape: Tape | None = None) -> Tensor:
-    """mse_hidden as a Tensor; UP_TO_EOS keeps the rows through the later EOS."""
+    """mse_hidden as a Tensor, for a member `positions`; UP_TO_EOS keeps the
+    rows through the later EOS."""
     diff = sub(h.sequence, target.sequence, tape)
     if positions is LossPositions.UP_TO_EOS:
         n_rows = max(h.eos_position, target.eos_position) + 1

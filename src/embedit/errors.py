@@ -1,5 +1,5 @@
 """Exception types shared across the package, the JSON reader that reports
-a file or line it cannot parse as a data error, the one check of a JSON
+a file or line it cannot parse as the caller's error, the one check of a JSON
 object's keys and value types, and the one rule for an integer setting."""
 
 import json
@@ -87,14 +87,14 @@ class LedgerFormatError(DataError):
     """A ledger is malformed or does not fit the table it would be applied to."""
 
 
-def read_json(path, error: type[DataError]):
+def read_json(path, error: type[Exception]):
     """The parsed contents of a UTF-8 JSON file. Bytes that are not UTF-8 or
     not JSON raise `error`, naming the file; OSError passes through."""
     with open(path, "rb") as f:
         return parse_json(f.read(), error, str(path))
 
 
-def parse_json(data: bytes, error: type[DataError], where: str):
+def parse_json(data: bytes, error: type[Exception], where: str):
     """The parsed value of UTF-8 JSON bytes; bytes that are not UTF-8 or not
     JSON raise `error`, prefixed by `where`."""
     try:

@@ -17,22 +17,6 @@ from .encoder import EncoderWeights, Vocab
 from .errors import DatasetError, DegenerateDataError, is_integer, json_object, read_json
 
 
-def _check_fraction(train_fraction: float) -> None:
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
-
-
-def _check_training(lr: float, epochs: int, l2: float) -> None:
-    if not (math.isfinite(lr) and lr > 0.0):
-        raise ValueError("lr must be positive and finite")
-    if not (math.isfinite(l2) and l2 >= 0.0):
-        raise ValueError("l2 must be nonnegative and finite")
-    if not is_integer(epochs):
-        raise ValueError(f"epochs must be an integer, got {epochs!r}")
-    if epochs < 1:
-        raise ValueError("epochs must be at least 1")
-
-
 @dataclass(frozen=True)
 class ProbeParams:
     """A probe's split seeds, train fraction and training settings, checked when made."""
@@ -46,8 +30,16 @@ class ProbeParams:
     def __post_init__(self):
         if len(self.seeds) < 2 or not all(is_integer(s) for s in self.seeds):
             raise ValueError("need at least 2 integer seeds")
-        _check_fraction(self.train_fraction)
-        _check_training(self.lr, self.epochs, self.l2)
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError("train_fraction must be in (0, 1)")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError("lr must be positive and finite")
+        if not (math.isfinite(self.l2) and self.l2 >= 0.0):
+            raise ValueError("l2 must be nonnegative and finite")
+        if not is_integer(self.epochs):
+            raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
 
 
 @dataclass
@@ -115,13 +107,13 @@ def labels_array(dataset: ProbeDataset) -> np.ndarray:
 
 
 def split(
-    dataset: ProbeDataset, train_fraction: float = ProbeParams.train_fraction, seed: int = 0
+    dataset: ProbeDataset, seed: int = 0, params: ProbeParams = ProbeParams()
 ) -> tuple[ProbeDataset, ProbeDataset]:
-    """Seeded shuffle, then prefix split; the parts are disjoint and exhaustive."""
-    _check_fraction(train_fraction)
+    """Seeded shuffle, then a prefix of params.train_fraction for training;
+    the parts are disjoint and exhaustive."""
     n = len(dataset.items)
     order = np.random.default_rng(seed).permutation(n)
-    cut = int(round(n * train_fraction))
+    cut = int(round(n * params.train_fraction))
     cut = min(max(cut, 1), n - 1)
     train = [dataset.items[i] for i in order[:cut]]
     test = [dataset.items[i] for i in order[cut:]]
@@ -159,16 +151,12 @@ def logreg_grad(weight: np.ndarray, bias: float, features: np.ndarray,
 
 
 def train_logreg(
-    features: np.ndarray,
-    labels: np.ndarray,
-    lr: float = ProbeParams.lr,
-    epochs: int = ProbeParams.epochs,
-    l2: float = ProbeParams.l2,
+    features: np.ndarray, labels: np.ndarray, params: ProbeParams = ProbeParams()
 ) -> ProbeModel:
-    """Logistic regression by full-batch gradient descent from zeros. lr must
-    be finite and positive, l2 finite and nonnegative, epochs an integer of at
-    least 1; a run that overflows raises DegenerateDataError."""
-    _check_training(lr, epochs, l2)
+    """Logistic regression by full-batch gradient descent from zeros, at
+    params.lr and params.l2 for params.epochs; a run that overflows raises
+    DegenerateDataError."""
+    lr, epochs, l2 = params.lr, params.epochs, params.l2
     if len(labels) < 2:
         raise DegenerateDataError("need at least 2 examples")
     classes = set(int(v) for v in labels)
@@ -206,9 +194,8 @@ def accuracy_over_seeds(
     params.seeds."""
     accs = []
     for seed in params.seeds:
-        train, test = split(dataset, params.train_fraction, seed)
-        model = train_logreg(extract_features(train, weights, vocab), labels_array(train),
-                             params.lr, params.epochs, params.l2)
+        train, test = split(dataset, seed, params)
+        model = train_logreg(extract_features(train, weights, vocab), labels_array(train), params)
         accs.append(accuracy(model, extract_features(test, weights, vocab), labels_array(test)))
     accs_pct = 100.0 * np.array(accs)
     return float(accs_pct.mean()), float(accs_pct.std())

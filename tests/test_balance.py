@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,19 @@ class TestEditBalanceManual:
         assert res == expected
         assert res.threshold_tau == 0.3 * res.initial_loss
 
+    def test_a_mode_given_as_a_string_runs_as_its_member(self):
+        params = BalancerParams(learning_rate=1e-2, max_iters=20, stop_ratio=0.3)
+        ledgers = []
+        for mode in ("manual", BalanceMode.MANUAL):
+            request = BiasEditRequest("teacher", "female teacher", "male teacher", mode=mode)
+            assert request.mode is BalanceMode.MANUAL
+            ledger = EditLedger()
+            res = edit_balance(make_bundle(seed=5), request, params, ledger)
+            # Manual mode's threshold; auto mode's is 0.
+            assert res.threshold_tau == 0.3 * res.initial_loss > 0.0
+            ledgers.append(json.dumps(ledger.to_json()))
+        assert ledgers[0] == ledgers[1]
+
 
 class TestBalancerParams:
     def test_hyper_is_the_loops_settings_in_each_mode(self):
@@ -168,9 +183,17 @@ class TestBalancerParams:
         assert params.hyper(BalanceMode.MANUAL) == loop
         assert params.hyper(BalanceMode.AUTO) == EditHyperparams(
             stop_ratio=0.0, max_iters=7, learning_rate=1e-2)
+        assert params.hyper("manual") == loop
+        assert params.hyper("auto") == params.hyper(BalanceMode.AUTO)
 
     def test_defaults_are_the_edits(self):
         assert BalancerParams().hyper(BalanceMode.MANUAL) == EditHyperparams()
+
+    def test_a_mode_that_names_no_member_raises(self):
+        with pytest.raises(ValueError, match="is not a valid BalanceMode"):
+            BiasEditRequest("teacher", "female teacher", "male teacher", mode="nonsense")
+        with pytest.raises(ValueError, match="is not a valid BalanceMode"):
+            BalancerParams().hyper("nonsense")
 
     @pytest.mark.parametrize("field,value,message", [
         ("stop_ratio", 1.5, "stop_ratio must be in"), ("stop_ratio", -0.1, "stop_ratio must be in"),

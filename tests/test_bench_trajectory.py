@@ -21,3 +21,10 @@ def test_every_record_has_its_keys_and_medians():
             for medians in measured:
                 assert set(medians) == METRICS
                 assert all(type(v) in (int, float) for v in medians.values())
+
+
+def test_only_the_last_record_may_lack_its_commit():
+    # A record's commit is filled in by the next change, whose parent it is.
+    doc = json.loads((ROOT / "BENCH_trajectory.json").read_text(encoding="utf-8"))
+    for rec in doc["records"][:-1]:
+        assert type(rec["commit"]) is str and rec["commit"], rec["title"]

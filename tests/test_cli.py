@@ -17,6 +17,7 @@ from embedit import (
     save_weights,
 )
 from embedit.cli import main
+from embedit.errors import DimensionError, TapeUsageError
 
 from conftest import WORDS, FailingFile, diverge_adam, zero_row_ledger
 
@@ -133,6 +134,19 @@ class TestInit:
         (workdir / "bad.json").write_text(json.dumps(good if config == "missing_key" else [good]))
         assert run("init", "--config", workdir / "bad.json", "--vocab", workdir / "vocab.json",
                    "--out", workdir / "x.embedit") == 1
+
+    @pytest.mark.parametrize("content", [
+        b"[" * 100000, b'{"d_model": ', "{\"caf\u00e9\": 1}".encode("latin-1"),
+    ], ids=["deeply_nested", "not_json", "not_utf8"])
+    def test_config_that_does_not_parse_exits_one_and_writes_nothing(self, workdir, capsys,
+                                                                     content):
+        bad = workdir / "bad.json"
+        bad.write_bytes(content)
+        capsys.readouterr()
+        assert run("init", "--config", bad, "--vocab", workdir / "vocab.json",
+                   "--out", workdir / "x.embedit") == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 JSON:")
+        assert not (workdir / "x.embedit").exists()
 
     def test_eps_may_be_left_out(self, workdir):
         good = json.loads((workdir / "config.json").read_text())
@@ -1024,6 +1038,16 @@ class TestExitCodes:
             assert capsys.readouterr().err.startswith(
                 "divergence: attention: scores are not finite")
             assert not (workdir / "x").exists()
+
+    @pytest.mark.parametrize("error", [DimensionError, TapeUsageError])
+    def test_any_other_package_error_is_one(self, workdir, capsys, monkeypatch, error):
+        def fail(args):
+            raise error("operands do not fit")
+
+        monkeypatch.setattr(cli, "cmd_report", fail)
+        capsys.readouterr()
+        assert run("report", "--ledger", workdir / "ledger.json", "--total-params", 10) == 1
+        assert capsys.readouterr().err == "error: operands do not fit\n"
 
     def test_divergence_is_three(self, workdir, monkeypatch):
         import embedit.optim as optim

@@ -76,6 +76,12 @@ class TestMseHidden:
         h2 = hs(b, eos_position=2)
         expected = np.mean((a[:3] - b[:3]) ** 2)
         assert mse_hidden(h1, h2, LossPositions.UP_TO_EOS) == expected
+        assert mse_hidden(h1, h2, "up_to_eos") == expected
+
+    def test_positions_that_name_no_member_raise(self):
+        h = hs(np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="is not a valid LossPositions"):
+            mse_hidden(h, h, "nonsense")
 
 
 class TestTargetTokenIds:
@@ -222,6 +228,32 @@ class TestEditSingle:
             EditLedger(),
         )
         assert res.converged
+
+    @pytest.mark.parametrize("field,value", [
+        ("optimizer", "adam"), ("optimizer", "sgd"), ("loss_positions", "up_to_eos"),
+    ])
+    def test_a_setting_given_as_a_string_runs_as_its_member(self, monkeypatch, field, value):
+        import embedit.optim as optim
+
+        adam_step = optim.Adam.step
+        steps = []
+        monkeypatch.setattr(optim.Adam, "step",
+                            lambda self, p, g: steps.append(1) or adam_step(self, p, g))
+        member = type(getattr(EditHyperparams(), field))(value)
+        ledgers, adam_steps = [], []
+        for setting in (value, member):
+            hyper = EditHyperparams(stop_ratio=0.0, max_iters=3, learning_rate=1e-2,
+                                    **{field: setting})
+            assert getattr(hyper, field) is member
+            ledger, before = EditLedger(), len(steps)
+            res = edit_single(make_bundle(), EditRequest("a bear", "a wolf", "bear"), hyper,
+                              ledger)
+            ledgers.append(json.dumps(ledger.to_json()))
+            adam_steps.append(len(steps) - before)
+        assert ledgers[0] == ledgers[1]
+        adam = hyper.optimizer is OptimizerKind.ADAM
+        assert adam_steps == [res.optimizer_steps if adam else 0] * 2
+        assert res.optimizer_steps > 0
 
 
 class TestEditSequential:
@@ -583,3 +615,9 @@ class TestHyperparamValidation:
 
     def test_numpy_integer_max_iters_is_an_integer(self):
         assert EditHyperparams(max_iters=np.int64(3)).max_iters == 3
+
+    @pytest.mark.parametrize("value", ["nonsense", "ADAM", None])
+    @pytest.mark.parametrize("field", ["optimizer", "loss_positions"])
+    def test_an_enum_setting_must_name_a_member(self, field, value):
+        with pytest.raises(ValueError, match="is not a valid"):
+            EditHyperparams(**{field: value})

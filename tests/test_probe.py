@@ -72,34 +72,34 @@ class TestSplit:
         )
 
     def test_200_items_give_160_40(self):
-        train, test = split(self.dataset(), 0.8, seed=0)
+        train, test = split(self.dataset(), seed=0, params=ProbeParams(train_fraction=0.8))
         assert len(train) == 160
         assert len(test) == 40
 
     def test_same_seed_is_identical(self):
-        a = split(self.dataset(), 0.8, seed=9)
-        b = split(self.dataset(), 0.8, seed=9)
+        a = split(self.dataset(), seed=9, params=ProbeParams(train_fraction=0.8))
+        b = split(self.dataset(), seed=9, params=ProbeParams(train_fraction=0.8))
         assert a[0].items == b[0].items
         assert a[1].items == b[1].items
 
     def test_partition_properties(self):
         ds = self.dataset(37)
         for seed in range(5):
-            train, test = split(ds, 0.8, seed=seed)
+            train, test = split(ds, seed=seed, params=ProbeParams(train_fraction=0.8))
             merged = sorted(train.items + test.items)
             assert merged == sorted(ds.items)
             assert not (set(train.items) & set(test.items))
 
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
-            split(self.dataset(), 1.0, seed=0)
+            split(self.dataset(), seed=0, params=ProbeParams(train_fraction=1.0))
 
 
 class TestTrainLogreg:
     def test_separable_pair(self):
         feats = np.array([[-1.0], [1.0]])
         labels = np.array([0.0, 1.0])
-        model = train_logreg(feats, labels, lr=0.5, epochs=500, l2=0.0)
+        model = train_logreg(feats, labels, ProbeParams(lr=0.5, epochs=500, l2=0.0))
         assert model.weight[0] > 0
         assert accuracy(model, feats, labels) == 1.0
 
@@ -107,7 +107,8 @@ class TestTrainLogreg:
     def test_epochs_must_be_an_integer(self, epochs):
         # 2.5 would die in range(); True would train for one epoch.
         with pytest.raises(ValueError, match="epochs must be an integer"):
-            train_logreg(np.array([[-1.0], [1.0]]), np.array([0.0, 1.0]), epochs=epochs)
+            train_logreg(np.array([[-1.0], [1.0]]), np.array([0.0, 1.0]),
+                         ProbeParams(epochs=epochs))
 
     def test_single_class_is_degenerate(self):
         with pytest.raises(DegenerateDataError):
