@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError, TapeUsageError
+from .errors import DimensionError, NonFiniteError, TapeUsageError, check_number
 
 _GELU_SCALE = math.sqrt(2.0 / math.pi)
 _GELU_CUBIC = 0.044715
@@ -67,11 +67,6 @@ class Tensor:
     def array(self) -> np.ndarray:
         """Read-only view of the underlying array."""
         return self._a
-
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the payload."""
-        return self._a.reshape(-1)
 
     def item(self) -> float:
         if self._a.size != 1:
@@ -379,8 +374,7 @@ def layer_norm(
     A variance that overflows raises NonFiniteError rather than saturating
     the output to beta.
     """
-    if eps < 0:
-        raise ValueError("layer_norm: eps must be >= 0")
+    check_number("layer_norm eps", eps, 0)
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(
@@ -638,8 +632,7 @@ def finite_difference_grad(f: Callable[[Tensor], float], x: Tensor, h: float) ->
     Independent of the tape machinery by design, so it can serve as an oracle
     for backward().
     """
-    if h <= 0:
-        raise ValueError("finite_difference_grad: h must be positive")
+    check_number("finite_difference_grad h", h, 0, open_low=True)
     base = x.array
     flat = base.reshape(-1).copy()
     g = np.empty_like(flat)

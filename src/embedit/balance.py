@@ -13,7 +13,6 @@ the table once, after the loop, and a failure leaves it unchanged.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -35,7 +34,7 @@ from .editor import (
     target_token_ids,
 )
 from .encoder import EncoderBundle, encode, tokenize
-from .errors import DegenerateInputError, DimensionError, UnknownTokenError
+from .errors import DegenerateInputError, DimensionError, UnknownTokenError, check_number
 
 GRAD_NORM_STOP = 1e-10
 
@@ -70,12 +69,10 @@ class BalancerParams:
     stop_ratio: float = EditHyperparams.stop_ratio
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha_min) and self.alpha_min >= 1.0):
-            raise ValueError("alpha_min must be finite and >= 1")
+        check_number("alpha_min", self.alpha_min, 1)
         # The raw bias ratio lies in [0, 2]; a smaller normalizer could push
         # delta past 1, where alpha_weight rejects it only once data arrive.
-        if not (math.isfinite(self.delta_normalizer) and self.delta_normalizer >= 2.0):
-            raise ValueError("delta_normalizer must be finite and >= 2")
+        check_number("delta_normalizer", self.delta_normalizer, 2)
         # Manual mode's settings hold stop_ratio, so it is checked in either mode.
         self.hyper(BalanceMode.MANUAL)
 
@@ -104,8 +101,8 @@ def bias_rate_delta(mse_sp: float, mse_csp: float,
     The raw ratio |sp - csp| / (0.5 * (sp + csp)) lies in [0, 2]; dividing by
     the normalizer (default 2) maps it to [0, 1].
     """
-    if mse_sp < 0 or mse_csp < 0:
-        raise ValueError("MSE distances must be nonnegative")
+    check_number("mse_sp", mse_sp, 0)
+    check_number("mse_csp", mse_csp, 0)
     if mse_sp == 0 and mse_csp == 0:
         raise DegenerateInputError(
             "profession representation is already gender-neutral (both distances are 0)"
@@ -114,16 +111,14 @@ def bias_rate_delta(mse_sp: float, mse_csp: float,
 
 
 def alpha_weight(delta: float, params: BalancerParams) -> float:
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must be in [0, 1], got {delta}")
+    check_number("delta", delta, 0, 1)
     return max(params.alpha_min, 10.0 * delta)
 
 
 def balanced_loss(h_p, h_csp, h_sp, alpha: float) -> float:
     """alpha^2 * MSE(p, csp) + (1/alpha)^2 * MSE(p, sp), over the full
     sequence."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    check_number("alpha", alpha, 0, open_low=True)
     return _reward_penalty(h_p, h_csp, h_sp, alpha).item()
 
 

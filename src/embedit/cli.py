@@ -37,6 +37,7 @@ from .errors import (
     DivergenceError,
     EmbeditError,
     NonFiniteError,
+    check_number,
     read_json,
 )
 from .evaluation import (
@@ -102,6 +103,7 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_init(args) -> int:
+    check_number("--seed", args.seed, 0, integer=True)
     raw = read_json(args.config, _UsageError)
     vocab = load_vocab(args.vocab)
     if type(raw) is not dict or "vocab_size" in raw:
@@ -232,8 +234,8 @@ def cmd_gender(args) -> int:
 
 
 def cmd_revert(args) -> int:
-    if args.n is not None and args.n < 0:
-        raise _UsageError(f"--n must be >= 0, not {args.n}")
+    if args.n is not None:
+        check_number("--n", args.n, 0, integer=True)
     config, weights, vocab = load_weights(args.weights)
     ledger = EditLedger.load(args.ledger)
     n = len(ledger.entries) if args.n is None else args.n
@@ -321,8 +323,8 @@ def cmd_report(args) -> int:
     archives = [args.weights, args.weights2][:len(paths)]
     if total is None and not all(archives):
         raise _UsageError("report needs --total-params, or --weights for each ledger")
-    if total is not None and total <= 0:
-        raise _UsageError("report needs a positive --total-params")
+    if total is not None:
+        check_number("--total-params", total, 1, integer=True)
     ledgers = [EditLedger.load(p) for p in paths]
     if total is None:
         total = sum(load_config(p).total_params() for p in archives)

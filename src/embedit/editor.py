@@ -32,7 +32,7 @@ from .errors import (
     LedgerRangeError,
     NonFiniteError,
     UnknownTokenError,
-    is_integer,
+    check_number,
     json_object,
     read_json,
 )
@@ -77,14 +77,9 @@ class EditHyperparams:
     def __post_init__(self):
         object.__setattr__(self, "optimizer", OptimizerKind(self.optimizer))
         object.__setattr__(self, "loss_positions", LossPositions(self.loss_positions))
-        if not 0.0 <= self.stop_ratio <= 1.0:
-            raise ValueError(f"stop_ratio must be in [0, 1], got {self.stop_ratio}")
-        if not is_integer(self.max_iters):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ValueError("learning_rate must be positive and finite")
+        check_number("stop_ratio", self.stop_ratio, 0, 1)
+        check_number("max_iters", self.max_iters, 1, integer=True)
+        check_number("learning_rate", self.learning_rate, 0, open_low=True)
 
 
 @dataclass
@@ -392,7 +387,9 @@ def revert(weights, ledger: EditLedger, n_last: int) -> None:
     Where several entries edited a row, the oldest entry's original wins, as
     if the entries were undone newest first; the table is written once.
     """
-    if n_last < 0 or n_last > len(ledger.entries):
+    # The rule checks the kind; a depth outside the ledger is a range error.
+    check_number("n_last", n_last, -math.inf, integer=True)
+    if not 0 <= n_last <= len(ledger.entries):
         raise LedgerRangeError(
             f"cannot revert {n_last} of {len(ledger.entries)} ledger entries"
         )

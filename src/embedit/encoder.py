@@ -9,7 +9,6 @@ hidden states at the EOS position is the pooled text feature.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Iterator, Sequence
 
@@ -36,6 +35,8 @@ from .errors import (
     PromptTooLongError,
     TapeUsageError,
     UnknownTokenError,
+    check_number,
+    is_integer,
     json_object,
 )
 
@@ -46,9 +47,9 @@ INIT_STD = 0.02
 class Vocab:
     """Closed vocabulary: word ids, reserved ids, and a word split table.
 
-    Ids must be dense in [0, vocab_size) once BOS/EOS/PAD are counted, the
-    three reserved ids must be distinct and unused by words, and every split
-    entry must expand to known single-token words.
+    Ids must be integers, dense in [0, vocab_size) once BOS/EOS/PAD are
+    counted, the three reserved ids must be distinct and unused by words, and
+    every split entry must expand to known single-token words.
     """
 
     tokens: dict[str, int]
@@ -58,7 +59,11 @@ class Vocab:
     pad: int = 2
 
     def __post_init__(self):
+        for word, i in self.tokens.items():
+            check_number(f"id of {word!r}", i, 0, integer=True)
         specials = (self.bos, self.eos, self.pad)
+        for name, i in zip(("bos", "eos", "pad"), specials):
+            check_number(name, i, 0, integer=True)
         if len(set(specials)) != 3:
             raise ValueError(f"BOS/EOS/PAD ids must be distinct, got {specials}")
         ids = list(self.tokens.values()) + list(specials)
@@ -88,8 +93,6 @@ class Vocab:
         json_object(obj, {"tokens": (dict,), "splits": (dict,), "bos": (int,), "eos": (int,),
                           "pad": (int,)}, ValueError, "vocab", optional=("splits",))
         tokens, splits = obj["tokens"], obj.get("splits", {})
-        if not all(type(i) is int for i in tokens.values()):
-            raise ValueError("tokens must map words to integer ids")
         if not all(type(s) is list and all(type(w) is str for w in s) for s in splits.values()):
             raise ValueError("splits must map words to lists of words")
         return cls(tokens=dict(tokens), splits={w: list(s) for w, s in splits.items()},
@@ -125,17 +128,14 @@ class EncoderConfig:
     eps: float = 1e-5
 
     def __post_init__(self):
-        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "context_length"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff"):
+            check_number(name, getattr(self, name), 1, integer=True)
+        check_number("context_length", self.context_length, 3, integer=True)  # BOS + token + EOS
+        object.__setattr__(self, "eps", float(check_number("eps", self.eps, 0)))
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} must be divisible by n_heads {self.n_heads}"
             )
-        if self.context_length < 3:
-            raise ValueError("context_length must be at least 3 (BOS + token + EOS)")
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -144,12 +144,8 @@ class EncoderConfig:
     def from_json(cls, obj) -> "EncoderConfig":
         """Strict inverse of to_json: exactly its keys, sizes that are JSON
         integers (not bools) and a finite eps. A violation raises ValueError."""
-        json_object(obj, {f.name: (int, float) if f.name == "eps" else (int,)
-                          for f in fields(cls)}, ValueError, "config")
-        # abs() <= max is False for NaN, infinities and ints past float range.
-        if not abs(obj["eps"]) <= sys.float_info.max:
-            raise ValueError("eps must be a finite number")
-        return cls(**{**obj, "eps": float(obj["eps"])})
+        return cls(**json_object(obj, {f.name: (int, float) if f.name == "eps" else (int,)
+                                       for f in fields(cls)}, ValueError, "config"))
 
     def total_params(self) -> int:
         """Scalars in all the tensors this config calls for (tensor_shapes)."""
@@ -261,8 +257,7 @@ class WteTable:
     def _checked_ids(self, ids: Sequence[int]) -> list[int]:
         ids = list(ids)
         for i in ids:
-            # bool is an int: True would silently stand for row 1.
-            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            if not is_integer(i):
                 raise TypeError(f"row id {i!r} is not an integer")
         ids = [int(i) for i in ids]
         n = self.shape[0]
@@ -445,7 +440,7 @@ def init_random_weights(config: EncoderConfig, seed: int) -> EncoderWeights:
     """Layer-norm gammas are ones and betas zeros; every other tensor is drawn
     from Normal(0, 0.02) by one generator, in tensor_shapes() order, so the
     same seed gives bitwise-identical weights."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_number("seed", seed, 0, integer=True))
     tensors = {}
     for name, shape in tensor_shapes(config).items():
         if name.endswith("_gamma"):

@@ -1,8 +1,10 @@
 """Exception types shared across the package, the JSON reader that reports
 a file or line it cannot parse as the caller's error, the one check of a JSON
-object's keys and value types, and the one rule for an integer setting."""
+object's keys and value types, and the one rule for a number handed in."""
 
 import json
+import math
+import sys
 
 import numpy as np
 
@@ -127,3 +129,23 @@ def json_object(obj, kinds: dict[str, tuple[type, ...]], error, where: str,
 def is_integer(x) -> bool:
     """A Python or numpy integer, not a bool: True would silently stand for 1."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def check_number(name: str, value, low, high=math.inf, *, integer=False, open_low=False,
+                 open_high=False):
+    """value, if it lies in the interval from low to high (each end closed
+    unless open_*) and is of the field's kind: for an integer field what
+    is_integer accepts, for a real field a Python or numpy real, not a bool,
+    whose magnitude is at most the largest float, which rejects NaN, the
+    infinities and ints past float range. Otherwise ValueError naming the
+    field, its interval and the value."""
+    kind = is_integer(value) if integer else (
+        isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max)
+    if not (kind and (low < value if open_low else low <= value)
+            and (value < high if open_high else value <= high)):
+        interval = (f"{'(' if open_low else '['}{low}, {high}"
+                    f"{')' if open_high or high == math.inf else ']'}")
+        raise ValueError(f"{name} must be {'an integer in' if integer else 'in'} {interval}, "
+                         f"got {value!r}")
+    return value

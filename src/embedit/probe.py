@@ -7,14 +7,13 @@ descent, so every run is deterministic given the split seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .encoder import EncoderWeights, Vocab
-from .errors import DatasetError, DegenerateDataError, is_integer, json_object, read_json
+from .errors import DatasetError, DegenerateDataError, check_number, json_object, read_json
 
 
 @dataclass(frozen=True)
@@ -28,18 +27,14 @@ class ProbeParams:
     l2: float = 1e-4
 
     def __post_init__(self):
-        if len(self.seeds) < 2 or not all(is_integer(s) for s in self.seeds):
-            raise ValueError("need at least 2 integer seeds")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must be in (0, 1)")
-        if not (math.isfinite(self.lr) and self.lr > 0.0):
-            raise ValueError("lr must be positive and finite")
-        if not (math.isfinite(self.l2) and self.l2 >= 0.0):
-            raise ValueError("l2 must be nonnegative and finite")
-        if not is_integer(self.epochs):
-            raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
+        if not (isinstance(self.seeds, (tuple, list)) and len(self.seeds) >= 2):
+            raise ValueError(f"need at least 2 integer seeds, got {self.seeds!r}")
+        for seed in self.seeds:
+            check_number("need at least 2 integer seeds: each seed", seed, 0, integer=True)
+        check_number("train_fraction", self.train_fraction, 0, 1, open_low=True, open_high=True)
+        check_number("lr", self.lr, 0, open_low=True)
+        check_number("l2", self.l2, 0)
+        check_number("epochs", self.epochs, 1, integer=True)
 
 
 @dataclass

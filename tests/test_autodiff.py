@@ -36,10 +36,9 @@ def causal_mask(t):
 
 
 class TestTensor:
-    def test_data_is_flat_row_major(self):
+    def test_shape_and_size(self):
         t = Tensor([[1.0, 2.0], [3.0, 4.0]])
         assert t.shape == (2, 2)
-        assert t.data.tolist() == [1.0, 2.0, 3.0, 4.0]
         assert t.size == 4
 
     def test_rejects_non_finite(self):

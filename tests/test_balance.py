@@ -199,7 +199,7 @@ class TestBalancerParams:
         ("stop_ratio", 1.5, "stop_ratio must be in"), ("stop_ratio", -0.1, "stop_ratio must be in"),
         ("learning_rate", 0.0, "learning_rate must"), ("learning_rate", float("nan"),
                                                        "learning_rate must"),
-        ("max_iters", 0, "max_iters must be positive"),
+        ("max_iters", 0, r"max_iters must be an integer in \[1, inf\), got 0"),
         ("max_iters", 2.5, "max_iters must be an integer"),
         ("max_iters", True, "max_iters must be an integer"),
     ])

@@ -165,6 +165,16 @@ class TestInit:
             f"data error: {workdir / 'bad_vocab.json'}: vocab: key 'bos' has type float\n")
         assert not (workdir / "x.embedit").exists()
 
+    def test_negative_seed_is_usage_error_before_any_file_is_read(self, workdir, capsys):
+        # The vocab is not JSON: the flag is checked first, so the exit code
+        # does not depend on whether a file is damaged too.
+        (workdir / "vocab.json").write_text('{"tokens": ')
+        capsys.readouterr()
+        assert run("init", "--config", workdir / "config.json", "--vocab", workdir / "vocab.json",
+                   "--seed", -1, "--out", workdir / "x.embedit") == 1
+        assert capsys.readouterr().err == "error: --seed must be an integer in [0, inf), got -1\n"
+        assert not (workdir / "x.embedit").exists()
+
     def test_archive_loadable_by_edit(self, workdir):
         base = init_archive(workdir)
         code = run("edit", "--weights", base, "--source", "bear", "--dest", "wolf",
@@ -368,7 +378,7 @@ class TestEditRevert:
         capsys.readouterr()
         assert run("revert", "--weights", truncated, "--ledger", workdir / "missing.json",
                    "--n", -1, "--out", workdir / "restored.embedit") == 1
-        assert capsys.readouterr().err == "error: --n must be >= 0, not -1\n"
+        assert capsys.readouterr().err == "error: --n must be an integer in [0, inf), got -1\n"
         assert not (workdir / "restored.embedit").exists()
 
 
@@ -560,7 +570,8 @@ class TestReport:
         assert capsys.readouterr().err.startswith("error: report needs --total-params")
         assert run("report", "--ledger", workdir / "dual" / "ledger.json",
                    "--total-params", 0) == 1
-        assert capsys.readouterr().err.startswith("error: report needs a positive")
+        assert capsys.readouterr().err.startswith(
+            "error: --total-params must be an integer in [1, inf)")
 
     def test_report_weights_reads_only_the_header(self, workdir, capsys, monkeypatch):
         base = init_archive(workdir)
@@ -640,8 +651,8 @@ class TestReport:
         assert not (workdir / "rep").exists()
 
     @pytest.mark.parametrize("flags,message", [
-        (("--total-params", 0), "report needs a positive --total-params"),
-        (("--total-params", -5), "report needs a positive --total-params"),
+        (("--total-params", 0), "--total-params must be an integer in [1, inf), got 0"),
+        (("--total-params", -5), "--total-params must be an integer in [1, inf), got -5"),
         (("--ledger2", "LEDGER", "--weights", "base.embedit"),
          "report needs --total-params, or --weights for each ledger"),
     ], ids=["zero_total", "negative_total", "second_ledger_without_archive"])
@@ -970,6 +981,18 @@ class TestExitCodes:
         assert run("probe", "--weights", truncated, "--dataset", workdir / "missing.json",
                    flag, value, "--out", workdir / "x") == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (workdir / "x").exists()
+
+    def test_negative_probe_seed_is_usage_error_before_any_file_is_read(self, workdir, capsys):
+        # A good archive and a dataset that is not JSON: the seeds are checked
+        # first, so the usage error wins over the data error.
+        base = init_archive(workdir)
+        dataset = workdir / "probe.json"
+        dataset.write_text('{"items": ')
+        capsys.readouterr()
+        assert run("probe", "--weights", base, "--dataset", dataset, "--seeds=-1,2",
+                   "--out", workdir / "x") == 1
+        assert capsys.readouterr().err.startswith("error: need at least 2 integer seeds")
         assert not (workdir / "x").exists()
 
     @pytest.mark.parametrize("mode,stop_ratio,dataset", [

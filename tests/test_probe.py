@@ -189,9 +189,11 @@ class TestProbeParams:
     @pytest.mark.parametrize("field,value,message", [
         ("seeds", (0, 1.0), "need at least 2 integer seeds"),
         ("seeds", (0, True), "need at least 2 integer seeds"),
+        ("seeds", 5, "need at least 2 integer seeds"),
+        ("seeds", "01", "need at least 2 integer seeds"),
         ("train_fraction", 1.0, "train_fraction must"),
         ("lr", float("inf"), "lr must"), ("l2", -1.0, "l2 must"),
-        ("epochs", 0, "epochs must be at least 1"),
+        ("epochs", 0, r"epochs must be an integer in \[1, inf\), got 0"),
         ("epochs", 2.5, "epochs must be an integer"),
         ("epochs", True, "epochs must be an integer"),
     ])
