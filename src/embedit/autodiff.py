@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError, TapeUsageError, check_number
+from .errors import DimensionError, NonFiniteError, TapeUsageError, check_ids, check_number
 
 _GELU_SCALE = math.sqrt(2.0 / math.pi)
 _GELU_CUBIC = 0.044715
@@ -300,17 +300,12 @@ def concat_cols(parts: Sequence[Tensor], tape: Tape | None = None) -> Tensor:
 
 
 def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Select rows of a table by index, in order. Untaped: an edit
-    differentiates its k-by-d rows through substitute_rows, never the table.
+    """Select rows of a table by index (errors.check_ids), in order. Untaped:
+    an edit differentiates its k-by-d rows through substitute_rows, never the table.
     """
     if len(table.shape) != 2:
         raise DimensionError(f"gather_rows: expected a matrix, got shape {table.shape}")
-    n = table.shape[0]
-    ids = list(ids)
-    for i in ids:
-        if not (0 <= i < n):
-            raise IndexError(f"row id {i} out of range for table with {n} rows")
-    return Tensor._wrap(table.array[ids])
+    return Tensor._wrap(table.array[check_ids(ids, table.shape[0])])
 
 
 def substitute_rows(
@@ -323,10 +318,10 @@ def substitute_rows(
     """Replace each row of x whose id is a leaf id by that id's leaf row.
 
     Row p of the n-by-d matrix x stands for id ids[p], as gather_rows lays
-    them out; row s of the k-by-d leaf stands for leaf_ids[s]. When taped,
-    the leaf's gradient is k-by-d: each leaf row gets the cotangents of the
-    positions it fills, scatter-added in position order, and x gets the
-    cotangents of the rows it kept.
+    them out; row s of the k-by-d leaf stands for leaf_ids[s], which the
+    caller has checked distinct. When taped, the leaf's gradient is k-by-d:
+    each leaf row gets the cotangents of the positions it fills,
+    scatter-added in position order, and x gets those of the rows it kept.
     """
     if len(x.shape) != 2 or x.shape[0] != len(ids):
         raise DimensionError(f"substitute_rows: {len(ids)} ids for a matrix of shape {x.shape}")
@@ -335,8 +330,6 @@ def substitute_rows(
             f"substitute_rows: leaf shape {leaf.shape} != ({len(leaf_ids)}, {x.shape[1]})"
         )
     slot_of = {i: s for s, i in enumerate(leaf_ids)}
-    if len(slot_of) != len(leaf_ids):
-        raise ValueError(f"substitute_rows: repeated leaf ids in {list(leaf_ids)}")
     hits = [(p, slot_of[i]) for p, i in enumerate(ids) if i in slot_of]
     pos = np.array([p for p, _ in hits], dtype=np.intp)
     slots = np.array([s for _, s in hits], dtype=np.intp)

@@ -32,6 +32,7 @@ from .errors import (
     LedgerRangeError,
     NonFiniteError,
     UnknownTokenError,
+    check_ids,
     check_number,
     json_object,
     read_json,
@@ -120,8 +121,9 @@ class LedgerEntry:
     s. The rows are held as read-only float64 copies.
 
     Construction checks what does not depend on a table: at least one id,
-    distinct integer ids, both blocks shaped (k, d) and finite. A violation,
-    or rows that are ragged or past float range, raises LedgerFormatError.
+    distinct ids that errors.check_ids accepts below any table size, held as
+    Python ints, and both blocks shaped (k, d) and finite. A violation, or
+    rows that are ragged or past float range, raises LedgerFormatError.
     """
 
     source_prompt: str
@@ -133,13 +135,12 @@ class LedgerEntry:
     result: EditResult
 
     def __post_init__(self):
-        ids = self.edited_token_ids
-        if not ids:
+        if not self.edited_token_ids:
             raise LedgerFormatError("no token ids")
-        if any(type(i) is not int for i in ids):
-            raise LedgerFormatError(f"token ids {list(ids)} are not all integers")
-        if len(set(ids)) != len(ids):
-            raise LedgerFormatError(f"repeated token ids {list(ids)}")
+        try:
+            ids = tuple(check_ids(self.edited_token_ids, math.inf, distinct=True))
+        except (TypeError, IndexError, ValueError) as e:
+            raise LedgerFormatError(str(e)) from e
         try:
             original = np.array(self.original_rows, dtype=np.float64)
             new = np.array(self.new_rows, dtype=np.float64)
@@ -152,7 +153,7 @@ class LedgerEntry:
             raise LedgerFormatError("rows are not all finite")
         original.setflags(write=False)
         new.setflags(write=False)
-        self.original_rows, self.new_rows = original, new
+        self.edited_token_ids, self.original_rows, self.new_rows = ids, original, new
 
 
 @dataclass
@@ -286,9 +287,10 @@ def _optimize_rows(
     backward, stop if the gradient norm is below grad_tol, then step. The
     first iteration's score, at init_rows, is the initial loss, and
     tau = hyper.stop_ratio * initial loss. Any non-finite value raises
-    DivergenceError with the table untouched. After the loop the table is
-    written once, if the rows differ from it, and one ledger entry is
-    appended.
+    DivergenceError with the table untouched. After the loop the result and
+    its ledger entry are built, then the table is written once, if the rows
+    differ from it, and last the entry is appended, so an entry that is
+    rejected leaves the table as it was.
     """
     weights, config = bundle.weights, bundle.config
     original = weights.wte.rows(ids)
@@ -338,9 +340,6 @@ def _optimize_rows(
         # Cap reached: the last step's effect was never scored inside the loop.
         _, loss = score(rows, None, i)
     final_loss = loss.item()
-    if not np.array_equal(rows, original):
-        weights.set_wte_rows(ids, rows)
-
     result = EditResult(
         initial_loss=initial_loss,
         threshold_tau=tau,
@@ -350,7 +349,7 @@ def _optimize_rows(
         converged=final_loss <= tau,
         edited_token_ids=tuple(ids),
     )
-    ledger.append(LedgerEntry(
+    entry = LedgerEntry(
         source_prompt=request.source_prompt,
         destination_prompt=request.destination_prompt,
         target_word=request.target_word,
@@ -358,7 +357,10 @@ def _optimize_rows(
         original_rows=original,
         new_rows=rows,
         result=result,
-    ))
+    )
+    if not np.array_equal(rows, original):
+        weights.set_wte_rows(ids, rows)
+    ledger.append(entry)
     return result
 
 
@@ -396,26 +398,20 @@ def revert(weights, ledger: EditLedger, n_last: int) -> None:
     if n_last == 0:
         return
     first = len(ledger.entries) - n_last
-    rows: dict[int, np.ndarray] = {}
+    (n, d), rows = weights.wte.shape, {}
     for k in range(len(ledger.entries) - 1, first - 1, -1):
         entry = ledger.entries[k]
-        _check_entry_fits(entry, k, weights.wte.shape)
+        try:
+            check_ids(entry.edited_token_ids, n)
+        except IndexError as e:
+            raise LedgerFormatError(f"ledger entry {k}: {e}") from e
+        if entry.original_rows.shape[1] != d:
+            raise LedgerFormatError(f"ledger entry {k}: rows of width "
+                                    f"{entry.original_rows.shape[1]}, expected {d}")
         rows.update(zip(entry.edited_token_ids, entry.original_rows))
     ids = sorted(rows)
     weights.set_wte_rows(ids, np.stack([rows[i] for i in ids]))
     del ledger.entries[first:]
-
-
-def _check_entry_fits(entry: LedgerEntry, k: int, table_shape: tuple[int, int]) -> None:
-    n, d = table_shape
-    bad = [i for i in entry.edited_token_ids if not 0 <= i < n]
-    if bad:
-        raise LedgerFormatError(
-            f"ledger entry {k}: token ids {bad} out of range for vocab size {n}"
-        )
-    width = entry.original_rows.shape[1]
-    if width != d:
-        raise LedgerFormatError(f"ledger entry {k}: rows of width {width}, expected {d}")
 
 
 def budget_report(ledgers: list[EditLedger], total_model_params: int) -> dict:

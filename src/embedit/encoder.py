@@ -35,8 +35,8 @@ from .errors import (
     PromptTooLongError,
     TapeUsageError,
     UnknownTokenError,
+    check_ids,
     check_number,
-    is_integer,
     json_object,
 )
 
@@ -47,9 +47,9 @@ INIT_STD = 0.02
 class Vocab:
     """Closed vocabulary: word ids, reserved ids, and a word split table.
 
-    Ids must be integers, dense in [0, vocab_size) once BOS/EOS/PAD are
-    counted, the three reserved ids must be distinct and unused by words, and
-    every split entry must expand to known single-token words.
+    The word ids and BOS/EOS/PAD are vocab_size distinct ids in [0, vocab_size)
+    (errors.check_ids), held as Python ints; every split entry must expand to
+    known single-token words. A violation raises ValueError.
     """
 
     tokens: dict[str, int]
@@ -59,18 +59,17 @@ class Vocab:
     pad: int = 2
 
     def __post_init__(self):
-        for word, i in self.tokens.items():
-            check_number(f"id of {word!r}", i, 0, integer=True)
-        specials = (self.bos, self.eos, self.pad)
-        for name, i in zip(("bos", "eos", "pad"), specials):
-            check_number(name, i, 0, integer=True)
-        if len(set(specials)) != 3:
-            raise ValueError(f"BOS/EOS/PAD ids must be distinct, got {specials}")
-        ids = list(self.tokens.values()) + list(specials)
-        if len(set(ids)) != len(ids):
-            raise ValueError("token ids collide (words must not reuse reserved ids)")
-        if set(ids) != set(range(len(ids))):
-            raise ValueError(f"token ids must be dense in [0, {len(ids)})")
+        words, specials = list(self.tokens), ("bos", "eos", "pad")
+        try:
+            ids = check_ids([*self.tokens.values(), self.bos, self.eos, self.pad],
+                            len(words) + 3, distinct=True,
+                            name=lambda p: f"word {words[p]!r}" if p < len(words)
+                            else specials[p - len(words)])
+        except (TypeError, IndexError) as e:
+            raise ValueError(str(e)) from e
+        object.__setattr__(self, "tokens", dict(zip(words, ids)))
+        for name, i in zip(specials, ids[len(words):]):
+            object.__setattr__(self, name, i)
         for word, subwords in self.splits.items():
             if not subwords:
                 raise ValueError(f"split table entry {word!r} is empty")
@@ -95,7 +94,7 @@ class Vocab:
         tokens, splits = obj["tokens"], obj.get("splits", {})
         if not all(type(s) is list and all(type(w) is str for w in s) for s in splits.values()):
             raise ValueError("splits must map words to lists of words")
-        return cls(tokens=dict(tokens), splits={w: list(s) for w, s in splits.items()},
+        return cls(tokens=tokens, splits={w: list(s) for w, s in splits.items()},
                    bos=obj["bos"], eos=obj["eos"], pad=obj["pad"])
 
     def word_token_ids(self, word: str) -> list[int]:
@@ -128,9 +127,10 @@ class EncoderConfig:
     eps: float = 1e-5
 
     def __post_init__(self):
-        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff"):
-            check_number(name, getattr(self, name), 1, integer=True)
-        check_number("context_length", self.context_length, 3, integer=True)  # BOS + token + EOS
+        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "context_length"):
+            low = 3 if name == "context_length" else 1  # BOS + token + EOS
+            object.__setattr__(self, name, int(check_number(name, getattr(self, name), low,
+                                                            integer=True)))
         object.__setattr__(self, "eps", float(check_number("eps", self.eps, 0)))
         if self.d_model % self.n_heads != 0:
             raise ValueError(
@@ -186,8 +186,8 @@ class WteTable:
     override whose bytes equal its base row's is dropped, so writing the
     base rows back (a full revert) leaves the base alone again. rows is the
     one read: the encoder, .array and every k-row read go through it; only
-    blocks, save's stream, reads the layout too. Ids must be integers (not
-    bools) in [0, vocab_size).
+    blocks, save's stream, reads the layout too. Ids follow errors.check_ids:
+    integers (not bools) in [0, vocab_size).
     """
 
     __slots__ = ("base", "override_ids", "overrides")
@@ -211,20 +211,18 @@ class WteTable:
         """The rows of `ids`, overrides applied: the table's one read. A fresh
         read-only k-by-d array that no live Tensor holds, so a caller may
         adopt it with Tensor._wrap."""
-        ids = self._checked_ids(ids)
-        x = gather_rows(self.base, ids)
+        ids = list(ids)
+        x = gather_rows(self.base, ids)  # checks the ids
         if not set(self.override_ids).isdisjoint(ids):
             x = substitute_rows(x, ids, self.override_ids, self.overrides)
         return x.array
 
     def with_rows(self, ids: Sequence[int], rows: np.ndarray) -> "WteTable":
         """A table whose rows of `ids` are `rows` and whose other rows are
-        this table's. Repeated ids, rows not shaped (len(ids), d_model) and
-        non-finite rows are rejected."""
-        ids = self._checked_ids(ids)
+        this table's. Ids that errors.check_ids rejects, repeated ids, rows
+        not shaped (len(ids), d_model) and non-finite rows are rejected."""
+        ids = check_ids(ids, self.shape[0], distinct=True)
         d = self.shape[1]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"repeated row ids in {ids}")
         rows = np.asarray(rows, dtype=np.float64)
         if rows.shape != (len(ids), d):
             raise DimensionError(f"rows have shape {rows.shape}, expected {(len(ids), d)}")
@@ -253,18 +251,6 @@ class WteTable:
             start = i + 1
         if start < len(base):
             yield base[start:]
-
-    def _checked_ids(self, ids: Sequence[int]) -> list[int]:
-        ids = list(ids)
-        for i in ids:
-            if not is_integer(i):
-                raise TypeError(f"row id {i!r} is not an integer")
-        ids = [int(i) for i in ids]
-        n = self.shape[0]
-        bad = [i for i in ids if not 0 <= i < n]
-        if bad:
-            raise IndexError(f"row ids {bad} out of range for table with {n} rows")
-        return ids
 
 
 @dataclass
@@ -302,12 +288,11 @@ class EncoderWeights:
     def set_wte_rows(self, ids: Sequence[int], rows: np.ndarray) -> None:
         """Replace the given WTE rows; every other scalar keeps its bits.
 
-        Ids that are not integers or lie outside [0, vocab_size), repeated
-        ids, rows not shaped (len(ids), d_model) and non-finite rows are
-        rejected before anything is written. The table is never mutated:
-        self.wte is rebound to WteTable.with_rows, which shares the base, so
-        a write costs about k*d*8 bytes and any other EncoderWeights holding
-        the old table (a dataclasses.replace copy) keeps its rows.
+        What WteTable.with_rows rejects is rejected before anything is
+        written. The table is never mutated: self.wte is rebound to with_rows'
+        table, which shares the base, so a write costs about k*d*8 bytes and
+        any other EncoderWeights holding the old table (a dataclasses.replace
+        copy) keeps its rows.
         """
         self.wte = self.wte.with_rows(ids, rows)
 
@@ -384,6 +369,7 @@ def _forward(
         x = Tensor._wrap(weights.wte.rows(flat))
         if edit_rows is not None:
             leaf_ids, leaf = edit_rows
+            leaf_ids = check_ids(leaf_ids, config.vocab_size, distinct=True)
             if tape is not None:
                 tape.watch(leaf)
             x = substitute_rows(x, flat, leaf_ids, leaf, tape)

@@ -1,6 +1,7 @@
 """Exception types shared across the package, the JSON reader that reports
 a file or line it cannot parse as the caller's error, the one check of a JSON
-object's keys and value types, and the one rule for a number handed in."""
+object's keys and value types, and the one rule each for a number and for a
+row id handed in."""
 
 import json
 import math
@@ -149,3 +150,27 @@ def check_number(name: str, value, low, high=math.inf, *, integer=False, open_lo
         raise ValueError(f"{name} must be {'an integer in' if integer else 'in'} {interval}, "
                          f"got {value!r}")
     return value
+
+
+def check_ids(ids, n, *, distinct=False, name=None) -> list[int]:
+    """ids as a list of Python ints, if each is what is_integer accepts, lies
+    in [0, n) and, with `distinct`, occurs once. Otherwise TypeError,
+    IndexError or ValueError, tested in that order, naming the first bad id,
+    after name(p) for the id at position p when `name` is given."""
+    ids = list(ids)
+    # Each test runs over all ids at C speed, the kind over one id of each
+    # type; only a test that fails looks for its first bad id.
+    if not all(map(is_integer, dict(zip(map(type, ids), ids)).values())):
+        _fail(TypeError, ids, lambda i: not is_integer(i), "id {!r} is not an integer", name)
+    ids = list(map(int, ids))
+    if ids and not (0 <= min(ids) and max(ids) < n):
+        _fail(IndexError, ids, lambda i: not 0 <= i < n, f"id {{}} is not in [0, {n})", name)
+    if distinct and len(set(ids)) != len(ids):
+        seen = set()
+        _fail(ValueError, ids, lambda i: i in seen or seen.add(i), "repeated id {}", name)
+    return ids
+
+
+def _fail(error: type[Exception], ids: list, bad, message: str, name) -> None:
+    p = next(p for p, i in enumerate(ids) if bad(i))
+    raise error((f"{name(p)}: " if name else "") + message.format(ids[p]))

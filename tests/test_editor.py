@@ -209,6 +209,19 @@ class TestEditSingle:
         assert wte_bytes(bundle) == before
         assert len(ledger) == 0
 
+    def test_an_entry_that_is_rejected_leaves_table_and_ledger_untouched(self, monkeypatch):
+        def reject(**fields):
+            raise LedgerFormatError("rejected")
+
+        monkeypatch.setattr("embedit.editor.LedgerEntry", reject)
+        bundle = make_bundle()
+        table, ledger = bundle.weights.wte, EditLedger()
+        with pytest.raises(LedgerFormatError, match="rejected"):
+            edit_single(bundle, EditRequest("a bear", "a wolf", "bear"),
+                        EditHyperparams(stop_ratio=0.0, max_iters=3), ledger)
+        assert bundle.weights.wte is table
+        assert len(ledger) == 0
+
     def test_sgd_optimizer_also_converges(self):
         bundle = make_bundle()
         res = edit_single(

@@ -297,8 +297,9 @@ class TestSetWteRows:
         ([True], np.zeros((1, 8)), TypeError),
         ([np.True_], np.zeros((1, 8)), TypeError),
         ([4, 1.0], np.zeros((2, 8)), TypeError),
+        ([4, "3"], np.zeros((2, 8)), TypeError),
     ], ids=["negative", "past_vocab", "repeated", "one_row_for_two_ids", "narrow", "inf",
-            "bool", "numpy_bool", "float"])
+            "bool", "numpy_bool", "float", "string"])
     def test_rejects_before_writing(self, tiny_bundle, ids, rows, error):
         table = tiny_bundle.weights.wte
         assert table.shape == (27, 8)
@@ -325,8 +326,8 @@ class TestSetWteRows:
 
     @pytest.mark.parametrize("ids,error", [
         ([True], TypeError), ([np.False_], TypeError), ([2.0], TypeError),
-        ([-1], IndexError), ([27], IndexError),
-    ], ids=["bool", "numpy_bool", "float", "negative", "past_vocab"])
+        (["3"], TypeError), ([-1], IndexError), ([27], IndexError),
+    ], ids=["bool", "numpy_bool", "float", "string", "negative", "past_vocab"])
     def test_rows_rejects_ids_that_are_not_rows(self, tiny_bundle, ids, error):
         with pytest.raises(error):
             tiny_bundle.weights.wte.rows(ids)

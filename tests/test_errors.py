@@ -2,19 +2,26 @@
 and argument that follows it: each rejects a string, None, a bool and a
 value just outside its interval with ValueError; a real field also rejects
 NaN, infinity and an int past float range, an integer field a float. numpy
-integers and floats stay accepted."""
+integers and floats stay accepted.
+
+The one rule for a row id (errors.check_ids), at every entry point that
+takes ids: each rejects a bool, a float and a string as the kind, -1 and one
+past its range as the range, and, where ids must be distinct, a repeat, each
+with the exception type its caller documents. numpy integer ids are accepted
+and held as Python ints."""
 
 import numpy as np
 import pytest
 
-from embedit.autodiff import Tensor, finite_difference_grad, layer_norm
+from embedit.archive import save_weights
+from embedit.autodiff import Tensor, finite_difference_grad, gather_rows, layer_norm
 from embedit.balance import BalancerParams, alpha_weight, balanced_loss, bias_rate_delta
-from embedit.editor import EditHyperparams, EditLedger, revert
+from embedit.editor import EditHyperparams, EditLedger, EditRequest, edit_single, revert
 from embedit.encoder import EncoderConfig, HiddenStates, Vocab, init_random_weights
-from embedit.errors import LedgerRangeError, check_number
+from embedit.errors import LedgerFormatError, LedgerRangeError, check_ids, check_number
 from embedit.probe import ProbeParams
 
-from conftest import make_bundle
+from conftest import make_bundle, make_config, make_vocab, zero_row_ledger
 
 _SIZES = dict(vocab_size=8, d_model=4, n_layers=1, n_heads=2, d_ff=8, context_length=5)
 _X = Tensor([[1.0, 2.0, 4.0], [0.0, 1.0, 3.0]])
@@ -63,7 +70,7 @@ _FIELDS = [
     ("n_last", lambda v: revert(None, EditLedger(), v), True, None, 0),
 ]
 _IDS = [f[0] for f in _FIELDS]
-_COMMON = [("string", "3"), ("none", None), ("bool", True)]
+_COMMON = [("string", "3"), ("none", None), ("bool", True), ("numpy_bool", np.True_)]
 _REAL = [("nan", float("nan")), ("inf", float("inf")), ("huge_int", 10 ** 400)]
 
 
@@ -103,3 +110,104 @@ def test_the_message_names_field_interval_and_value():
 def test_the_constructor_stores_eps_as_a_float():
     config = _config(eps=0)
     assert type(config.eps) is float and config.to_json()["eps"] == 0.0
+
+
+def _numpy_ids(vocab):
+    return Vocab(tokens={w: np.int64(i) for w, i in vocab.tokens.items()}, splits=vocab.splits,
+                 bos=np.int64(vocab.bos), eos=np.int64(vocab.eos), pad=np.int64(vocab.pad))
+
+
+def _edit_rows(ids):
+    bundle = make_bundle()
+    bundle.encode_prompt("a bear", edit_rows=(ids, Tensor(np.zeros((len(ids), 8)))))
+
+
+def _set_wte_rows(ids):
+    make_bundle().weights.set_wte_rows(ids, np.zeros((len(ids), 8)))
+
+
+_LEDGER = (LedgerFormatError,) * 3
+# (entry point, call with a list of ids, its range [0, n) (None: no upper
+# bound), a valid id, whether ids must be distinct, and the types raised for
+# a bad kind, a bad range and a repeat). Vocab's n counts its one word.
+_ID_SITES = [
+    ("vocab_word", lambda ids: Vocab(tokens={f"w{k}": i for k, i in enumerate(ids)}), 4, 3,
+     True, (ValueError,) * 3),
+    *[(f"vocab_{name}", lambda ids, name=name: Vocab(tokens={"a": 3}, **{name: ids[0]}), 4, i,
+       False, (ValueError,) * 3) for i, name in enumerate(("bos", "eos", "pad"))],
+    ("rows", lambda ids: make_bundle().weights.wte.rows(ids), 27, 5, False,
+     (TypeError, IndexError, ValueError)),
+    ("set_wte_rows", _set_wte_rows, 27, 5, True, (TypeError, IndexError, ValueError)),
+    ("gather_rows", lambda ids: gather_rows(Tensor(np.ones((5, 2))), ids), 5, 4, False,
+     (TypeError, IndexError, ValueError)),
+    ("edit_rows", _edit_rows, 27, 5, True, (TypeError, IndexError, ValueError)),
+    ("ledger_entry", lambda ids: zero_row_ledger(8, ids), None, 5, True, _LEDGER),
+    # Revert's fit check sees what the entry accepts: an id past the table.
+    ("revert", lambda ids: revert(make_bundle().weights, zero_row_ledger(8, ids), 1), 27, 5,
+     True, _LEDGER),
+]
+
+
+def _bad_ids(n, valid, distinct):
+    cases = [(case, [value], 0) for case, value in
+             [("bool", True), ("numpy_bool", np.True_), ("float", 2.0), ("string", "3")]]
+    cases += [("negative", [-1], 1)] + ([] if n is None else [("past", [n], 1)])
+    return cases + ([("repeat", [valid, valid], 2)] if distinct else [])
+
+
+@pytest.mark.parametrize("call,ids,error", [
+    pytest.param(call, ids, errors[which], id=f"{site}-{case}")
+    for site, call, n, valid, distinct, errors in _ID_SITES
+    for case, ids, which in _bad_ids(n, valid, distinct)
+])
+def test_a_bad_row_id_raises_its_callers_error(call, ids, error):
+    with pytest.raises(error):
+        call(ids)
+
+
+@pytest.mark.parametrize("call,valid", [(site[1], site[3]) for site in _ID_SITES],
+                         ids=[site[0] for site in _ID_SITES])
+def test_numpy_row_ids_are_accepted(call, valid):
+    call([np.int64(valid)])
+
+
+def test_check_ids_returns_python_ints_and_names_the_first_bad_id():
+    ids = check_ids([np.int64(4), np.uint8(0), 3], 5, distinct=True)
+    assert ids == [4, 0, 3] and all(type(i) is int for i in ids)
+    with pytest.raises(TypeError, match=r"^id True is not an integer$"):
+        check_ids([7, True], 5)  # the kind is tested before the range
+    with pytest.raises(IndexError, match=r"^at 1: id 5 is not in \[0, 5\)$"):
+        check_ids([0, 5, 6], 5, name=lambda p: f"at {p}")
+    with pytest.raises(ValueError, match=r"^repeated id 2$"):
+        check_ids([2, 1, 2], 5, distinct=True)
+    assert check_ids([2, 2], 5) == [2, 2]
+
+
+def test_numpy_ids_are_held_as_python_ints_from_vocab_to_ledger(tmp_path):
+    plain = make_vocab()
+    request, hyper = EditRequest("a bear", "a wolf", "bear"), EditHyperparams(max_iters=3)
+    saved = []
+    for vocab in (plain, _numpy_ids(plain)):
+        assert all(type(i) is int for i in (*vocab.tokens.values(), vocab.bos, vocab.eos))
+        bundle, ledger = make_bundle(vocab=vocab), EditLedger()
+        result = edit_single(bundle, request, hyper, ledger)
+        assert all(type(i) is int for i in result.edited_token_ids)
+        assert all(type(i) is int for i in ledger.entries[0].edited_token_ids)
+        out = tmp_path / str(len(saved))
+        ledger.save(out.with_suffix(".json"))
+        save_weights(out, bundle.config, bundle.weights, bundle.vocab)
+        saved.append((out.with_suffix(".json").read_bytes(), out.read_bytes()))
+    assert saved[0] == saved[1]
+
+
+def test_a_numpy_int_config_and_vocab_save_the_same_archive(tmp_path):
+    vocab = make_vocab()
+    config = make_config(vocab)
+    numpy_config = EncoderConfig(**{k: np.int64(v) if k != "eps" else v
+                                    for k, v in config.to_json().items()})
+    assert numpy_config == config and all(
+        type(v) is int for k, v in numpy_config.to_json().items() if k != "eps")
+    weights = init_random_weights(config, 3)
+    save_weights(tmp_path / "plain", config, weights, vocab)
+    save_weights(tmp_path / "numpy", numpy_config, weights, _numpy_ids(vocab))
+    assert (tmp_path / "numpy").read_bytes() == (tmp_path / "plain").read_bytes()
