@@ -77,6 +77,14 @@ def _load_bundle(path: str) -> EncoderBundle:
     return EncoderBundle(config, weights, vocab)
 
 
+def _save_edits(out: Path, bundle: EncoderBundle, ledger: EditLedger, suffix: str = "") -> None:
+    """Save an edit's ledger, then its archive, so that a save cut short
+    never leaves an edited archive without the ledger that reverts it."""
+    out.mkdir(parents=True, exist_ok=True)
+    ledger.save(out / f"ledger{suffix}.json")
+    save_weights(out / f"edited{suffix}.embedit", bundle.config, bundle.weights, bundle.vocab)
+
+
 def _result_json(result: EditResult) -> dict:
     return {**result.to_json(), "edited_token_ids": list(result.edited_token_ids)}
 
@@ -130,12 +138,8 @@ def cmd_edit(args) -> int:
     results = edit_multi_encoder(bundles, request, hyper, ledgers)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for k, (bundle, ledger) in enumerate(zip(bundles, ledgers)):
-        suffix = "" if k == 0 else str(k + 1)
-        save_weights(out / f"edited{suffix}.embedit", bundle.config, bundle.weights,
-                     bundle.vocab)
-        ledger.save(out / f"ledger{suffix}.json")
+        _save_edits(out, bundle, ledger, "" if k == 0 else str(k + 1))
     budget = budget_report(ledgers, sum(b.config.total_params() for b in bundles))
     modified, flops = budget["total_modified_scalars"], budget["total_update_flops"]
     _write_json(out / "edit_summary.json", {
@@ -161,14 +165,12 @@ def cmd_seq_edit(args) -> int:
     requests = [EditRequest(e.source, e.destination, e.target_word) for e in entries]
     ledger = EditLedger()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         results = edit_sequential(bundle, requests, hyper, ledger)
     finally:
         # Completed entries survive a mid-run failure; a failed edit wrote
         # nothing, so the saved table holds exactly the ledger's edits.
-        ledger.save(out / "ledger.json")
-        save_weights(out / "edited.embedit", bundle.config, bundle.weights, bundle.vocab)
+        _save_edits(out, bundle, ledger)
     _write_json(out / "results.json", {
         "results": [_result_json(r) for r in results],
         "converged": sum(r.converged for r in results),
@@ -220,9 +222,7 @@ def cmd_gender(args) -> int:
 
     baseline_delta, edited_delta = gender_delta(baseline_f), gender_delta(edited_f)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_weights(out / "edited.embedit", bundle.config, bundle.weights, bundle.vocab)
-    ledger.save(out / "ledger.json")
+    _save_edits(out, bundle, ledger)
     _write_json(out / "gender_report.json", {
         "mode": args.mode,
         "per_profession": rows,

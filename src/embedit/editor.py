@@ -288,9 +288,10 @@ def _optimize_rows(
     first iteration's score, at init_rows, is the initial loss, and
     tau = hyper.stop_ratio * initial loss. Any non-finite value raises
     DivergenceError with the table untouched. After the loop the result and
-    its ledger entry are built, then the table is written once, if the rows
-    differ from it, and last the entry is appended, so an entry that is
-    rejected leaves the table as it was.
+    its ledger entry are built, then the table is written once, unless the
+    rows are bytewise its rows, and last the entry is appended: the table
+    then holds the entry's new_rows exactly, and an entry that is rejected
+    leaves the table as it was.
     """
     weights, config = bundle.weights, bundle.config
     original = weights.wte.rows(ids)
@@ -358,7 +359,7 @@ def _optimize_rows(
         new_rows=rows,
         result=result,
     )
-    if not np.array_equal(rows, original):
+    if rows.tobytes() != original.tobytes():
         weights.set_wte_rows(ids, rows)
     ledger.append(entry)
     return result
@@ -374,43 +375,43 @@ def edit_sequential(
     edits. A failing request raises after the ledger has kept every
     completed entry.
     """
-    results = []
-    for request in requests:
-        results.append(edit_single(bundle, request, hyper, ledger))
-    return results
+    return [edit_single(bundle, request, hyper, ledger) for request in requests]
 
 
 def revert(weights, ledger: EditLedger, n_last: int) -> None:
     """Undo the last n_last ledger entries, restoring each entry's pre-edit
     rows bitwise. Reverted entries are removed from the ledger.
 
-    Every reverted entry is checked against the table before it is touched:
-    its ids must be in [0, vocab_size) and its rows as wide as the table.
-    Where several entries edited a row, the oldest entry's original wins, as
-    if the entries were undone newest first; the table is written once.
+    The table must hold what the ledger says: each row the undone entries
+    touched must be bytewise the new row of the newest entry that touched
+    it. An id outside the table, or a row that is not that new row (another
+    table, the unedited base, a table edited further, another width), raises
+    LedgerFormatError naming the entry and the id, with the table and the
+    ledger untouched. Where entries overlap, the oldest entry's original
+    wins, as if they were undone newest first; the table is written once.
     """
     # The rule checks the kind; a depth outside the ledger is a range error.
     check_number("n_last", n_last, -math.inf, integer=True)
     if not 0 <= n_last <= len(ledger.entries):
-        raise LedgerRangeError(
-            f"cannot revert {n_last} of {len(ledger.entries)} ledger entries"
-        )
+        raise LedgerRangeError(f"cannot revert {n_last} of {len(ledger.entries)} ledger entries")
     if n_last == 0:
         return
     first = len(ledger.entries) - n_last
-    (n, d), rows = weights.wte.shape, {}
-    for k in range(len(ledger.entries) - 1, first - 1, -1):
-        entry = ledger.entries[k]
-        try:
-            check_ids(entry.edited_token_ids, n)
-        except IndexError as e:
-            raise LedgerFormatError(f"ledger entry {k}: {e}") from e
-        if entry.original_rows.shape[1] != d:
-            raise LedgerFormatError(f"ledger entry {k}: rows of width "
-                                    f"{entry.original_rows.shape[1]}, expected {d}")
-        rows.update(zip(entry.edited_token_ids, entry.original_rows))
-    ids = sorted(rows)
-    weights.set_wte_rows(ids, np.stack([rows[i] for i in ids]))
+    newest, original = {}, {}
+    for k, entry in enumerate(ledger.entries[first:], first):
+        newest.update((i, (k, row)) for i, row in zip(entry.edited_token_ids, entry.new_rows))
+    for entry in reversed(ledger.entries[first:]):
+        original.update(zip(entry.edited_token_ids, entry.original_rows))
+    ids = sorted(newest)
+    try:
+        check_ids(ids, weights.wte.shape[0], name=lambda p: f"ledger entry {newest[ids[p]][0]}")
+    except IndexError as e:
+        raise LedgerFormatError(str(e)) from e
+    for i, row in zip(ids, weights.wte.rows(ids)):
+        if row.tobytes() != newest[i][1].tobytes():
+            raise LedgerFormatError(f"ledger entry {newest[i][0]}: the table's row {i} is "
+                                    "not the row this entry wrote")
+    weights.set_wte_rows(ids, np.stack([original[i] for i in ids]))
     del ledger.entries[first:]
 
 
@@ -446,13 +447,11 @@ def edit_multi_encoder(
     encoders: list[EncoderBundle],
     request: EditRequest,
     hyper: EditHyperparams,
-    ledgers: list[EditLedger] | None = None,
+    ledgers: list[EditLedger],
 ) -> list[EditResult]:
     """Run the same edit independently per encoder: each gets its own
-    threshold, optimizer state, and ledger entry.
+    threshold, optimizer state, and entry in its own ledger.
     """
-    if ledgers is None:
-        ledgers = [EditLedger() for _ in encoders]
     if len(ledgers) != len(encoders):
         raise ValueError("need one ledger per encoder")
     for k, enc in enumerate(encoders):

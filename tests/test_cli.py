@@ -9,6 +9,7 @@ import embedit.cli as cli
 from embedit import (
     BalancerParams,
     EditHyperparams,
+    EditLedger,
     EncoderWeights,
     ProbeParams,
     Tensor,
@@ -97,6 +98,31 @@ def test_flag_defaults_are_the_settings_defaults(workdir, monkeypatch, command, 
     with pytest.raises(_Built) as settings:
         run(command, "--weights", base, *args, "--out", workdir / "out")
     assert [a for a in settings.value.args[0] if type(a) is type(expected)] == [expected]
+
+
+@pytest.mark.parametrize("command", ["edit", "seq-edit", "gender"])
+def test_a_failed_archive_save_leaves_the_ledger_saved_before_it(workdir, monkeypatch, command):
+    base = init_archive(workdir)
+    edits = workdir / "edits.jsonl"
+    edits.write_text(json.dumps({"source": "bear", "destination": "wolf",
+                                 "target_word": "bear"}) + "\n")
+    gender = workdir / "gender.jsonl"
+    gender.write_text(GENDER_LINE)
+    args = {
+        "edit": ("--source", "bear", "--dest", "wolf", "--target", "bear"),
+        "seq-edit": ("--dataset", edits),
+        "gender": ("--dataset", gender, "--mode", "manual"),
+    }[command]
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "save_weights", fail)
+    out = workdir / "out"
+    assert run(command, "--weights", base, *args, "--max-iters", 5, "--lr", 0.01,
+               "--out", out) == 1
+    assert len(EditLedger.load(out / "ledger.json")) == 1
+    assert not (out / "edited.embedit").exists()
 
 
 class TestInit:
@@ -327,6 +353,27 @@ class TestEditRevert:
                    "--out", workdir / "restored.embedit") == 2
         assert capsys.readouterr().err.startswith("data error:")
         assert not (workdir / "restored.embedit").exists()
+
+    @pytest.mark.parametrize("table", ["other_seed", "unedited_base", "edited_further"])
+    def test_revert_onto_an_archive_the_ledger_did_not_write_exits_two(self, workdir, capsys,
+                                                                       table):
+        edited, ledger_path = self.edited_with_ledger(workdir)
+        assert json.loads(ledger_path.read_text())["entries"][0]["result"]["optimizer_steps"]
+        weights = workdir / "base.embedit"
+        if table == "other_seed":
+            weights = init_archive(workdir, "other.embedit", seed=1)
+        elif table == "edited_further":  # one more edit of the same word, outside the ledger
+            assert run("edit", "--weights", edited, "--source", "a bear", "--dest", "a fox",
+                       "--target", "bear", "--lambda", 0.5, "--max-iters", 20, "--lr", 0.01,
+                       "--out", workdir / "further") == 0
+            weights = workdir / "further" / "edited.embedit"
+        capsys.readouterr()
+        assert run("revert", "--weights", weights, "--ledger", ledger_path,
+                   "--ledger-out", workdir / "rest.json",
+                   "--out", workdir / "restored.embedit") == 2
+        assert capsys.readouterr().err.startswith("data error: ledger entry 0: the table's row")
+        assert not (workdir / "restored.embedit").exists()
+        assert not (workdir / "rest.json").exists()
 
     def test_partial_revert_rejects_an_earlier_entry_with_repeated_ids(self, workdir, capsys):
         # An entry with repeated ids is malformed even where revert does not

@@ -222,6 +222,20 @@ class TestEditSingle:
         assert bundle.weights.wte is table
         assert len(ledger) == 0
 
+    def test_the_table_holds_the_entrys_new_rows_bytewise(self, monkeypatch):
+        # A step that flips only the signs of zeros: rows equal to the
+        # table's in value but not in bytes are still written.
+        monkeypatch.setattr("embedit.editor.Adam.step", lambda self, rows, g: -rows)
+        bundle, ledger = make_bundle(), EditLedger()
+        bear = bundle.vocab.tokens["bear"]
+        bundle.weights.set_wte_rows([bear], np.zeros((1, 8)))
+        result = edit_single(bundle, EditRequest("bear", "wolf", "bear"),
+                             EditHyperparams(stop_ratio=0.0, max_iters=1), ledger)
+        assert result.optimizer_steps == 1
+        assert bundle.weights.wte.rows([bear]).tobytes() == ledger.entries[0].new_rows.tobytes()
+        revert(bundle.weights, ledger, 1)
+        assert bundle.weights.wte.rows([bear]).tobytes() == np.zeros((1, 8)).tobytes()
+
     def test_sgd_optimizer_also_converges(self):
         bundle = make_bundle()
         res = edit_single(
@@ -393,6 +407,42 @@ class TestRevert:
         with pytest.raises(LedgerRangeError):
             revert(bundle.weights, EditLedger(), 1)
 
+    @pytest.mark.parametrize("table", ["other_seed", "unedited_base", "edited_further"])
+    def test_revert_onto_a_table_the_ledger_did_not_write_is_refused(self, table):
+        bundle, ledger = make_bundle(), EditLedger()
+        hyper = EditHyperparams(stop_ratio=0.2, max_iters=50, learning_rate=1e-2)
+        assert edit_single(bundle, EditRequest("bear", "wolf", "bear"), hyper,
+                           ledger).optimizer_steps > 0
+        weights = bundle.weights
+        if table == "other_seed":
+            weights = make_bundle(seed=7).weights
+        elif table == "unedited_base":
+            weights = make_bundle().weights
+        else:  # one more edit of the same word, outside the ledger
+            assert edit_single(bundle, EditRequest("a bear", "a fox", "bear"), hyper,
+                               EditLedger()).optimizer_steps > 0
+        wte, bear = weights.wte, bundle.vocab.tokens["bear"]
+        with pytest.raises(LedgerFormatError,
+                           match=f"^ledger entry 0: the table's row {bear} is not the row"):
+            revert(weights, ledger, 1)
+        assert weights.wte is wte
+        assert len(ledger) == 1
+
+    def test_revert_names_the_newest_entry_that_wrote_the_row(self):
+        bundle, ledger = make_bundle(), EditLedger()
+        hyper = EditHyperparams(stop_ratio=0.5, max_iters=100, learning_rate=1e-2)
+        edit_sequential(bundle, [EditRequest("bear", "wolf", "bear"),
+                                 EditRequest("a cat", "a dog", "cat"),
+                                 EditRequest("a bear", "a fox", "bear")], hyper, ledger)
+        bear, cat = (bundle.vocab.tokens[w] for w in ("bear", "cat"))
+        base = make_bundle().weights
+        with pytest.raises(LedgerFormatError, match=f"^ledger entry 2: the table's row {bear} "):
+            revert(base, ledger, 3)
+        base.set_wte_rows([bear], ledger.entries[2].new_rows)
+        with pytest.raises(LedgerFormatError, match=f"^ledger entry 1: the table's row {cat} "):
+            revert(base, ledger, 3)
+        assert len(ledger) == 3
+
     def test_revert_from_reloaded_ledger(self, tmp_path):
         bundle = make_bundle()
         before = wte_bytes(bundle)
@@ -523,7 +573,8 @@ class TestMultiEncoder:
     def test_identical_encoders_give_identical_results(self):
         hyper = EditHyperparams(stop_ratio=0.2, max_iters=300, learning_rate=1e-2)
         encoders = [make_bundle(seed=42), make_bundle(seed=42)]
-        r1, r2 = edit_multi_encoder(encoders, EditRequest("bear", "wolf", "bear"), hyper)
+        r1, r2 = edit_multi_encoder(encoders, EditRequest("bear", "wolf", "bear"), hyper,
+                                    [EditLedger(), EditLedger()])
         assert r1 == r2
         assert wte_bytes(encoders[0]) == wte_bytes(encoders[1])
 
@@ -533,7 +584,8 @@ class TestMultiEncoder:
             make_bundle(seed=42, d_model=16, n_heads=4, d_ff=32),
         ]
         results = edit_multi_encoder(
-            encoders, EditRequest("bear", "wolf", "bear"), EditHyperparams()
+            encoders, EditRequest("bear", "wolf", "bear"), EditHyperparams(),
+            [EditLedger(), EditLedger()],
         )
         assert all(r.converged for r in results)
         assert results[0].edited_token_ids == results[1].edited_token_ids
@@ -543,7 +595,7 @@ class TestMultiEncoder:
         encoders = [make_bundle(seed=1), make_bundle(seed=1, vocab=small_vocab)]
         with pytest.raises(InconsistentRequestError, match="encoder 1"):
             edit_multi_encoder(encoders, EditRequest("bear", "wolf", "bear"),
-                               EditHyperparams())
+                               EditHyperparams(), [EditLedger(), EditLedger()])
 
 
 class TestSideEffectFreedom:

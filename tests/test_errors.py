@@ -126,6 +126,15 @@ def _set_wte_rows(ids):
     make_bundle().weights.set_wte_rows(ids, np.zeros((len(ids), 8)))
 
 
+def _revert(ids):
+    # The table holds the entry's rows where its ids fit, so that only the
+    # ids can be refused.
+    weights, ledger = make_bundle().weights, zero_row_ledger(8, ids)
+    if max(ids) < 27:
+        weights.set_wte_rows(ids, ledger.entries[0].new_rows)
+    revert(weights, ledger, 1)
+
+
 _LEDGER = (LedgerFormatError,) * 3
 # (entry point, call with a list of ids, its range [0, n) (None: no upper
 # bound), a valid id, whether ids must be distinct, and the types raised for
@@ -143,8 +152,7 @@ _ID_SITES = [
     ("edit_rows", _edit_rows, 27, 5, True, (TypeError, IndexError, ValueError)),
     ("ledger_entry", lambda ids: zero_row_ledger(8, ids), None, 5, True, _LEDGER),
     # Revert's fit check sees what the entry accepts: an id past the table.
-    ("revert", lambda ids: revert(make_bundle().weights, zero_row_ledger(8, ids), 1), 27, 5,
-     True, _LEDGER),
+    ("revert", _revert, 27, 5, True, _LEDGER),
 ]
 
 

@@ -27,6 +27,7 @@ from embedit import (
     extract_features,
     init_random_weights,
     load_weights,
+    revert,
     save_weights,
 )
 from embedit.autodiff import add_bias, matmul, mean_square, sub, sum_all
@@ -248,3 +249,14 @@ def test_save_over_overrides_builds_no_table(wide_v, tmp_path):
 
     # The header, which holds the 25k-word vocabulary, costs both saves alike.
     assert save_peak(bundle.weights) <= save_peak(plain) + table_bytes // 100
+
+
+def test_revert_over_overrides_builds_no_table(wide_v):
+    bundle, table_bytes = wide_v
+    ledger, overridden = EditLedger(), bundle.weights.wte.override_ids
+    hyper = EditHyperparams(stop_ratio=0.0, max_iters=2, learning_rate=1e-2)
+    edit_single(bundle, EditRequest("a bear", "a cat", "bear"), hyper, ledger)
+    # The check reads the k undone rows, never the V-by-d table.
+    _, peak, _ = traced(revert, bundle.weights, ledger, 1)
+    assert peak < table_bytes // 100
+    assert bundle.weights.wte.override_ids == overridden and len(ledger) == 0
