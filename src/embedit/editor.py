@@ -232,12 +232,8 @@ def _hidden_mse(h: HiddenStates, target: HiddenStates, positions: LossPositions,
 
 
 def target_token_ids(request: EditRequest, vocab: Vocab) -> set[int]:
-    """Token ids of the target word(s), which must all occur in the source prompt."""
-    target_ids: list[int] = []
-    for word in request.target_word.lower().split():
-        target_ids.extend(vocab.word_token_ids(word))
-    if not target_ids:
-        raise InconsistentRequestError(f"target {request.target_word!r} has no tokens")
+    """Token ids of the target's prompt words, which must all occur in the source prompt."""
+    target_ids = vocab.prompt_token_ids(request.target_word)
     source_ids = set(vocab.prompt_token_ids(request.source_prompt))
     missing = [i for i in target_ids if i not in source_ids]
     if missing:
@@ -382,13 +378,13 @@ def revert(weights, ledger: EditLedger, n_last: int) -> None:
     """Undo the last n_last ledger entries, restoring each entry's pre-edit
     rows bitwise. Reverted entries are removed from the ledger.
 
-    The table must hold what the ledger says: each row the undone entries
-    touched must be bytewise the new row of the newest entry that touched
-    it. An id outside the table, or a row that is not that new row (another
-    table, the unedited base, a table edited further, another width), raises
-    LedgerFormatError naming the entry and the id, with the table and the
-    ledger untouched. Where entries overlap, the oldest entry's original
-    wins, as if they were undone newest first; the table is written once.
+    One walk undoes the entries newest first, each id's row read from the
+    table once: each entry must find its new rows where undoing the newer
+    entries leaves them, and leaves its original rows there. An id outside
+    the table, or a row that is not the entry's new row (another table, the
+    unedited base, a table edited further, another width, a ledger that
+    disagrees with itself), raises LedgerFormatError naming the entry and
+    the id, with the table and the ledger untouched; one write follows the walk.
     """
     # The rule checks the kind; a depth outside the ledger is a range error.
     check_number("n_last", n_last, -math.inf, integer=True)
@@ -397,21 +393,22 @@ def revert(weights, ledger: EditLedger, n_last: int) -> None:
     if n_last == 0:
         return
     first = len(ledger.entries) - n_last
-    newest, original = {}, {}
-    for k, entry in enumerate(ledger.entries[first:], first):
-        newest.update((i, (k, row)) for i, row in zip(entry.edited_token_ids, entry.new_rows))
-    for entry in reversed(ledger.entries[first:]):
-        original.update(zip(entry.edited_token_ids, entry.original_rows))
-    ids = sorted(newest)
-    try:
-        check_ids(ids, weights.wte.shape[0], name=lambda p: f"ledger entry {newest[ids[p]][0]}")
-    except IndexError as e:
-        raise LedgerFormatError(str(e)) from e
-    for i, row in zip(ids, weights.wte.rows(ids)):
-        if row.tobytes() != newest[i][1].tobytes():
-            raise LedgerFormatError(f"ledger entry {newest[i][0]}: the table's row {i} is "
-                                    "not the row this entry wrote")
-    weights.set_wte_rows(ids, np.stack([original[i] for i in ids]))
+    rows: dict[int, np.ndarray] = {}
+    for k in reversed(range(first, len(ledger.entries))):
+        entry = ledger.entries[k]
+        try:
+            ids = check_ids(entry.edited_token_ids, weights.wte.shape[0])
+        except IndexError as e:
+            raise LedgerFormatError(f"ledger entry {k}: {e}") from e
+        unread = [i for i in ids if i not in rows]
+        rows.update(zip(unread, weights.wte.rows(unread)))
+        for i, new, original in zip(ids, entry.new_rows, entry.original_rows):
+            if rows[i].tobytes() != new.tobytes():
+                raise LedgerFormatError(f"ledger entry {k}: the table's row {i} is not the "
+                                        "row this entry wrote")
+            rows[i] = original
+    ids = sorted(rows)
+    weights.set_wte_rows(ids, np.stack([rows[i] for i in ids]))
     del ledger.entries[first:]
 
 

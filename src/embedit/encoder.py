@@ -43,6 +43,11 @@ from .errors import (
 INIT_STD = 0.02
 
 
+def prompt_words(text: str) -> list[str]:
+    """The word rule for prompts, targets and probe words: lowercase, then split."""
+    return text.lower().split()
+
+
 @dataclass(frozen=True)
 class Vocab:
     """Closed vocabulary: word ids, reserved ids, and a word split table.
@@ -107,7 +112,7 @@ class Vocab:
 
     def prompt_token_ids(self, prompt: str) -> list[int]:
         """Token ids of a prompt's words, without BOS/EOS/PAD framing."""
-        words = prompt.lower().split()
+        words = prompt_words(prompt)
         if not words:
             raise EmptyPromptError("prompt is empty after normalization")
         ids: list[int] = []

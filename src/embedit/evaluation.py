@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .encoder import EncoderBundle, encode_pooled, encode_reads
+from .encoder import EncoderBundle, encode_pooled, encode_reads, prompt_words
 from .errors import (
     DatasetError,
     DegenerateInputError,
@@ -31,14 +31,9 @@ DESTINATION = "destination"
 _BUCKETS = ("efficacy", "generality", "specificity", "strict_specificity")
 
 
-def _words(text: str) -> list[str]:
-    return text.lower().split()
-
-
 def contains_phrase(prompt: str, phrase: str) -> bool:
     """True when the phrase's words occur contiguously in the prompt's words."""
-    p = _words(prompt)
-    ph = _words(phrase)
+    p, ph = prompt_words(prompt), prompt_words(phrase)
     if not ph or len(ph) > len(p):
         return False
     return any(p[i:i + len(ph)] == ph for i in range(len(p) - len(ph) + 1))
@@ -288,13 +283,13 @@ def filter_sequential_dataset(
 ) -> list[EditEntry]:
     """Prepare entries for sequential editing.
 
-    Entries whose target is on the exclusion list are dropped entirely.
-    Then, any negative whose source prompt contains another kept entry's
-    target word is removed: once that other target is edited too, the prompt
-    is no longer a valid unchanged-ness test. Idempotent.
+    Entries whose target's words (prompt_words) are an excluded target's
+    are dropped. Then any negative whose source prompt contains another kept
+    entry's target word is removed: once that other target is edited too,
+    the prompt is no longer a valid unchanged-ness test. Idempotent.
     """
-    excluded = {t.lower() for t in excluded_targets}
-    kept = [e for e in entries if e.target_word.lower() not in excluded]
+    excluded = {tuple(prompt_words(t)) for t in excluded_targets}
+    kept = [e for e in entries if tuple(prompt_words(e.target_word)) not in excluded]
     targets = [e.target_word for e in kept]
     out = []
     for k, entry in enumerate(kept):

@@ -87,13 +87,11 @@ class ProbeModel:
 
 
 def extract_features(dataset: ProbeDataset, weights: EncoderWeights, vocab: Vocab) -> np.ndarray:
-    """One row per word: its WTE row, or the mean of its subword rows."""
-    d = weights.wte.shape[1]
-    out = np.zeros((len(dataset.items), d))
+    """One row per item: the mean of its prompt tokens' WTE rows (bitwise the
+    row for a one-token word), so "Ice Cream" gives the ice and cream mean."""
+    out = np.zeros((len(dataset.items), weights.wte.shape[1]))
     for k, (word, _) in enumerate(dataset.items):
-        ids = vocab.word_token_ids(word.lower())
-        rows = weights.wte.rows(ids)
-        out[k] = rows[0] if len(ids) == 1 else rows.mean(axis=0)
+        out[k] = weights.wte.rows(vocab.prompt_token_ids(word)).mean(axis=0)
     return out
 
 

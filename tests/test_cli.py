@@ -375,6 +375,25 @@ class TestEditRevert:
         assert not (workdir / "restored.embedit").exists()
         assert not (workdir / "rest.json").exists()
 
+    def test_revert_of_a_ledger_whose_older_entry_has_another_width_exits_two(self, workdir,
+                                                                              capsys):
+        edited, ledger_path = self.edited_with_ledger(workdir)
+        ledger = json.loads(ledger_path.read_text())
+        entry = ledger["entries"][0]
+        older = {**entry, "original_rows": [entry["original_rows"][0][:5]],
+                 "new_rows": [entry["new_rows"][0][:5]]}
+        ledger["entries"].insert(0, older)
+        ledger_path.write_text(json.dumps(ledger))
+        capsys.readouterr()
+        assert run("revert", "--weights", edited, "--ledger", ledger_path,
+                   "--ledger-out", workdir / "rest.json",
+                   "--out", workdir / "restored.embedit") == 2
+        (bear,) = entry["edited_token_ids"]
+        assert capsys.readouterr().err.startswith(
+            f"data error: ledger entry 0: the table's row {bear} is not the row")
+        assert not (workdir / "restored.embedit").exists()
+        assert not (workdir / "rest.json").exists()
+
     def test_partial_revert_rejects_an_earlier_entry_with_repeated_ids(self, workdir, capsys):
         # An entry with repeated ids is malformed even where revert does not
         # undo it: loading fails before --ledger-out could rewrite it.

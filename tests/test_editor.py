@@ -27,6 +27,7 @@ from embedit.encoder import HiddenStates
 from embedit.errors import (
     DimensionError,
     DivergenceError,
+    EmptyPromptError,
     InconsistentRequestError,
     LedgerFormatError,
     LedgerRangeError,
@@ -101,6 +102,10 @@ class TestTargetTokenIds:
         req = EditRequest("a cat", "a polar bear", "bear")
         with pytest.raises(InconsistentRequestError):
             target_token_ids(req, vocab)
+
+    def test_whitespace_only_target_is_an_empty_prompt(self, vocab):
+        with pytest.raises(EmptyPromptError):
+            target_token_ids(EditRequest("a bear", "a wolf", " \t "), vocab)
 
 
 class TestEditSingle:
@@ -442,6 +447,40 @@ class TestRevert:
         with pytest.raises(LedgerFormatError, match=f"^ledger entry 1: the table's row {cat} "):
             revert(base, ledger, 3)
         assert len(ledger) == 3
+
+    @staticmethod
+    def chain(i, *rows):
+        """A ledger for id i with one entry per (original, new) pair of rows."""
+        ledger = EditLedger()
+        for original, new in zip(rows[::2], rows[1::2]):
+            ledger.append(LedgerEntry("s", "d", "t", (i,), np.array([original]),
+                                      np.array([new]), EditResult(1.0, 0.2, 0.1, 1, 1, True,
+                                                                  (i,))))
+        return ledger
+
+    def test_revert_refuses_an_older_entry_of_another_width(self):
+        weights = make_bundle().weights
+        ledger = self.chain(4, np.zeros(5), np.ones(5), np.zeros(8), weights.wte.rows([4])[0])
+        wte = weights.wte
+        with pytest.raises(LedgerFormatError, match="^ledger entry 0: the table's row 4 "):
+            revert(weights, ledger, 2)
+        assert weights.wte is wte
+        assert len(ledger) == 2
+
+    def test_revert_refuses_a_ledger_that_disagrees_with_itself(self):
+        weights = make_bundle().weights
+        # Entry 1 found 2s where entry 0 says it wrote 1s.
+        ledger = self.chain(4, np.zeros(8), np.ones(8), np.full(8, 2.0),
+                            weights.wte.rows([4])[0])
+        wte = weights.wte
+        with pytest.raises(LedgerFormatError, match="^ledger entry 0: the table's row 4 "):
+            revert(weights, ledger, 2)
+        assert weights.wte is wte
+        assert len(ledger) == 2
+        # Undoing only the newer entry never meets the break.
+        revert(weights, ledger, 1)
+        assert weights.wte.rows([4]).tobytes() == np.full((1, 8), 2.0).tobytes()
+        assert len(ledger) == 1
 
     def test_revert_from_reloaded_ledger(self, tmp_path):
         bundle = make_bundle()

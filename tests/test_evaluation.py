@@ -322,6 +322,12 @@ class TestFilterSequentialDataset:
         assert len(out) == 9
 
 
+    def test_exclusion_matches_a_target_by_its_words(self):
+        ice_cream = EditEntry(source="ice cream", destination="red ice cream",
+                              target_word="ice cream")
+        bear = EditEntry(source="bear", destination="polar bear", target_word="bear")
+        assert filter_sequential_dataset([ice_cream, bear], ("Ice  Cream",)) == [bear]
+
 GENDER_TESTS = ("a teacher", "teacher with a dog", "little teacher",
                 "teacher on tree", "a teacher painting")
 

@@ -54,6 +54,15 @@ class TestExtractFeatures:
         r2 = wte[tiny_bundle.vocab.tokens["cream"]]
         assert np.array_equal(feats[0], (r1 + r2) / 2.0)
 
+    def test_several_words_read_by_the_prompt_word_rule(self, tiny_bundle):
+        ds = ProbeDataset(items=[(" Ice Cream ", 1), ("icecream", 1)],
+                          label_names=("red", "yellow"))
+        feats = extract_features(ds, tiny_bundle.weights, tiny_bundle.vocab)
+        wte = tiny_bundle.weights.wte.array
+        r1 = wte[tiny_bundle.vocab.tokens["ice"]]
+        r2 = wte[tiny_bundle.vocab.tokens["cream"]]
+        assert feats[0].tobytes() == ((r1 + r2) / 2.0).tobytes() == feats[1].tobytes()
+
     def test_empty_dataset(self, tiny_bundle):
         ds = ProbeDataset(items=[], label_names=("red", "yellow"))
         feats = extract_features(ds, tiny_bundle.weights, tiny_bundle.vocab)
