@@ -89,11 +89,13 @@ def save_weights(
 
 def write_atomically(path: str | Path, write: Callable[[BinaryIO], None]) -> None:
     """Call write() on a new temporary file in the target's directory, then
-    rename it over `path` in one step. If anything raises, the temporary
-    file is removed and any earlier file at `path` is left as it was. A
-    symlink at `path` keeps pointing at the replaced file.
+    rename it over `path` in one step. The directory is made first if it is
+    missing. If anything raises, the temporary file is removed and any
+    earlier file at `path` is left as it was. A symlink at `path` keeps
+    pointing at the replaced file.
     """
     path = Path(os.path.realpath(path))
+    path.parent.mkdir(parents=True, exist_ok=True)
     # Created with open(..., "xb") rather than mkstemp, which would narrow the
     # file's permissions to 0600.
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")

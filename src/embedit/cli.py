@@ -64,7 +64,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
@@ -80,7 +79,6 @@ def _load_bundle(path: str) -> EncoderBundle:
 def _save_edits(out: Path, bundle: EncoderBundle, ledger: EditLedger, suffix: str = "") -> None:
     """Save an edit's ledger, then its archive, so that a save cut short
     never leaves an edited archive without the ledger that reverts it."""
-    out.mkdir(parents=True, exist_ok=True)
     ledger.save(out / f"ledger{suffix}.json")
     save_weights(out / f"edited{suffix}.embedit", bundle.config, bundle.weights, bundle.vocab)
 
@@ -121,7 +119,6 @@ def cmd_init(args) -> int:
         {"eps": EncoderConfig.eps, **raw, "vocab_size": vocab.vocab_size})
     weights = init_random_weights(config, args.seed)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_weights(out, config, weights, vocab)
     print(f"wrote {out} (vocab_size={config.vocab_size} d_model={config.d_model} "
           f"params={config.total_params()})")
@@ -130,9 +127,7 @@ def cmd_init(args) -> int:
 
 def cmd_edit(args) -> int:
     hyper = _hyper_from_args(args)
-    bundles = [_load_bundle(args.weights)]
-    if args.weights2:
-        bundles.append(_load_bundle(args.weights2))
+    bundles = [_load_bundle(p) for p in args.weights]
     request = EditRequest(args.source, args.dest, args.target)
     ledgers = [EditLedger() for _ in bundles]
     results = edit_multi_encoder(bundles, request, hyper, ledgers)
@@ -241,7 +236,6 @@ def cmd_revert(args) -> int:
     n = len(ledger.entries) if args.n is None else args.n
     revert(weights, ledger, n)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_weights(out, config, weights, vocab)
     if args.ledger_out:
         ledger.save(args.ledger_out)
@@ -261,7 +255,6 @@ def cmd_probe(args) -> int:
     dataset = ProbeDataset.load(args.dataset)
     mean, std = accuracy_over_seeds(dataset, weights, vocab, params)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "probe_report.json", {
         "mean_accuracy": mean,
         "std_accuracy": std,
@@ -297,7 +290,6 @@ def cmd_eval(args) -> int:
     agg = aggregate_reports(reports)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "report.json", {**agg.to_json(), "per_entry": per_entry})
     lines = [
         f"{'metric':<20}{'mean %':>10}{'se':>8}",
@@ -314,21 +306,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if args.weights2 and not args.ledger2:
-        raise _UsageError("--weights2 needs --ledger2")
-    total = args.total_params
-    if total is not None and (args.weights or args.weights2):
-        raise _UsageError("give --total-params or --weights, not both")
-    paths = [p for p in (args.ledger, args.ledger2) if p]
-    archives = [args.weights, args.weights2][:len(paths)]
-    if total is None and not all(archives):
-        raise _UsageError("report needs --total-params, or --weights for each ledger")
-    if total is not None:
-        check_number("--total-params", total, 1, integer=True)
-    ledgers = [EditLedger.load(p) for p in paths]
-    if total is None:
-        total = sum(load_config(p).total_params() for p in archives)
-    budget = budget_report(ledgers, total)
+    if len(args.weights) != len(args.ledger):
+        raise _UsageError("report needs one --weights per --ledger")
+    ledgers = [EditLedger.load(p) for p in args.ledger]
+    budget = budget_report(ledgers, sum(load_config(p).total_params() for p in args.weights))
     if args.out:
         _write_json(Path(args.out) / "budget.json", budget)
     for b in budget["per_edit"]:
@@ -350,9 +331,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_init)
 
-    p = sub.add_parser("edit", help="single edit (optionally on two encoders)")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--weights2")
+    p = sub.add_parser("edit", help="single edit on one or more encoders")
+    p.add_argument("--weights", required=True, action="append",
+                   help="one encoder's archive; repeat for each encoder")
     p.add_argument("--source", required=True)
     p.add_argument("--dest", required=True)
     p.add_argument("--target", required=True)
@@ -412,11 +393,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("report", help="parameter and FLOP budget of a ledger")
-    p.add_argument("--ledger", required=True)
-    p.add_argument("--ledger2")
-    p.add_argument("--weights")
-    p.add_argument("--weights2")
-    p.add_argument("--total-params", type=int)
+    p.add_argument("--ledger", required=True, action="append",
+                   help="one encoder's ledger; repeat for each encoder")
+    p.add_argument("--weights", required=True, action="append",
+                   help="the archive the ledger at the same position was made on")
     p.add_argument("--out")
     p.set_defaults(func=cmd_report)
 

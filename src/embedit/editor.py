@@ -122,8 +122,9 @@ class LedgerEntry:
 
     Construction checks what does not depend on a table: at least one id,
     distinct ids that errors.check_ids accepts below any table size, held as
-    Python ints, and both blocks shaped (k, d) and finite. A violation, or
-    rows that are ragged or past float range, raises LedgerFormatError.
+    Python ints, and both blocks shaped (k, d) with d >= 1 and finite. A
+    violation, or rows that are ragged or past float range, raises
+    LedgerFormatError.
     """
 
     source_prompt: str
@@ -146,7 +147,8 @@ class LedgerEntry:
             new = np.array(self.new_rows, dtype=np.float64)
         except (ValueError, OverflowError) as e:  # ragged, or an int past float range
             raise LedgerFormatError(f"rows are not a block of numbers: {e}") from e
-        if original.ndim != 2 or len(original) != len(ids) or new.shape != original.shape:
+        if (original.ndim != 2 or len(original) != len(ids) or original.shape[1] == 0
+                or new.shape != original.shape):
             raise LedgerFormatError(f"original rows of shape {original.shape} and new rows "
                                     f"of shape {new.shape} for {len(ids)} token ids")
         if not (np.all(np.isfinite(original)) and np.all(np.isfinite(new))):

@@ -53,8 +53,9 @@ class Vocab:
     """Closed vocabulary: word ids, reserved ids, and a word split table.
 
     The word ids and BOS/EOS/PAD are vocab_size distinct ids in [0, vocab_size)
-    (errors.check_ids), held as Python ints; every split entry must expand to
-    known single-token words. A violation raises ValueError.
+    (errors.check_ids), held as Python ints; prompt_words reads every word and
+    split key back as itself, and every split entry must expand to known
+    single-token words. A violation raises ValueError.
     """
 
     tokens: dict[str, int]
@@ -75,6 +76,10 @@ class Vocab:
         object.__setattr__(self, "tokens", dict(zip(words, ids)))
         for name, i in zip(specials, ids[len(words):]):
             object.__setattr__(self, name, i)
+        keys = [*words, *self.splits]
+        if prompt_words(" ".join(keys)) != keys:  # one pass over a CLIP-L vocab
+            bad = next(w for w in keys if prompt_words(w) != [w])
+            raise ValueError(f"word {bad!r} is not one lowercase word without whitespace")
         for word, subwords in self.splits.items():
             if not subwords:
                 raise ValueError(f"split table entry {word!r} is empty")

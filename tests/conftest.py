@@ -56,10 +56,14 @@ def zero_row_ledger(d, *id_groups):
 
 
 class FailingFile:
-    """A file whose `nth` write writes half its bytes, then raises `error`."""
+    """A file whose `nth` write writes half its bytes, then raises `error`;
+    everything else is the wrapped file's."""
 
     def __init__(self, f, nth, error):
         self._f, self._left, self._error = f, nth, error
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
 
     def __enter__(self):
         return self

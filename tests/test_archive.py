@@ -250,6 +250,16 @@ def test_save_that_raises_creates_no_file(tmp_path, vocab, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_every_writer_makes_its_directory(saved, tmp_path):
+    path, config, weights, vocab = saved
+    save_weights(tmp_path / "a" / "enc.embedit", config, weights, vocab)
+    save_vocab(tmp_path / "b" / "c" / "vocab.json", vocab)
+    EditLedger().save(tmp_path / "d" / "ledger.json")
+    assert (tmp_path / "a" / "enc.embedit").read_bytes() == path.read_bytes()
+    assert load_vocab(tmp_path / "b" / "c" / "vocab.json") == vocab
+    assert len(EditLedger.load(tmp_path / "d" / "ledger.json")) == 0
+
+
 def test_save_through_a_symlink_replaces_the_file_it_points_to(saved, tmp_path):
     path, config, _, vocab = saved
     link = tmp_path / "link.embedit"

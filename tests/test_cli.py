@@ -14,6 +14,7 @@ from embedit import (
     ProbeParams,
     Tensor,
     archive,
+    load_config,
     load_weights,
     save_weights,
 )
@@ -189,6 +190,18 @@ class TestInit:
                    "--vocab", workdir / "bad_vocab.json", "--out", workdir / "x.embedit") == 2
         assert capsys.readouterr().err == (
             f"data error: {workdir / 'bad_vocab.json'}: vocab: key 'bos' has type float\n")
+        assert not (workdir / "x.embedit").exists()
+
+    def test_vocab_word_that_no_prompt_can_read_is_data_error(self, workdir, capsys):
+        vocab = json.loads((workdir / "vocab.json").read_text())
+        vocab["tokens"]["Bear"] = len(vocab["tokens"]) + 3
+        (workdir / "bad_vocab.json").write_text(json.dumps(vocab))
+        capsys.readouterr()
+        assert run("init", "--config", workdir / "config.json",
+                   "--vocab", workdir / "bad_vocab.json", "--out", workdir / "x.embedit") == 2
+        assert capsys.readouterr().err == (
+            f"data error: {workdir / 'bad_vocab.json'}: word 'Bear' is not one lowercase "
+            "word without whitespace\n")
         assert not (workdir / "x.embedit").exists()
 
     def test_negative_seed_is_usage_error_before_any_file_is_read(self, workdir, capsys):
@@ -429,6 +442,16 @@ class TestEditRevert:
         assert sorted(p.name for p in edited.parent.iterdir()) == [
             "edit_summary.json", "edited.embedit", "ledger.json"]
 
+    def test_revert_writes_its_ledger_into_a_new_directory(self, workdir):
+        base = init_archive(workdir)
+        edited, ledger_path = self.edited_with_ledger(workdir)
+        rest = workdir / "new" / "dir" / "l.json"
+        assert run("revert", "--weights", edited, "--ledger", ledger_path,
+                   "--out", workdir / "restored.embedit", "--ledger-out", rest) == 0
+        assert (workdir / "restored.embedit").read_bytes() == base.read_bytes()
+        assert len(EditLedger.load(rest)) == 0
+        assert [p.name for p in rest.parent.iterdir()] == ["l.json"]
+
     def test_revert_deeper_than_ledger_is_usage_error(self, workdir, capsys):
         edited, ledger_path = self.edited_with_ledger(workdir)
         capsys.readouterr()
@@ -607,7 +630,7 @@ class TestReport:
 
     def test_dual_encoder_totals(self, workdir, capsys):
         base = init_archive(workdir)
-        assert run("edit", "--weights", base, "--weights2", base, "--source", "bear",
+        assert run("edit", "--weights", base, "--weights", base, "--source", "bear",
                    "--dest", "wolf", "--target", "bear", "--lambda", 1.0,
                    "--out", workdir / "dual") == 0
         out = capsys.readouterr().out
@@ -615,29 +638,51 @@ class TestReport:
         assert (workdir / "dual" / "edited2.embedit").exists()
         capsys.readouterr()
         # The widths come from the ledgers' rows, so report agrees with edit.
-        assert run("report", "--ledger", workdir / "dual" / "ledger.json",
-                   "--ledger2", workdir / "dual" / "ledger2.json",
-                   "--total-params", 10 ** 9, "--out", workdir / "rep") == 0
+        assert run("report", "--ledger", workdir / "dual" / "ledger.json", "--weights", base,
+                   "--ledger", workdir / "dual" / "ledger2.json", "--weights", base,
+                   "--out", workdir / "rep") == 0
         out = capsys.readouterr().out
         assert "total: modified=16 flops=32" in out
         budget = json.loads((workdir / "rep" / "budget.json").read_text())
         assert (budget["total_modified_scalars"], budget["total_update_flops"]) == (16, 32)
-        assert budget["total_model_params"] == 10 ** 9
+        assert budget["total_model_params"] == 2 * load_config(base).total_params()
+
+    def test_interleaved_ledger_and_weights_flags_pair_by_position(self, workdir, capsys):
+        (workdir / "wide.json").write_text(json.dumps({
+            "d_model": 16, "n_layers": 1, "n_heads": 2, "d_ff": 32,
+            "context_length": 8, "eps": 1e-5,
+        }))
+        base = init_archive(workdir)
+        wide = init_archive(workdir, "wide.embedit", config="wide.json")
+        assert run("edit", "--weights", base, "--weights", wide, "--source", "bear",
+                   "--dest", "wolf", "--target", "bear", "--lambda", 1.0,
+                   "--out", workdir / "dual") == 0
+        one, two = workdir / "dual" / "ledger.json", workdir / "dual" / "ledger2.json"
+        assert EditLedger.load(two).entries[0].new_rows.shape == (1, 16)
+        capsys.readouterr()
+        assert run("report", "--ledger", one, "--weights", base, "--ledger", two,
+                   "--weights", wide, "--out", workdir / "interleaved") == 0
+        assert run("report", "--ledger", one, "--ledger", two, "--weights", base,
+                   "--weights", wide, "--out", workdir / "grouped") == 0
+        assert capsys.readouterr().out.count("total: modified=24 flops=48\n") == 2
+        budget = (workdir / "interleaved" / "budget.json").read_bytes()
+        assert budget == (workdir / "grouped" / "budget.json").read_bytes()
+        assert json.loads(budget)["total_model_params"] == (
+            load_config(base).total_params() + load_config(wide).total_params())
 
     def test_second_ledger_without_its_archive_or_a_total_is_usage_error(
             self, workdir, capsys):
         base = init_archive(workdir)
-        assert run("edit", "--weights", base, "--weights2", base, "--source", "bear",
+        assert run("edit", "--weights", base, "--weights", base, "--source", "bear",
                    "--dest", "wolf", "--target", "bear", "--lambda", 1.0,
                    "--out", workdir / "dual") == 0
         capsys.readouterr()
         assert run("report", "--ledger", workdir / "dual" / "ledger.json",
-                   "--ledger2", workdir / "dual" / "ledger2.json", "--weights", base) == 1
-        assert capsys.readouterr().err.startswith("error: report needs --total-params")
-        assert run("report", "--ledger", workdir / "dual" / "ledger.json",
-                   "--total-params", 0) == 1
+                   "--ledger", workdir / "dual" / "ledger2.json", "--weights", base) == 1
+        assert capsys.readouterr().err.startswith("error: report needs one --weights per")
+        assert run("report", "--ledger", workdir / "dual" / "ledger.json") == 1
         assert capsys.readouterr().err.startswith(
-            "error: --total-params must be an integer in [1, inf)")
+            "error: the following arguments are required: --weights")
 
     def test_report_weights_reads_only_the_header(self, workdir, capsys, monkeypatch):
         base = init_archive(workdir)
@@ -652,6 +697,17 @@ class TestReport:
                    "--weights", base) == 0
         assert f"modified=8 flops=16 ratio={8 / total:.3g}\n" in capsys.readouterr().out
         assert reads == []
+
+    def test_ledger_rows_of_no_scalars_are_data_error(self, workdir, capsys):
+        base, ledger = init_archive(workdir), workdir / "ledger.json"
+        obj = zero_row_ledger(8, [3]).to_json()
+        obj["entries"][0]["original_rows"] = obj["entries"][0]["new_rows"] = [[]]
+        ledger.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run("report", "--ledger", ledger, "--weights", base,
+                   "--out", workdir / "rep") == 2
+        assert capsys.readouterr().err.startswith("data error: ledger entry 0: original rows")
+        assert not (workdir / "rep").exists()
 
     def test_report_on_a_damaged_header_is_data_error(self, workdir, capsys):
         base = init_archive(workdir)
@@ -670,58 +726,48 @@ class TestReport:
         zero_row_ledger(8, [3]).save(ledger)
         # Checked before any file is read: the archives do not exist.
         assert run("report", "--ledger", ledger, "--weights", workdir / "a.embedit",
-                   "--weights2", workdir / "b.embedit") == 1
-        assert capsys.readouterr().err == "error: --weights2 needs --ledger2\n"
-
-    @pytest.mark.parametrize("flag", ["--weights", "--weights2"])
-    def test_archive_with_total_params_is_usage_error(self, workdir, capsys, flag):
-        ledger = workdir / "ledger.json"
-        zero_row_ledger(8, [3]).save(ledger)
-        assert run("report", "--ledger", ledger, "--ledger2", ledger, "--total-params", 100,
-                   flag, workdir / "missing.embedit", "--out", workdir / "rep") == 1
-        assert capsys.readouterr().err == (
-            "error: give --total-params or --weights, not both\n")
-        assert not (workdir / "rep").exists()
+                   "--weights", workdir / "b.embedit") == 1
+        assert capsys.readouterr().err == "error: report needs one --weights per --ledger\n"
 
     def test_budget_write_that_raises_leaves_old_file_and_no_temporary_file(
             self, workdir, monkeypatch):
-        ledger, out = workdir / "ledger.json", workdir / "rep"
+        ledger, out, base = workdir / "ledger.json", workdir / "rep", init_archive(workdir)
         zero_row_ledger(8, [3]).save(ledger)
-        assert run("report", "--ledger", ledger, "--total-params", 100, "--out", out) == 0
+        assert run("report", "--ledger", ledger, "--weights", base, "--out", out) == 0
         before = (out / "budget.json").read_bytes()
         monkeypatch.setattr(archive, "open",
                             lambda *a, **k: FailingFile(open(*a, **k), 1, OSError("disk full")),
                             raising=False)
-        assert run("report", "--ledger", ledger, "--total-params", 200, "--out", out) == 1
+        assert run("report", "--ledger", ledger, "--weights", base, "--out", out) == 1
         assert (out / "budget.json").read_bytes() == before
         assert [p.name for p in out.iterdir()] == ["budget.json"]
 
     def test_ledgers_that_cover_different_numbers_of_edits_are_data_error(self, workdir,
                                                                            capsys):
-        one, two = workdir / "one.json", workdir / "two.json"
+        one, two, base = workdir / "one.json", workdir / "two.json", init_archive(workdir)
         zero_row_ledger(8, [3]).save(one)
         zero_row_ledger(8, [3], [4]).save(two)
         capsys.readouterr()
-        assert run("report", "--ledger", one, "--ledger2", two, "--total-params", 100,
-                   "--out", workdir / "rep") == 2
+        assert run("report", "--ledger", one, "--weights", base, "--ledger", two,
+                   "--weights", base, "--out", workdir / "rep") == 2
         assert capsys.readouterr().err == (
             "data error: ledgers cover different numbers of edits\n")
         assert not (workdir / "rep").exists()
 
     def test_ledger_that_is_not_json_is_data_error(self, workdir, capsys):
-        bad = workdir / "ledger.json"
+        bad, base = workdir / "ledger.json", init_archive(workdir)
         bad.write_text('{"entries": [')
-        assert run("report", "--ledger", bad, "--total-params", 100,
+        assert run("report", "--ledger", bad, "--weights", base,
                    "--out", workdir / "rep") == 2
         assert capsys.readouterr().err.startswith("data error:")
         assert not (workdir / "rep").exists()
 
     @pytest.mark.parametrize("flags,message", [
-        (("--total-params", 0), "--total-params must be an integer in [1, inf), got 0"),
-        (("--total-params", -5), "--total-params must be an integer in [1, inf), got -5"),
-        (("--ledger2", "LEDGER", "--weights", "base.embedit"),
-         "report needs --total-params, or --weights for each ledger"),
-    ], ids=["zero_total", "negative_total", "second_ledger_without_archive"])
+        (("--ledger", "LEDGER", "--weights", "base.embedit"),
+         "report needs one --weights per --ledger"),
+        (("--weights", "a.embedit", "--weights", "b.embedit"),
+         "report needs one --weights per --ledger"),
+    ], ids=["second_ledger_without_archive", "more_archives_than_ledgers"])
     def test_flags_are_checked_before_any_ledger_is_read(self, workdir, capsys, flags,
                                                          message):
         # The ledgers are not JSON; the usage error still wins, as it does for
@@ -1135,7 +1181,8 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "cmd_report", fail)
         capsys.readouterr()
-        assert run("report", "--ledger", workdir / "ledger.json", "--total-params", 10) == 1
+        assert run("report", "--ledger", workdir / "ledger.json",
+                   "--weights", workdir / "base.embedit") == 1
         assert capsys.readouterr().err == "error: operands do not fit\n"
 
     def test_divergence_is_three(self, workdir, monkeypatch):

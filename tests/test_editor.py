@@ -572,6 +572,13 @@ class TestLedgerJson:
         with pytest.raises(LedgerFormatError, match="^ledger entry 1: ledger result: .*'tau'"):
             EditLedger.from_json(obj)
 
+    def test_rows_of_no_scalars_name_their_entry(self):
+        obj = zero_row_ledger(8, [3]).to_json()
+        obj["entries"][0]["original_rows"] = obj["entries"][0]["new_rows"] = [[]]
+        with pytest.raises(LedgerFormatError, match=r"^ledger entry 0: original rows of shape "
+                                                    r"\(1, 0\)"):
+            EditLedger.from_json(obj)
+
     def test_save_that_raises_leaves_old_bytes_and_no_temporary_file(self, tmp_path):
         path = tmp_path / "ledger.json"
         ledger = zero_row_ledger(8, [3], [4])

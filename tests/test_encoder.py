@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,16 @@ class TestVocab:
     def test_split_subwords_must_exist(self):
         with pytest.raises(ValueError):
             Vocab(tokens={"x": 3}, splits={"yz": ["y", "z"]}, bos=0, eos=1, pad=2)
+
+    @pytest.mark.parametrize("tokens,splits,bad", [
+        ({"Bear": 3, "a": 4}, {}, "Bear"),
+        ({"a": 3, "ice cream": 4}, {}, "ice cream"),
+        ({"a": 3, "": 4}, {}, ""),
+        ({"ice": 3, "cream": 4}, {"Ice\tCream": ["ice", "cream"]}, "Ice\tCream"),
+    ], ids=["capital", "space", "empty", "split_key"])
+    def test_every_word_is_one_the_prompt_word_rule_reads(self, tokens, splits, bad):
+        with pytest.raises(ValueError, match=f"^word {re.escape(repr(bad))} is not one"):
+            Vocab(tokens=tokens, splits=splits, bos=0, eos=1, pad=2)
 
     def test_split_table_wins_over_direct_entry(self):
         v = Vocab(
