@@ -21,7 +21,7 @@ from .editor import (
     EditHyperparams,
     EditLedger,
     EditRequest,
-    EditResult,
+    LedgerEntry,
     LossPositions,
     OptimizerKind,
     budget_report,

@@ -25,7 +25,7 @@ from .editor import (
     EditHyperparams,
     EditLedger,
     EditRequest,
-    EditResult,
+    LedgerEntry,
     LossPositions,
     _hidden_mse,
     _optimize_rows,
@@ -137,7 +137,7 @@ def edit_balance(
     request: BiasEditRequest,
     params: BalancerParams,
     ledger: EditLedger,
-) -> EditResult:
+) -> LedgerEntry:
     """Balance one profession. Manual mode delegates to the ordinary editor
     with destination = counter prompt and stop_ratio = params.stop_ratio; its
     threshold law holds unchanged.
@@ -145,9 +145,10 @@ def edit_balance(
     Auto mode is the same loop with stop_ratio = 0, so tau = 0, and a
     gradient-norm stop of GRAD_NORM_STOP (1e-10): it runs until max_iters or
     until the gradient norm drops below that. Its initial loss is the loop's
-    first score, the reward-penalty loss at the averaged rows. Its result
+    first score, the reward-penalty loss at the averaged rows. Its entry
     records threshold_tau = 0, so converged is only set by an exactly zero
     loss. The averaged initial rows are written even when no step is taken.
+    Either mode returns the ledger entry it appended.
     """
     edit_request = EditRequest(
         source_prompt=request.profession,
@@ -174,7 +175,7 @@ def _edit_balance_auto(
     params: BalancerParams,
     hyper: EditHyperparams,
     ledger: EditLedger,
-) -> EditResult:
+) -> LedgerEntry:
     config, weights, vocab = bundle.config, bundle.weights, bundle.vocab
     ids = sorted(target_token_ids(edit_request, vocab))
     init_rows = init_profession_embedding(

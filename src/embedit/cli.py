@@ -22,7 +22,7 @@ from .editor import (
     EditHyperparams,
     EditLedger,
     EditRequest,
-    EditResult,
+    LedgerEntry,
     LossPositions,
     OptimizerKind,
     budget_report,
@@ -83,8 +83,8 @@ def _save_edits(out: Path, bundle: EncoderBundle, ledger: EditLedger, suffix: st
     save_weights(out / f"edited{suffix}.embedit", bundle.config, bundle.weights, bundle.vocab)
 
 
-def _result_json(result: EditResult) -> dict:
-    return {**result.to_json(), "edited_token_ids": list(result.edited_token_ids)}
+def _result_json(entry: LedgerEntry) -> dict:
+    return {**entry.result_json(), "edited_token_ids": list(entry.edited_token_ids)}
 
 
 def _hyper_from_args(args) -> EditHyperparams:
@@ -179,11 +179,13 @@ def cmd_gender(args) -> int:
     params = BalancerParams(alpha_min=args.alpha_min, delta_normalizer=args.delta_normalizer,
                             learning_rate=args.lr, max_iters=args.max_iters,
                             stop_ratio=args.stop_ratio)
+    entries = load_gender_entries(args.dataset)
+    if not entries:
+        raise DatasetError(f"{args.dataset}: no gender entries")
     bundle = _load_bundle(args.weights)
     # A second bundle over the same tensors: set_wte_rows rebinds only the
     # edited bundle's table, so the reference keeps the unedited one.
     reference = EncoderBundle(bundle.config, dataclasses.replace(bundle.weights), bundle.vocab)
-    entries = load_gender_entries(args.dataset)
     ledger = EditLedger()
     rows = []
     baseline_f = []

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Callable
@@ -84,47 +84,18 @@ class EditHyperparams:
 
 
 @dataclass
-class EditResult:
-    initial_loss: float
-    threshold_tau: float
-    final_loss: float
-    iterations_run: int
-    optimizer_steps: int
-    converged: bool
-    edited_token_ids: tuple[int, ...]
-
-    # Ledger key -> (attribute, accepted JSON types), in the ledger's order.
-    _JSON = {
-        "initial_loss": ("initial_loss", (int, float)), "tau": ("threshold_tau", (int, float)),
-        "final_loss": ("final_loss", (int, float)), "iterations_run": ("iterations_run", (int,)),
-        "optimizer_steps": ("optimizer_steps", (int,)), "converged": ("converged", (bool,)),
-    }
-
-    def to_json(self) -> dict:
-        """The ledger's result record; edited_token_ids is kept by its entry."""
-        return {key: getattr(self, attr) for key, (attr, _) in self._JSON.items()}
-
-    @classmethod
-    def from_json(cls, obj, ids: tuple[int, ...]) -> "EditResult":
-        """Parse to_json's record; a missing, unknown or mistyped key raises
-        LedgerFormatError."""
-        json_object(obj, {key: kinds for key, (_, kinds) in cls._JSON.items()},
-                    LedgerFormatError, "ledger result")
-        return cls(**{attr: obj[key] for key, (attr, _) in cls._JSON.items()},
-                   edited_token_ids=ids)
-
-
-@dataclass
 class LedgerEntry:
-    """One edit: its k distinct target token ids and their k-by-d rows before
-    (original_rows) and after (new_rows) the edit, where row s belongs to id
-    s. The rows are held as read-only float64 copies.
+    """One edit, the record every edit function returns and appends: its k
+    distinct target token ids, their k-by-d rows before (original_rows) and
+    after (new_rows) the edit, where row s belongs to id s, and the loop's
+    outcome. The rows are held as read-only float64 copies.
 
     Construction checks what does not depend on a table: at least one id,
     distinct ids that errors.check_ids accepts below any table size, held as
     Python ints, and both blocks shaped (k, d) with d >= 1 and finite. A
     violation, or rows that are ragged or past float range, raises
-    LedgerFormatError.
+    LedgerFormatError. Two entries are equal when every field is, the rows
+    by their bytes.
     """
 
     source_prompt: str
@@ -133,7 +104,19 @@ class LedgerEntry:
     edited_token_ids: tuple[int, ...]
     original_rows: np.ndarray
     new_rows: np.ndarray
-    result: EditResult
+    initial_loss: float
+    threshold_tau: float
+    final_loss: float
+    iterations_run: int
+    optimizer_steps: int
+    converged: bool
+
+    # The ledger's "result" object: key -> (field, accepted JSON types), in order.
+    _RESULT = {
+        "initial_loss": ("initial_loss", (int, float)), "tau": ("threshold_tau", (int, float)),
+        "final_loss": ("final_loss", (int, float)), "iterations_run": ("iterations_run", (int,)),
+        "optimizer_steps": ("optimizer_steps", (int,)), "converged": ("converged", (bool,)),
+    }
 
     def __post_init__(self):
         if not self.edited_token_ids:
@@ -157,6 +140,17 @@ class LedgerEntry:
         new.setflags(write=False)
         self.edited_token_ids, self.original_rows, self.new_rows = ids, original, new
 
+    def __eq__(self, other):
+        if type(other) is not LedgerEntry:
+            return NotImplemented
+        return all(a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b
+                   for a, b in ((getattr(self, f.name), getattr(other, f.name))
+                                for f in fields(self)))
+
+    def result_json(self) -> dict:
+        """The loop's outcome, as the ledger's "result" object."""
+        return {key: getattr(self, name) for key, (name, _) in self._RESULT.items()}
+
 
 @dataclass
 class EditLedger:
@@ -178,7 +172,7 @@ class EditLedger:
             "edited_token_ids": list(e.edited_token_ids),
             "original_rows": e.original_rows.tolist(),
             "new_rows": e.new_rows.tolist(),
-            "result": e.result.to_json(),
+            "result": e.result_json(),
         } for e in self.entries]}
 
     @classmethod
@@ -189,17 +183,19 @@ class EditLedger:
         json_object(obj, {"entries": (list,)}, LedgerFormatError, "ledger")
         for k, e in enumerate(obj["entries"]):
             where = f"ledger entry {k}"
-            fields = dict(json_object(e, {
+            values = dict(json_object(e, {
                 "source_prompt": (str,), "destination_prompt": (str,), "target_word": (str,),
                 "edited_token_ids": (list,), "original_rows": (list,), "new_rows": (list,),
                 "result": (dict,)}, LedgerFormatError, where))
-            ids = fields["edited_token_ids"] = tuple(fields["edited_token_ids"])
             if any(type(row) is not list or any(type(v) not in (int, float) for v in row)
-                   for row in (*fields["original_rows"], *fields["new_rows"])):
+                   for row in (*values["original_rows"], *values["new_rows"])):
                 raise LedgerFormatError(f"{where}: rows are not all lists of numbers")
+            result = json_object(values.pop("result"), {
+                key: kinds for key, (_, kinds) in LedgerEntry._RESULT.items()},
+                LedgerFormatError, f"{where}: ledger result")
+            values.update((name, result[key]) for key, (name, _) in LedgerEntry._RESULT.items())
             try:
-                fields["result"] = EditResult.from_json(fields["result"], ids)
-                ledger.append(LedgerEntry(**fields))
+                ledger.append(LedgerEntry(**values))
             except LedgerFormatError as err:
                 raise LedgerFormatError(f"{where}: {err}") from err
         return ledger
@@ -251,7 +247,7 @@ def edit_single(
     request: EditRequest,
     hyper: EditHyperparams,
     ledger: EditLedger,
-) -> EditResult:
+) -> LedgerEntry:
     """One edit: freeze the destination's hidden states, then iterate
     encode / loss / threshold-check / step on exactly the target rows. The
     first iteration scores the table's own rows; that score is the initial
@@ -260,7 +256,7 @@ def edit_single(
     The check precedes the step, so stop_ratio=1 and identical prompts take
     zero optimizer steps and write nothing. The rows are written to the table
     once, after the loop; if the edit raises, the table is left as it was.
-    The caller must hold exclusive access to the weights.
+    Returns the entry it appended. The caller must hold the weights exclusively.
     """
     config, weights, vocab = bundle.config, bundle.weights, bundle.vocab
     ids = sorted(target_token_ids(request, vocab))
@@ -277,7 +273,7 @@ def _optimize_rows(
     bundle: EncoderBundle, request: EditRequest, ids: list[int], init_rows: np.ndarray,
     tokens: TokenSequence, loss_fn: Callable[[HiddenStates, Tape | None], Tensor],
     grad_tol: float, hyper: EditHyperparams, ledger: EditLedger,
-) -> EditResult:
+) -> LedgerEntry:
     """The one edit loop: optimize the k-by-d rows of `ids`, from init_rows,
     against loss_fn(hidden states of `tokens`, tape).
 
@@ -285,11 +281,11 @@ def _optimize_rows(
     backward, stop if the gradient norm is below grad_tol, then step. The
     first iteration's score, at init_rows, is the initial loss, and
     tau = hyper.stop_ratio * initial loss. Any non-finite value raises
-    DivergenceError with the table untouched. After the loop the result and
-    its ledger entry are built, then the table is written once, unless the
-    rows are bytewise its rows, and last the entry is appended: the table
-    then holds the entry's new_rows exactly, and an entry that is rejected
-    leaves the table as it was.
+    DivergenceError with the table untouched. After the loop the edit's one
+    record, its ledger entry, is built, then the table is written once,
+    unless the rows are bytewise its rows, and last the entry is appended
+    and returned: the table then holds the entry's new_rows exactly, and an
+    entry that is rejected leaves the table as it was.
     """
     weights, config = bundle.weights, bundle.config
     original = weights.wte.rows(ids)
@@ -339,15 +335,6 @@ def _optimize_rows(
         # Cap reached: the last step's effect was never scored inside the loop.
         _, loss = score(rows, None, i)
     final_loss = loss.item()
-    result = EditResult(
-        initial_loss=initial_loss,
-        threshold_tau=tau,
-        final_loss=final_loss,
-        iterations_run=i,
-        optimizer_steps=steps,
-        converged=final_loss <= tau,
-        edited_token_ids=tuple(ids),
-    )
     entry = LedgerEntry(
         source_prompt=request.source_prompt,
         destination_prompt=request.destination_prompt,
@@ -355,12 +342,17 @@ def _optimize_rows(
         edited_token_ids=tuple(ids),
         original_rows=original,
         new_rows=rows,
-        result=result,
+        initial_loss=initial_loss,
+        threshold_tau=tau,
+        final_loss=final_loss,
+        iterations_run=i,
+        optimizer_steps=steps,
+        converged=final_loss <= tau,
     )
     if rows.tobytes() != original.tobytes():
         weights.set_wte_rows(ids, rows)
     ledger.append(entry)
-    return result
+    return entry
 
 
 def edit_sequential(
@@ -368,7 +360,7 @@ def edit_sequential(
     requests: list[EditRequest],
     hyper: EditHyperparams,
     ledger: EditLedger,
-) -> list[EditResult]:
+) -> list[LedgerEntry]:
     """Apply edits in order on the same weights; later requests see earlier
     edits. A failing request raises after the ledger has kept every
     completed entry.
@@ -447,7 +439,7 @@ def edit_multi_encoder(
     request: EditRequest,
     hyper: EditHyperparams,
     ledgers: list[EditLedger],
-) -> list[EditResult]:
+) -> list[LedgerEntry]:
     """Run the same edit independently per encoder: each gets its own
     threshold, optimizer state, and entry in its own ledger.
     """

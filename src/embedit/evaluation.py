@@ -102,6 +102,8 @@ class GenderEntry:
     male_ref: str
 
     def __post_init__(self):
+        if not self.tests:
+            raise DatasetError(f"gender entry {self.profession!r} has no test prompts")
         for t in self.tests:
             if not contains_phrase(t, self.profession):
                 raise DatasetError(
@@ -315,8 +317,6 @@ def female_percentage(
     female_ref and male_ref are the reference encoder's pooled states of
     entry.female_ref and entry.male_ref.
     """
-    if not entry.tests:
-        raise DatasetError(f"gender entry {entry.profession!r} has no test prompts")
     pooled = encode_pooled(edited, entry.tests)
     female = sum(
         classify(pooled[prompt], male_ref, female_ref) == DESTINATION for prompt in entry.tests

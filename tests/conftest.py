@@ -8,7 +8,7 @@ from embedit import (
     Vocab,
     init_random_weights,
 )
-from embedit.editor import EditResult, LedgerEntry
+from embedit.editor import LedgerEntry
 
 WORDS = [
     "a", "bear", "polar", "cat", "dog", "zoo", "with", "red", "blue",
@@ -50,7 +50,8 @@ def zero_row_ledger(d, *id_groups):
         ledger.append(LedgerEntry(
             source_prompt="s", destination_prompt="d", target_word="t",
             edited_token_ids=ids, original_rows=rows, new_rows=rows,
-            result=EditResult(1.0, 0.2, 0.1, 1, 1, True, ids),
+            initial_loss=1.0, threshold_tau=0.2, final_loss=0.1, iterations_run=1,
+            optimizer_steps=1, converged=True,
         ))
     return ledger
 

@@ -176,6 +176,16 @@ class TestEditBalanceManual:
         assert ledgers[0] == ledgers[1]
 
 
+@pytest.mark.parametrize("mode", list(BalanceMode))
+def test_edit_balance_returns_the_entry_it_appended(mode):
+    request = BiasEditRequest("teacher", "female teacher", "male teacher", mode=mode)
+    ledger = EditLedger()
+    entry = edit_balance(make_bundle(seed=5), request,
+                         BalancerParams(learning_rate=1e-2, max_iters=5), ledger)
+    assert len(ledger) == 1
+    assert entry is ledger.entries[0]
+
+
 class TestBalancerParams:
     def test_hyper_is_the_loops_settings_in_each_mode(self):
         params = BalancerParams(learning_rate=1e-2, max_iters=7, stop_ratio=0.3)

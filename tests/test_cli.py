@@ -1,6 +1,9 @@
+import argparse
 import json
 import math
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -886,6 +889,30 @@ class TestGenderAndProbe:
                    "--out", workdir / "genderout") == 2
         assert capsys.readouterr().err.startswith("data error: line 1:")
 
+    def test_gender_entry_with_no_tests_is_refused_before_any_edit(self, workdir, capsys):
+        base = init_archive(workdir)
+        nurse = json.dumps({"profession": "nurse", "validation": "a nurse", "tests": [],
+                            "female_ref": "female nurse", "male_ref": "male nurse"})
+        ds = workdir / "gender.jsonl"
+        ds.write_text(GENDER_LINE + nurse + "\n")
+        capsys.readouterr()
+        assert run("gender", "--weights", base, "--dataset", ds,
+                   "--out", workdir / "genderout") == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("data error: line 2: gender entry 'nurse' has no test prompts")
+        assert "teacher" not in out
+        assert not (workdir / "genderout").exists()
+
+    def test_empty_gender_dataset_is_refused_before_the_archive_is_read(self, workdir,
+                                                                         capsys):
+        ds = workdir / "gender.jsonl"
+        ds.write_text("")
+        capsys.readouterr()
+        assert run("gender", "--weights", workdir / "missing.embedit", "--dataset", ds,
+                   "--out", workdir / "genderout") == 2
+        assert "no gender entries" in capsys.readouterr().err
+        assert not (workdir / "genderout").exists()
+
     @pytest.mark.parametrize("damage", [
         "string_label", "float_label", "bool_label", "label_two", "word_not_string",
         "item_not_object", "one_label_name", "label_name_not_string", "no_items",
@@ -1194,3 +1221,14 @@ class TestExitCodes:
         assert run("edit", "--weights", base, "--source", "bear", "--dest", "wolf",
                    "--target", "bear", "--lambda", 0.0, "--max-iters", 3,
                    "--out", workdir / "x") == 3
+
+
+def test_readme_names_every_flag_and_only_real_flags():
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {o for p in commands.values() for a in p._actions
+             if not isinstance(a, argparse._HelpAction) for o in a.option_strings}
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
+    assert sorted(flags - named) == []
+    assert sorted(named - flags) == []

@@ -22,7 +22,7 @@ from embedit import (
     revert,
     target_token_ids,
 )
-from embedit.editor import EditResult, LedgerEntry
+from embedit.editor import LedgerEntry
 from embedit.encoder import HiddenStates
 from embedit.errors import (
     DimensionError,
@@ -106,6 +106,42 @@ class TestTargetTokenIds:
     def test_whitespace_only_target_is_an_empty_prompt(self, vocab):
         with pytest.raises(EmptyPromptError):
             target_token_ids(EditRequest("a bear", "a wolf", " \t "), vocab)
+
+
+class TestReturnedEntry:
+    HYPER = EditHyperparams(stop_ratio=0.2, max_iters=20, learning_rate=1e-2)
+
+    def test_edit_single_returns_the_entry_it_appended(self):
+        ledger = zero_row_ledger(8, [30])
+        entry = edit_single(make_bundle(), EditRequest("bear", "wolf", "bear"), self.HYPER,
+                            ledger)
+        assert len(ledger) == 2
+        assert entry is ledger.entries[1]
+
+    def test_edit_sequential_returns_the_entries_it_appended(self):
+        ledger = EditLedger()
+        entries = edit_sequential(make_bundle(), [EditRequest("bear", "wolf", "bear"),
+                                                  EditRequest("a cat", "a dog", "cat")],
+                                  self.HYPER, ledger)
+        assert len(entries) == len(ledger) == 2
+        assert all(a is b for a, b in zip(entries, ledger.entries))
+
+    def test_edit_multi_encoder_returns_each_ledgers_entry(self):
+        ledgers = [EditLedger(), EditLedger()]
+        entries = edit_multi_encoder([make_bundle(seed=1), make_bundle(seed=2)],
+                                     EditRequest("bear", "wolf", "bear"), self.HYPER, ledgers)
+        assert len(entries) == 2
+        assert all(e is ledger.entries[0] for e, ledger in zip(entries, ledgers))
+
+    def test_an_entry_equals_its_copy_and_compares_rows_by_bytes(self):
+        entry = zero_row_ledger(3, [5, 6]).entries[0]
+        assert entry == copy.deepcopy(entry)
+        assert entry == dataclasses.replace(entry, new_rows=entry.new_rows.copy())
+        signed = dataclasses.replace(entry, new_rows=-entry.new_rows)
+        assert signed.new_rows.tolist() == entry.new_rows.tolist()  # equal as numbers
+        assert signed != entry
+        assert dataclasses.replace(entry, final_loss=0.5) != entry
+        assert entry != object()
 
 
 class TestEditSingle:
@@ -454,8 +490,7 @@ class TestRevert:
         ledger = EditLedger()
         for original, new in zip(rows[::2], rows[1::2]):
             ledger.append(LedgerEntry("s", "d", "t", (i,), np.array([original]),
-                                      np.array([new]), EditResult(1.0, 0.2, 0.1, 1, 1, True,
-                                                                  (i,))))
+                                      np.array([new]), 1.0, 0.2, 0.1, 1, 1, True))
         return ledger
 
     def test_revert_refuses_an_older_entry_of_another_width(self):
@@ -509,10 +544,10 @@ def ledgers(draw, d=None, n_ids=10 ** 6):
                                   unique=True)))
         block = st.lists(st.lists(FINITE, min_size=d, max_size=d),
                          min_size=len(ids), max_size=len(ids))
-        result = EditResult(draw(FINITE), draw(FINITE), draw(FINITE), draw(st.integers(0, 99)),
-                            draw(st.integers(0, 99)), draw(st.booleans()), ids)
         ledger.append(LedgerEntry(draw(st.text()), draw(st.text()), draw(st.text()), ids,
-                                  draw(block), draw(block), result))
+                                  draw(block), draw(block), draw(FINITE), draw(FINITE),
+                                  draw(FINITE), draw(st.integers(0, 99)),
+                                  draw(st.integers(0, 99)), draw(st.booleans())))
     return ledger
 
 
@@ -523,6 +558,7 @@ class TestLedgerJson:
         text = json.dumps(ledger.to_json())
         back = EditLedger.from_json(json.loads(text))
         assert json.dumps(back.to_json()) == text
+        assert back == ledger
         for a, b in zip(ledger.entries, back.entries, strict=True):
             assert a.edited_token_ids == b.edited_token_ids
             assert a.original_rows.tobytes() == b.original_rows.tobytes()
@@ -584,7 +620,7 @@ class TestLedgerJson:
         ledger = zero_row_ledger(8, [3], [4])
         ledger.save(path)
         before = path.read_bytes()
-        ledger.entries[1].result.final_loss = object()  # json cannot write it
+        ledger.entries[1].final_loss = object()  # json cannot write it
         with pytest.raises(TypeError):
             ledger.save(path)
         assert path.read_bytes() == before
