@@ -6,16 +6,21 @@ Archive layout:
     bytes 8..16   header length, unsigned 64-bit little-endian
     header        UTF-8 JSON: {"config": {...}, "vocab": {...},
                   "tensors": [{"name", "shape", "dtype": "f64",
-                               "offset", "nbytes"}, ...]}
+                               "offset", "nbytes"}, ...]},
+                  padded by save with trailing spaces so that the payload
+                  starts at a multiple of PAYLOAD_ALIGN bytes
     payload       raw little-endian float64 tensor data; each tensor's
                   "offset" is relative to the start of the payload section
                   (= 16 + header length)
 
 The tensor index is a function of the config (_tensor_index): save writes
 it, and load accepts exactly it, with the payloads filling the file to its
-end. Save followed by load is bitwise lossless. Every file the package
-writes (archive, vocab, ledger and the CLI's JSON and text reports) goes
-through one atomic write, write_atomically.
+end. Load views its tensors in one read-only map of the file, so an archive
+must not be rewritten in place while a process holds it loaded. Save
+followed by load is bitwise lossless. Every file the package writes
+(archive, vocab, ledger and the CLI's JSON and text reports) goes through one
+atomic write, write_atomically, which renames a new file over the old one
+and so leaves a mapped file's contents as they were.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import math
 import os
 import secrets
 import struct
+from mmap import ACCESS_READ, MADV_DONTNEED, PAGESIZE, mmap
 from pathlib import Path
 from typing import BinaryIO, Callable
 
@@ -36,6 +42,11 @@ from .errors import ArchiveFormatError, json_object, read_json
 
 MAGIC = b"EMBEDIT1"
 _HEADER_LEN_END = len(MAGIC) + 8
+# Save pads the header so that the payload, and with it every tensor view of
+# a page-aligned map, starts on a cache line.
+PAYLOAD_ALIGN = 64
+# Load's finiteness check reads the payload through one buffer of this size.
+CHECK_BUFFER_BYTES = 1 << 20
 
 
 def load_vocab(path: str | Path) -> Vocab:
@@ -60,11 +71,12 @@ def save_weights(
     vocab: Vocab,
 ) -> None:
     """Write config, vocab, and all tensors to one archive file, atomically
-    (write_atomically). Each tensor is written from its own buffer, with no
-    bytes copy; the WTE is written as its table's blocks, base slices and
-    overriding rows, so no merged table is built. A tensor whose shape is
-    not the one the config calls for raises ValueError before any file is
-    made.
+    (write_atomically). The header JSON is padded with trailing spaces so
+    that the payload starts at a multiple of PAYLOAD_ALIGN bytes. Each
+    tensor is written from its own buffer, with no bytes copy; the WTE is
+    written as its table's blocks, base slices and overriding rows, so no
+    merged table is built. A tensor whose shape is not the one the config
+    calls for raises ValueError before any file is made.
     """
     index = _tensor_index(config)
     tensors = list(weights.named_tensors())
@@ -76,6 +88,7 @@ def save_weights(
               for a in (t.blocks() if isinstance(t, WteTable) else [t.array])]
     header = {"config": config.to_json(), "vocab": vocab.to_json(), "tensors": index}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    header_bytes += b" " * (-(_HEADER_LEN_END + len(header_bytes)) % PAYLOAD_ALIGN)
 
     def write(f) -> None:
         f.write(MAGIC)
@@ -124,22 +137,48 @@ def load_weights(path: str | Path) -> tuple[EncoderConfig, EncoderWeights, Vocab
     """Read an archive; raises ArchiveFormatError (with a byte offset) on damage.
 
     The whole header is checked against the file's size before any payload
-    is read. Each payload is then read straight into its tensor's array, so
-    the weights are held once.
+    is read, and every payload is checked for NaN and infinity through one
+    buffer of CHECK_BUFFER_BYTES before anything is mapped. Each tensor is
+    then a read-only view of one map of the file, so the weights are held
+    once, by the page cache, and a page is read only when it is first used:
+    an encode touches the WTE rows of its prompt's ids alone. A view that
+    numpy reports unaligned (an archive saved before payloads were padded)
+    is copied into fresh memory.
     """
     with open(path, "rb") as f:
         config, vocab, index = _read_header(f, os.fstat(f.fileno()).st_size)
         start = f.tell()
-        tensors: dict[str, Tensor] = {}
-        for entry in index:
-            a = np.empty(entry["shape"], dtype="<f8")
-            _read_exactly(f, a)
-            if not np.isfinite(a).all():
+        _check_finite(f, start, index)
+        mapped = mmap(f.fileno(), 0, access=ACCESS_READ)
+    tensors: dict[str, Tensor] = {}
+    for entry in index:
+        at, nbytes = start + entry["offset"], entry["nbytes"]
+        a = np.frombuffer(mapped, dtype="<f8", count=nbytes // 8, offset=at)
+        # Native byte order: no copy on a little-endian host.
+        a = a.astype(np.float64, copy=False).reshape(entry["shape"])
+        if not a.flags.aligned:
+            a = a.copy()
+            # The copy holds the scalars now; let the map's pages of them go.
+            mapped.madvise(MADV_DONTNEED, at - at % PAGESIZE, at % PAGESIZE + nbytes)
+        tensors[entry["name"]] = Tensor._wrap(a)
+    return config, EncoderWeights.from_named(tensors, config), vocab
+
+
+def _check_finite(f, start: int, index: list[dict]) -> None:
+    """Read the payloads from f, which is at `start`, through one bounded
+    buffer; raise ArchiveFormatError naming the first tensor that holds NaN
+    or infinity and its offset."""
+    buf = np.empty(CHECK_BUFFER_BYTES // 8, dtype="<f8")
+    finite = np.empty(len(buf), dtype=bool)
+    for entry in index:
+        left = entry["nbytes"] // 8
+        while left:
+            n = min(left, len(buf))
+            _read_exactly(f, buf[:n])
+            if not np.isfinite(buf[:n], out=finite[:n]).all():
                 raise ArchiveFormatError(f"tensor {entry['name']}: payload is not finite",
                                          offset=start + entry["offset"])
-            # Native byte order: no copy on a little-endian host.
-            tensors[entry["name"]] = Tensor._wrap(a.astype(np.float64, copy=False))
-    return config, EncoderWeights.from_named(tensors, config), vocab
+            left -= n
 
 
 def load_config(path: str | Path) -> EncoderConfig:

@@ -183,6 +183,12 @@ def cmd_gender(args) -> int:
     if not entries:
         raise DatasetError(f"{args.dataset}: no gender entries")
     bundle = _load_bundle(args.weights)
+    # Every prompt is read against the vocabulary before the first edit, so
+    # an unknown word or an overlong prompt prints and writes nothing.
+    for entry in entries:
+        for prompt in (entry.profession, entry.female_ref, entry.male_ref, entry.validation,
+                       *entry.tests):
+            bundle.tokenize(prompt)
     # A second bundle over the same tensors: set_wte_rows rebinds only the
     # edited bundle's table, so the reference keeps the unedited one.
     reference = EncoderBundle(bundle.config, dataclasses.replace(bundle.weights), bundle.vocab)

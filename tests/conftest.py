@@ -56,6 +56,14 @@ def zero_row_ledger(d, *id_groups):
     return ledger
 
 
+def map_owner(a: np.ndarray):
+    """The object that owns a's memory, past every view and memoryview: an
+    mmap for a loaded archive's tensor, None for an array that owns it."""
+    while isinstance(a, (np.ndarray, memoryview)):
+        a = a.obj if isinstance(a, memoryview) else a.base
+    return a
+
+
 class FailingFile:
     """A file whose `nth` write writes half its bytes, then raises `error`;
     everything else is the wrapped file's."""

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import mmap
 import struct
 
 import numpy as np
@@ -23,10 +24,10 @@ from embedit import (
     save_vocab,
     save_weights,
 )
-from embedit.archive import MAGIC
+from embedit.archive import MAGIC, PAYLOAD_ALIGN
 from embedit.errors import ArchiveFormatError
 
-from conftest import FailingFile, make_config, make_vocab
+from conftest import FailingFile, make_config, make_vocab, map_owner
 
 
 @pytest.fixture
@@ -134,7 +135,8 @@ def join_archive(header, payload: bytes) -> bytes:
 
 
 def test_archive_bytes_are_magic_header_and_raw_payloads(saved):
-    # The format written before saves streamed each tensor's buffer.
+    # The header JSON is padded with trailing spaces so that the payload
+    # starts on a 64-byte boundary; json.loads reads it with or without them.
     path, config, weights, vocab = saved
     entries, payloads, offset = [], [], 0
     for name, t in weights.named_tensors():
@@ -144,7 +146,57 @@ def test_archive_bytes_are_magic_header_and_raw_payloads(saved):
         payloads.append(raw)
         offset += len(raw)
     header = {"config": config.to_json(), "vocab": vocab.to_json(), "tensors": entries}
-    assert path.read_bytes() == join_archive(header, b"".join(payloads))
+    raw = json.dumps(header, sort_keys=True).encode()
+    pad = 64 - (16 + len(raw)) % 64
+    assert PAYLOAD_ALIGN == 64 and 0 < pad < 64  # the desk header needs padding
+    assert path.read_bytes() == (MAGIC + struct.pack("<Q", len(raw) + pad) + raw + b" " * pad
+                                 + b"".join(payloads))
+
+
+def _arrays(weights):
+    return [(name, t.base.array if isinstance(t, WteTable) else t.array)
+            for name, t in weights.named_tensors()]
+
+
+def test_a_load_views_one_read_only_map_of_a_padded_payload(saved):
+    path, _, weights, _ = saved
+    loaded = load_weights(path)[1]
+    maps = {id(map_owner(a)) for _, a in _arrays(loaded)}
+    assert len(maps) == 1 and isinstance(map_owner(loaded.wte.base.array), mmap.mmap)
+    for (name, a), (_, want) in zip(_arrays(loaded), _arrays(weights)):
+        assert not a.flags.writeable and a.flags.aligned and a.flags.c_contiguous, name
+        assert a.tobytes() == want.tobytes(), name
+    # The WTE is the first payload, so its address is the payload's start.
+    assert loaded.wte.base.array.ctypes.data % PAYLOAD_ALIGN == 0
+
+
+def test_an_unpadded_archive_loads_aligned_copies_of_its_tensors(saved, tmp_path):
+    # join_archive writes the header unpadded, as saves did before padding.
+    path, _, weights, _ = saved
+    blob = join_archive(*split_archive(path.read_bytes()))
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    assert (16 + hlen) % 8 != 0
+    old = tmp_path / "unpadded.embedit"
+    old.write_bytes(blob)
+    config, loaded, vocab = load_weights(old)
+    for (name, a), (_, want) in zip(_arrays(loaded), _arrays(weights)):
+        assert a.flags.aligned and not a.flags.writeable and map_owner(a) is None, name
+        assert a.tobytes() == want.tobytes(), name
+    # Saving it writes the padded layout.
+    save_weights(tmp_path / "padded.embedit", config, loaded, vocab)
+    assert (tmp_path / "padded.embedit").read_bytes() == path.read_bytes()
+
+
+def test_save_over_the_archive_a_load_mapped_writes_its_bytes(saved):
+    # The save renames a new file over the mapped one, whose inode the map
+    # keeps alive, so the mapped tensors read the same bytes throughout.
+    path, _, weights, _ = saved
+    before = path.read_bytes()
+    config, loaded, vocab = load_weights(path)
+    save_weights(path, config, loaded, vocab)
+    assert path.read_bytes() == before
+    for (name, a), (_, want) in zip(_arrays(loaded), _arrays(weights)):
+        assert a.tobytes() == want.tobytes(), name
 
 
 def _tensor(header, name):
@@ -198,11 +250,12 @@ def test_damaged_header_is_rejected_before_any_payload_is_read(saved, tmp_path, 
     header = HEADER_DAMAGE[damage](header) or header  # only header_not_object returns one
     bad = tmp_path / "bad.embedit"
     bad.write_bytes(join_archive(header, payload))
-    reads = []
+    reads, maps = [], []
     monkeypatch.setattr(archive, "_read_exactly", lambda f, a: reads.append(a.shape))
+    monkeypatch.setattr(archive, "mmap", lambda *a, **k: maps.append(a))
     with pytest.raises(ArchiveFormatError, match=r"byte offset \d+"):
         load_weights(bad)
-    assert reads == []
+    assert reads == [] and maps == []
 
 
 @pytest.mark.parametrize("extra", [b"\x00" * 8, b"\x00"])
@@ -226,6 +279,28 @@ def test_non_finite_payload_names_tensor_and_offset(saved, tmp_path, value):
     with pytest.raises(ArchiveFormatError,
                        match=rf"layers\.1\.wv: payload is not finite \(byte offset {at - 24}\)"):
         load_weights(bad)
+
+
+# A 40-byte buffer reads each tensor in several pieces, the last one short.
+@pytest.mark.parametrize("buffer_bytes", [40, archive.CHECK_BUFFER_BYTES])
+@pytest.mark.parametrize("name,scalar", [("wte", 101), ("final_beta", -1)])
+def test_nan_in_the_first_or_last_payload_names_tensor_and_offset(saved, tmp_path, monkeypatch,
+                                                                    buffer_bytes, name, scalar):
+    blob = saved[0].read_bytes()
+    header, payload = split_archive(blob)
+    entry = _tensor(header, name)
+    start = len(blob) - len(payload) + entry["offset"]
+    at = start + scalar % (entry["nbytes"] // 8) * 8
+    damaged = bytearray(blob)
+    damaged[at:at + 8] = np.float64(np.nan).tobytes()
+    bad = tmp_path / "bad.embedit"
+    bad.write_bytes(bytes(damaged))
+    monkeypatch.setattr(archive, "CHECK_BUFFER_BYTES", buffer_bytes)
+    with pytest.raises(ArchiveFormatError,
+                       match=rf"tensor {name}: payload is not finite \(byte offset {start}\)"):
+        load_weights(bad)
+    # The same buffer passes the undamaged archive.
+    assert load_weights(saved[0])[1].wte.array.tobytes() == saved[2].wte.array.tobytes()
 
 
 @pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()])

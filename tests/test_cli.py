@@ -24,7 +24,7 @@ from embedit import (
 from embedit.cli import main
 from embedit.errors import DimensionError, TapeUsageError
 
-from conftest import WORDS, FailingFile, diverge_adam, zero_row_ledger
+from conftest import WORDS, FailingFile, diverge_adam, map_owner, zero_row_ledger
 
 
 @pytest.fixture
@@ -444,6 +444,26 @@ class TestEditRevert:
         assert edited.read_bytes() == base.read_bytes()
         assert sorted(p.name for p in edited.parent.iterdir()) == [
             "edit_summary.json", "edited.embedit", "ledger.json"]
+
+    def test_revert_in_place_saves_over_the_archive_it_mapped(self, workdir, monkeypatch):
+        # The loaded tensors view a map of the very file the save replaces;
+        # the rename leaves the mapped inode as it was while the save reads it.
+        base = init_archive(workdir)
+        edited, ledger_path = self.edited_with_ledger(workdir)
+        mapped = edited.stat().st_ino
+        seen, real_save = [], cli.save_weights
+
+        def save(path, config, weights, vocab):
+            owner = map_owner(weights.positional.array)
+            seen.append((type(owner).__name__, Path(path).stat().st_ino))
+            real_save(path, config, weights, vocab)
+
+        monkeypatch.setattr(cli, "save_weights", save)
+        assert run("revert", "--weights", edited, "--ledger", ledger_path,
+                   "--out", edited) == 0
+        assert seen == [("mmap", mapped)]
+        assert edited.read_bytes() == base.read_bytes()
+        assert edited.stat().st_ino != mapped
 
     def test_revert_writes_its_ledger_into_a_new_directory(self, workdir):
         base = init_archive(workdir)
@@ -903,6 +923,25 @@ class TestGenderAndProbe:
         assert "teacher" not in out
         assert not (workdir / "genderout").exists()
 
+    @pytest.mark.parametrize("field", [
+        {"profession": "nurse", "tests": ["a nurse"]}, {"validation": "a nurse teacher"},
+        {"tests": ["a teacher", "nurse teacher"]}, {"female_ref": "female nurse"},
+        {"male_ref": "male nurse"},
+    ], ids=["profession", "validation", "tests", "female_ref", "male_ref"])
+    def test_gender_word_outside_the_vocabulary_is_refused_before_any_edit(self, workdir,
+                                                                          capsys, field):
+        base = init_archive(workdir)
+        later = {**json.loads(GENDER_LINE), **field}
+        ds = workdir / "gender.jsonl"
+        ds.write_text(GENDER_LINE + json.dumps(later) + "\n")
+        capsys.readouterr()
+        assert run("gender", "--weights", base, "--dataset", ds,
+                   "--out", workdir / "genderout") == 2
+        out, err = capsys.readouterr()
+        assert err == "data error: word 'nurse' is not in the vocabulary or split table\n"
+        assert out == ""
+        assert not (workdir / "genderout").exists()
+
     def test_empty_gender_dataset_is_refused_before_the_archive_is_read(self, workdir,
                                                                          capsys):
         ds = workdir / "gender.jsonl"
@@ -1041,7 +1080,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "byte offset" in err
         if damage == "nan_payload":
-            at = 16 + hlen + second["offset"]
+            at = 16 + len(raw) + second["offset"]  # the rewritten header is unpadded
             assert f"positional: payload is not finite (byte offset {at})" in err
 
     def test_missing_file_is_one(self, workdir):
