@@ -6,7 +6,7 @@ gender-bias balancing variant, a WTE probe, and hidden-state evaluation
 metrics.
 """
 
-from .autodiff import Tape, Tensor, backward, finite_difference_grad
+from .autodiff import Tape, Tensor, backward
 from .balance import (
     BalanceMode,
     BalancerParams,

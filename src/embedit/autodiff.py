@@ -1,9 +1,11 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
-Deliberately small: 1-D/2-D arrays, a fixed set of primitives with
-hand-written vector-Jacobian products, and gradients materialized only for
-leaves explicitly watched on a tape. Everything runs in 64-bit floats so
-gradient oracles and bitwise-equality checks stay exact.
+Deliberately small: 1-D/2-D arrays, the primitives the encoder, the edit
+loss and the balancer record, each with a hand-written vector-Jacobian
+product, and gradients materialized only for leaves explicitly watched on a
+tape. Everything runs in 64-bit floats so bitwise-equality checks stay
+exact. The gradient oracles the tests check backward() against live with
+the tests, not here.
 """
 
 from __future__ import annotations
@@ -176,19 +178,6 @@ def sub(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
 
     def vjp(g, needs):
         return (g if needs[0] else None, -g if needs[1] else None)
-
-    _maybe_record(tape, out, (a, b), vjp)
-    return out
-
-
-def mul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """Elementwise product."""
-    _require_same_shape(a, b, "mul")
-    out = Tensor(a.array * b.array)
-    a_val, b_val = a.array, b.array
-
-    def vjp(g, needs):
-        return (g * b_val if needs[0] else None, g * a_val if needs[1] else None)
 
     _maybe_record(tape, out, (a, b), vjp)
     return out
@@ -605,36 +594,3 @@ def mean_square(x: Tensor, tape: Tape | None = None) -> Tensor:
 
     _maybe_record(tape, out, (x,), vjp)
     return out
-
-
-def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
-    """Scalar sum of all entries."""
-    out = Tensor(np.sum(x.array))
-    shape = x.shape
-
-    def vjp(g, needs):
-        return (g * np.ones(shape),)
-
-    _maybe_record(tape, out, (x,), vjp)
-    return out
-
-
-def finite_difference_grad(f: Callable[[Tensor], float], x: Tensor, h: float) -> Tensor:
-    """Central-difference gradient of a scalar function, one coordinate at a time.
-
-    Independent of the tape machinery by design, so it can serve as an oracle
-    for backward().
-    """
-    check_number("finite_difference_grad h", h, 0, open_low=True)
-    base = x.array
-    flat = base.reshape(-1).copy()
-    g = np.empty_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = float(f(Tensor(flat.reshape(base.shape))))
-        flat[i] = orig - h
-        fm = float(f(Tensor(flat.reshape(base.shape))))
-        flat[i] = orig
-        g[i] = (fp - fm) / (2.0 * h)
-    return Tensor(g.reshape(base.shape))

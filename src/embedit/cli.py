@@ -239,8 +239,8 @@ def cmd_gender(args) -> int:
 def cmd_revert(args) -> int:
     if args.n is not None:
         check_number("--n", args.n, 0, integer=True)
-    config, weights, vocab = load_weights(args.weights)
     ledger = EditLedger.load(args.ledger)
+    config, weights, vocab = load_weights(args.weights)
     n = len(ledger.entries) if args.n is None else args.n
     revert(weights, ledger, n)
     out = Path(args.out)
@@ -259,8 +259,8 @@ def cmd_probe(args) -> int:
     except ValueError:
         raise _UsageError(f"--seeds must be integers, not {args.seeds!r}") from None
     params = ProbeParams(seeds, args.train_fraction, args.lr, args.epochs, args.l2)
-    config, weights, vocab = load_weights(args.weights)
     dataset = ProbeDataset.load(args.dataset)
+    config, weights, vocab = load_weights(args.weights)
     mean, std = accuracy_over_seeds(dataset, weights, vocab, params)
     out = Path(args.out)
     _write_json(out / "probe_report.json", {
@@ -277,10 +277,6 @@ def cmd_probe(args) -> int:
 def cmd_eval(args) -> int:
     if args.exclude and not args.sequential_filter:
         raise _UsageError("--exclude needs --sequential-filter")
-    edited = _load_bundle(args.weights)
-    reference = _load_bundle(args.reference)
-    if (edited.config, edited.vocab) != (reference.config, reference.vocab):
-        raise DataError(f"{args.reference}: config or vocab differs from {args.weights}'s")
     entries = load_edit_entries(args.dataset)
     if args.sequential_filter:
         excluded = []
@@ -289,6 +285,12 @@ def cmd_eval(args) -> int:
             if type(excluded) is not list or not all(type(w) is str for w in excluded):
                 raise DatasetError(f"{args.exclude}: need a JSON list of target words")
         entries = filter_sequential_dataset(entries, tuple(excluded))
+    if not entries:
+        raise DatasetError(f"{args.dataset}: no edit entries")
+    edited = _load_bundle(args.weights)
+    reference = _load_bundle(args.reference)
+    if (edited.config, edited.vocab) != (reference.config, reference.vocab):
+        raise DataError(f"{args.reference}: config or vocab differs from {args.weights}'s")
     per_entry = []
     reports = []
     for entry in entries:

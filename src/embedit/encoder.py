@@ -26,7 +26,8 @@ from .autodiff import (
     matmul,
     substitute_rows,
 )
-# Not called here; perfbench's tracer wraps embedit.encoder.<op> for these.
+# Not called here. perfbench's tracer wraps embedit.encoder.<op> for these, so the
+# per-head ops stay in autodiff, not with the tests' oracles, until it stops naming them.
 from .autodiff import concat_cols, scale, slice_cols, softmax_rows, transpose  # noqa: F401
 from .errors import (
     DimensionError,
@@ -472,6 +473,13 @@ class EncoderBundle:
         return encode(self.tokenize(prompt), self.weights, self.config, tape, edit_rows)
 
 
+def _pooled_length(eos: int, context: int) -> int:
+    """The positions a pooled read runs: eos + 1 rounded up to a multiple of 8,
+    at most the context. numpy's pairwise sum keeps 8 accumulators, so over such
+    a prefix the softmax sums are bitwise the full context's (README, "Bitwise facts")."""
+    return min(context, -(-(eos + 1) // 8) * 8)
+
+
 def encode_reads(
     bundle: EncoderBundle, full: Iterable[str], pooled: Iterable[str],
 ) -> tuple[dict[str, HiddenStates], dict[str, Tensor]]:
@@ -482,22 +490,18 @@ def encode_reads(
     A `full` prompt runs over the whole context, and its pooled state is
     taken from its states. Position eos of a causal encoder depends only on
     positions 0..eos, so any other prompt runs over its first
-    n = min(context, 8 * ceil((eos + 1) / 8)) positions. The token rows are
-    stacked in order of n, so the rows of one n share attention's runs.
-    Every state is bitwise bundle.encode_prompt(prompt)'s. That n is a
-    multiple of 8 is what makes a pooled state bitwise: numpy's pairwise sum
-    keeps 8 accumulators, so the softmax adds the masked keys' exact zeros
-    in whole blocks and adds the unmasked terms in the same order at every
-    such n; and a row block of a stacked matmul is bitwise its own matmul
-    (both measured, not documented). Raises NonFiniteError when a computed
-    state is not finite.
+    _pooled_length(eos, context) positions. The token rows are stacked in
+    order of that length, so the rows of one length share attention's runs.
+    Every state is bitwise bundle.encode_prompt(prompt)'s, because a row
+    block of a stacked matmul is bitwise its own matmul (README, "Bitwise
+    facts"). Raises NonFiniteError when a computed state is not finite.
     """
     full = dict.fromkeys(full)
     tokens = {p: bundle.tokenize(p) for p in dict.fromkeys([*full, *pooled])}
     if not tokens:
         return {}, {}
     context = bundle.config.context_length
-    n_of = {p: context if p in full else min(context, -(-(t.eos_position + 1) // 8) * 8)
+    n_of = {p: context if p in full else _pooled_length(t.eos_position, context)
             for p, t in tokens.items()}
     order = sorted(tokens, key=n_of.__getitem__)
     x = _forward([tokens[p].ids[:n_of[p]] for p in order], bundle.weights, bundle.config).array

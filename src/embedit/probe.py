@@ -125,17 +125,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def logreg_loss(weight: np.ndarray, bias: float, features: np.ndarray,
-                labels: np.ndarray, l2: float) -> float:
-    """Mean negative log-likelihood plus l2 * ||w||^2 / 2."""
-    p = _sigmoid(features @ weight + bias)
-    p = np.clip(p, 1e-12, 1.0 - 1e-12)
-    nll = -np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
-    return float(nll + 0.5 * l2 * float(weight @ weight))
-
-
 def logreg_grad(weight: np.ndarray, bias: float, features: np.ndarray,
                 labels: np.ndarray, l2: float) -> tuple[np.ndarray, float]:
+    """Gradient in (weight, bias) of the mean negative log-likelihood plus l2 * ||w||^2 / 2."""
     n = len(labels)
     p = _sigmoid(features @ weight + bias)
     dw = features.T @ (p - labels) / n + l2 * weight

@@ -26,7 +26,6 @@ from embedit import (
     encode,
     evaluate_edit,
     filter_sequential_dataset,
-    finite_difference_grad,
     budget_report,
     init_random_weights,
     mse_hidden,
@@ -38,6 +37,7 @@ from embedit.editor import _hidden_mse
 from embedit.encoder import HiddenStates
 
 from conftest import make_bundle, make_config, make_vocab, zero_row_ledger
+from oracles import finite_difference_grad
 from test_evaluation import brute_force_filter, synthetic_entries
 from test_probe import gaussian_wte_fixture
 

@@ -12,23 +12,22 @@ from embedit.autodiff import (
     attention,
     backward,
     concat_cols,
-    finite_difference_grad,
     gather_rows,
     gelu,
     layer_norm,
     matmul,
     mean_square,
-    mul,
     scale,
     slice_cols,
     slice_rows,
     softmax_rows,
     sub,
     substitute_rows,
-    sum_all,
     transpose,
 )
 from embedit.errors import DimensionError, NonFiniteError, TapeUsageError
+
+from oracles import finite_difference_grad, mul, sum_all
 
 
 def causal_mask(t):

@@ -1216,6 +1216,44 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("data error:")
         assert not (workdir / "x").exists()
 
+    @pytest.mark.parametrize("command,small,flags,message", [
+        ("eval", "", ("--dataset", "SMALL"), "SMALL: no edit entries"),
+        ("eval", "{", ("--dataset", "SMALL"), "line 1: not UTF-8 JSON"),
+        ("eval", '"bear"', ("--dataset", "EDITS", "--sequential-filter", "--exclude", "SMALL"),
+         "SMALL: need a JSON list of target words"),
+        ("eval", '["bear"]', ("--dataset", "EDITS", "--sequential-filter", "--exclude", "SMALL"),
+         "EDITS: no edit entries"),
+        ("revert", "{", ("--ledger", "SMALL"), "SMALL: not UTF-8 JSON"),
+        ("probe", "[]", ("--dataset", "SMALL"), "probe dataset: need a JSON object, got list"),
+        ("seq-edit", "", ("--dataset", "SMALL"), "SMALL: no edit entries"),
+        ("gender", "", ("--dataset", "SMALL"), "SMALL: no gender entries"),
+    ], ids=["eval_empty_dataset", "eval_dataset_not_json", "eval_exclude_not_a_list",
+            "eval_every_entry_excluded", "revert_ledger_not_json", "probe_dataset_not_an_object",
+            "seq_edit_empty_dataset", "gender_empty_dataset"])
+    def test_small_inputs_are_read_before_any_archive(self, workdir, capsys, monkeypatch,
+                                                      command, small, flags, message):
+        # A damaged dataset, ledger or --exclude file exits 2 without the
+        # archive loads it would cost (two for eval, about 1 GB each at CLIP-L).
+        base = init_archive(workdir)
+        edits = workdir / "edits.jsonl"
+        edits.write_text(json.dumps({"source": "bear", "destination": "wolf",
+                                     "target_word": "bear"}) + "\n")
+        bad = workdir / "small.json"
+        bad.write_text(small)
+        names = {"SMALL": bad, "EDITS": edits}
+        loads = []
+        real = cli.load_weights
+        monkeypatch.setattr(cli, "load_weights", lambda path: loads.append(path) or real(path))
+        reference = ("--reference", base) if command == "eval" else ()
+        capsys.readouterr()
+        assert run(command, "--weights", base, *reference, *(names.get(f, f) for f in flags),
+                   "--out", workdir / "x") == 2
+        for name, path in names.items():
+            message = message.replace(name, str(path))
+        assert capsys.readouterr().err.startswith(f"data error: {message}")
+        assert loads == []
+        assert not (workdir / "x").exists()
+
     def test_encode_that_overflows_outside_the_edit_loop_is_three(self, workdir, capsys):
         # Layer 0's attention scores overflow in every encode: the destination
         # encode of edit, the reference encodes of eval and gender.

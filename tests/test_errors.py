@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from embedit.archive import save_weights
-from embedit.autodiff import Tensor, finite_difference_grad, gather_rows, layer_norm
+from embedit.autodiff import Tensor, gather_rows, layer_norm
 from embedit.balance import BalancerParams, alpha_weight, balanced_loss, bias_rate_delta
 from embedit.editor import EditHyperparams, EditLedger, EditRequest, edit_single, revert
 from embedit.encoder import EncoderConfig, HiddenStates, Vocab, init_random_weights
@@ -22,6 +22,7 @@ from embedit.errors import LedgerFormatError, LedgerRangeError, check_ids, check
 from embedit.probe import ProbeParams
 
 from conftest import make_bundle, make_config, make_vocab, zero_row_ledger
+from oracles import finite_difference_grad
 
 _SIZES = dict(vocab_size=8, d_model=4, n_layers=1, n_heads=2, d_ff=8, context_length=5)
 _X = Tensor([[1.0, 2.0, 4.0], [0.0, 1.0, 3.0]])

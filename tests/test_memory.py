@@ -31,10 +31,11 @@ from embedit import (
     revert,
     save_weights,
 )
-from embedit.autodiff import add_bias, matmul, mean_square, sub, sum_all
+from embedit.autodiff import add_bias, matmul, mean_square, sub
 from embedit.encoder import EncoderWeights, encode
 
 from conftest import WORDS, make_bundle, make_config, make_vocab
+from oracles import sum_all
 
 # The header and the finiteness mask of the load's check buffer: small
 # against the payload, which is about 6.4 MB at this shape.

@@ -12,9 +12,10 @@ from embedit import (
     train_logreg,
 )
 from embedit.errors import DegenerateDataError, UnknownTokenError
-from embedit.probe import accuracy, logreg_grad, logreg_loss
+from embedit.probe import accuracy, logreg_grad
 
 from conftest import make_config
+from oracles import logreg_loss
 
 
 def gaussian_wte_fixture(n_items=200, d=16, separation=4.0, sigma=1.0, seed=0):
