@@ -15,21 +15,26 @@ Archive layout:
 
 The tensor index is a function of the config (_tensor_index): save writes
 it, and load accepts exactly it, with the payloads filling the file to its
-end. Load views its tensors in one read-only map of the file, so an archive
-must not be rewritten in place while a process holds it loaded. Save
-followed by load is bitwise lossless. Every file the package writes
-(archive, vocab, ledger and the CLI's JSON and text reports) goes through one
-atomic write, write_atomically, which renames a new file over the old one
-and so leaves a mapped file's contents as they were.
+end. Load views its tensors in one read-only map of the file, and holds a
+descriptor of that file for as long as the map lives, so an archive must not
+be rewritten in place while a process holds it loaded. Save copies each
+payload range that is still a view of such a map from the mapped file in the
+kernel, and writes the rest. Save followed by load is bitwise lossless.
+Every file the package writes (archive, vocab, ledger and the CLI's JSON and
+text reports) goes through one atomic write, write_atomically, which renames
+a new file over the old one and so leaves a mapped file's contents as they
+were.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
 import secrets
 import struct
+import weakref
 from mmap import ACCESS_READ, MADV_DONTNEED, PAGESIZE, mmap
 from pathlib import Path
 from typing import BinaryIO, Callable
@@ -47,6 +52,13 @@ _HEADER_LEN_END = len(MAGIC) + 8
 PAYLOAD_ALIGN = 64
 # Load's finiteness check reads the payload through one buffer of this size.
 CHECK_BUFFER_BYTES = 1 << 20
+# Each live map that load made, by id: the descriptor of its file and the
+# address of its first byte. A finalizer drops the entry and closes the
+# descriptor when the map is freed, before its id can be reused.
+_MAPPED_FILES: dict[int, tuple[int, int]] = {}
+# The errors with which copy_file_range refuses a pair of files, rather than
+# failing to copy: save writes the rest of such a range from the map instead.
+_NO_KERNEL_COPY = frozenset({errno.EXDEV, errno.ENOSYS, errno.EOPNOTSUPP, errno.EINVAL})
 
 
 def load_vocab(path: str | Path) -> Vocab:
@@ -72,11 +84,14 @@ def save_weights(
 ) -> None:
     """Write config, vocab, and all tensors to one archive file, atomically
     (write_atomically). The header JSON is padded with trailing spaces so
-    that the payload starts at a multiple of PAYLOAD_ALIGN bytes. Each
-    tensor is written from its own buffer, with no bytes copy; the WTE is
+    that the payload starts at a multiple of PAYLOAD_ALIGN bytes. The WTE is
     written as its table's blocks, base slices and overriding rows, so no
-    merged table is built. A tensor whose shape is not the one the config
-    calls for raises ValueError before any file is made.
+    merged table is built. A block that views a loaded archive's map is
+    copied from that archive's file in the kernel, blocks adjacent there in
+    one range (_payload_ranges), so its pages are never read into the
+    process; every other block is written from its own buffer, with no bytes
+    copy. A tensor whose shape is not the one the config calls for raises
+    ValueError before any file is made.
     """
     index = _tensor_index(config)
     tensors = list(weights.named_tensors())
@@ -94,10 +109,59 @@ def save_weights(
         f.write(MAGIC)
         f.write(struct.pack("<Q", len(header_bytes)))
         f.write(header_bytes)
-        for a in blocks:
-            f.write(memoryview(a).cast("B"))
+        for source, start, stop in _payload_ranges(blocks):
+            if id(source) in _MAPPED_FILES:
+                _copy_range(f, source, start, stop)
+            else:
+                f.write(memoryview(source).cast("B"))
 
     write_atomically(path, write)
+
+
+def _payload_ranges(blocks: list[np.ndarray]) -> list[tuple]:
+    """The payload as (source, start, stop) in file order: bytes start..stop
+    of a loaded archive's map, adjacent blocks of one map merged, or a block
+    that views no such map, whole."""
+    ranges: list[tuple] = []
+    for a in blocks:
+        owner = a
+        while isinstance(owner, (np.ndarray, memoryview)):
+            owner = owner.obj if isinstance(owner, memoryview) else owner.base
+        if id(owner) not in _MAPPED_FILES:
+            ranges.append((a, 0, a.nbytes))
+            continue
+        start = a.ctypes.data - _MAPPED_FILES[id(owner)][1]
+        stop = start + a.nbytes
+        if ranges and ranges[-1][0] is owner and ranges[-1][2] == start:
+            start = ranges.pop()[1]
+        ranges.append((owner, start, stop))
+    return ranges
+
+
+def _copy_range(f, mapped, start: int, stop: int) -> None:
+    """Append bytes start..stop of the file that `mapped` maps to f, copied
+    in the kernel (os.copy_file_range). Where that call is missing or
+    refuses the pair of files, even after a partial copy, the rest is
+    written from the map. A copy that ends before `stop` raises."""
+    source = _MAPPED_FILES[id(mapped)][0]
+    copy = getattr(os, "copy_file_range", None)
+    f.flush()
+    at, done = f.tell() - start, start  # byte k of the mapped file lands at at + k
+    while copy is not None and done < stop:
+        try:
+            n = copy(source, f.fileno(), stop - done, done, at + done)
+        except OSError as e:
+            if e.errno not in _NO_KERNEL_COPY:
+                raise
+            break
+        if not n:
+            raise ArchiveFormatError("the loaded archive's file ends early: it was "
+                                     "truncated after the load", offset=done)
+        done += n
+    f.seek(at + done)
+    if done < stop:
+        with memoryview(mapped) as view:
+            f.write(view[done:stop])
 
 
 def write_atomically(path: str | Path, write: Callable[[BinaryIO], None]) -> None:
@@ -143,13 +207,17 @@ def load_weights(path: str | Path) -> tuple[EncoderConfig, EncoderWeights, Vocab
     once, by the page cache, and a page is read only when it is first used:
     an encode touches the WTE rows of its prompt's ids alone. A view that
     numpy reports unaligned (an archive saved before payloads were padded)
-    is copied into fresh memory.
+    is copied into fresh memory. A descriptor of the file stays open until
+    the map is freed, so that save can copy the viewed bytes from it.
     """
     with open(path, "rb") as f:
         config, vocab, index = _read_header(f, os.fstat(f.fileno()).st_size)
         start = f.tell()
         _check_finite(f, start, index)
         mapped = mmap(f.fileno(), 0, access=ACCESS_READ)
+        fd = os.dup(f.fileno())
+    _MAPPED_FILES[id(mapped)] = fd, np.frombuffer(mapped, dtype=np.uint8).ctypes.data
+    weakref.finalize(mapped, _forget_map, id(mapped))
     tensors: dict[str, Tensor] = {}
     for entry in index:
         at, nbytes = start + entry["offset"], entry["nbytes"]
@@ -162,6 +230,10 @@ def load_weights(path: str | Path) -> tuple[EncoderConfig, EncoderWeights, Vocab
             mapped.madvise(MADV_DONTNEED, at - at % PAGESIZE, at % PAGESIZE + nbytes)
         tensors[entry["name"]] = Tensor._wrap(a)
     return config, EncoderWeights.from_named(tensors, config), vocab
+
+
+def _forget_map(key: int) -> None:
+    os.close(_MAPPED_FILES.pop(key)[0])
 
 
 def _check_finite(f, start: int, index: list[dict]) -> None:

@@ -240,8 +240,9 @@ def cmd_revert(args) -> int:
     if args.n is not None:
         check_number("--n", args.n, 0, integer=True)
     ledger = EditLedger.load(args.ledger)
-    config, weights, vocab = load_weights(args.weights)
     n = len(ledger.entries) if args.n is None else args.n
+    ledger.check_depth(n)  # the ledger alone decides it: before the archive load
+    config, weights, vocab = load_weights(args.weights)
     revert(weights, ledger, n)
     out = Path(args.out)
     save_weights(out, config, weights, vocab)

@@ -164,6 +164,14 @@ class EditLedger:
     def append(self, entry: LedgerEntry) -> None:
         self.entries.append(entry)
 
+    def check_depth(self, n_last: int) -> None:
+        """Raise LedgerRangeError unless the newest n_last entries exist to
+        undo; the rule checks the kind, a depth outside the ledger is a
+        range error."""
+        check_number("n_last", n_last, -math.inf, integer=True)
+        if not 0 <= n_last <= len(self.entries):
+            raise LedgerRangeError(f"cannot revert {n_last} of {len(self.entries)} ledger entries")
+
     def to_json(self) -> dict:
         return {"entries": [{
             "source_prompt": e.source_prompt,
@@ -380,10 +388,7 @@ def revert(weights, ledger: EditLedger, n_last: int) -> None:
     disagrees with itself), raises LedgerFormatError naming the entry and
     the id, with the table and the ledger untouched; one write follows the walk.
     """
-    # The rule checks the kind; a depth outside the ledger is a range error.
-    check_number("n_last", n_last, -math.inf, integer=True)
-    if not 0 <= n_last <= len(ledger.entries):
-        raise LedgerRangeError(f"cannot revert {n_last} of {len(ledger.entries)} ledger entries")
+    ledger.check_depth(n_last)
     if n_last == 0:
         return
     first = len(ledger.entries) - n_last

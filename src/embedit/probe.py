@@ -71,7 +71,12 @@ class ProbeDataset:
 
     @classmethod
     def load(cls, path: str | Path) -> "ProbeDataset":
-        return cls.from_json(read_json(path, DatasetError))
+        """from_json of a JSON file; its errors start with the file's path."""
+        obj = read_json(path, DatasetError)
+        try:
+            return cls.from_json(obj)
+        except DatasetError as e:
+            raise DatasetError(f"{path}: {e}") from e
 
     def to_json(self) -> dict:
         return {

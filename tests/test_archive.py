@@ -1,6 +1,8 @@
 import dataclasses
+import errno
 import json
 import mmap
+import os
 import struct
 
 import numpy as np
@@ -25,6 +27,7 @@ from embedit import (
     save_weights,
 )
 from embedit.archive import MAGIC, PAYLOAD_ALIGN
+from embedit.cli import main
 from embedit.errors import ArchiveFormatError
 
 from conftest import FailingFile, make_config, make_vocab, map_owner
@@ -187,16 +190,119 @@ def test_an_unpadded_archive_loads_aligned_copies_of_its_tensors(saved, tmp_path
     assert (tmp_path / "padded.embedit").read_bytes() == path.read_bytes()
 
 
-def test_save_over_the_archive_a_load_mapped_writes_its_bytes(saved):
-    # The save renames a new file over the mapped one, whose inode the map
-    # keeps alive, so the mapped tensors read the same bytes throughout.
+@pytest.fixture
+def copies(monkeypatch):
+    """The (count, source offset) of each os.copy_file_range call, which
+    still copies."""
+    calls, real = [], os.copy_file_range
+
+    def spy(src, dst, count, offset_src=None, offset_dst=None):
+        calls.append((count, offset_src))
+        return real(src, dst, count, offset_src, offset_dst)
+
+    monkeypatch.setattr(archive.os, "copy_file_range", spy)
+    return calls
+
+
+def test_save_over_the_archive_a_load_mapped_writes_its_bytes(saved, tmp_path, copies):
+    # `revert --weights X --out X` loads X, then renames a new file over it;
+    # the map keeps the old inode alive, so the mapped tensors read the same
+    # bytes throughout, and the save copies its payload from that inode.
     path, _, weights, _ = saved
     before = path.read_bytes()
     config, loaded, vocab = load_weights(path)
-    save_weights(path, config, loaded, vocab)
+    EditLedger().save(tmp_path / "ledger.json")
+    assert main(["revert", "--weights", str(path), "--ledger", str(tmp_path / "ledger.json"),
+                 "--out", str(path)]) == 0
     assert path.read_bytes() == before
+    assert copies and sum(count for count, _ in copies) == len(split_archive(before)[1])
     for (name, a), (_, want) in zip(_arrays(loaded), _arrays(weights)):
         assert a.tobytes() == want.tobytes(), name
+
+
+def test_a_loaded_archive_saves_its_payload_in_one_copy_per_unedited_range(saved, tmp_path,
+                                                                             copies):
+    path, config, _, vocab = saved
+    payload_start = path.stat().st_size - len(split_archive(path.read_bytes())[1])
+    weights = load_weights(path)[1]
+    save_weights(tmp_path / "same.embedit", config, weights, vocab)
+    assert copies == [(path.stat().st_size - payload_start, payload_start)]
+    # Rows 0, 1, 5, 6 and the last override the table: its base is copied
+    # in two ranges, and the last row's range runs on through every tensor
+    # after the WTE.
+    copies.clear()
+    ids = [0, 1, 5, 6, config.vocab_size - 1]
+    weights.set_wte_rows(ids, weights.wte.rows(ids) * 2.0)
+    save_weights(tmp_path / "edited.embedit", config, weights, vocab)
+    row = config.d_model * 8
+    wte_end = payload_start + config.vocab_size * row
+    assert copies == [(3 * row, payload_start + 2 * row),
+                      ((config.vocab_size - 8) * row, payload_start + 7 * row),
+                      (path.stat().st_size - wte_end, wte_end)]
+
+
+def _copy_that(kind, monkeypatch) -> list:
+    """Stand in for os.copy_file_range: `missing` removes it, `exdev`
+    refuses every call, `enosys` copies 100 bytes then refuses, `zero`
+    copies 100 bytes then returns 0. Returns the count of each call."""
+    real, calls = os.copy_file_range, []
+    if kind == "missing":
+        monkeypatch.delattr(archive.os, "copy_file_range")
+        return calls
+
+    def copy(src, dst, count, offset_src, offset_dst):
+        calls.append(count)
+        if kind == "exdev":
+            raise OSError(errno.EXDEV, "cross-device link")
+        if len(calls) == 1:
+            return real(src, dst, min(count, 100), offset_src, offset_dst)
+        if kind == "enosys":
+            raise OSError(errno.ENOSYS, "function not implemented")
+        return 0
+
+    monkeypatch.setattr(archive.os, "copy_file_range", copy)
+    return calls
+
+
+@pytest.mark.parametrize("edited", [False, True], ids=["unedited", "edited"])
+@pytest.mark.parametrize("kind", ["missing", "exdev", "enosys"])
+def test_a_save_that_cannot_copy_writes_the_rest_from_the_map(saved, tmp_path, monkeypatch,
+                                                               kind, edited):
+    path, config, weights, vocab = saved
+    loaded = load_weights(path)[1]
+    if edited:
+        ids = [0, 5, config.vocab_size - 1]
+        for w in (weights, loaded):
+            w.set_wte_rows(ids, w.wte.rows(ids) + 1.0)
+    save_weights(tmp_path / "streamed.embedit", config, weights, vocab)
+    calls = _copy_that(kind, monkeypatch)
+    save_weights(path, config, loaded, vocab)
+    assert path.read_bytes() == (tmp_path / "streamed.embedit").read_bytes()
+    # The edited table leaves three ranges to copy; each call that enosys
+    # refuses follows its partial copy or starts a range.
+    ranges = 3 if edited else 1
+    assert len(calls) == {"missing": 0, "exdev": ranges, "enosys": ranges + 1}[kind]
+
+
+def test_a_copy_that_ends_early_raises_and_leaves_the_old_archive(saved, monkeypatch):
+    path, config, _, vocab = saved
+    before = path.read_bytes()
+    loaded = load_weights(path)[1]
+    calls = _copy_that("zero", monkeypatch)
+    with pytest.raises(ArchiveFormatError, match="ends early"):
+        save_weights(path, config, loaded, vocab)
+    assert calls[0] == len(split_archive(before)[1]) and len(calls) == 2
+    assert path.read_bytes() == before
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
+def test_a_dropped_load_closes_its_file(saved):
+    fds = len(os.listdir("/proc/self/fd"))
+    for _ in range(50):
+        weights = load_weights(saved[0])[1]
+        assert len(os.listdir("/proc/self/fd")) > fds
+        del weights
+    assert len(os.listdir("/proc/self/fd")) == fds
 
 
 def _tensor(header, name):

@@ -994,7 +994,8 @@ class TestGenderAndProbe:
         capsys.readouterr()
         assert run("probe", "--weights", base, "--dataset", workdir / "probe.json",
                    "--epochs", 10, "--out", workdir / "probeout") == 2
-        assert capsys.readouterr().err.startswith("data error: probe dataset")
+        assert capsys.readouterr().err.startswith(
+            f"data error: {workdir / 'probe.json'}: probe dataset")
         assert not (workdir / "probeout").exists()
 
     def test_probe_writes_report(self, workdir):
@@ -1217,23 +1218,27 @@ class TestExitCodes:
         assert not (workdir / "x").exists()
 
     @pytest.mark.parametrize("command,small,flags,message", [
-        ("eval", "", ("--dataset", "SMALL"), "SMALL: no edit entries"),
-        ("eval", "{", ("--dataset", "SMALL"), "line 1: not UTF-8 JSON"),
+        ("eval", "", ("--dataset", "SMALL"), "data error: SMALL: no edit entries"),
+        ("eval", "{", ("--dataset", "SMALL"), "data error: line 1: not UTF-8 JSON"),
         ("eval", '"bear"', ("--dataset", "EDITS", "--sequential-filter", "--exclude", "SMALL"),
-         "SMALL: need a JSON list of target words"),
+         "data error: SMALL: need a JSON list of target words"),
         ("eval", '["bear"]', ("--dataset", "EDITS", "--sequential-filter", "--exclude", "SMALL"),
-         "EDITS: no edit entries"),
-        ("revert", "{", ("--ledger", "SMALL"), "SMALL: not UTF-8 JSON"),
-        ("probe", "[]", ("--dataset", "SMALL"), "probe dataset: need a JSON object, got list"),
-        ("seq-edit", "", ("--dataset", "SMALL"), "SMALL: no edit entries"),
-        ("gender", "", ("--dataset", "SMALL"), "SMALL: no gender entries"),
+         "data error: EDITS: no edit entries"),
+        ("revert", "{", ("--ledger", "SMALL"), "data error: SMALL: not UTF-8 JSON"),
+        ("revert", '{"entries": []}', ("--ledger", "SMALL", "--n", "1"),
+         "error: cannot revert 1 of 0 ledger entries"),
+        ("probe", "[]", ("--dataset", "SMALL"),
+         "data error: SMALL: probe dataset: need a JSON object, got list"),
+        ("seq-edit", "", ("--dataset", "SMALL"), "data error: SMALL: no edit entries"),
+        ("gender", "", ("--dataset", "SMALL"), "data error: SMALL: no gender entries"),
     ], ids=["eval_empty_dataset", "eval_dataset_not_json", "eval_exclude_not_a_list",
-            "eval_every_entry_excluded", "revert_ledger_not_json", "probe_dataset_not_an_object",
-            "seq_edit_empty_dataset", "gender_empty_dataset"])
+            "eval_every_entry_excluded", "revert_ledger_not_json", "revert_deeper_than_ledger",
+            "probe_dataset_not_an_object", "seq_edit_empty_dataset", "gender_empty_dataset"])
     def test_small_inputs_are_read_before_any_archive(self, workdir, capsys, monkeypatch,
                                                       command, small, flags, message):
-        # A damaged dataset, ledger or --exclude file exits 2 without the
-        # archive loads it would cost (two for eval, about 1 GB each at CLIP-L).
+        # A damaged dataset, ledger or --exclude file exits 2, and a revert
+        # deeper than its ledger exits 1, without the archive loads they would
+        # cost (two for eval, about 1 GB each at CLIP-L).
         base = init_archive(workdir)
         edits = workdir / "edits.jsonl"
         edits.write_text(json.dumps({"source": "bear", "destination": "wolf",
@@ -1247,10 +1252,10 @@ class TestExitCodes:
         reference = ("--reference", base) if command == "eval" else ()
         capsys.readouterr()
         assert run(command, "--weights", base, *reference, *(names.get(f, f) for f in flags),
-                   "--out", workdir / "x") == 2
+                   "--out", workdir / "x") == (2 if message.startswith("data error:") else 1)
         for name, path in names.items():
             message = message.replace(name, str(path))
-        assert capsys.readouterr().err.startswith(f"data error: {message}")
+        assert capsys.readouterr().err.startswith(message)
         assert loads == []
         assert not (workdir / "x").exists()
 

@@ -1,4 +1,5 @@
-"""Memory guards: archive I/O holds the weights once, a tape holds only what
+"""Memory guards: archive I/O holds the weights once and a save of a loaded
+archive reads none of its payload into the process, a tape holds only what
 its VJPs read, a taped encoder layer keeps no n-by-n or second n-by-d_ff
 array, no tape outlives its backward pass into the table write, and no k-row
 edit, read or save of the WTE builds a V-by-d table."""
@@ -78,6 +79,33 @@ def test_save_copies_no_payload(wide, tmp_path):
     _, config, weights, vocab, payload = wide
     _, peak, _ = traced(save_weights, tmp_path / "out.embedit", config, weights, vocab)
     assert peak <= payload // 16
+
+
+def rss_file_bytes() -> int:
+    """Pages of mapped files resident in this process (RssFile of
+    /proc/self/status): tracemalloc does not see them."""
+    with open("/proc/self/status") as f:
+        kb = next(line.split()[1] for line in f if line.startswith("RssFile:"))
+    return int(kb) * 1024
+
+
+def test_save_of_a_loaded_archive_reads_no_payload_into_the_process(wide, tmp_path,
+                                                                     monkeypatch):
+    # The save copies the payload in the kernel, so the map's pages stay out
+    # of the process; one that streams the map, as a save does where
+    # copy_file_range is missing, faults every page in.
+    path, config, _, vocab, payload = wide
+
+    def resident_after_save(weights):
+        before = rss_file_bytes()
+        save_weights(tmp_path / "out.embedit", config, weights, vocab)
+        return rss_file_bytes() - before
+
+    copied = resident_after_save(load_weights(path)[1])
+    monkeypatch.delattr(archive.os, "copy_file_range")
+    streamed = resident_after_save(load_weights(path)[1])
+    assert streamed > payload // 2
+    assert copied < streamed // 10
 
 
 def test_tape_holds_no_activation_that_no_vjp_reads():
