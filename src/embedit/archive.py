@@ -15,11 +15,12 @@ Archive layout:
 
 The tensor index is a function of the config (_tensor_index): save writes
 it, and load accepts exactly it, with the payloads filling the file to its
-end. Load views its tensors in one read-only map of the file, and holds a
-descriptor of that file for as long as the map lives, so an archive must not
-be rewritten in place while a process holds it loaded. Save copies each
-payload range that is still a view of such a map from the mapped file in the
-kernel, and writes the rest. Save followed by load is bitwise lossless.
+end. Load views its tensors in one read-only map of the file, which holds a
+descriptor of that file while it lives, so an archive must not be rewritten
+in place while a process holds it loaded. Save writes each tensor whole (the
+WTE as its base), copying each range that still views such a map from the
+mapped file in the kernel, then each overriding WTE row over its base row.
+Save followed by load is bitwise lossless.
 Every file the package writes (archive, vocab, ledger and the CLI's JSON and
 text reports) goes through one atomic write, write_atomically, which renames
 a new file over the old one and so leaves a mapped file's contents as they
@@ -35,9 +36,10 @@ import os
 import secrets
 import struct
 import weakref
+from contextlib import contextmanager
 from mmap import ACCESS_READ, MADV_DONTNEED, PAGESIZE, mmap
 from pathlib import Path
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -52,13 +54,15 @@ _HEADER_LEN_END = len(MAGIC) + 8
 PAYLOAD_ALIGN = 64
 # Load's finiteness check reads the payload through one buffer of this size.
 CHECK_BUFFER_BYTES = 1 << 20
-# Each live map that load made, by id: the descriptor of its file and the
-# address of its first byte. A finalizer drops the entry and closes the
-# descriptor when the map is freed, before its id can be reused.
-_MAPPED_FILES: dict[int, tuple[int, int]] = {}
 # The errors with which copy_file_range refuses a pair of files, rather than
 # failing to copy: save writes the rest of such a range from the map instead.
 _NO_KERNEL_COPY = frozenset({errno.EXDEV, errno.ENOSYS, errno.EOPNOTSUPP, errno.EINVAL})
+
+
+class _FileMap(mmap):
+    """The read-only map load_weights makes of a whole archive: `fd` is a
+    descriptor of its file, closed when the map is freed, and `address` the
+    address of its first byte."""
 
 
 def load_vocab(path: str | Path) -> Vocab:
@@ -85,13 +89,13 @@ def save_weights(
     """Write config, vocab, and all tensors to one archive file, atomically
     (write_atomically). The header JSON is padded with trailing spaces so
     that the payload starts at a multiple of PAYLOAD_ALIGN bytes. The WTE is
-    written as its table's blocks, base slices and overriding rows, so no
-    merged table is built. A block that views a loaded archive's map is
-    copied from that archive's file in the kernel, blocks adjacent there in
-    one range (_payload_ranges), so its pages are never read into the
-    process; every other block is written from its own buffer, with no bytes
-    copy. A tensor whose shape is not the one the config calls for raises
-    ValueError before any file is made.
+    written as its base, then each overriding row over its base row, so no
+    merged table is built. Tensors that view a loaded archive's map are
+    copied from that archive's file in the kernel, tensors adjacent there in
+    one range (_payload_ranges), so their pages are never read into the
+    process; every other tensor is written from its own buffer, with no
+    bytes copy. A tensor whose shape is not the one the config calls for
+    raises ValueError before any file is made.
     """
     index = _tensor_index(config)
     tensors = list(weights.named_tensors())
@@ -99,21 +103,26 @@ def save_weights(
         if list(t.shape) != entry["shape"]:
             raise ValueError(f"tensor {entry['name']}: shape {list(t.shape)}, "
                              f"config calls for {entry['shape']}")
-    blocks = [np.ascontiguousarray(a, dtype="<f8") for _, t in tensors
-              for a in (t.blocks() if isinstance(t, WteTable) else [t.array])]
+    blocks = [np.ascontiguousarray((t.base if isinstance(t, WteTable) else t).array, dtype="<f8")
+              for _, t in tensors]
     header = {"config": config.to_json(), "vocab": vocab.to_json(), "tensors": index}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     header_bytes += b" " * (-(_HEADER_LEN_END + len(header_bytes)) % PAYLOAD_ALIGN)
+    wte = weights.wte
+    wte_at = _HEADER_LEN_END + len(header_bytes) + index[0]["offset"]
 
     def write(f) -> None:
         f.write(MAGIC)
         f.write(struct.pack("<Q", len(header_bytes)))
         f.write(header_bytes)
         for source, start, stop in _payload_ranges(blocks):
-            if id(source) in _MAPPED_FILES:
+            if isinstance(source, _FileMap):
                 _copy_range(f, source, start, stop)
             else:
                 f.write(memoryview(source).cast("B"))
+        for i, row in zip(wte.override_ids, wte.rows(wte.override_ids).astype("<f8")):
+            f.seek(wte_at + i * row.nbytes)
+            f.write(row.tobytes())
 
     write_atomically(path, write)
 
@@ -127,10 +136,10 @@ def _payload_ranges(blocks: list[np.ndarray]) -> list[tuple]:
         owner = a
         while isinstance(owner, (np.ndarray, memoryview)):
             owner = owner.obj if isinstance(owner, memoryview) else owner.base
-        if id(owner) not in _MAPPED_FILES:
+        if not isinstance(owner, _FileMap):
             ranges.append((a, 0, a.nbytes))
             continue
-        start = a.ctypes.data - _MAPPED_FILES[id(owner)][1]
+        start = a.ctypes.data - owner.address
         stop = start + a.nbytes
         if ranges and ranges[-1][0] is owner and ranges[-1][2] == start:
             start = ranges.pop()[1]
@@ -138,18 +147,17 @@ def _payload_ranges(blocks: list[np.ndarray]) -> list[tuple]:
     return ranges
 
 
-def _copy_range(f, mapped, start: int, stop: int) -> None:
+def _copy_range(f, mapped: _FileMap, start: int, stop: int) -> None:
     """Append bytes start..stop of the file that `mapped` maps to f, copied
     in the kernel (os.copy_file_range). Where that call is missing or
     refuses the pair of files, even after a partial copy, the rest is
     written from the map. A copy that ends before `stop` raises."""
-    source = _MAPPED_FILES[id(mapped)][0]
     copy = getattr(os, "copy_file_range", None)
     f.flush()
     at, done = f.tell() - start, start  # byte k of the mapped file lands at at + k
     while copy is not None and done < stop:
         try:
-            n = copy(source, f.fileno(), stop - done, done, at + done)
+            n = copy(mapped.fd, f.fileno(), stop - done, done, at + done)
         except OSError as e:
             if e.errno not in _NO_KERNEL_COPY:
                 raise
@@ -198,7 +206,8 @@ def _tensor_index(config: EncoderConfig) -> list[dict]:
 
 
 def load_weights(path: str | Path) -> tuple[EncoderConfig, EncoderWeights, Vocab]:
-    """Read an archive; raises ArchiveFormatError (with a byte offset) on damage.
+    """Read an archive; raises ArchiveFormatError (with the path and a byte
+    offset) on damage.
 
     The whole header is checked against the file's size before any payload
     is read, and every payload is checked for NaN and infinity through one
@@ -207,17 +216,18 @@ def load_weights(path: str | Path) -> tuple[EncoderConfig, EncoderWeights, Vocab
     once, by the page cache, and a page is read only when it is first used:
     an encode touches the WTE rows of its prompt's ids alone. A view that
     numpy reports unaligned (an archive saved before payloads were padded)
-    is copied into fresh memory. A descriptor of the file stays open until
-    the map is freed, so that save can copy the viewed bytes from it.
+    is copied into fresh memory. The map is a _FileMap: a descriptor of the
+    file stays open until the map is freed, so that save can copy the viewed
+    bytes from it.
     """
-    with open(path, "rb") as f:
+    with _in_file(path), open(path, "rb") as f:
         config, vocab, index = _read_header(f, os.fstat(f.fileno()).st_size)
         start = f.tell()
         _check_finite(f, start, index)
-        mapped = mmap(f.fileno(), 0, access=ACCESS_READ)
-        fd = os.dup(f.fileno())
-    _MAPPED_FILES[id(mapped)] = fd, np.frombuffer(mapped, dtype=np.uint8).ctypes.data
-    weakref.finalize(mapped, _forget_map, id(mapped))
+        mapped = _FileMap(f.fileno(), 0, access=ACCESS_READ)
+        mapped.fd = os.dup(f.fileno())
+    weakref.finalize(mapped, os.close, mapped.fd)
+    mapped.address = np.frombuffer(mapped, dtype=np.uint8).ctypes.data
     tensors: dict[str, Tensor] = {}
     for entry in index:
         at, nbytes = start + entry["offset"], entry["nbytes"]
@@ -230,10 +240,6 @@ def load_weights(path: str | Path) -> tuple[EncoderConfig, EncoderWeights, Vocab
             mapped.madvise(MADV_DONTNEED, at - at % PAGESIZE, at % PAGESIZE + nbytes)
         tensors[entry["name"]] = Tensor._wrap(a)
     return config, EncoderWeights.from_named(tensors, config), vocab
-
-
-def _forget_map(key: int) -> None:
-    os.close(_MAPPED_FILES.pop(key)[0])
 
 
 def _check_finite(f, start: int, index: list[dict]) -> None:
@@ -256,8 +262,20 @@ def _check_finite(f, start: int, index: list[dict]) -> None:
 def load_config(path: str | Path) -> EncoderConfig:
     """An archive's config, from its header alone. The header is checked as
     load_weights checks it, but no payload is read."""
-    with open(path, "rb") as f:
+    with _in_file(path), open(path, "rb") as f:
         return _read_header(f, os.fstat(f.fileno()).st_size)[0]
+
+
+@contextmanager
+def _in_file(path: str | Path) -> Iterator[None]:
+    """Start the message of an ArchiveFormatError raised inside with `path`;
+    its offset stays."""
+    try:
+        yield
+    except ArchiveFormatError as e:
+        named = ArchiveFormatError(f"{path}: {e}")
+        named.offset = e.offset
+        raise named from e
 
 
 def _read_exactly(f, a: np.ndarray) -> None:

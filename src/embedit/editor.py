@@ -216,7 +216,12 @@ class EditLedger:
 
     @classmethod
     def load(cls, path: str | Path) -> "EditLedger":
-        return cls.from_json(read_json(path, LedgerFormatError))
+        """from_json of a JSON file; its errors start with the file's path."""
+        obj = read_json(path, LedgerFormatError)
+        try:
+            return cls.from_json(obj)
+        except LedgerFormatError as e:
+            raise LedgerFormatError(f"{path}: {e}") from e
 
 
 def mse_hidden(h1: HiddenStates, h2: HiddenStates, positions: LossPositions | str) -> float:

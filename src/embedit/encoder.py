@@ -196,9 +196,9 @@ class WteTable:
     so a k-row write costs about k*d*8 bytes and never copies the base. An
     override whose bytes equal its base row's is dropped, so writing the
     base rows back (a full revert) leaves the base alone again. rows is the
-    one read: the encoder, .array and every k-row read go through it; only
-    blocks, save's stream, reads the layout too. Ids follow errors.check_ids:
-    integers (not bools) in [0, vocab_size).
+    one read: the encoder, .array, every k-row read and save's overriding
+    rows go through it. Ids follow errors.check_ids: integers (not bools) in
+    [0, vocab_size).
     """
 
     __slots__ = ("base", "override_ids", "overrides")
@@ -249,19 +249,6 @@ class WteTable:
         table.override_ids = tuple(keep)
         table.overrides = Tensor._wrap(np.array([merged[i] for i in keep]).reshape(len(keep), d))
         return table
-
-    def blocks(self) -> Iterator[np.ndarray]:
-        """The merged table's rows in order, as base slices between the
-        overridden rows and each overriding row: what .array holds, without
-        building it."""
-        base, start = self.base.array, 0
-        for i, row in zip(self.override_ids, self.overrides.array):
-            if start < i:
-                yield base[start:i]
-            yield row
-            start = i + 1
-        if start < len(base):
-            yield base[start:]
 
 
 @dataclass

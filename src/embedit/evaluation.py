@@ -137,18 +137,19 @@ def load_gender_entries(path: str | Path) -> list[GenderEntry]:
 
 def _load_jsonl(path: str | Path, parse):
     """parse() of each non-blank line; a line that is not UTF-8 or not JSON,
-    or that parse() rejects with DatasetError, raises DatasetError with its
-    line number."""
+    or that parse() rejects with DatasetError, raises DatasetError with the
+    file's path and the line number."""
     with open(path, "rb") as f:
         data = f.read()
     entries = []
     for line_no, raw in enumerate(data.splitlines(), 1):
         if raw.strip():
-            obj = parse_json(raw, DatasetError, f"line {line_no}")
+            where = f"{path}: line {line_no}"
+            obj = parse_json(raw, DatasetError, where)
             try:
                 entries.append(parse(obj))
             except DatasetError as e:
-                raise DatasetError(f"line {line_no}: {e}") from e
+                raise DatasetError(f"{where}: {e}") from e
     return entries
 
 

@@ -20,6 +20,7 @@ from embedit import (
     archive,
     edit_single,
     init_random_weights,
+    load_config,
     load_vocab,
     load_weights,
     revert,
@@ -204,6 +205,34 @@ def copies(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def writes(monkeypatch):
+    """The (file position, byte count) of each write that a save makes to
+    its archive's file."""
+    calls, real = [], archive.write_atomically
+
+    class Recording:
+        def __init__(self, f):
+            self._f = f
+
+        def __getattr__(self, name):
+            return getattr(self._f, name)
+
+        def write(self, data):
+            calls.append((self._f.tell(), memoryview(data).nbytes))
+            return self._f.write(data)
+
+    monkeypatch.setattr(archive, "write_atomically",
+                        lambda path, write: real(path, lambda f: write(Recording(f))))
+    return calls
+
+
+def _header_writes(path) -> list:
+    """The writes of an archive's magic, header length and header."""
+    payload_start = path.stat().st_size - len(split_archive(path.read_bytes())[1])
+    return [(0, 8), (8, 8), (16, payload_start - 16)]
+
+
 def test_save_over_the_archive_a_load_mapped_writes_its_bytes(saved, tmp_path, copies):
     # `revert --weights X --out X` loads X, then renames a new file over it;
     # the map keeps the old inode alive, so the mapped tensors read the same
@@ -221,24 +250,24 @@ def test_save_over_the_archive_a_load_mapped_writes_its_bytes(saved, tmp_path, c
 
 
 def test_a_loaded_archive_saves_its_payload_in_one_copy_per_unedited_range(saved, tmp_path,
-                                                                             copies):
+                                                                             copies, writes):
     path, config, _, vocab = saved
     payload_start = path.stat().st_size - len(split_archive(path.read_bytes())[1])
     weights = load_weights(path)[1]
     save_weights(tmp_path / "same.embedit", config, weights, vocab)
     assert copies == [(path.stat().st_size - payload_start, payload_start)]
-    # Rows 0, 1, 5, 6 and the last override the table: its base is copied
-    # in two ranges, and the last row's range runs on through every tensor
-    # after the WTE.
+    assert writes == _header_writes(path)
+    # Rows 0, 1, 5, 6 and the last override the table: the payload is still
+    # one copy, with the table's base, and then each overriding row is
+    # written over its base row.
     copies.clear()
+    writes.clear()
     ids = [0, 1, 5, 6, config.vocab_size - 1]
     weights.set_wte_rows(ids, weights.wte.rows(ids) * 2.0)
     save_weights(tmp_path / "edited.embedit", config, weights, vocab)
     row = config.d_model * 8
-    wte_end = payload_start + config.vocab_size * row
-    assert copies == [(3 * row, payload_start + 2 * row),
-                      ((config.vocab_size - 8) * row, payload_start + 7 * row),
-                      (path.stat().st_size - wte_end, wte_end)]
+    assert copies == [(path.stat().st_size - payload_start, payload_start)]
+    assert writes == _header_writes(path) + [(payload_start + i * row, row) for i in ids]
 
 
 def _copy_that(kind, monkeypatch) -> list:
@@ -267,21 +296,28 @@ def _copy_that(kind, monkeypatch) -> list:
 @pytest.mark.parametrize("edited", [False, True], ids=["unedited", "edited"])
 @pytest.mark.parametrize("kind", ["missing", "exdev", "enosys"])
 def test_a_save_that_cannot_copy_writes_the_rest_from_the_map(saved, tmp_path, monkeypatch,
-                                                               kind, edited):
+                                                               writes, kind, edited):
     path, config, weights, vocab = saved
+    header = _header_writes(path)
+    payload_start, size = header[-1][0] + header[-1][1], path.stat().st_size
     loaded = load_weights(path)[1]
+    ids = [0, 5, config.vocab_size - 1] if edited else []
     if edited:
-        ids = [0, 5, config.vocab_size - 1]
         for w in (weights, loaded):
             w.set_wte_rows(ids, w.wte.rows(ids) + 1.0)
     save_weights(tmp_path / "streamed.embedit", config, weights, vocab)
     calls = _copy_that(kind, monkeypatch)
+    writes.clear()
     save_weights(path, config, loaded, vocab)
     assert path.read_bytes() == (tmp_path / "streamed.embedit").read_bytes()
-    # The edited table leaves three ranges to copy; each call that enosys
-    # refuses follows its partial copy or starts a range.
-    ranges = 3 if edited else 1
-    assert len(calls) == {"missing": 0, "exdev": ranges, "enosys": ranges + 1}[kind]
+    # The payload is one range, edited or not; enosys refuses the call after
+    # its partial copy. The rest of the range is written from the map, then
+    # each overriding row over its base row.
+    assert len(calls) == {"missing": 0, "exdev": 1, "enosys": 2}[kind]
+    copied = 100 if kind == "enosys" else 0
+    row = config.d_model * 8
+    assert writes == header + [(payload_start + copied, size - payload_start - copied)] + [
+        (payload_start + i * row, row) for i in ids]
 
 
 def test_a_copy_that_ends_early_raises_and_leaves_the_old_archive(saved, monkeypatch):
@@ -358,7 +394,7 @@ def test_damaged_header_is_rejected_before_any_payload_is_read(saved, tmp_path, 
     bad.write_bytes(join_archive(header, payload))
     reads, maps = [], []
     monkeypatch.setattr(archive, "_read_exactly", lambda f, a: reads.append(a.shape))
-    monkeypatch.setattr(archive, "mmap", lambda *a, **k: maps.append(a))
+    monkeypatch.setattr(archive, "_FileMap", lambda *a, **k: maps.append(a))
     with pytest.raises(ArchiveFormatError, match=r"byte offset \d+"):
         load_weights(bad)
     assert reads == [] and maps == []
@@ -385,6 +421,17 @@ def test_non_finite_payload_names_tensor_and_offset(saved, tmp_path, value):
     with pytest.raises(ArchiveFormatError,
                        match=rf"layers\.1\.wv: payload is not finite \(byte offset {at - 24}\)"):
         load_weights(bad)
+
+
+@pytest.mark.parametrize("load", [load_weights, load_config])
+def test_a_load_error_starts_with_the_archive_path_and_keeps_its_offset(saved, tmp_path,
+                                                                        load):
+    bad = tmp_path / "bad.embedit"
+    bad.write_bytes(saved[0].read_bytes()[:100])
+    with pytest.raises(ArchiveFormatError) as e:
+        load(bad)
+    assert str(e.value) == f"{bad}: truncated inside header (byte offset 100)"
+    assert e.value.offset == 100
 
 
 # A 40-byte buffer reads each tensor in several pieces, the last one short.

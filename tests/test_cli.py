@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import mmap
 import re
 import struct
 from pathlib import Path
@@ -431,7 +432,8 @@ class TestEditRevert:
         assert run("revert", "--weights", workdir / "seqout" / "edited.embedit",
                    "--ledger", ledger_path, "--n", 1, "--ledger-out", ledger_path,
                    "--out", workdir / "restored.embedit") == 2
-        assert capsys.readouterr().err.startswith("data error: ledger entry 0: repeated")
+        assert capsys.readouterr().err == (
+            f"data error: {ledger_path}: ledger entry 0: repeated id {bear}\n")
         assert ledger_path.read_bytes() == before
         assert not (workdir / "restored.embedit").exists()
 
@@ -455,13 +457,13 @@ class TestEditRevert:
 
         def save(path, config, weights, vocab):
             owner = map_owner(weights.positional.array)
-            seen.append((type(owner).__name__, Path(path).stat().st_ino))
+            seen.append((isinstance(owner, mmap.mmap), Path(path).stat().st_ino))
             real_save(path, config, weights, vocab)
 
         monkeypatch.setattr(cli, "save_weights", save)
         assert run("revert", "--weights", edited, "--ledger", ledger_path,
                    "--out", edited) == 0
-        assert seen == [("mmap", mapped)]
+        assert seen == [(True, mapped)]
         assert edited.read_bytes() == base.read_bytes()
         assert edited.stat().st_ino != mapped
 
@@ -546,7 +548,7 @@ class TestSeqEditAndEval:
         assert run("seq-edit", "--weights", base, "--dataset", ds,
                    "--out", workdir / "seqout") == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error: line 2: not UTF-8")
+        assert err.startswith(f"data error: {ds}: line 2: not UTF-8 JSON: ")
         assert not (workdir / "seqout").exists()
 
     def test_dataset_line_missing_key_names_line(self, workdir, capsys):
@@ -578,7 +580,7 @@ class TestSeqEditAndEval:
             reference = ("--reference", base) if command == "eval" else ()
             assert run(command, "--weights", base, *reference, "--dataset", ds,
                        "--out", workdir / "out") == 2
-            assert capsys.readouterr().err.startswith("data error: line 2:")
+            assert capsys.readouterr().err.startswith(f"data error: {ds}: line 2: ")
         assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize("excluded", ['"bear"', '[1]', '{"bear": 1}', '[["bear"]]'])
@@ -729,7 +731,9 @@ class TestReport:
         capsys.readouterr()
         assert run("report", "--ledger", ledger, "--weights", base,
                    "--out", workdir / "rep") == 2
-        assert capsys.readouterr().err.startswith("data error: ledger entry 0: original rows")
+        assert capsys.readouterr().err == (
+            f"data error: {ledger}: ledger entry 0: original rows of shape (1, 0) and new rows "
+            "of shape (1, 0) for 1 token ids\n")
         assert not (workdir / "rep").exists()
 
     def test_report_on_a_damaged_header_is_data_error(self, workdir, capsys):
@@ -742,7 +746,7 @@ class TestReport:
         bad.write_bytes(bytes(blob))
         capsys.readouterr()
         assert run("report", "--ledger", ledger, "--weights", bad) == 2
-        assert capsys.readouterr().err.startswith("data error: tensor entry")
+        assert capsys.readouterr().err.startswith(f"data error: {bad}: tensor entry ")
 
     def test_second_archive_without_its_ledger_is_usage_error(self, workdir, capsys):
         ledger = workdir / "ledger.json"
@@ -907,7 +911,7 @@ class TestGenderAndProbe:
         capsys.readouterr()
         assert run("gender", "--weights", base, "--dataset", ds,
                    "--out", workdir / "genderout") == 2
-        assert capsys.readouterr().err.startswith("data error: line 1:")
+        assert capsys.readouterr().err.startswith(f"data error: {ds}: line 1: ")
 
     def test_gender_entry_with_no_tests_is_refused_before_any_edit(self, workdir, capsys):
         base = init_archive(workdir)
@@ -919,7 +923,7 @@ class TestGenderAndProbe:
         assert run("gender", "--weights", base, "--dataset", ds,
                    "--out", workdir / "genderout") == 2
         out, err = capsys.readouterr()
-        assert err.startswith("data error: line 2: gender entry 'nurse' has no test prompts")
+        assert err == f"data error: {ds}: line 2: gender entry 'nurse' has no test prompts\n"
         assert "teacher" not in out
         assert not (workdir / "genderout").exists()
 
@@ -1049,6 +1053,21 @@ class TestExitCodes:
         assert run("edit", "--weights", bad, "--source", "bear", "--dest", "wolf",
                    "--target", "bear", "--out", workdir / "x") == 2
 
+    def test_a_damaged_reference_archive_is_named(self, workdir, capsys):
+        # eval loads two archives: the message says which one is damaged.
+        base = init_archive(workdir)
+        bad = workdir / "bad.embedit"
+        bad.write_bytes(base.read_bytes()[:100])
+        edits = workdir / "edits.jsonl"
+        edits.write_text(json.dumps({"source": "bear", "destination": "wolf",
+                                     "target_word": "bear"}) + "\n")
+        capsys.readouterr()
+        assert run("eval", "--weights", base, "--reference", bad, "--dataset", edits,
+                   "--out", workdir / "x") == 2
+        assert capsys.readouterr().err == (
+            f"data error: {bad}: truncated inside header (byte offset 100)\n")
+        assert not (workdir / "x").exists()
+
     @pytest.mark.parametrize("damage", [
         "tensors_not_list", "negative_offset", "missing_shape", "string_offset",
         "negative_dim", "header_extra_key", "nan_payload",
@@ -1079,7 +1098,7 @@ class TestExitCodes:
         assert run("edit", "--weights", bad, "--source", "bear", "--dest", "wolf",
                    "--target", "bear", "--out", workdir / "x") == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error:") and "byte offset" in err
+        assert err.startswith(f"data error: {bad}: ") and "byte offset" in err
         if damage == "nan_payload":
             at = 16 + len(raw) + second["offset"]  # the rewritten header is unpadded
             assert f"positional: payload is not finite (byte offset {at})" in err
@@ -1219,7 +1238,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,small,flags,message", [
         ("eval", "", ("--dataset", "SMALL"), "data error: SMALL: no edit entries"),
-        ("eval", "{", ("--dataset", "SMALL"), "data error: line 1: not UTF-8 JSON"),
+        ("eval", "{", ("--dataset", "SMALL"), "data error: SMALL: line 1: not UTF-8 JSON: "),
         ("eval", '"bear"', ("--dataset", "EDITS", "--sequential-filter", "--exclude", "SMALL"),
          "data error: SMALL: need a JSON list of target words"),
         ("eval", '["bear"]', ("--dataset", "EDITS", "--sequential-filter", "--exclude", "SMALL"),
