@@ -36,16 +36,15 @@ import os
 import secrets
 import struct
 import weakref
-from contextlib import contextmanager
 from mmap import ACCESS_READ, MADV_DONTNEED, PAGESIZE, mmap
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator
+from typing import BinaryIO, Callable
 
 import numpy as np
 
 from .autodiff import Tensor
 from .encoder import EncoderConfig, EncoderWeights, Vocab, WteTable, tensor_shapes
-from .errors import ArchiveFormatError, json_object, read_json
+from .errors import ArchiveFormatError, json_object, read_json, reading
 
 MAGIC = b"EMBEDIT1"
 _HEADER_LEN_END = len(MAGIC) + 8
@@ -66,12 +65,8 @@ class _FileMap(mmap):
 
 
 def load_vocab(path: str | Path) -> Vocab:
-    """Read a standalone vocabulary JSON file."""
-    obj = read_json(path, ArchiveFormatError)
-    try:
-        return Vocab.from_json(obj)
-    except ValueError as e:
-        raise ArchiveFormatError(f"{path}: {e}") from e
+    """A vocabulary JSON file's Vocab, read by read_json as ArchiveFormatError."""
+    return read_json(path, ArchiveFormatError, Vocab.from_json)
 
 
 def save_vocab(path: str | Path, vocab: Vocab) -> None:
@@ -206,8 +201,8 @@ def _tensor_index(config: EncoderConfig) -> list[dict]:
 
 
 def load_weights(path: str | Path) -> tuple[EncoderConfig, EncoderWeights, Vocab]:
-    """Read an archive; raises ArchiveFormatError (with the path and a byte
-    offset) on damage.
+    """Read an archive, under reading(path, ArchiveFormatError): damage
+    raises ArchiveFormatError starting with the path, with a byte offset.
 
     The whole header is checked against the file's size before any payload
     is read, and every payload is checked for NaN and infinity through one
@@ -220,7 +215,7 @@ def load_weights(path: str | Path) -> tuple[EncoderConfig, EncoderWeights, Vocab
     file stays open until the map is freed, so that save can copy the viewed
     bytes from it.
     """
-    with _in_file(path), open(path, "rb") as f:
+    with reading(path, ArchiveFormatError), open(path, "rb") as f:
         config, vocab, index = _read_header(f, os.fstat(f.fileno()).st_size)
         start = f.tell()
         _check_finite(f, start, index)
@@ -261,21 +256,9 @@ def _check_finite(f, start: int, index: list[dict]) -> None:
 
 def load_config(path: str | Path) -> EncoderConfig:
     """An archive's config, from its header alone. The header is checked as
-    load_weights checks it, but no payload is read."""
-    with _in_file(path), open(path, "rb") as f:
+    load_weights checks it, errors naming the path, but no payload is read."""
+    with reading(path, ArchiveFormatError), open(path, "rb") as f:
         return _read_header(f, os.fstat(f.fileno()).st_size)[0]
-
-
-@contextmanager
-def _in_file(path: str | Path) -> Iterator[None]:
-    """Start the message of an ArchiveFormatError raised inside with `path`;
-    its offset stays."""
-    try:
-        yield
-    except ArchiveFormatError as e:
-        named = ArchiveFormatError(f"{path}: {e}")
-        named.offset = e.offset
-        raise named from e
 
 
 def _read_exactly(f, a: np.ndarray) -> None:

@@ -39,6 +39,7 @@ from .errors import (
     NonFiniteError,
     check_number,
     read_json,
+    reading,
 )
 from .evaluation import (
     DESTINATION,
@@ -112,11 +113,11 @@ def cmd_init(args) -> int:
     check_number("--seed", args.seed, 0, integer=True)
     raw = read_json(args.config, _UsageError)
     vocab = load_vocab(args.vocab)
-    if type(raw) is not dict or "vocab_size" in raw:
-        raise ValueError(f"{args.config}: need a JSON object without vocab_size, "
-                         "which the vocab sets")
-    config = EncoderConfig.from_json(  # eps may be left out
-        {"eps": EncoderConfig.eps, **raw, "vocab_size": vocab.vocab_size})
+    with reading(args.config, _UsageError):
+        if type(raw) is not dict or "vocab_size" in raw:
+            raise ValueError("need a JSON object without vocab_size, which the vocab sets")
+        config = EncoderConfig.from_json(  # eps may be left out
+            {"eps": EncoderConfig.eps, **raw, "vocab_size": vocab.vocab_size})
     weights = init_random_weights(config, args.seed)
     out = Path(args.out)
     save_weights(out, config, weights, vocab)
@@ -275,6 +276,12 @@ def cmd_probe(args) -> int:
     return 0
 
 
+def _word_list(value) -> list[str]:
+    if type(value) is not list or not all(type(w) is str for w in value):
+        raise DatasetError("need a JSON list of target words")
+    return value
+
+
 def cmd_eval(args) -> int:
     if args.exclude and not args.sequential_filter:
         raise _UsageError("--exclude needs --sequential-filter")
@@ -282,9 +289,7 @@ def cmd_eval(args) -> int:
     if args.sequential_filter:
         excluded = []
         if args.exclude:
-            excluded = read_json(args.exclude, DatasetError)
-            if type(excluded) is not list or not all(type(w) is str for w in excluded):
-                raise DatasetError(f"{args.exclude}: need a JSON list of target words")
+            excluded = read_json(args.exclude, DatasetError, _word_list)
         entries = filter_sequential_dataset(entries, tuple(excluded))
     if not entries:
         raise DatasetError(f"{args.dataset}: no edit entries")

@@ -36,6 +36,7 @@ from .errors import (
     check_number,
     json_object,
     read_json,
+    reading,
 )
 from .optim import Adam, Sgd
 
@@ -202,10 +203,8 @@ class EditLedger:
                 key: kinds for key, (_, kinds) in LedgerEntry._RESULT.items()},
                 LedgerFormatError, f"{where}: ledger result")
             values.update((name, result[key]) for key, (name, _) in LedgerEntry._RESULT.items())
-            try:
+            with reading(where, LedgerFormatError):
                 ledger.append(LedgerEntry(**values))
-            except LedgerFormatError as err:
-                raise LedgerFormatError(f"{where}: {err}") from err
         return ledger
 
     def save(self, path: str | Path) -> None:
@@ -216,12 +215,8 @@ class EditLedger:
 
     @classmethod
     def load(cls, path: str | Path) -> "EditLedger":
-        """from_json of a JSON file; its errors start with the file's path."""
-        obj = read_json(path, LedgerFormatError)
-        try:
-            return cls.from_json(obj)
-        except LedgerFormatError as e:
-            raise LedgerFormatError(f"{path}: {e}") from e
+        """from_json of a JSON file, read by read_json."""
+        return read_json(path, LedgerFormatError, cls.from_json)
 
 
 def mse_hidden(h1: HiddenStates, h2: HiddenStates, positions: LossPositions | str) -> float:
@@ -308,11 +303,16 @@ def _optimize_rows(
     def score(rows: np.ndarray, tape: Tape | None, i: int) -> tuple[Tensor, Tensor]:
         leaf = Tensor(rows)
         try:
-            loss = loss_fn(encode(tokens, weights, config, tape, edit_rows=(ids, leaf)), tape)
+            h = encode(tokens, weights, config, tape, edit_rows=(ids, leaf))
         except NonFiniteError as e:
             raise DivergenceError(f"forward pass: {e}", iteration=i) from e
-        if not math.isfinite(loss.item()):
-            raise DivergenceError("loss became non-finite", iteration=i)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                loss = loss_fn(h, tape)
+            if not math.isfinite(loss.item()):
+                raise NonFiniteError("loss is not finite")
+        except NonFiniteError as e:
+            raise DivergenceError("loss became non-finite", iteration=i) from e
         return leaf, loss
 
     rows = init_rows
@@ -330,11 +330,15 @@ def _optimize_rows(
             del tape
             break
         try:
-            g = backward(tape, loss)[leaf].array
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                g = backward(tape, loss)[leaf].array
+                norm = float(np.linalg.norm(g))
         except NonFiniteError as e:
             raise DivergenceError(f"backward pass: {e}", iteration=i) from e
         del tape
-        if float(np.linalg.norm(g)) < grad_tol:
+        if not math.isfinite(norm):
+            raise DivergenceError("gradient norm became non-finite", iteration=i)
+        if norm < grad_tol:
             break
         rows = opt.step(rows, g)
         # Backward allocated g at the tape's memory high-water mark. While it

@@ -1,11 +1,12 @@
-"""Exception types shared across the package, the JSON reader that reports
-a file or line it cannot parse as the caller's error, the one check of a JSON
-object's keys and value types, and the one rule each for a number and for a
-row id handed in."""
+"""Exception types shared across the package, the one rule that names an
+input in the errors found while reading it (reading) and the JSON reader that
+follows it, the one check of a JSON object's keys and value types, and the
+one rule each for a number and for a row id handed in."""
 
 import json
 import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -90,20 +91,36 @@ class LedgerFormatError(DataError):
     """A ledger is malformed or does not fit the table it would be applied to."""
 
 
-def read_json(path, error: type[Exception]):
-    """The parsed contents of a UTF-8 JSON file. Bytes that are not UTF-8 or
-    not JSON raise `error`, naming the file; OSError passes through."""
-    with open(path, "rb") as f:
-        return parse_json(f.read(), error, str(path))
+@contextmanager
+def reading(where, error: type[Exception]):
+    """Name an input in the errors found while reading it: an `error` or a
+    ValueError raised inside becomes an `error` whose message starts with
+    `where` (the input's path, or "path: line n") and keeps the raised
+    error's attributes, such as an ArchiveFormatError's offset."""
+    try:
+        yield
+    except (error, ValueError) as e:
+        named = error(f"{where}: {e}")
+        named.__dict__.update(vars(e))
+        raise named from e
 
 
-def parse_json(data: bytes, error: type[Exception], where: str):
+def read_json(path, error: type[Exception], parse=None):
+    """parse() of a UTF-8 JSON file's value (without parse, the value),
+    under reading(path, error): bytes that are not UTF-8 JSON, and what
+    parse() rejects, raise `error` naming the file. OSError passes through."""
+    with open(path, "rb") as f, reading(path, error):
+        value = parse_json(f.read(), error)
+        return parse(value) if parse else value
+
+
+def parse_json(data: bytes, error: type[Exception]):
     """The parsed value of UTF-8 JSON bytes; bytes that are not UTF-8 or not
-    JSON raise `error`, prefixed by `where`."""
+    JSON raise `error`."""
     try:
         return json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as e:  # UnicodeDecodeError, JSONDecodeError
-        raise error(f"{where}: not UTF-8 JSON: {e}") from e
+        raise error(f"not UTF-8 JSON: {e}") from e
 
 
 def json_object(obj, kinds: dict[str, tuple[type, ...]], error, where: str,

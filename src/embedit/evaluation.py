@@ -23,6 +23,7 @@ from .errors import (
     DegenerateVectorError,
     json_object,
     parse_json,
+    reading,
 )
 
 SOURCE = "source"
@@ -136,20 +137,16 @@ def load_gender_entries(path: str | Path) -> list[GenderEntry]:
 
 
 def _load_jsonl(path: str | Path, parse):
-    """parse() of each non-blank line; a line that is not UTF-8 or not JSON,
-    or that parse() rejects with DatasetError, raises DatasetError with the
-    file's path and the line number."""
+    """parse() of each non-blank line, read under reading("path: line n",
+    DatasetError): a line that is not UTF-8 JSON, or that parse() rejects,
+    raises DatasetError naming the file and the line."""
     with open(path, "rb") as f:
         data = f.read()
     entries = []
     for line_no, raw in enumerate(data.splitlines(), 1):
         if raw.strip():
-            where = f"{path}: line {line_no}"
-            obj = parse_json(raw, DatasetError, where)
-            try:
-                entries.append(parse(obj))
-            except DatasetError as e:
-                raise DatasetError(f"{where}: {e}") from e
+            with reading(f"{path}: line {line_no}", DatasetError):
+                entries.append(parse(parse_json(raw, DatasetError)))
     return entries
 
 

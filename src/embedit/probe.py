@@ -71,12 +71,8 @@ class ProbeDataset:
 
     @classmethod
     def load(cls, path: str | Path) -> "ProbeDataset":
-        """from_json of a JSON file; its errors start with the file's path."""
-        obj = read_json(path, DatasetError)
-        try:
-            return cls.from_json(obj)
-        except DatasetError as e:
-            raise DatasetError(f"{path}: {e}") from e
+        """from_json of a JSON file, read by read_json."""
+        return read_json(path, DatasetError, cls.from_json)
 
     def to_json(self) -> dict:
         return {

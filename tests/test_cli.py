@@ -4,6 +4,7 @@ import math
 import mmap
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -137,13 +138,17 @@ class TestInit:
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_config_exits_one(self, workdir, capsys):
-        (workdir / "bad.json").write_text(json.dumps({
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps({
             "d_model": 8, "n_layers": 1, "n_heads": 3, "d_ff": 16,
             "context_length": 8,
         }))
-        code = run("init", "--config", workdir / "bad.json",
+        capsys.readouterr()
+        code = run("init", "--config", bad,
                    "--vocab", workdir / "vocab.json", "--out", workdir / "x.embedit")
         assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: d_model 8 must be divisible by n_heads 3\n")
 
     @pytest.mark.parametrize("config", [
         {"d_model": 8.7}, {"d_model": "8"}, {"n_layers": True}, {"eps": "1e-5"},
@@ -151,20 +156,24 @@ class TestInit:
     ])
     def test_config_with_mistyped_or_unknown_key_exits_one(self, workdir, capsys, config):
         good = json.loads((workdir / "config.json").read_text())
-        (workdir / "bad.json").write_text(json.dumps({**good, **config}))
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps({**good, **config}))
         capsys.readouterr()
-        assert run("init", "--config", workdir / "bad.json", "--vocab", workdir / "vocab.json",
+        assert run("init", "--config", bad, "--vocab", workdir / "vocab.json",
                    "--out", workdir / "x.embedit") == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
         assert not (workdir / "x.embedit").exists()
 
     @pytest.mark.parametrize("config", ["missing_key", "not_object"])
-    def test_config_with_missing_key_or_not_an_object_exits_one(self, workdir, config):
+    def test_config_with_missing_key_or_not_an_object_exits_one(self, workdir, capsys, config):
         good = json.loads((workdir / "config.json").read_text())
         del good["d_ff"]
-        (workdir / "bad.json").write_text(json.dumps(good if config == "missing_key" else [good]))
-        assert run("init", "--config", workdir / "bad.json", "--vocab", workdir / "vocab.json",
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(good if config == "missing_key" else [good]))
+        capsys.readouterr()
+        assert run("init", "--config", bad, "--vocab", workdir / "vocab.json",
                    "--out", workdir / "x.embedit") == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
     @pytest.mark.parametrize("content", [
         b"[" * 100000, b'{"d_model": ', "{\"caf\u00e9\": 1}".encode("latin-1"),
@@ -1301,6 +1310,28 @@ class TestExitCodes:
             assert capsys.readouterr().err.startswith(
                 "divergence: attention: scores are not finite")
             assert not (workdir / "x").exists()
+
+    @pytest.mark.parametrize("final_gamma,message", [
+        (1e150, "gradient norm became non-finite"), (1e157, "loss became non-finite"),
+    ], ids=["gradient", "loss"])
+    def test_a_blow_up_in_the_edit_loop_prints_one_divergence_line(
+            self, workdir, capsys, final_gamma, message):
+        # The final layer norm's scale makes the loss, or only the gradient's
+        # square, overflow. The CLI does not turn numpy's warnings into
+        # errors, so none may be raised on the way to the one line.
+        config, weights, vocab = load_weights(init_archive(workdir, seed=0))
+        weights.final_gamma = Tensor(np.full(config.d_model, final_gamma))
+        scaled = workdir / "scaled.embedit"
+        save_weights(scaled, config, weights, vocab)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("edit", "--weights", scaled, "--source", "a bear",
+                       "--dest", "a polar bear", "--target", "bear", "--lambda", 0.0,
+                       "--max-iters", 5, "--out", workdir / "x") == 3
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == f"divergence: {message} (iteration 1)\n"
+        assert not (workdir / "x").exists()
 
     @pytest.mark.parametrize("error", [DimensionError, TapeUsageError])
     def test_any_other_package_error_is_one(self, workdir, capsys, monkeypatch, error):

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,66 @@ class TestEditSingle:
                 bundle, EditRequest("a bear", "a wolf", "bear"),
                 EditHyperparams(stop_ratio=0.0, max_iters=5), ledger,
             )
+        assert exc.value.iteration == 2
+        assert wte_bytes(bundle) == before
+        assert len(ledger) == 0
+
+    @staticmethod
+    def diverge_at_scale(final_gamma):
+        """The DivergenceError of editing "a bear" toward "a polar bear" at
+        d=8, one layer, seed 0, with the final layer norm scaled by
+        final_gamma; numpy must not warn, and the table and the ledger must
+        be left as they were."""
+        bundle, ledger = make_bundle(seed=0, n_layers=1), EditLedger()
+        bundle.weights.final_gamma = Tensor(np.full(8, final_gamma))
+        before = wte_bytes(bundle)
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(DivergenceError) as exc:
+            warnings.simplefilter("always")
+            edit_single(bundle, EditRequest("a bear", "a polar bear", "bear"),
+                        EditHyperparams(stop_ratio=0.0, max_iters=5), ledger)
+        assert [str(w.message) for w in caught] == []
+        assert wte_bytes(bundle) == before
+        assert len(ledger) == 0
+        return exc.value
+
+    @pytest.mark.parametrize("final_gamma", [1e154, 1e157, 1e160])
+    def test_a_loss_that_overflows_is_reported_as_the_loss(self, final_gamma):
+        # The hidden states are finite; squaring their differences is not.
+        error = self.diverge_at_scale(final_gamma)
+        assert str(error) == "loss became non-finite (iteration 1)"
+        assert error.iteration == 1
+
+    @pytest.mark.parametrize("final_gamma", [1e150, 1e153])
+    def test_a_gradient_whose_norm_overflows_is_a_divergence(self, final_gamma):
+        # The loss and the gradient are finite, but the gradient's square is
+        # not: Adam would step by exactly zero, hiding the blow-up.
+        error = self.diverge_at_scale(final_gamma)
+        assert str(error) == "gradient norm became non-finite (iteration 1)"
+        assert error.iteration == 1
+
+    def test_a_non_finite_gradient_is_reported_from_the_backward_pass(self, monkeypatch):
+        # The loss's VJP returns infinities from the second iteration's
+        # backward pass on.
+        import embedit.autodiff as autodiff
+
+        real_record, losses = autodiff._maybe_record, []
+
+        def record(tape, out, inputs, vjp):
+            if tape is not None and out.size == 1:
+                losses.append(out)
+                if len(losses) >= 2:
+                    def vjp(g, needs):
+                        return tuple(np.full(x.shape, np.inf) for x in inputs)
+            real_record(tape, out, inputs, vjp)
+
+        monkeypatch.setattr(autodiff, "_maybe_record", record)
+        bundle, ledger = make_bundle(), EditLedger()
+        before = wte_bytes(bundle)
+        with pytest.raises(DivergenceError) as exc:
+            edit_single(bundle, EditRequest("a bear", "a wolf", "bear"),
+                        EditHyperparams(stop_ratio=0.0, max_iters=5), ledger)
+        assert str(exc.value) == "backward pass: tensor entries must be finite (iteration 2)"
         assert exc.value.iteration == 2
         assert wte_bytes(bundle) == before
         assert len(ledger) == 0
