@@ -44,7 +44,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .encoder import EncoderConfig, EncoderWeights, Vocab, WteTable, tensor_shapes
-from .errors import ArchiveFormatError, json_object, read_json, reading
+from .errors import ArchiveFormatError, json_object, parse_json, read_json, reading
 
 MAGIC = b"EMBEDIT1"
 _HEADER_LEN_END = len(MAGIC) + 8
@@ -281,12 +281,8 @@ def _read_header(f, size: int):
     (header_len,) = struct.unpack("<Q", head[len(MAGIC):])
     if header_len > size - _HEADER_LEN_END:
         raise ArchiveFormatError("truncated inside header", offset=size)
-    try:
-        header = json.loads(f.read(header_len).decode("utf-8"))
-    except (ValueError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
-        raise ArchiveFormatError(
-            f"header is not valid JSON: {e}", offset=_HEADER_LEN_END
-        ) from e
+    header = parse_json(f.read(header_len),
+                        lambda m: ArchiveFormatError(f"header is {m}", offset=_HEADER_LEN_END))
     return _check_header(header, _HEADER_LEN_END + header_len, size)
 
 

@@ -14,7 +14,7 @@ the table once, after the loop, and a failure leaves it unchanged.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -46,41 +46,35 @@ class BalanceMode(str, Enum):
 
 @dataclass(frozen=True)
 class BiasEditRequest:
-    """What to balance: the profession, its two gendered prompts and the mode,
-    a BalanceMode or the string that names one."""
+    """What to balance: the profession and its two gendered prompts."""
 
     profession: str
     stereotypical_prompt: str
     counter_prompt: str
-    mode: BalanceMode = BalanceMode.MANUAL
-
-    def __post_init__(self):
-        object.__setattr__(self, "mode", BalanceMode(self.mode))
 
 
 @dataclass(frozen=True)
 class BalancerParams:
-    """Alpha's settings and the edit loop's, which hyper(mode) makes an EditHyperparams."""
+    """The mode, a BalanceMode or the string that names one; alpha's floor;
+    and the edit loop's settings, which hyper() makes an EditHyperparams."""
 
+    mode: BalanceMode = BalanceMode.MANUAL
     alpha_min: float = 2.0
-    delta_normalizer: float = 2.0
     learning_rate: float = EditHyperparams.learning_rate
     max_iters: int = EditHyperparams.max_iters
     stop_ratio: float = EditHyperparams.stop_ratio
 
     def __post_init__(self):
+        object.__setattr__(self, "mode", BalanceMode(self.mode))
         check_number("alpha_min", self.alpha_min, 1)
-        # The raw bias ratio lies in [0, 2]; a smaller normalizer could push
-        # delta past 1, where alpha_weight rejects it only once data arrive.
-        check_number("delta_normalizer", self.delta_normalizer, 2)
-        # Manual mode's settings hold stop_ratio, so it is checked in either mode.
-        self.hyper(BalanceMode.MANUAL)
+        self.hyper()
 
-    def hyper(self, mode: BalanceMode | str) -> EditHyperparams:
-        """The loop's settings in `mode`: stop_ratio in manual mode, 0 in auto."""
-        stop_ratio = self.stop_ratio if BalanceMode(mode) is BalanceMode.MANUAL else 0.0
-        return EditHyperparams(stop_ratio=stop_ratio, max_iters=self.max_iters,
-                               learning_rate=self.learning_rate)
+    def hyper(self) -> EditHyperparams:
+        """The loop's settings: stop_ratio in manual mode, 0 in auto. They are
+        made with stop_ratio first, so that it is checked in either mode."""
+        hyper = EditHyperparams(stop_ratio=self.stop_ratio, max_iters=self.max_iters,
+                                learning_rate=self.learning_rate)
+        return hyper if self.mode is BalanceMode.MANUAL else replace(hyper, stop_ratio=0.0)
 
 
 def init_profession_embedding(rows: np.ndarray, female: np.ndarray,
@@ -94,20 +88,16 @@ def init_profession_embedding(rows: np.ndarray, female: np.ndarray,
     return (rows + female + male) / 3.0
 
 
-def bias_rate_delta(mse_sp: float, mse_csp: float,
-                    normalizer: float = BalancerParams.delta_normalizer) -> float:
-    """Normalized gap between the two representation distances.
-
-    The raw ratio |sp - csp| / (0.5 * (sp + csp)) lies in [0, 2]; dividing by
-    the normalizer (default 2) maps it to [0, 1].
-    """
+def bias_rate_delta(mse_sp: float, mse_csp: float) -> float:
+    """Normalized gap between the two representation distances: the ratio
+    |sp - csp| / (0.5 * (sp + csp)), which lies in [0, 2], halved into [0, 1]."""
     check_number("mse_sp", mse_sp, 0)
     check_number("mse_csp", mse_csp, 0)
     if mse_sp == 0 and mse_csp == 0:
         raise DegenerateInputError(
             "profession representation is already gender-neutral (both distances are 0)"
         )
-    return abs(mse_sp - mse_csp) / (0.5 * (mse_sp + mse_csp)) / normalizer
+    return abs(mse_sp - mse_csp) / (0.5 * (mse_sp + mse_csp)) / 2.0
 
 
 def alpha_weight(delta: float, params: BalancerParams) -> float:
@@ -138,9 +128,9 @@ def edit_balance(
     params: BalancerParams,
     ledger: EditLedger,
 ) -> LedgerEntry:
-    """Balance one profession. Manual mode delegates to the ordinary editor
-    with destination = counter prompt and stop_ratio = params.stop_ratio; its
-    threshold law holds unchanged.
+    """Balance one profession in params.mode. Manual mode delegates to the
+    ordinary editor with destination = counter prompt and stop_ratio =
+    params.stop_ratio; its threshold law holds unchanged.
 
     Auto mode is the same loop with stop_ratio = 0, so tau = 0, and a
     gradient-norm stop of GRAD_NORM_STOP (1e-10): it runs until max_iters or
@@ -155,8 +145,8 @@ def edit_balance(
         destination_prompt=request.counter_prompt,
         target_word=request.profession,
     )
-    hyper = params.hyper(request.mode)
-    if request.mode is BalanceMode.MANUAL:
+    hyper = params.hyper()
+    if params.mode is BalanceMode.MANUAL:
         return edit_single(bundle, edit_request, hyper, ledger)
     return _edit_balance_auto(bundle, request, edit_request, params, hyper, ledger)
 
@@ -212,4 +202,4 @@ def _alpha(profession: str, h_p, h_csp, h_sp, params: BalancerParams) -> float:
             f"using alpha_min",
         )
         return params.alpha_min
-    return alpha_weight(bias_rate_delta(mse_sp, mse_csp, params.delta_normalizer), params)
+    return alpha_weight(bias_rate_delta(mse_sp, mse_csp), params)

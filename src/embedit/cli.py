@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -36,7 +35,9 @@ from .errors import (
     DatasetError,
     DivergenceError,
     EmbeditError,
+    LedgerFormatError,
     NonFiniteError,
+    check_ids,
     check_number,
     read_json,
     reading,
@@ -177,42 +178,31 @@ def cmd_seq_edit(args) -> int:
 
 
 def cmd_gender(args) -> int:
-    params = BalancerParams(alpha_min=args.alpha_min, delta_normalizer=args.delta_normalizer,
-                            learning_rate=args.lr, max_iters=args.max_iters,
-                            stop_ratio=args.stop_ratio)
+    params = BalancerParams(mode=args.mode, alpha_min=args.alpha_min, learning_rate=args.lr,
+                            max_iters=args.max_iters, stop_ratio=args.stop_ratio)
     entries = load_gender_entries(args.dataset)
     if not entries:
         raise DatasetError(f"{args.dataset}: no gender entries")
     bundle = _load_bundle(args.weights)
-    # Every prompt is read against the vocabulary before the first edit, so
-    # an unknown word or an overlong prompt prints and writes nothing.
-    for entry in entries:
-        for prompt in (entry.profession, entry.female_ref, entry.male_ref, entry.validation,
-                       *entry.tests):
-            bundle.tokenize(prompt)
-    # A second bundle over the same tensors: set_wte_rows rebinds only the
-    # edited bundle's table, so the reference keeps the unedited one.
-    reference = EncoderBundle(bundle.config, dataclasses.replace(bundle.weights), bundle.vocab)
+    # Each profession's prompts are read on the unedited table, one read
+    # each, before the first edit: an unknown word or an overlong prompt
+    # prints and writes nothing.
+    references = [encode_pooled(bundle, (e.profession, e.female_ref, e.male_ref, e.validation,
+                                         *e.tests)) for e in entries]
     ledger = EditLedger()
     rows = []
     baseline_f = []
     edited_f = []
-    for entry in entries:
-        prompts = (entry.female_ref, entry.male_ref, entry.validation)
-        refs = encode_pooled(reference, prompts)
-        f_ref, m_ref, validation = (refs[p] for p in prompts)
-        leans_female = classify(validation, m_ref, f_ref) == DESTINATION
+    for entry, ref in zip(entries, references):
+        f_ref, m_ref = ref[entry.female_ref], ref[entry.male_ref]
+        leans_female = classify(ref[entry.validation], m_ref, f_ref) == DESTINATION
         sp = entry.female_ref if leans_female else entry.male_ref
         csp = entry.male_ref if leans_female else entry.female_ref
-        request = BiasEditRequest(
-            profession=entry.profession,
-            stereotypical_prompt=sp,
-            counter_prompt=csp,
-            mode=args.mode,
-        )
-        baseline = female_percentage(entry, reference, f_ref, m_ref)
+        request = BiasEditRequest(profession=entry.profession, stereotypical_prompt=sp,
+                                  counter_prompt=csp)
+        baseline = female_percentage(entry, ref, f_ref, m_ref)
         result = edit_balance(bundle, request, params, ledger)
-        after = female_percentage(entry, bundle, f_ref, m_ref)
+        after = female_percentage(entry, encode_pooled(bundle, entry.tests), f_ref, m_ref)
         baseline_f.append(baseline)
         edited_f.append(after)
         rows.append({
@@ -325,7 +315,17 @@ def cmd_report(args) -> int:
     if len(args.weights) != len(args.ledger):
         raise _UsageError("report needs one --weights per --ledger")
     ledgers = [EditLedger.load(p) for p in args.ledger]
-    budget = budget_report(ledgers, sum(load_config(p).total_params() for p in args.weights))
+    configs = [load_config(p) for p in args.weights]
+    for path, ledger, config in zip(args.ledger, ledgers, configs):
+        for k, entry in enumerate(ledger.entries):
+            try:
+                check_ids(entry.edited_token_ids, config.vocab_size)
+                if entry.new_rows.shape[1] != config.d_model:
+                    raise ValueError(f"rows of width {entry.new_rows.shape[1]}, "
+                                     f"d_model is {config.d_model}")
+            except (IndexError, ValueError) as e:
+                raise LedgerFormatError(f"{path}: ledger entry {k}: {e}") from e
+    budget = budget_report(ledgers, sum(c.total_params() for c in configs))
     if args.out:
         _write_json(Path(args.out) / "budget.json", budget)
     for b in budget["per_edit"]:
@@ -368,11 +368,10 @@ def build_parser() -> _Parser:
     p.add_argument("--weights", required=True)
     p.add_argument("--dataset", required=True, help="gender entries JSONL")
     p.add_argument("--mode", choices=[m.value for m in BalanceMode],
-                   default=BiasEditRequest.mode.value)
+                   default=BalancerParams.mode.value)
     p.add_argument("--lambda", dest="stop_ratio", type=float,
                    default=BalancerParams.stop_ratio, help="stopping ratio for manual mode")
     p.add_argument("--alpha-min", type=float, default=BalancerParams.alpha_min)
-    p.add_argument("--delta-normalizer", type=float, default=BalancerParams.delta_normalizer)
     p.add_argument("--lr", type=float, default=BalancerParams.learning_rate)
     p.add_argument("--max-iters", type=int, default=BalancerParams.max_iters)
     p.add_argument("--out", required=True)

@@ -10,13 +10,13 @@ identical to the reference's.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor
-from .encoder import EncoderBundle, encode_pooled, encode_reads, prompt_words
+from .encoder import EncoderBundle, encode_reads, prompt_words
 from .errors import (
     DatasetError,
     DegenerateInputError,
@@ -187,7 +187,7 @@ class MetricReport:
     specificity: float
     specificity_se: float
     strict_specificity: float
-    counts: dict[str, tuple[int, int]] = field(default_factory=dict)
+    counts: dict[str, tuple[int, int]]
 
     def to_json(self) -> dict:
         return asdict(self)  # tuples, which json writes as lists
@@ -270,9 +270,8 @@ def aggregate_reports(reports: list[MetricReport]) -> MetricReport:
         raise DatasetError("no reports to aggregate")
     scores, counts = {}, {}
     for key in _BUCKETS:
-        scores[key] = _mean_se(
-            [getattr(r, key) for r in reports if r.counts.get(key, (0, 1))[1] > 0])
-        tallies = [r.counts.get(key, (0, 0)) for r in reports]
+        scores[key] = _mean_se([getattr(r, key) for r in reports if r.counts[key][1] > 0])
+        tallies = [r.counts[key] for r in reports]
         counts[key] = (sum(n for n, _ in tallies), sum(n for _, n in tallies))
     return _report(scores, counts)
 
@@ -305,17 +304,16 @@ def filter_sequential_dataset(
 
 def female_percentage(
     entry: GenderEntry,
-    edited: EncoderBundle,
+    pooled: dict[str, Tensor],
     female_ref: Tensor,
     male_ref: Tensor,
 ) -> float:
-    """Percentage of test prompts whose edited pooled state classifies as the
-    female reference.
+    """Percentage of entry.tests whose pooled states, read from `pooled`,
+    classify as the female reference.
 
     female_ref and male_ref are the reference encoder's pooled states of
     entry.female_ref and entry.male_ref.
     """
-    pooled = encode_pooled(edited, entry.tests)
     female = sum(
         classify(pooled[prompt], male_ref, female_ref) == DESTINATION for prompt in entry.tests
     )

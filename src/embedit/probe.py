@@ -13,7 +13,14 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import EncoderWeights, Vocab
-from .errors import DatasetError, DegenerateDataError, check_number, json_object, read_json
+from .errors import (
+    DatasetError,
+    DegenerateDataError,
+    check_number,
+    is_integer,
+    json_object,
+    read_json,
+)
 
 
 @dataclass(frozen=True)
@@ -44,7 +51,7 @@ class ProbeDataset:
 
     def __post_init__(self):
         for word, label in self.items:
-            if label not in (0, 1):
+            if not (is_integer(label) and label in (0, 1)):
                 raise DegenerateDataError(f"label for {word!r} must be 0 or 1, got {label}")
 
     def __len__(self) -> int:

@@ -244,8 +244,8 @@ def test_07_bias_balancer_laws():
         res = edit_balance(
             bundle,
             BiasEditRequest(profession="teacher", stereotypical_prompt="male teacher",
-                            counter_prompt="female teacher", mode=BalanceMode.AUTO),
-            BalancerParams(learning_rate=1e-2),
+                            counter_prompt="female teacher"),
+            BalancerParams(mode=BalanceMode.AUTO, learning_rate=1e-2),
             EditLedger(),
         )
         assert res.final_loss < res.initial_loss

@@ -108,8 +108,10 @@ def test_corrupt_header_json(saved, tmp_path):
     blob[20] = 0xFF
     bad = tmp_path / "bad.embedit"
     bad.write_bytes(bytes(blob))
-    with pytest.raises(ArchiveFormatError):
+    with pytest.raises(ArchiveFormatError, match="header is not UTF-8 JSON: ") as e:
         load_weights(bad)
+    assert str(e.value).startswith(f"{bad}: header is not UTF-8 JSON: ")
+    assert e.value.offset == 16
 
 
 def test_wide_archive_reports_768_params_per_row(tmp_path, vocab):

@@ -106,12 +106,6 @@ class TestAlphaWeight:
         with pytest.raises(ValueError):
             alpha_weight(1.5, BalancerParams())
 
-    @pytest.mark.parametrize("normalizer", [1.999, 1.0, 0.1])
-    def test_normalizer_below_two_is_rejected(self, normalizer):
-        # Below 2 the raw ratio in [0, 2] could give a delta past 1.
-        with pytest.raises(ValueError, match="delta_normalizer"):
-            BalancerParams(delta_normalizer=normalizer)
-
 
 class TestBalancedLoss:
     def test_alpha_one_is_plain_sum(self):
@@ -146,7 +140,6 @@ class TestEditBalanceManual:
             profession="teacher",
             stereotypical_prompt="female teacher",
             counter_prompt="male teacher",
-            mode=BalanceMode.MANUAL,
         )
         params = BalancerParams(learning_rate=1e-2, max_iters=200, stop_ratio=0.3)
         balanced = make_bundle(seed=5)
@@ -163,11 +156,11 @@ class TestEditBalanceManual:
         assert res.threshold_tau == 0.3 * res.initial_loss
 
     def test_a_mode_given_as_a_string_runs_as_its_member(self):
-        params = BalancerParams(learning_rate=1e-2, max_iters=20, stop_ratio=0.3)
+        request = BiasEditRequest("teacher", "female teacher", "male teacher")
         ledgers = []
         for mode in ("manual", BalanceMode.MANUAL):
-            request = BiasEditRequest("teacher", "female teacher", "male teacher", mode=mode)
-            assert request.mode is BalanceMode.MANUAL
+            params = BalancerParams(mode=mode, learning_rate=1e-2, max_iters=20, stop_ratio=0.3)
+            assert params.mode is BalanceMode.MANUAL
             ledger = EditLedger()
             res = edit_balance(make_bundle(seed=5), request, params, ledger)
             # Manual mode's threshold; auto mode's is 0.
@@ -178,32 +171,39 @@ class TestEditBalanceManual:
 
 @pytest.mark.parametrize("mode", list(BalanceMode))
 def test_edit_balance_returns_the_entry_it_appended(mode):
-    request = BiasEditRequest("teacher", "female teacher", "male teacher", mode=mode)
+    request = BiasEditRequest("teacher", "female teacher", "male teacher")
     ledger = EditLedger()
     entry = edit_balance(make_bundle(seed=5), request,
-                         BalancerParams(learning_rate=1e-2, max_iters=5), ledger)
+                         BalancerParams(mode=mode, learning_rate=1e-2, max_iters=5), ledger)
     assert len(ledger) == 1
     assert entry is ledger.entries[0]
 
 
 class TestBalancerParams:
     def test_hyper_is_the_loops_settings_in_each_mode(self):
-        params = BalancerParams(learning_rate=1e-2, max_iters=7, stop_ratio=0.3)
+        def params(mode):
+            return BalancerParams(mode=mode, learning_rate=1e-2, max_iters=7, stop_ratio=0.3)
+
         loop = EditHyperparams(stop_ratio=0.3, max_iters=7, learning_rate=1e-2)
-        assert params.hyper(BalanceMode.MANUAL) == loop
-        assert params.hyper(BalanceMode.AUTO) == EditHyperparams(
+        assert params(BalanceMode.MANUAL).hyper() == loop
+        assert params(BalanceMode.AUTO).hyper() == EditHyperparams(
             stop_ratio=0.0, max_iters=7, learning_rate=1e-2)
-        assert params.hyper("manual") == loop
-        assert params.hyper("auto") == params.hyper(BalanceMode.AUTO)
+        assert params("manual").hyper() == loop
+        assert params("auto").hyper() == params(BalanceMode.AUTO).hyper()
 
     def test_defaults_are_the_edits(self):
-        assert BalancerParams().hyper(BalanceMode.MANUAL) == EditHyperparams()
+        assert BalancerParams().mode is BalanceMode.MANUAL
+        assert BalancerParams().hyper() == EditHyperparams()
 
     def test_a_mode_that_names_no_member_raises(self):
         with pytest.raises(ValueError, match="is not a valid BalanceMode"):
-            BiasEditRequest("teacher", "female teacher", "male teacher", mode="nonsense")
-        with pytest.raises(ValueError, match="is not a valid BalanceMode"):
-            BalancerParams().hyper("nonsense")
+            BalancerParams(mode="nonsense")
+
+    @pytest.mark.parametrize("value", [1.5, -0.1])
+    def test_stop_ratio_is_checked_in_auto_mode(self, value):
+        # Auto mode runs with stop_ratio 0, but a bad setting is still refused.
+        with pytest.raises(ValueError, match="stop_ratio must be in"):
+            BalancerParams(mode="auto", stop_ratio=value)
 
     @pytest.mark.parametrize("field,value,message", [
         ("stop_ratio", 1.5, "stop_ratio must be in"), ("stop_ratio", -0.1, "stop_ratio must be in"),
@@ -225,14 +225,16 @@ class TestEditBalanceAuto:
             profession="teacher",
             stereotypical_prompt="male teacher",
             counter_prompt="female teacher",
-            mode=BalanceMode.AUTO,
         )
+
+    def params(self, **settings):
+        return BalancerParams(mode=BalanceMode.AUTO, **settings)
 
     def test_symmetric_fixture_alpha_floor_and_loss_decrease(self):
         bundle = symmetric_bundle()
         teacher = bundle.vocab.tokens["teacher"]
         ledger = EditLedger()
-        res = edit_balance(bundle, self.request(), BalancerParams(learning_rate=1e-2), ledger)
+        res = edit_balance(bundle, self.request(), self.params(learning_rate=1e-2), ledger)
         assert res.final_loss < res.initial_loss
         assert res.optimizer_steps >= 1
         assert res.edited_token_ids == (teacher,)
@@ -251,9 +253,8 @@ class TestEditBalanceAuto:
         h_p0, h_csp, h_sp = (bundle.encode_prompt(p, edit_rows=rows)
                              for p in ("teacher", "female teacher", "male teacher"))
         full = LossPositions.FULL_SEQUENCE
-        params = BalancerParams(max_iters=3)
-        delta = bias_rate_delta(mse_hidden(h_p0, h_sp, full), mse_hidden(h_p0, h_csp, full),
-                                params.delta_normalizer)
+        params = self.params(max_iters=3)
+        delta = bias_rate_delta(mse_hidden(h_p0, h_sp, full), mse_hidden(h_p0, h_csp, full))
         alpha = alpha_weight(delta, params)
         res = edit_balance(bundle, self.request(), params, EditLedger())
         assert res.initial_loss == balanced_loss(h_p0, h_csp, h_sp, alpha)
@@ -272,14 +273,14 @@ class TestEditBalanceAuto:
                 seen.append(tokens.ids)
                 return real(tokens, *args, **kwargs)
             monkeypatch.setattr(module, "encode", spy)
-        res = edit_balance(bundle, self.request(), BalancerParams(max_iters=1), EditLedger())
+        res = edit_balance(bundle, self.request(), self.params(max_iters=1), EditLedger())
         assert res.optimizer_steps == 1
         assert seen.count(p_ids) == 2
 
     def test_only_profession_rows_change(self):
         bundle = symmetric_bundle()
         before = bundle.weights.wte.array.copy()
-        edit_balance(bundle, self.request(), BalancerParams(), EditLedger())
+        edit_balance(bundle, self.request(), self.params(), EditLedger())
         teacher = bundle.vocab.tokens["teacher"]
         changed = np.any(bundle.weights.wte.array != before, axis=1)
         assert changed[teacher]
@@ -292,7 +293,7 @@ class TestEditBalanceAuto:
         ledger = EditLedger()
         with pytest.raises(DivergenceError) as exc:
             edit_balance(bundle, self.request(),
-                         BalancerParams(learning_rate=1e-2, max_iters=5), ledger)
+                         self.params(learning_rate=1e-2, max_iters=5), ledger)
         assert exc.value.iteration == 2
         assert bundle.weights.wte.array.tobytes() == before
         assert len(ledger) == 0
@@ -302,7 +303,7 @@ class TestEditBalanceAuto:
         before = bundle.weights.wte.array.tobytes()
         ledger = EditLedger()
         with pytest.raises(DivergenceError):
-            edit_balance(bundle, self.request(), BalancerParams(learning_rate=1e300), ledger)
+            edit_balance(bundle, self.request(), self.params(learning_rate=1e300), ledger)
         assert bundle.weights.wte.array.tobytes() == before
         assert len(ledger) == 0
 
@@ -316,7 +317,7 @@ class TestEditBalanceAuto:
             wte.array[[teacher]], wte.array[vocab.tokens["female"]],
             wte.array[vocab.tokens["male"]])
         ledger = EditLedger()
-        res = edit_balance(bundle, self.request(), BalancerParams(), ledger)
+        res = edit_balance(bundle, self.request(), self.params(), ledger)
         assert (res.iterations_run, res.optimizer_steps) == (1, 0)
         assert np.array_equal(bundle.weights.wte.array[[teacher]], averaged)
         assert np.array_equal(ledger.entries[0].new_rows, averaged)
@@ -327,7 +328,7 @@ class TestEditBalanceAuto:
         bundle = symmetric_bundle()
         before = bundle.weights.wte.array.tobytes()
         ledger = EditLedger()
-        edit_balance(bundle, self.request(), BalancerParams(), ledger)
+        edit_balance(bundle, self.request(), self.params(), ledger)
         assert bundle.weights.wte.array.tobytes() != before
         revert(bundle.weights, ledger, 1)
         assert bundle.weights.wte.array.tobytes() == before
@@ -338,10 +339,9 @@ class TestEditBalanceAuto:
             profession="teacher",
             stereotypical_prompt="teacher",
             counter_prompt="teacher",
-            mode=BalanceMode.AUTO,
         )
         with pytest.warns(UserWarning, match="gender-neutral"):
-            res = edit_balance(bundle, request, BalancerParams(max_iters=3), EditLedger())
+            res = edit_balance(bundle, request, self.params(max_iters=3), EditLedger())
         assert res.initial_loss == 0.0
 
     def test_large_alpha_direction_approaches_pure_counter_gradient(self):

@@ -745,6 +745,23 @@ class TestReport:
             "of shape (1, 0) for 1 token ids\n")
         assert not (workdir / "rep").exists()
 
+    @pytest.mark.parametrize("ledger,entry,message", [
+        (zero_row_ledger(5, [999]), 0, "id 999 is not in [0, {v})"),
+        (zero_row_ledger(8, [3], [999]), 1, "id 999 is not in [0, {v})"),
+        (zero_row_ledger(5, [3]), 0, "rows of width 5, d_model is 8"),
+    ], ids=["id_and_width", "id", "width"])
+    def test_ledger_that_does_not_fit_its_archive_is_data_error(self, workdir, capsys, ledger,
+                                                                 entry, message):
+        base, path = init_archive(workdir), workdir / "ledger.json"
+        ledger.save(path)
+        capsys.readouterr()
+        assert run("report", "--ledger", path, "--weights", base,
+                   "--out", workdir / "rep") == 2
+        message = message.format(v=load_config(base).vocab_size)
+        assert capsys.readouterr().err == (
+            f"data error: {path}: ledger entry {entry}: {message}\n")
+        assert not (workdir / "rep").exists()
+
     def test_report_on_a_damaged_header_is_data_error(self, workdir, capsys):
         base = init_archive(workdir)
         ledger = workdir / "ledger.json"
@@ -880,7 +897,7 @@ class TestGenderAndProbe:
 
     def test_gender_loads_the_archive_once(self, workdir, monkeypatch):
         import embedit.cli as cli
-        from embedit.encoder import EncoderBundle
+        from embedit.encoder import EncoderBundle, encode_pooled
         from embedit.evaluation import GenderEntry, female_percentage
 
         base = init_archive(workdir)
@@ -903,11 +920,55 @@ class TestGenderAndProbe:
         # loaded on its own.
         reference = EncoderBundle(*real(base))
         entry = GenderEntry.from_json(gender)
-        baseline = female_percentage(entry, reference,
+        baseline = female_percentage(entry, encode_pooled(reference, entry.tests),
                                      reference.encode_prompt(entry.female_ref).pooled,
                                      reference.encode_prompt(entry.male_ref).pooled)
         report = json.loads((workdir / "genderout" / "gender_report.json").read_text())
         assert report["per_profession"][0]["baseline_f"] == baseline
+
+    def test_gender_reads_each_profession_once_before_the_first_edit(self, workdir,
+                                                                    monkeypatch):
+        import embedit.encoder as encoder
+
+        base = init_archive(workdir)
+        panda = {"profession": "panda", "validation": "a panda",
+                 "tests": ["a panda", "little panda"],
+                 "female_ref": "female panda", "male_ref": "male panda"}
+        ds = workdir / "gender.jsonl"
+        ds.write_text(GENDER_LINE + json.dumps(panda) + "\n")
+        events, editing = [], []
+        real_forward, real_edit = encoder._forward, cli.edit_balance
+
+        def forward(ids, *args, **kwargs):
+            if not editing:  # the edit's own forwards are not reads
+                events.append(len(ids))
+            return real_forward(ids, *args, **kwargs)
+
+        def edit(bundle, request, *args):
+            events.append(request.profession)
+            editing.append(request)
+            try:
+                return real_edit(bundle, request, *args)
+            finally:
+                editing.pop()
+
+        monkeypatch.setattr(encoder, "_forward", forward)
+        monkeypatch.setattr(cli, "edit_balance", edit)
+        assert run("gender", "--weights", base, "--dataset", ds, "--mode", "manual",
+                   "--max-iters", 2, "--out", workdir / "genderout") == 0
+        # One forward per profession over its distinct prompts (profession,
+        # both references, validation and tests), then each edited table's
+        # tests after its edit.
+        assert events == [4, 5, "teacher", 1, "panda", 2]
+
+    def test_gender_has_no_delta_normalizer_flag(self, workdir, capsys):
+        base = init_archive(workdir)
+        ds = workdir / "gender.jsonl"
+        ds.write_text(GENDER_LINE)
+        assert run("gender", "--weights", base, "--dataset", ds, "--delta-normalizer", 2,
+                   "--out", workdir / "genderout") == 1
+        assert "unrecognized arguments: --delta-normalizer" in capsys.readouterr().err
+        assert not (workdir / "genderout").exists()
 
     @pytest.mark.parametrize("field", [{"profession": 5}, {"tests": [5]}, {"tests": "a teacher"},
                                        {"male_ref": ["male teacher"]}, {"test": ["a teacher"]}])
@@ -1131,7 +1192,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("command,flag", [
         ("edit", "--lr"), ("gender", "--lr"), ("gender", "--alpha-min"),
-        ("gender", "--delta-normalizer"), ("probe", "--lr"), ("probe", "--l2"),
+        ("probe", "--lr"), ("probe", "--l2"),
     ])
     def test_non_finite_hyperparameter_is_usage_error(self, workdir, capsys, command, flag,
                                                       value):

@@ -47,7 +47,6 @@ _FIELDS = [
     ("max_iters", lambda v: EditHyperparams(max_iters=v), True, 0, 3),
     ("learning_rate", lambda v: EditHyperparams(learning_rate=v), False, 0.0, 0.1),
     ("alpha_min", lambda v: BalancerParams(alpha_min=v), False, 0.99, 2.0),
-    ("delta_normalizer", lambda v: BalancerParams(delta_normalizer=v), False, 1.99, 2.0),
     ("train_fraction", lambda v: ProbeParams(train_fraction=v), False, 1.0, 0.5),
     ("probe_lr", lambda v: ProbeParams(lr=v), False, 0.0, 0.1),
     ("l2", lambda v: ProbeParams(l2=v), False, -0.01, 0.0),

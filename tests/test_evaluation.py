@@ -19,6 +19,7 @@ from embedit import (
     classify,
     edit_balance,
     edit_single,
+    encode_pooled,
     evaluate_edit,
     female_percentage,
     filter_sequential_dataset,
@@ -26,6 +27,7 @@ from embedit import (
     load_edit_entries,
 )
 from embedit.errors import DatasetError, DegenerateInputError, DegenerateVectorError
+from embedit.evaluation import DESTINATION
 
 from conftest import make_bundle
 
@@ -348,6 +350,11 @@ def _refs(entry, reference):
             reference.encode_prompt(entry.male_ref).pooled)
 
 
+def _tests(entry, edited):
+    """Pooled states of the entry's test prompts."""
+    return encode_pooled(edited, entry.tests)
+
+
 class TestFemalePercentage:
     def test_prompt_identical_to_male_ref_scores_zero(self):
         bundle = make_bundle(seed=0)
@@ -355,7 +362,7 @@ class TestFemalePercentage:
             profession="teacher", validation="teacher", tests=("teacher",),
             female_ref="female teacher", male_ref="teacher",
         )
-        assert female_percentage(entry, bundle, *_refs(entry, bundle)) == 0.0
+        assert female_percentage(entry, _tests(entry, bundle), *_refs(entry, bundle)) == 0.0
 
     def test_auto_balancing_moves_toward_fifty(self):
         # Engineered fixture (seed 12): baseline leans male at F=20; after the
@@ -363,19 +370,19 @@ class TestFemalePercentage:
         reference = make_bundle(seed=12)
         edited = make_bundle(seed=12)
         entry = gender_entry()
-        baseline = female_percentage(entry, edited, *_refs(entry, reference))
+        baseline = female_percentage(entry, _tests(entry, edited), *_refs(entry, reference))
         assert baseline == 20.0
         edit_balance(
             edited,
             BiasEditRequest(profession="teacher", stereotypical_prompt="male teacher",
-                            counter_prompt="female teacher", mode=BalanceMode.AUTO),
-            BalancerParams(learning_rate=1e-2, max_iters=200),
+                            counter_prompt="female teacher"),
+            BalancerParams(mode=BalanceMode.AUTO, learning_rate=1e-2, max_iters=200),
             EditLedger(),
         )
-        after = female_percentage(entry, edited, *_refs(entry, reference))
+        after = female_percentage(entry, _tests(entry, edited), *_refs(entry, reference))
         assert abs(after - 50.0) < abs(baseline - 50.0)
 
-    def test_tests_are_read_in_one_batch(self, forward_reads):
+    def test_scores_pooled_rows_and_reads_no_bundle(self, forward_reads):
         bundle = make_bundle(seed=0)
         entry = GenderEntry(
             profession="teacher", validation="a teacher",
@@ -383,11 +390,13 @@ class TestFemalePercentage:
             female_ref="female teacher", male_ref="male teacher",
         )
         refs = _refs(entry, bundle)
+        pooled = _tests(entry, bundle)
         forward_reads.clear()
-        female_percentage(entry, bundle, *refs)
-        assert [rows for _, rows in forward_reads] == [
-            [bundle.tokenize(p).ids for p in ("a teacher", "little teacher",
-                                              "teacher with a dog")]]
+        # A repeated test counts twice: 4 prompts, each scored from its row.
+        expected = 100.0 * sum(
+            classify(pooled[p], refs[1], refs[0]) == DESTINATION for p in entry.tests) / 4
+        assert female_percentage(entry, pooled, *refs) == expected
+        assert forward_reads == []
 
     def test_gender_entry_requires_profession_in_tests(self):
         with pytest.raises(DatasetError):

@@ -216,9 +216,10 @@ def test_no_tape_is_alive_at_the_write_after_reaching_tau(live_tapes_at_write):
 
 def test_no_tape_is_alive_at_the_write_of_auto_balancing(live_tapes_at_write):
     request = BiasEditRequest(profession="teacher", stereotypical_prompt="male teacher",
-                              counter_prompt="female teacher", mode=BalanceMode.AUTO)
+                              counter_prompt="female teacher")
     result = edit_balance(make_bundle(), request,
-                          BalancerParams(learning_rate=1e-2, max_iters=3), EditLedger())
+                          BalancerParams(mode=BalanceMode.AUTO, learning_rate=1e-2, max_iters=3),
+                          EditLedger())
     assert result.optimizer_steps >= 1
     assert live_tapes_at_write == [0]
 

@@ -221,6 +221,18 @@ def test_dataset_rejects_bad_label():
         ProbeDataset(items=[("w", 2)], label_names=("a", "b"))
 
 
+@pytest.mark.parametrize("label", [True, False, 0.0, 1.0, np.float64(1)],
+                         ids=["true", "false", "float_0", "float_1", "numpy_float_1"])
+def test_dataset_rejects_a_label_that_is_not_an_integer(label):
+    # As every id and count rule: True would silently stand for 1.
+    with pytest.raises(DegenerateDataError, match="must be 0 or 1"):
+        ProbeDataset(items=[("w", label)], label_names=("a", "b"))
+
+
+def test_dataset_accepts_numpy_integer_labels():
+    assert len(ProbeDataset(items=[("w", np.int64(1))], label_names=("a", "b"))) == 1
+
+
 def test_dataset_json_round_trip(tmp_path):
     ds = ProbeDataset(items=[("apple", 0), ("lemon", 1)], label_names=("red", "yellow"))
     import json
