@@ -87,9 +87,10 @@ class Tape:
     that outlives the pass never keeps the tape alive. A step holds its
     output's node, its inputs' nodes (None for one that carries no gradient)
     and its VJP, never a tensor, so the tape keeps only what the VJPs read.
-    Operations whose inputs carry no gradient are not recorded at all, so the
-    VJP of a one-input operation always sees needs == (True,) and does not
-    test it. A tensor belongs to the last tape that watched or produced it.
+    A VJP takes its output's cotangent and returns one gradient per recorded
+    input; a primitive records only the inputs it differentiates, and one
+    whose recorded inputs carry no gradient is not recorded at all. A tensor
+    belongs to the last tape that watched or produced it.
     Tapes are single-owner: build one per forward pass and do not share
     across threads.
     """
@@ -126,9 +127,10 @@ def _maybe_record(tape: Tape | None, out: Tensor, inputs: Sequence[Tensor], vjp)
 def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
     """Accumulate d(loss)/d(leaf) for every watched leaf of the tape.
 
-    The loss must be a scalar produced on this tape. Leaves that the loss
-    does not depend on receive zero gradients; nothing is materialized for
-    unwatched tensors.
+    The loss must be a scalar produced on this tape. Each step's vjp(g)
+    gives one gradient per recorded input. Leaves that the loss does not
+    depend on, or reaches only through an unrecorded input, get zeros;
+    nothing is materialized for unwatched tensors.
     """
     node = tape._node_of(loss)
     if node is None or node in tape._leaves:
@@ -143,9 +145,8 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
         if g is None:
             continue
         grads[out] = None
-        contribs = vjp(g, tuple(n is not None for n in nodes))
-        for n, c in zip(nodes, contribs):
-            if c is None:
+        for n, c in zip(nodes, vjp(g)):
+            if n is None:
                 continue
             acc = grads[n]
             grads[n] = c if acc is None else acc + c
@@ -161,12 +162,16 @@ def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
         raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
+def _identity_vjp(g):
+    return (g,)
+
+
 def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     _require_same_shape(a, b, "add")
     out = Tensor._wrap(a.array + b.array)
 
-    def vjp(g, needs):
-        return (g if needs[0] else None, g if needs[1] else None)
+    def vjp(g):
+        return (g, g)
 
     _maybe_record(tape, out, (a, b), vjp)
     return out
@@ -175,18 +180,14 @@ def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
 def sub(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     _require_same_shape(a, b, "sub")
     out = Tensor(a.array - b.array)
-
-    def vjp(g, needs):
-        return (g if needs[0] else None, -g if needs[1] else None)
-
-    _maybe_record(tape, out, (a, b), vjp)
+    _maybe_record(tape, out, (a,), _identity_vjp)
     return out
 
 
 def scale(a: Tensor, c: float, tape: Tape | None = None) -> Tensor:
     out = Tensor(a.array * c)
 
-    def vjp(g, needs):
+    def vjp(g):
         return (g * c,)
 
     _maybe_record(tape, out, (a,), vjp)
@@ -198,11 +199,7 @@ def add_bias(x: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     if len(x.shape) != 2 or len(b.shape) != 1 or x.shape[1] != b.shape[0]:
         raise DimensionError(f"add_bias: shapes {x.shape} and {b.shape} incompatible")
     out = Tensor._wrap(x.array + b.array)
-
-    def vjp(g, needs):
-        return (g if needs[0] else None, g.sum(axis=0) if needs[1] else None)
-
-    _maybe_record(tape, out, (x, b), vjp)
+    _maybe_record(tape, out, (x,), _identity_vjp)
     return out
 
 
@@ -214,11 +211,8 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     # Only b's gradient reads a; the encoder never tracks a weight.
     a_val = a.array if tape is not None and tape._node_of(b) is not None else None
 
-    def vjp(g, needs):
-        return (
-            g @ b_val.T if needs[0] else None,
-            a_val.T @ g if needs[1] else None,
-        )
+    def vjp(g):
+        return (g @ b_val.T, None if a_val is None else a_val.T @ g)
 
     _maybe_record(tape, out, (a, b), vjp)
     return out
@@ -229,7 +223,7 @@ def transpose(a: Tensor, tape: Tape | None = None) -> Tensor:
         raise DimensionError(f"transpose: expected a matrix, got shape {a.shape}")
     out = Tensor(a.array.T)
 
-    def vjp(g, needs):
+    def vjp(g):
         return (g.T,)
 
     _maybe_record(tape, out, (a,), vjp)
@@ -242,7 +236,7 @@ def slice_rows(x: Tensor, start: int, stop: int, tape: Tape | None = None) -> Te
     out = Tensor(x.array[start:stop])
     full_shape = x.shape
 
-    def vjp(g, needs):
+    def vjp(g):
         z = np.zeros(full_shape)
         z[start:stop] = g
         return (z,)
@@ -257,7 +251,7 @@ def slice_cols(x: Tensor, start: int, stop: int, tape: Tape | None = None) -> Te
     out = Tensor(x.array[:, start:stop])
     full_shape = x.shape
 
-    def vjp(g, needs):
+    def vjp(g):
         z = np.zeros(full_shape)
         z[:, start:stop] = g
         return (z,)
@@ -274,15 +268,10 @@ def concat_cols(parts: Sequence[Tensor], tape: Tape | None = None) -> Tensor:
         if len(p.shape) != 2 or p.shape[0] != rows:
             raise DimensionError(f"concat_cols: incompatible part shape {p.shape}")
     out = Tensor(np.concatenate([p.array for p in parts], axis=1))
-    widths = [p.shape[1] for p in parts]
+    edges = list(itertools.accumulate((p.shape[1] for p in parts), initial=0))
 
-    def vjp(g, needs):
-        res = []
-        j = 0
-        for w, need in zip(widths, needs):
-            res.append(g[:, j:j + w] if need else None)
-            j += w
-        return tuple(res)
+    def vjp(g):
+        return tuple(g[:, j:k] for j, k in zip(edges, edges[1:]))
 
     _maybe_record(tape, out, tuple(parts), vjp)
     return out
@@ -308,9 +297,10 @@ def substitute_rows(
 
     Row p of the n-by-d matrix x stands for id ids[p], as gather_rows lays
     them out; row s of the k-by-d leaf stands for leaf_ids[s], which the
-    caller has checked distinct. When taped, the leaf's gradient is k-by-d:
+    caller has checked distinct. When taped, only the leaf is recorded; x,
+    the table's gathered rows, is a constant. The leaf's gradient is k-by-d:
     each leaf row gets the cotangents of the positions it fills,
-    scatter-added in position order, and x gets those of the rows it kept.
+    scatter-added in position order.
     """
     if len(x.shape) != 2 or x.shape[0] != len(ids):
         raise DimensionError(f"substitute_rows: {len(ids)} ids for a matrix of shape {x.shape}")
@@ -327,18 +317,12 @@ def substitute_rows(
     out = Tensor._wrap(a)
     leaf_shape = leaf.shape
 
-    def vjp(g, needs):
-        g_x = None
-        if needs[0]:
-            g_x = g.copy()
-            g_x[pos] = 0.0
-        g_leaf = None
-        if needs[1]:
-            g_leaf = np.zeros(leaf_shape)
-            np.add.at(g_leaf, slots, g[pos])
-        return (g_x, g_leaf)
+    def vjp(g):
+        g_leaf = np.zeros(leaf_shape)
+        np.add.at(g_leaf, slots, g[pos])
+        return (g_leaf,)
 
-    _maybe_record(tape, out, (x, leaf), vjp)
+    _maybe_record(tape, out, (leaf,), vjp)
     return out
 
 
@@ -377,24 +361,16 @@ def layer_norm(
     out = Tensor._wrap(out)
     gamma_val = gamma.array
 
-    def vjp(g, needs):
-        g_gamma = None
-        g_beta = None
-        if needs[1]:
-            g_gamma = (g * xhat).reshape(-1, d).sum(axis=0)
-        if needs[2]:
-            g_beta = g.reshape(-1, d).sum(axis=0)
-        g_x = None
-        if needs[0]:
-            dxhat = g * gamma_val
-            g_x = inv * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
-            )
-        return (g_x, g_gamma, g_beta)
+    def vjp(g):
+        dxhat = g * gamma_val
+        g_x = inv * (
+            dxhat
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
+        )
+        return (g_x,)
 
-    _maybe_record(tape, out, (x, gamma, beta), vjp)
+    _maybe_record(tape, out, (x,), vjp)
     return out
 
 
@@ -414,7 +390,7 @@ def softmax_rows(m: Tensor, tape: Tape | None = None) -> Tensor:
     s = _softmax(m.array)
     out = Tensor(s)
 
-    def vjp(g, needs):
+    def vjp(g):
         return (_softmax_vjp(s, g),)
 
     _maybe_record(tape, out, (m,), vjp)
@@ -516,22 +492,19 @@ def attention(
         saved.append((q3, kt3, v3))
     out = Tensor._wrap(out)
 
-    def vjp(g, needs):
+    def vjp(g):
         # The per-head VJPs of matmul (g @ b^T, a^T @ g), softmax_rows and
         # scale, run on all heads of a run at once, over probabilities
         # recomputed from the saved heads rather than kept.
-        g_q, g_k, g_v = (np.empty((rows, d)) if need else None for need in needs)
+        g_q, g_k, g_v = (np.empty((rows, d)) for _ in range(3))
         for (start, b, n), (q3, kt3, v3) in zip(runs, saved):
             stop = start + b * n
             p = _attention_probs(q3, kt3, inv_sqrt)
             g3 = _split_heads(g[start:stop], b, n_heads)
-            if needs[2]:
-                _merge_heads(p.transpose(0, 2, 1) @ g3, g_v[start:stop], b)
+            _merge_heads(p.transpose(0, 2, 1) @ g3, g_v[start:stop], b)
             g_s = _softmax_vjp(p, g3 @ v3.transpose(0, 2, 1)) * inv_sqrt
-            if needs[0]:
-                _merge_heads(g_s @ kt3.transpose(0, 2, 1), g_q[start:stop], b)
-            if needs[1]:
-                _merge_heads((q3.transpose(0, 2, 1) @ g_s).transpose(0, 2, 1), g_k[start:stop], b)
+            _merge_heads(g_s @ kt3.transpose(0, 2, 1), g_q[start:stop], b)
+            _merge_heads((q3.transpose(0, 2, 1) @ g_s).transpose(0, 2, 1), g_k[start:stop], b)
         return (g_q, g_k, g_v)
 
     _maybe_record(tape, out, (q, k, v), vjp)
@@ -576,7 +549,7 @@ def gelu(x: Tensor, tape: Tape | None = None) -> Tensor:
     dy += t
     out = Tensor._wrap(out)
 
-    def vjp(g, needs):
+    def vjp(g):
         return (g * dy,)
 
     _maybe_record(tape, out, (x,), vjp)
@@ -589,7 +562,7 @@ def mean_square(x: Tensor, tape: Tape | None = None) -> Tensor:
     out = Tensor(np.mean(a * a))
     n = a.size
 
-    def vjp(g, needs):
+    def vjp(g):
         return (g * (2.0 / n) * a,)
 
     _maybe_record(tape, out, (x,), vjp)

@@ -25,6 +25,7 @@ from .editor import (
     LossPositions,
     OptimizerKind,
     budget_report,
+    check_request,
     edit_multi_encoder,
     edit_sequential,
     revert,
@@ -160,6 +161,10 @@ def cmd_seq_edit(args) -> int:
         raise DatasetError(f"{args.dataset}: no edit entries")
     bundle = _load_bundle(args.weights)
     requests = [EditRequest(e.source, e.destination, e.target_word) for e in entries]
+    # A bad entry anywhere exits 2 before the first edit, writing nothing.
+    for k, request in enumerate(requests, 1):
+        with reading(f"{args.dataset}: entry {k}", DataError):
+            check_request(bundle, request)
     ledger = EditLedger()
     out = Path(args.out)
     try:

@@ -26,12 +26,12 @@ from .archive import write_atomically
 from .autodiff import Tape, Tensor, backward, mean_square, slice_rows, sub
 from .encoder import EncoderBundle, HiddenStates, TokenSequence, Vocab, encode, tokenize
 from .errors import (
+    DataError,
     DivergenceError,
     InconsistentRequestError,
     LedgerFormatError,
     LedgerRangeError,
     NonFiniteError,
-    UnknownTokenError,
     check_ids,
     check_number,
     json_object,
@@ -250,6 +250,14 @@ def target_token_ids(request: EditRequest, vocab: Vocab) -> set[int]:
     return set(target_ids)
 
 
+def check_request(bundle: EncoderBundle, request: EditRequest) -> None:
+    """Refuse with a DataError a request the bundle cannot edit: its target
+    must pass target_token_ids and both its prompts must tokenize."""
+    target_token_ids(request, bundle.vocab)
+    for prompt in (request.source_prompt, request.destination_prompt):
+        tokenize(prompt, bundle.vocab, bundle.config)
+
+
 def edit_single(
     bundle: EncoderBundle,
     request: EditRequest,
@@ -455,14 +463,16 @@ def edit_multi_encoder(
     ledgers: list[EditLedger],
 ) -> list[LedgerEntry]:
     """Run the same edit independently per encoder: each gets its own
-    threshold, optimizer state, and entry in its own ledger.
+    threshold, optimizer state, and entry in its own ledger. A request that
+    check_request refuses for any encoder raises InconsistentRequestError
+    naming the encoder, before the first edit.
     """
     if len(ledgers) != len(encoders):
         raise ValueError("need one ledger per encoder")
     for k, enc in enumerate(encoders):
         try:
-            target_token_ids(request, enc.vocab)
-        except (InconsistentRequestError, UnknownTokenError) as e:
+            check_request(enc, request)
+        except DataError as e:
             raise InconsistentRequestError(f"encoder {k}: {e}") from e
     return [
         edit_single(enc, request, hyper, ledger)

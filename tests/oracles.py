@@ -5,9 +5,11 @@ package so that no oracle shares a module with what it checks.
 uses: sum_all(mul(f(x), cotangent)) turns any primitive's output into a
 scalar loss, so backward gives that primitive's vector-Jacobian product.
 They record through autodiff's own `_maybe_record`, so they tape exactly as
-the package's primitives do. `finite_difference_grad` is the gradient
-oracle, independent of the tape, and `logreg_loss` is the loss whose
-gradient probe.logreg_grad is. Import them as `from oracles import ...`.
+the package's primitives do: each VJP takes only the output's cotangent and
+returns one gradient per recorded operand (`mul` records both).
+`finite_difference_grad` is the gradient oracle, independent of the tape,
+and `logreg_loss` is the loss whose gradient probe.logreg_grad is. Import
+them as `from oracles import ...`.
 
 The per-head ops that test_attention_is_bitwise_the_per_head_composition
 composes (`transpose`, `slice_cols`, `concat_cols`, `softmax_rows`) still
@@ -31,8 +33,8 @@ def mul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     out = Tensor(a.array * b.array)
     a_val, b_val = a.array, b.array
 
-    def vjp(g, needs):
-        return (g * b_val if needs[0] else None, g * a_val if needs[1] else None)
+    def vjp(g):
+        return (g * b_val, g * a_val)
 
     _maybe_record(tape, out, (a, b), vjp)
     return out
@@ -43,7 +45,7 @@ def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
     out = Tensor(np.sum(x.array))
     shape = x.shape
 
-    def vjp(g, needs):
+    def vjp(g):
         return (g * np.ones(shape),)
 
     _maybe_record(tape, out, (x,), vjp)

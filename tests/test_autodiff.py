@@ -305,13 +305,14 @@ def _directional_derivative(apply_op, inputs, wrt_index, cotangent, direction, h
     return (phi(h) - phi(-h)) / (2.0 * h)
 
 
-# (name, apply(tape, *tensors), input shapes, which inputs to differentiate)
+# (name, apply(tape, *tensors), input shapes, the inputs it records, which carry
+# a gradient; any other input is a constant to the tape)
 _PRIMITIVES = [
     ("add", lambda tp, a, b: add(a, b, tp), [(3, 4), (3, 4)], (0, 1)),
-    ("sub", lambda tp, a, b: sub(a, b, tp), [(3, 4), (3, 4)], (0, 1)),
+    ("sub", lambda tp, a, b: sub(a, b, tp), [(3, 4), (3, 4)], (0,)),
     ("mul", lambda tp, a, b: mul(a, b, tp), [(3, 4), (3, 4)], (0, 1)),
     ("scale", lambda tp, a: scale(a, -1.7, tp), [(3, 4)], (0,)),
-    ("add_bias", lambda tp, x, b: add_bias(x, b, tp), [(3, 4), (4,)], (0, 1)),
+    ("add_bias", lambda tp, x, b: add_bias(x, b, tp), [(3, 4), (4,)], (0,)),
     ("matmul", lambda tp, a, b: matmul(a, b, tp), [(3, 4), (4, 2)], (0, 1)),
     ("transpose", lambda tp, a: transpose(a, tp), [(3, 4)], (0,)),
     ("slice_rows", lambda tp, a: slice_rows(a, 1, 3, tp), [(4, 3)], (0,)),
@@ -322,13 +323,13 @@ _PRIMITIVES = [
         "substitute_rows",
         lambda tp, x, leaf: substitute_rows(x, [2, 0, 2, 1, 0, 3], [3, 2, 4], leaf, tp),
         [(6, 3), (3, 3)],
-        (0, 1),
+        (1,),
     ),
     (
         "layer_norm",
         lambda tp, x, g, b: layer_norm(x, g, b, 1e-5, tp),
         [(3, 6), (6,), (6,)],
-        (0, 1, 2),
+        (0,),
     ),
     ("softmax_rows", lambda tp, m: softmax_rows(m, tp), [(3, 5)], (0,)),
     (
@@ -387,6 +388,22 @@ def test_randomized_vjp_consistency(name, apply_op, shapes, wrt):
             rhs = float(np.sum(_vjp_via_backward(apply_op, inputs, wrt_index, cotangent) * direction))
             denom = max(abs(lhs), abs(rhs), 1e-6)
             assert abs(lhs - rhs) / denom < 1e-6, f"{name} wrt input {wrt_index}"
+
+
+_WITH_CONSTANTS = [p for p in _PRIMITIVES if len(p[3]) < len(p[2])]
+
+
+@pytest.mark.parametrize("name,apply_op,shapes,wrt", _WITH_CONSTANTS,
+                         ids=[p[0] for p in _WITH_CONSTANTS])
+def test_an_input_a_primitive_does_not_record_gets_no_gradient(name, apply_op, shapes, wrt):
+    rng = np.random.default_rng(7)
+    inputs = [Tensor(rng.normal(size=s)) for s in shapes]
+    tape = Tape()
+    for x in inputs:
+        tape.watch(x)
+    out = apply_op(tape, *inputs)
+    grads = backward(tape, sum_all(mul(out, Tensor(rng.normal(size=out.shape)), tape), tape))
+    assert [i for i, x in enumerate(inputs) if grads[x].array.any()] == list(wrt)
 
 
 def _per_head_attention(q, k, v, n_heads, mask, tape):

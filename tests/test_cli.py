@@ -534,19 +534,40 @@ class TestSeqEditAndEval:
         assert len(report["per_entry"]) == 10
         assert (workdir / "evalout" / "report.txt").exists()
 
-    def test_failed_sequential_run_keeps_ledger_on_disk(self, workdir):
+    def test_failed_sequential_run_keeps_ledger_on_disk(self, workdir, monkeypatch):
+        diverge_adam(monkeypatch, nth_adam=2, nth_step=1)
         base = init_archive(workdir)
         lines = [
             json.dumps({"source": "bear", "destination": "wolf", "target_word": "bear"}),
-            json.dumps({"source": "cat", "destination": "dog", "target_word": "bear"}),
+            json.dumps({"source": "cat", "destination": "dog", "target_word": "cat"}),
         ]
         ds = workdir / "bad.jsonl"
         ds.write_text("\n".join(lines) + "\n")
         code = run("seq-edit", "--weights", base, "--dataset", ds, "--lambda", 0.3,
                    "--max-iters", 50, "--lr", 0.01, "--out", workdir / "seqout")
-        assert code == 2
+        assert code == 3
         ledger = json.loads((workdir / "seqout" / "ledger.json").read_text())
         assert len(ledger["entries"]) == 1
+
+    @pytest.mark.parametrize("second,message", [
+        ({"source": "a zebraxx", "destination": "a cat", "target_word": "zebraxx"},
+         "word 'zebraxx' is not in the vocabulary or split table"),
+        ({"source": "cat", "destination": "dog", "target_word": "bear"},
+         "target 'bear' tokens [4] do not occur in source prompt 'cat'"),
+        ({"source": "cat", "destination": "a cat " * 4, "target_word": "cat"},
+         "prompt needs 10 tokens but context length is 8"),
+    ], ids=["unknown_word", "target_not_in_source", "overlong_destination"])
+    def test_a_bad_entry_is_refused_before_the_first_edit(self, workdir, capsys, second,
+                                                           message):
+        base = init_archive(workdir)
+        ds = workdir / "bad.jsonl"
+        ds.write_text(json.dumps({"source": "a cat", "destination": "a dog",
+                                  "target_word": "cat"}) + "\n" + json.dumps(second) + "\n")
+        capsys.readouterr()
+        assert run("seq-edit", "--weights", base, "--dataset", ds, "--lambda", 0.3,
+                   "--max-iters", 50, "--lr", 0.01, "--out", workdir / "seqout") == 2
+        assert capsys.readouterr().err == f"data error: {ds}: entry 2: {message}\n"
+        assert not (workdir / "seqout").exists()
 
     def test_dataset_line_not_utf8_is_data_error(self, workdir, capsys):
         base = init_archive(workdir)

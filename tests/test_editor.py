@@ -296,7 +296,7 @@ class TestEditSingle:
             if tape is not None and out.size == 1:
                 losses.append(out)
                 if len(losses) >= 2:
-                    def vjp(g, needs):
+                    def vjp(g):
                         return tuple(np.full(x.shape, np.inf) for x in inputs)
             real_record(tape, out, inputs, vjp)
 
@@ -739,6 +739,14 @@ class TestMultiEncoder:
         with pytest.raises(InconsistentRequestError, match="encoder 1"):
             edit_multi_encoder(encoders, EditRequest("bear", "wolf", "bear"),
                                EditHyperparams(), [EditLedger(), EditLedger()])
+
+    def test_a_destination_one_encoder_cannot_read_edits_no_encoder(self):
+        encoders = [make_bundle(seed=1), make_bundle(seed=1, vocab=make_vocab(words=["a", "bear"]))]
+        before = wte_bytes(encoders[0])
+        with pytest.raises(InconsistentRequestError, match="encoder 1: word 'wolf'"):
+            edit_multi_encoder(encoders, EditRequest("bear", "wolf", "bear"),
+                               EditHyperparams(), [EditLedger(), EditLedger()])
+        assert wte_bytes(encoders[0]) == before
 
 
 class TestSideEffectFreedom:
