@@ -38,7 +38,6 @@ from .errors import (
     EmbeditError,
     LedgerFormatError,
     NonFiniteError,
-    check_ids,
     check_number,
     read_json,
     reading,
@@ -162,8 +161,8 @@ def cmd_seq_edit(args) -> int:
     bundle = _load_bundle(args.weights)
     requests = [EditRequest(e.source, e.destination, e.target_word) for e in entries]
     # A bad entry anywhere exits 2 before the first edit, writing nothing.
-    for k, request in enumerate(requests, 1):
-        with reading(f"{args.dataset}: entry {k}", DataError):
+    for entry, request in zip(entries, requests):
+        with reading(f"{args.dataset}: line {entry.line}", DataError):
             check_request(bundle, request)
     ledger = EditLedger()
     out = Path(args.out)
@@ -192,36 +191,40 @@ def cmd_gender(args) -> int:
     # Each profession's prompts are read on the unedited table, one read
     # each, before the first edit: an unknown word or an overlong prompt
     # prints and writes nothing.
-    references = [encode_pooled(bundle, (e.profession, e.female_ref, e.male_ref, e.validation,
-                                         *e.tests)) for e in entries]
+    references = []
+    for e in entries:
+        with reading(f"{args.dataset}: line {e.line}", DataError):
+            references.append(encode_pooled(bundle, (e.profession, e.female_ref, e.male_ref,
+                                                     e.validation, *e.tests)))
     ledger = EditLedger()
-    rows = []
-    baseline_f = []
-    edited_f = []
-    for entry, ref in zip(entries, references):
-        f_ref, m_ref = ref[entry.female_ref], ref[entry.male_ref]
-        leans_female = classify(ref[entry.validation], m_ref, f_ref) == DESTINATION
-        sp = entry.female_ref if leans_female else entry.male_ref
-        csp = entry.male_ref if leans_female else entry.female_ref
-        request = BiasEditRequest(profession=entry.profession, stereotypical_prompt=sp,
-                                  counter_prompt=csp)
-        baseline = female_percentage(entry, ref, f_ref, m_ref)
-        result = edit_balance(bundle, request, params, ledger)
-        after = female_percentage(entry, encode_pooled(bundle, entry.tests), f_ref, m_ref)
-        baseline_f.append(baseline)
-        edited_f.append(after)
-        rows.append({
-            "profession": entry.profession,
-            "stereotype": "female" if leans_female else "male",
-            "baseline_f": baseline,
-            "edited_f": after,
-            "result": _result_json(result),
-        })
-        print(f"{entry.profession}: baseline F={baseline:.2f} edited F={after:.2f}")
+    rows, baseline_f, edited_f = [], [], []
+    out = Path(args.out)
+    try:
+        for entry, ref in zip(entries, references):
+            f_ref, m_ref = ref[entry.female_ref], ref[entry.male_ref]
+            leans_female = classify(ref[entry.validation], m_ref, f_ref) == DESTINATION
+            sp = entry.female_ref if leans_female else entry.male_ref
+            csp = entry.male_ref if leans_female else entry.female_ref
+            request = BiasEditRequest(profession=entry.profession, stereotypical_prompt=sp,
+                                      counter_prompt=csp)
+            baseline = female_percentage(entry, ref, f_ref, m_ref)
+            result = edit_balance(bundle, request, params, ledger)
+            after = female_percentage(entry, encode_pooled(bundle, entry.tests), f_ref, m_ref)
+            baseline_f.append(baseline)
+            edited_f.append(after)
+            rows.append({
+                "profession": entry.profession,
+                "stereotype": "female" if leans_female else "male",
+                "baseline_f": baseline,
+                "edited_f": after,
+                "result": _result_json(result),
+            })
+            print(f"{entry.profession}: baseline F={baseline:.2f} edited F={after:.2f}")
+    finally:
+        # As in seq-edit, the professions balanced before a failure are saved.
+        _save_edits(out, bundle, ledger)
 
     baseline_delta, edited_delta = gender_delta(baseline_f), gender_delta(edited_f)
-    out = Path(args.out)
-    _save_edits(out, bundle, ledger)
     _write_json(out / "gender_report.json", {
         "mode": args.mode,
         "per_profession": rows,
@@ -239,7 +242,8 @@ def cmd_revert(args) -> int:
     n = len(ledger.entries) if args.n is None else args.n
     ledger.check_depth(n)  # the ledger alone decides it: before the archive load
     config, weights, vocab = load_weights(args.weights)
-    revert(weights, ledger, n)
+    with reading(args.ledger, LedgerFormatError):
+        revert(weights, ledger, n)
     out = Path(args.out)
     save_weights(out, config, weights, vocab)
     if args.ledger_out:
@@ -258,7 +262,8 @@ def cmd_probe(args) -> int:
     params = ProbeParams(seeds, args.train_fraction, args.lr, args.epochs, args.l2)
     dataset = ProbeDataset.load(args.dataset)
     config, weights, vocab = load_weights(args.weights)
-    mean, std = accuracy_over_seeds(dataset, weights, vocab, params)
+    with reading(args.dataset, DataError):
+        mean, std = accuracy_over_seeds(dataset, weights, vocab, params)
     out = Path(args.out)
     _write_json(out / "probe_report.json", {
         "mean_accuracy": mean,
@@ -295,7 +300,8 @@ def cmd_eval(args) -> int:
     per_entry = []
     reports = []
     for entry in entries:
-        report = evaluate_edit(entry, edited, reference)
+        with reading(f"{args.dataset}: line {entry.line}", DataError):
+            report = evaluate_edit(entry, edited, reference)
         reports.append(report)
         per_entry.append({"target_word": entry.target_word, **report.to_json()})
     agg = aggregate_reports(reports)
@@ -322,14 +328,8 @@ def cmd_report(args) -> int:
     ledgers = [EditLedger.load(p) for p in args.ledger]
     configs = [load_config(p) for p in args.weights]
     for path, ledger, config in zip(args.ledger, ledgers, configs):
-        for k, entry in enumerate(ledger.entries):
-            try:
-                check_ids(entry.edited_token_ids, config.vocab_size)
-                if entry.new_rows.shape[1] != config.d_model:
-                    raise ValueError(f"rows of width {entry.new_rows.shape[1]}, "
-                                     f"d_model is {config.d_model}")
-            except (IndexError, ValueError) as e:
-                raise LedgerFormatError(f"{path}: ledger entry {k}: {e}") from e
+        with reading(path, LedgerFormatError):
+            ledger.check_fits(config.vocab_size, config.d_model)
     budget = budget_report(ledgers, sum(c.total_params() for c in configs))
     if args.out:
         _write_json(Path(args.out) / "budget.json", budget)

@@ -173,6 +173,18 @@ class EditLedger:
         if not 0 <= n_last <= len(self.entries):
             raise LedgerRangeError(f"cannot revert {n_last} of {len(self.entries)} ledger entries")
 
+    def check_fits(self, vocab_size: int, d_model: int) -> None:
+        """Raise LedgerFormatError naming the first entry whose ids are not
+        all below vocab_size or whose rows are not d_model wide."""
+        for k, entry in enumerate(self.entries):
+            try:
+                check_ids(entry.edited_token_ids, vocab_size)
+                if entry.new_rows.shape[1] != d_model:
+                    raise ValueError(f"rows of width {entry.new_rows.shape[1]}, "
+                                     f"d_model is {d_model}")
+            except (IndexError, ValueError) as e:
+                raise LedgerFormatError(f"ledger entry {k}: {e}") from e
+
     def to_json(self) -> dict:
         return {"entries": [{
             "source_prompt": e.source_prompt,
@@ -397,25 +409,24 @@ def revert(weights, ledger: EditLedger, n_last: int) -> None:
     """Undo the last n_last ledger entries, restoring each entry's pre-edit
     rows bitwise. Reverted entries are removed from the ledger.
 
-    One walk undoes the entries newest first, each id's row read from the
+    Every entry, at any n_last, must pass check_fits against the table. One
+    walk then undoes the entries newest first, each id's row read from the
     table once: each entry must find its new rows where undoing the newer
-    entries leaves them, and leaves its original rows there. An id outside
-    the table, or a row that is not the entry's new row (another table, the
-    unedited base, a table edited further, another width, a ledger that
-    disagrees with itself), raises LedgerFormatError naming the entry and
-    the id, with the table and the ledger untouched; one write follows the walk.
+    entries leaves them, and leaves its original rows there. A ledger that
+    does not fit, or a row that is not the entry's new row (another table,
+    the unedited base, a table edited further, a ledger that disagrees with
+    itself), raises LedgerFormatError naming the entry, with the table and
+    the ledger untouched; one write follows the walk.
     """
     ledger.check_depth(n_last)
+    ledger.check_fits(*weights.wte.shape)
     if n_last == 0:
         return
     first = len(ledger.entries) - n_last
     rows: dict[int, np.ndarray] = {}
     for k in reversed(range(first, len(ledger.entries))):
         entry = ledger.entries[k]
-        try:
-            ids = check_ids(entry.edited_token_ids, weights.wte.shape[0])
-        except IndexError as e:
-            raise LedgerFormatError(f"ledger entry {k}: {e}") from e
+        ids = entry.edited_token_ids
         unread = [i for i in ids if i not in rows]
         rows.update(zip(unread, weights.wte.rows(unread)))
         for i, new, original in zip(ids, entry.new_rows, entry.original_rows):

@@ -1,5 +1,5 @@
 """Exception types shared across the package, the one rule that names an
-input in the errors found while reading it (reading) and the JSON reader that
+input in the errors found in it (reading) and the JSON reader that
 follows it, the one check of a JSON object's keys and value types, and the
 one rule each for a number and for a row id handed in."""
 
@@ -93,12 +93,15 @@ class LedgerFormatError(DataError):
 
 @contextmanager
 def reading(where, error: type[Exception]):
-    """Name an input in the errors found while reading it: an `error` or a
+    """Name an input in the errors found in it, read or used: an `error` or a
     ValueError raised inside becomes an `error` whose message starts with
     `where` (the input's path, or "path: line n") and keeps the raised
-    error's attributes, such as an ArchiveFormatError's offset."""
+    error's attributes, such as an ArchiveFormatError's offset. A
+    NonFiniteError passes through unchanged: a blow-up is not bad data."""
     try:
         yield
+    except NonFiniteError:
+        raise
     except (error, ValueError) as e:
         named = error(f"{where}: {e}")
         named.__dict__.update(vars(e))

@@ -10,7 +10,7 @@ identical to the reference's.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,20 @@ def _json_pairs(obj, key: str) -> tuple[tuple[str, str], ...]:
 
 
 @dataclass(frozen=True)
-class EditEntry:
+class _Entry:
+    """A dataset entry; `line` is the line it was read from (None for one
+    made in code), which equality and to_json ignore."""
+
+    line: int | None = field(default=None, compare=False, kw_only=True)
+
+    def to_json(self) -> dict:
+        obj = asdict(self)  # tuples, which json writes as lists
+        del obj["line"]
+        return obj
+
+
+@dataclass(frozen=True)
+class EditEntry(_Entry):
     """One edit plus its positive (paraphrase) and negative (unrelated) tests."""
 
     source: str
@@ -76,7 +89,7 @@ class EditEntry:
                 )
 
     @classmethod
-    def from_json(cls, obj) -> "EditEntry":
+    def from_json(cls, obj, line: int | None = None) -> "EditEntry":
         """A missing or unknown key, a prompt or word that is not a string, or
         a test that is not a [prompt, prompt] pair raises DatasetError."""
         json_object(obj, {"source": (str,), "destination": (str,), "target_word": (str,),
@@ -88,14 +101,12 @@ class EditEntry:
             target_word=obj["target_word"],
             positives=_json_pairs(obj, "positives"),
             negatives=_json_pairs(obj, "negatives"),
+            line=line,
         )
-
-    def to_json(self) -> dict:
-        return asdict(self)  # tuples, which json writes as lists
 
 
 @dataclass(frozen=True)
-class GenderEntry:
+class GenderEntry(_Entry):
     profession: str
     validation: str
     tests: tuple[str, ...]
@@ -112,7 +123,7 @@ class GenderEntry:
                 )
 
     @classmethod
-    def from_json(cls, obj) -> "GenderEntry":
+    def from_json(cls, obj, line: int | None = None) -> "GenderEntry":
         """A missing or unknown key, or a prompt or word that is not a string,
         raises DatasetError."""
         json_object(obj, {"profession": (str,), "validation": (str,), "tests": (list,),
@@ -120,33 +131,30 @@ class GenderEntry:
                     DatasetError, "gender entry")
         if not _is_strs(obj["tests"]):
             raise DatasetError("gender entry: tests must be a list of strings")
-        return cls(**{**obj, "tests": tuple(obj["tests"])})
-
-    def to_json(self) -> dict:
-        return asdict(self)  # tuples, which json writes as lists
+        return cls(**{**obj, "tests": tuple(obj["tests"])}, line=line)
 
 
 def load_edit_entries(path: str | Path) -> list[EditEntry]:
-    """Read a JSONL file, one EditEntry per line."""
+    """Read a JSONL file, one EditEntry per non-blank line, holding its line."""
     return _load_jsonl(path, EditEntry.from_json)
 
 
 def load_gender_entries(path: str | Path) -> list[GenderEntry]:
-    """Read a JSONL file, one GenderEntry per line."""
+    """Read a JSONL file, one GenderEntry per non-blank line, holding its line."""
     return _load_jsonl(path, GenderEntry.from_json)
 
 
 def _load_jsonl(path: str | Path, parse):
-    """parse() of each non-blank line, read under reading("path: line n",
-    DatasetError): a line that is not UTF-8 JSON, or that parse() rejects,
-    raises DatasetError naming the file and the line."""
+    """parse(value, n) of each non-blank line n, read under reading("path:
+    line n", DatasetError): a line that is not UTF-8 JSON, or that parse()
+    rejects, raises DatasetError naming the file and the line."""
     with open(path, "rb") as f:
         data = f.read()
     entries = []
     for line_no, raw in enumerate(data.splitlines(), 1):
         if raw.strip():
             with reading(f"{path}: line {line_no}", DatasetError):
-                entries.append(parse(parse_json(raw, DatasetError)))
+                entries.append(parse(parse_json(raw, DatasetError), line_no))
     return entries
 
 

@@ -131,6 +131,32 @@ def test_a_failed_archive_save_leaves_the_ledger_saved_before_it(workdir, monkey
     assert not (out / "edited.embedit").exists()
 
 
+@pytest.mark.parametrize("command", ["report", "revert", "seq-edit", "eval", "gender", "probe"])
+def test_every_refused_item_is_named_by_its_file(workdir, capsys, command):
+    # One bad item per command: a ledger id past the archive, a word outside
+    # the vocabulary. Whatever the command, the message starts with the file.
+    base = init_archive(workdir)
+    bad = workdir / "bad.json"
+    if command in ("report", "revert"):
+        zero_row_ledger(8, [999]).save(bad)
+        args = ("--ledger", bad)
+    elif command == "probe":
+        bad.write_text(json.dumps({"label_names": ["red", "yellow"], "items": [
+            {"word": w, "label": i % 2} for i, w in enumerate([*WORDS, "zebraxx"])]}))
+        args = ("--dataset", bad)
+    elif command == "gender":
+        bad.write_text(json.dumps({**json.loads(GENDER_LINE), "validation": "a zebraxx"}) + "\n")
+        args = ("--dataset", bad)
+    else:
+        bad.write_text(json.dumps({"source": "a zebraxx", "destination": "a cat",
+                                   "target_word": "zebraxx"}) + "\n")
+        args = ("--dataset", bad, *(("--reference", base) if command == "eval" else ()))
+    capsys.readouterr()
+    assert run(command, "--weights", base, *args, "--out", workdir / "out") == 2
+    assert capsys.readouterr().err.startswith(f"data error: {bad}: ")
+    assert not (workdir / "out").exists()
+
+
 class TestInit:
     def test_same_seed_gives_byte_identical_archives(self, workdir):
         a = init_archive(workdir, "a.embedit")
@@ -397,7 +423,8 @@ class TestEditRevert:
         assert run("revert", "--weights", weights, "--ledger", ledger_path,
                    "--ledger-out", workdir / "rest.json",
                    "--out", workdir / "restored.embedit") == 2
-        assert capsys.readouterr().err.startswith("data error: ledger entry 0: the table's row")
+        assert capsys.readouterr().err.startswith(
+            f"data error: {ledger_path}: ledger entry 0: the table's row")
         assert not (workdir / "restored.embedit").exists()
         assert not (workdir / "rest.json").exists()
 
@@ -414,9 +441,30 @@ class TestEditRevert:
         assert run("revert", "--weights", edited, "--ledger", ledger_path,
                    "--ledger-out", workdir / "rest.json",
                    "--out", workdir / "restored.embedit") == 2
-        (bear,) = entry["edited_token_ids"]
-        assert capsys.readouterr().err.startswith(
-            f"data error: ledger entry 0: the table's row {bear} is not the row")
+        assert capsys.readouterr().err == (
+            f"data error: {ledger_path}: ledger entry 0: rows of width 5, d_model is 8\n")
+        assert not (workdir / "restored.embedit").exists()
+        assert not (workdir / "rest.json").exists()
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("older,message", [
+        (zero_row_ledger(8, [999]), "id 999 is not in [0, 27)"),
+        (zero_row_ledger(5, [3]), "rows of width 5, d_model is 8"),
+    ], ids=["id", "width"])
+    def test_revert_refuses_an_older_entry_that_does_not_fit_at_any_depth(
+            self, workdir, capsys, n, older, message):
+        # Only the newest entry is undone, or none, yet the ledger as a whole
+        # must fit the archive, as report requires.
+        edited, ledger_path = self.edited_with_ledger(workdir)
+        ledger = EditLedger.load(ledger_path)
+        ledger.entries[:0] = older.entries
+        ledger.save(ledger_path)
+        capsys.readouterr()
+        assert run("revert", "--weights", edited, "--ledger", ledger_path, "--n", n,
+                   "--ledger-out", workdir / "rest.json",
+                   "--out", workdir / "restored.embedit") == 2
+        assert capsys.readouterr().err == (
+            f"data error: {ledger_path}: ledger entry 0: {message}\n")
         assert not (workdir / "restored.embedit").exists()
         assert not (workdir / "rest.json").exists()
 
@@ -566,8 +614,25 @@ class TestSeqEditAndEval:
         capsys.readouterr()
         assert run("seq-edit", "--weights", base, "--dataset", ds, "--lambda", 0.3,
                    "--max-iters", 50, "--lr", 0.01, "--out", workdir / "seqout") == 2
-        assert capsys.readouterr().err == f"data error: {ds}: entry 2: {message}\n"
+        assert capsys.readouterr().err == f"data error: {ds}: line 2: {message}\n"
         assert not (workdir / "seqout").exists()
+
+    @pytest.mark.parametrize("command", ["seq-edit", "eval"])
+    def test_a_refused_entry_is_named_by_its_line(self, workdir, capsys, command):
+        # Line 2 is blank: the bad entry is the dataset's second, on line 3.
+        base = init_archive(workdir)
+        ds = workdir / "ds.jsonl"
+        ds.write_text("\n\n".join(json.dumps(e) for e in [
+            {"source": "a cat", "destination": "a dog", "target_word": "cat"},
+            {"source": "a zebraxx", "destination": "a cat", "target_word": "zebraxx"},
+        ]) + "\n")
+        reference = ("--reference", base) if command == "eval" else ()
+        capsys.readouterr()
+        assert run(command, "--weights", base, *reference, "--dataset", ds,
+                   "--out", workdir / "out") == 2
+        assert capsys.readouterr().err == (
+            f"data error: {ds}: line 3: word 'zebraxx' is not in the vocabulary or split table\n")
+        assert not (workdir / "out").exists()
 
     def test_dataset_line_not_utf8_is_data_error(self, workdir, capsys):
         base = init_archive(workdir)
@@ -773,15 +838,17 @@ class TestReport:
     ], ids=["id_and_width", "id", "width"])
     def test_ledger_that_does_not_fit_its_archive_is_data_error(self, workdir, capsys, ledger,
                                                                  entry, message):
+        # report and revert share the one fit rule, so they refuse alike.
         base, path = init_archive(workdir), workdir / "ledger.json"
         ledger.save(path)
-        capsys.readouterr()
-        assert run("report", "--ledger", path, "--weights", base,
-                   "--out", workdir / "rep") == 2
         message = message.format(v=load_config(base).vocab_size)
-        assert capsys.readouterr().err == (
-            f"data error: {path}: ledger entry {entry}: {message}\n")
-        assert not (workdir / "rep").exists()
+        for command in ("report", "revert"):
+            capsys.readouterr()
+            assert run(command, "--ledger", path, "--weights", base,
+                       "--out", workdir / "out") == 2
+            assert capsys.readouterr().err == (
+                f"data error: {path}: ledger entry {entry}: {message}\n")
+            assert not (workdir / "out").exists()
 
     def test_report_on_a_damaged_header_is_data_error(self, workdir, capsys):
         base = init_archive(workdir)
@@ -982,6 +1049,27 @@ class TestGenderAndProbe:
         # tests after its edit.
         assert events == [4, 5, "teacher", 1, "panda", 2]
 
+    def test_diverging_second_profession_exits_three_and_reverts_to_base(
+            self, workdir, capsys, monkeypatch):
+        diverge_adam(monkeypatch, nth_adam=2, nth_step=1)
+        base = init_archive(workdir)
+        panda = {"profession": "panda", "validation": "a panda", "tests": ["a panda"],
+                 "female_ref": "female panda", "male_ref": "male panda"}
+        ds = workdir / "gender.jsonl"
+        ds.write_text(GENDER_LINE + json.dumps(panda) + "\n")
+        out = workdir / "genderout"
+        capsys.readouterr()
+        assert run("gender", "--weights", base, "--dataset", ds, "--mode", "auto",
+                   "--max-iters", 5, "--lr", 0.01, "--out", out) == 3
+        assert capsys.readouterr().out.startswith("teacher: baseline F=")
+        ledger = json.loads((out / "ledger.json").read_text())
+        assert [e["target_word"] for e in ledger["entries"]] == ["teacher"]
+        assert not (out / "gender_report.json").exists()
+        assert run("revert", "--weights", out / "edited.embedit",
+                   "--ledger", out / "ledger.json",
+                   "--out", workdir / "restored.embedit") == 0
+        assert (workdir / "restored.embedit").read_bytes() == base.read_bytes()
+
     def test_gender_has_no_delta_normalizer_flag(self, workdir, capsys):
         base = init_archive(workdir)
         ds = workdir / "gender.jsonl"
@@ -1033,7 +1121,8 @@ class TestGenderAndProbe:
         assert run("gender", "--weights", base, "--dataset", ds,
                    "--out", workdir / "genderout") == 2
         out, err = capsys.readouterr()
-        assert err == "data error: word 'nurse' is not in the vocabulary or split table\n"
+        assert err == (
+            f"data error: {ds}: line 2: word 'nurse' is not in the vocabulary or split table\n")
         assert out == ""
         assert not (workdir / "genderout").exists()
 
@@ -1312,7 +1401,8 @@ class TestExitCodes:
         assert run("probe", "--weights", base, "--dataset", dataset, flag, value,
                    "--out", workdir / "x") == code
         err = capsys.readouterr().err
-        assert err.startswith("error:" if code == 1 else "data error: training diverged")
+        assert err.startswith(
+            "error:" if code == 1 else f"data error: {dataset}: training diverged")
         assert not (workdir / "x").exists()
 
     @pytest.mark.parametrize("command", ["gender", "eval", "seq-edit"])

@@ -558,10 +558,38 @@ class TestRevert:
         weights = make_bundle().weights
         ledger = self.chain(4, np.zeros(5), np.ones(5), np.zeros(8), weights.wte.rows([4])[0])
         wte = weights.wte
-        with pytest.raises(LedgerFormatError, match="^ledger entry 0: the table's row 4 "):
+        with pytest.raises(LedgerFormatError,
+                           match=r"^ledger entry 0: rows of width 5, d_model is 8$"):
             revert(weights, ledger, 2)
         assert weights.wte is wte
         assert len(ledger) == 2
+
+    @pytest.mark.parametrize("n_last", [0, 1])
+    @pytest.mark.parametrize("d,ids,message", [
+        (8, (999,), r"id 999 is not in \[0, 27\)"), (5, (3,), "rows of width 5, d_model is 8"),
+    ], ids=["id", "width"])
+    def test_revert_refuses_a_ledger_that_does_not_fit_at_any_depth(self, n_last, d, ids,
+                                                                     message):
+        # The older entry does not fit; undoing only the newer, or nothing,
+        # is refused all the same, as report refuses the ledger.
+        bundle, ledger = make_bundle(), zero_row_ledger(d, ids)
+        edit_single(bundle, EditRequest("bear", "wolf", "bear"),
+                    EditHyperparams(stop_ratio=0.5, max_iters=20, learning_rate=1e-2), ledger)
+        wte, state = bundle.weights.wte, wte_bytes(bundle)
+        with pytest.raises(LedgerFormatError, match=f"^ledger entry 0: {message}$"):
+            revert(bundle.weights, ledger, n_last)
+        assert bundle.weights.wte is wte and wte_bytes(bundle) == state
+        assert len(ledger) == 2
+
+    def test_check_fits_names_the_first_entry_that_does_not_fit(self):
+        ledger = zero_row_ledger(8, [3], [26], [27], [4])
+        ledger.check_fits(28, 8)
+        with pytest.raises(LedgerFormatError,
+                           match=r"^ledger entry 2: id 27 is not in \[0, 27\)$"):
+            ledger.check_fits(27, 8)
+        with pytest.raises(LedgerFormatError,
+                           match="^ledger entry 0: rows of width 8, d_model is 4$"):
+            ledger.check_fits(28, 4)
 
     def test_revert_refuses_a_ledger_that_disagrees_with_itself(self):
         weights = make_bundle().weights

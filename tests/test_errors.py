@@ -18,7 +18,15 @@ from embedit.autodiff import Tensor, gather_rows, layer_norm
 from embedit.balance import BalancerParams, alpha_weight, balanced_loss, bias_rate_delta
 from embedit.editor import EditHyperparams, EditLedger, EditRequest, edit_single, revert
 from embedit.encoder import EncoderConfig, HiddenStates, Vocab, init_random_weights
-from embedit.errors import LedgerFormatError, LedgerRangeError, check_ids, check_number
+from embedit.errors import (
+    DataError,
+    LedgerFormatError,
+    LedgerRangeError,
+    NonFiniteError,
+    check_ids,
+    check_number,
+    reading,
+)
 from embedit.probe import ProbeParams
 
 from conftest import make_bundle, make_config, make_vocab, zero_row_ledger
@@ -67,7 +75,7 @@ _FIELDS = [
     ("layer_norm_eps", _layer_norm, False, -0.01, 1e-5),
     ("fd_h", _fd_grad, False, 0.0, 1e-3),
     # Its interval is the ledger's depth, a LedgerRangeError (below).
-    ("n_last", lambda v: revert(None, EditLedger(), v), True, None, 0),
+    ("n_last", lambda v: revert(make_bundle().weights, EditLedger(), v), True, None, 0),
 ]
 _IDS = [f[0] for f in _FIELDS]
 _COMMON = [("string", "3"), ("none", None), ("bool", True), ("numpy_bool", np.True_)]
@@ -97,6 +105,18 @@ def test_numpy_numbers_are_accepted(field, call, integer, outside, valid):
 def test_a_negative_revert_depth_is_a_range_error():
     with pytest.raises(LedgerRangeError):
         revert(make_bundle().weights, EditLedger(), -1)
+
+
+def test_reading_names_its_input_and_passes_a_non_finite_error_through():
+    with pytest.raises(DataError, match=r"^d.jsonl: line 2: bad$"):
+        with reading("d.jsonl: line 2", DataError):
+            raise ValueError("bad")
+    # A NonFiniteError is a ValueError too, but a blow-up is not bad data.
+    blow_up = NonFiniteError("attention: scores are not finite")
+    with pytest.raises(NonFiniteError) as caught:
+        with reading("d.jsonl: line 2", DataError):
+            raise blow_up
+    assert caught.value is blow_up
 
 
 def test_the_message_names_field_interval_and_value():

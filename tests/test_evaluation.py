@@ -25,6 +25,7 @@ from embedit import (
     filter_sequential_dataset,
     gender_delta,
     load_edit_entries,
+    load_gender_entries,
 )
 from embedit.errors import DatasetError, DegenerateInputError, DegenerateVectorError
 from embedit.evaluation import DESTINATION
@@ -426,6 +427,21 @@ def test_edit_entry_jsonl_round_trip(tmp_path):
             f.write(json.dumps(e.to_json()) + "\n")
     loaded = load_edit_entries(path)
     assert loaded == [ENTRY, ENTRY]
+
+
+def test_loaded_entries_hold_their_line_which_equality_and_json_ignore(tmp_path):
+    edits, genders = tmp_path / "edits.jsonl", tmp_path / "gender.jsonl"
+    edits.write_text(f"\n{json.dumps(ENTRY.to_json())}\n\n{json.dumps(ENTRY.to_json())}\n")
+    genders.write_text(f"\n\n{json.dumps(gender_entry().to_json())}\n")
+    loaded = load_edit_entries(edits)
+    assert [e.line for e in loaded] == [2, 4] and ENTRY.line is None
+    assert loaded == [ENTRY, ENTRY] and hash(loaded[0]) == hash(ENTRY)
+    assert [e.to_json() for e in loaded] == [ENTRY.to_json()] * 2
+    assert "line" not in ENTRY.to_json()
+    assert [e.line for e in filter_sequential_dataset(loaded)] == [2, 4]
+    (gender,) = load_gender_entries(genders)
+    assert gender.line == 3 and gender == gender_entry()
+    assert gender.to_json() == gender_entry().to_json() and "line" not in gender.to_json()
 
 
 def test_edit_entries_bad_json_names_line(tmp_path):
