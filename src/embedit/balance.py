@@ -29,11 +29,11 @@ from .editor import (
     LossPositions,
     _hidden_mse,
     _optimize_rows,
+    check_request,
     edit_single,
     mse_hidden,
-    target_token_ids,
 )
-from .encoder import EncoderBundle, encode, tokenize
+from .encoder import EncoderBundle, Vocab, encode
 from .errors import DegenerateInputError, DimensionError, UnknownTokenError, check_number
 
 GRAD_NORM_STOP = 1e-10
@@ -151,11 +151,16 @@ def edit_balance(
     return _edit_balance_auto(bundle, request, edit_request, params, hyper, ledger)
 
 
-def _gendered_row(bundle: EncoderBundle, word: str) -> np.ndarray:
-    ids = bundle.vocab.word_token_ids(word)
-    if len(ids) != 1:
-        raise UnknownTokenError(f"{word!r} must map to a single token for averaging")
-    return bundle.weights.wte.rows(ids)[0]
+def gendered_token_ids(vocab: Vocab) -> list[int]:
+    """The ids of "female" and "male", whose rows auto mode averages into the
+    profession's; a word that is not one token raises UnknownTokenError."""
+    ids = []
+    for word in ("female", "male"):
+        word_ids = vocab.word_token_ids(word)
+        if len(word_ids) != 1:
+            raise UnknownTokenError(f"{word!r} must map to a single token for averaging")
+        ids += word_ids
+    return ids
 
 
 def _edit_balance_auto(
@@ -166,15 +171,12 @@ def _edit_balance_auto(
     hyper: EditHyperparams,
     ledger: EditLedger,
 ) -> LedgerEntry:
-    config, weights, vocab = bundle.config, bundle.weights, bundle.vocab
-    ids = sorted(target_token_ids(edit_request, vocab))
-    init_rows = init_profession_embedding(
-        weights.wte.rows(ids), _gendered_row(bundle, "female"), _gendered_row(bundle, "male"))
+    config, weights = bundle.config, bundle.weights
+    ids, p_tokens, csp_tokens = check_request(bundle, edit_request)
+    sp_tokens = bundle.tokenize(request.stereotypical_prompt)
+    init_rows = init_profession_embedding(weights.wte.rows(ids),
+                                          *weights.wte.rows(gendered_token_ids(bundle.vocab)))
     init = (ids, Tensor(init_rows))
-
-    p_tokens = tokenize(request.profession, vocab, config)
-    sp_tokens = tokenize(request.stereotypical_prompt, vocab, config)
-    csp_tokens = tokenize(request.counter_prompt, vocab, config)
     h_sp = encode(sp_tokens, weights, config, edit_rows=init)
     h_csp = encode(csp_tokens, weights, config, edit_rows=init)
     alpha = None

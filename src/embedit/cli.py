@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .archive import load_config, load_vocab, load_weights, save_weights, write_atomically
-from .balance import BalanceMode, BalancerParams, BiasEditRequest, edit_balance
+from .balance import BalanceMode, BalancerParams, BiasEditRequest, edit_balance, gendered_token_ids
 from .editor import (
     EditHyperparams,
     EditLedger,
@@ -83,6 +83,17 @@ def _save_edits(out: Path, bundle: EncoderBundle, ledger: EditLedger, suffix: st
     never leaves an edited archive without the ledger that reverts it."""
     ledger.save(out / f"ledger{suffix}.json")
     save_weights(out / f"edited{suffix}.embedit", bundle.config, bundle.weights, bundle.vocab)
+
+
+def _each_line(dataset: str, entries: list, fn) -> list:
+    """fn(entry) of each dataset entry, in order, each under
+    reading(f"{dataset}: line {entry.line}", DataError): the one place that
+    names a dataset line in the errors found in it."""
+    results = []
+    for entry in entries:
+        with reading(f"{dataset}: line {entry.line}", DataError):
+            results.append(fn(entry))
+    return results
 
 
 def _result_json(entry: LedgerEntry) -> dict:
@@ -159,15 +170,16 @@ def cmd_seq_edit(args) -> int:
     if not entries:
         raise DatasetError(f"{args.dataset}: no edit entries")
     bundle = _load_bundle(args.weights)
-    requests = [EditRequest(e.source, e.destination, e.target_word) for e in entries]
-    # A bad entry anywhere exits 2 before the first edit, writing nothing.
-    for entry, request in zip(entries, requests):
-        with reading(f"{args.dataset}: line {entry.line}", DataError):
-            check_request(bundle, request)
+
+    def request(e):
+        return EditRequest(e.source, e.destination, e.target_word)
+
+    # A bad entry anywhere exits 2 before the first forward, writing nothing.
+    _each_line(args.dataset, entries, lambda e: check_request(bundle, request(e)))
     ledger = EditLedger()
     out = Path(args.out)
     try:
-        results = edit_sequential(bundle, requests, hyper, ledger)
+        results = edit_sequential(bundle, [request(e) for e in entries], hyper, ledger)
     finally:
         # Completed entries survive a mid-run failure; a failed edit wrote
         # nothing, so the saved table holds exactly the ledger's edits.
@@ -188,16 +200,16 @@ def cmd_gender(args) -> int:
     if not entries:
         raise DatasetError(f"{args.dataset}: no gender entries")
     bundle = _load_bundle(args.weights)
-    # Each profession's prompts are read on the unedited table, one read
-    # each, before the first edit: an unknown word or an overlong prompt
-    # prints and writes nothing.
-    references = []
-    for e in entries:
-        with reading(f"{args.dataset}: line {e.line}", DataError):
-            references.append(encode_pooled(bundle, (e.profession, e.female_ref, e.male_ref,
-                                                     e.validation, *e.tests)))
+    # Every line, and in auto mode the gendered words, are checked before the
+    # first forward, so a refusal prints and writes nothing. Then each
+    # profession's prompts are read on the unedited table before any edit.
+    _each_line(args.dataset, entries, lambda e: [bundle.tokenize(p) for p in e.prompts])
+    if params.mode is BalanceMode.AUTO:
+        with reading(args.weights, DataError):
+            gendered_token_ids(bundle.vocab)
+    references = [encode_pooled(bundle, e.prompts) for e in entries]
     ledger = EditLedger()
-    rows, baseline_f, edited_f = [], [], []
+    rows = []
     out = Path(args.out)
     try:
         for entry, ref in zip(entries, references):
@@ -210,8 +222,6 @@ def cmd_gender(args) -> int:
             baseline = female_percentage(entry, ref, f_ref, m_ref)
             result = edit_balance(bundle, request, params, ledger)
             after = female_percentage(entry, encode_pooled(bundle, entry.tests), f_ref, m_ref)
-            baseline_f.append(baseline)
-            edited_f.append(after)
             rows.append({
                 "profession": entry.profession,
                 "stereotype": "female" if leans_female else "male",
@@ -224,7 +234,8 @@ def cmd_gender(args) -> int:
         # As in seq-edit, the professions balanced before a failure are saved.
         _save_edits(out, bundle, ledger)
 
-    baseline_delta, edited_delta = gender_delta(baseline_f), gender_delta(edited_f)
+    baseline_delta, edited_delta = (gender_delta([r[f] for r in rows])
+                                    for f in ("baseline_f", "edited_f"))
     _write_json(out / "gender_report.json", {
         "mode": args.mode,
         "per_profession": rows,
@@ -297,17 +308,14 @@ def cmd_eval(args) -> int:
     reference = _load_bundle(args.reference)
     if (edited.config, edited.vocab) != (reference.config, reference.vocab):
         raise DataError(f"{args.reference}: config or vocab differs from {args.weights}'s")
-    per_entry = []
-    reports = []
-    for entry in entries:
-        with reading(f"{args.dataset}: line {entry.line}", DataError):
-            report = evaluate_edit(entry, edited, reference)
-        reports.append(report)
-        per_entry.append({"target_word": entry.target_word, **report.to_json()})
+    # Every prompt of every line is tokenized before the first score.
+    _each_line(args.dataset, entries, lambda e: [edited.tokenize(p) for p in e.prompts])
+    reports = _each_line(args.dataset, entries, lambda e: evaluate_edit(e, edited, reference))
     agg = aggregate_reports(reports)
 
     out = Path(args.out)
-    _write_json(out / "report.json", {**agg.to_json(), "per_entry": per_entry})
+    _write_json(out / "report.json", {**agg.to_json(), "per_entry": [
+        {"target_word": e.target_word, **r.to_json()} for e, r in zip(entries, reports)]})
     lines = [
         f"{'metric':<20}{'mean %':>10}{'se':>8}",
         f"{'efficacy':<20}{agg.efficacy:>10.2f}{agg.efficacy_se:>8.2f}",

@@ -24,7 +24,7 @@ import numpy as np
 
 from .archive import write_atomically
 from .autodiff import Tape, Tensor, backward, mean_square, slice_rows, sub
-from .encoder import EncoderBundle, HiddenStates, TokenSequence, Vocab, encode, tokenize
+from .encoder import EncoderBundle, HiddenStates, TokenSequence, Vocab, encode
 from .errors import (
     DataError,
     DivergenceError,
@@ -262,12 +262,13 @@ def target_token_ids(request: EditRequest, vocab: Vocab) -> set[int]:
     return set(target_ids)
 
 
-def check_request(bundle: EncoderBundle, request: EditRequest) -> None:
-    """Refuse with a DataError a request the bundle cannot edit: its target
-    must pass target_token_ids and both its prompts must tokenize."""
-    target_token_ids(request, bundle.vocab)
-    for prompt in (request.source_prompt, request.destination_prompt):
-        tokenize(prompt, bundle.vocab, bundle.config)
+def check_request(bundle: EncoderBundle,
+                  request: EditRequest) -> tuple[list[int], TokenSequence, TokenSequence]:
+    """The sorted target ids and the source's and destination's tokens of a
+    request the bundle can edit; a DataError refuses one it cannot: its
+    target must pass target_token_ids and both its prompts must tokenize."""
+    ids = sorted(target_token_ids(request, bundle.vocab))
+    return ids, bundle.tokenize(request.source_prompt), bundle.tokenize(request.destination_prompt)
 
 
 def edit_single(
@@ -284,12 +285,12 @@ def edit_single(
     The check precedes the step, so stop_ratio=1 and identical prompts take
     zero optimizer steps and write nothing. The rows are written to the table
     once, after the loop; if the edit raises, the table is left as it was.
+    Starts with check_request, so a request it refuses runs no forward.
     Returns the entry it appended. The caller must hold the weights exclusively.
     """
-    config, weights, vocab = bundle.config, bundle.weights, bundle.vocab
-    ids = sorted(target_token_ids(request, vocab))
-    src_tokens = tokenize(request.source_prompt, vocab, config)
-    h_new = encode(tokenize(request.destination_prompt, vocab, config), weights, config)
+    ids, src_tokens, dst_tokens = check_request(bundle, request)
+    weights = bundle.weights
+    h_new = encode(dst_tokens, weights, bundle.config)
     return _optimize_rows(
         bundle, request, ids, weights.wte.rows(ids), src_tokens,
         lambda h, tape: _hidden_mse(h, h_new, hyper.loss_positions, tape),

@@ -93,7 +93,10 @@ class Vocab:
         return len(self.tokens) + 3
 
     def to_json(self) -> dict:
-        return asdict(self)
+        # Built directly: asdict's deep copy takes most of a CLIP-L save's header time.
+        return {"tokens": dict(self.tokens),
+                "splits": {w: list(s) for w, s in self.splits.items()},
+                "bos": self.bos, "eos": self.eos, "pad": self.pad}
 
     @classmethod
     def from_json(cls, obj) -> "Vocab":

@@ -21,6 +21,7 @@ from .errors import (
     DatasetError,
     DegenerateInputError,
     DegenerateVectorError,
+    NonFiniteError,
     json_object,
     parse_json,
     reading,
@@ -104,6 +105,13 @@ class EditEntry(_Entry):
             line=line,
         )
 
+    @property
+    def prompts(self) -> tuple[str, ...]:
+        """Every prompt it holds, as evaluate_edit reads them: source,
+        destination, then both prompts of each positive and negative pair."""
+        return (self.source, self.destination,
+                *(p for pair in (*self.positives, *self.negatives) for p in pair))
+
 
 @dataclass(frozen=True)
 class GenderEntry(_Entry):
@@ -132,6 +140,11 @@ class GenderEntry(_Entry):
         if not _is_strs(obj["tests"]):
             raise DatasetError("gender entry: tests must be a list of strings")
         return cls(**{**obj, "tests": tuple(obj["tests"])}, line=line)
+
+    @property
+    def prompts(self) -> tuple[str, ...]:
+        """Every prompt `gender` reads: all but the profession, which every test holds."""
+        return (self.female_ref, self.male_ref, self.validation, *self.tests)
 
 
 def load_edit_entries(path: str | Path) -> list[EditEntry]:
@@ -167,7 +180,8 @@ def classify(pooled_test, pooled_src_ref, pooled_dst_ref) -> str:
 
     Returns DESTINATION only when strictly closer to the destination
     reference; exact ties fall back to SOURCE. A zero reference has cosine 0
-    with any test state.
+    with any test state. A norm or dot product that overflows raises
+    NonFiniteError.
     """
     t = _vec(pooled_test)
     s = _vec(pooled_src_ref)
@@ -176,13 +190,17 @@ def classify(pooled_test, pooled_src_ref, pooled_dst_ref) -> str:
         raise DegenerateInputError(
             f"vector widths differ: {t.shape}, {s.shape}, {d.shape}"
         )
-    nt, ns, nd = (float(np.linalg.norm(v)) for v in (t, s, d))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        nt, ns, nd = (float(np.linalg.norm(v)) for v in (t, s, d))
+        ts, td = float(t @ s), float(t @ d)
+    if not np.isfinite([nt, ns, nd, ts, td]).all():
+        raise NonFiniteError("classify: a norm or dot product of pooled states is not finite")
     if ns == 0.0 and nd == 0.0:
         raise DegenerateInputError("both reference vectors are zero")
     if nt == 0.0:
         raise DegenerateVectorError("test vector has zero norm")
-    cos_s = float(t @ s) / (nt * ns) if ns != 0.0 else 0.0
-    cos_d = float(t @ d) / (nt * nd) if nd != 0.0 else 0.0
+    cos_s = ts / (nt * ns) if ns != 0.0 else 0.0
+    cos_d = td / (nt * nd) if nd != 0.0 else 0.0
     return DESTINATION if cos_d > cos_s else SOURCE
 
 
@@ -251,8 +269,7 @@ def evaluate_edit(
     negatives = [p for p, _ in entry.negatives]
     ed_states, ed = encode_reads(edited, negatives,
                                  [p for _, pairs, _ in buckets for p, _ in pairs])
-    ref_states, ref = encode_reads(reference, negatives,
-                                   [x for _, pairs, _ in buckets for pair in pairs for x in pair])
+    ref_states, ref = encode_reads(reference, negatives, entry.prompts)
     outcomes = {
         name: [classify(ed[p], ref[p], ref[q]) == expected for p, q in pairs]
         for name, pairs, expected in buckets

@@ -25,9 +25,14 @@ from embedit import (
 from embedit.autodiff import Tape, backward
 from embedit.editor import _hidden_mse
 from embedit.encoder import HiddenStates, encode, tokenize
-from embedit.errors import DegenerateInputError, DimensionError, DivergenceError
+from embedit.errors import (
+    DegenerateInputError,
+    DimensionError,
+    DivergenceError,
+    UnknownTokenError,
+)
 
-from conftest import diverge_adam, make_bundle
+from conftest import WORDS, diverge_adam, make_bundle, make_vocab
 
 
 def hs(matrix, eos_position=None):
@@ -229,6 +234,21 @@ class TestEditBalanceAuto:
 
     def params(self, **settings):
         return BalancerParams(mode=BalanceMode.AUTO, **settings)
+
+    def test_a_gendered_word_split_in_two_is_refused_before_any_forward(self, monkeypatch):
+        # The CLI checks the same rule, gendered_token_ids, before its reads.
+        import embedit.encoder as encoder
+
+        words = [w for w in WORDS if w != "female"] + ["fe"]
+        bundle = make_bundle(vocab=make_vocab(words, {"female": ["fe", "male"]}))
+        before = bundle.weights.wte.array.tobytes()
+        monkeypatch.setattr(encoder, "_forward", None)  # a forward would raise TypeError
+        ledger = EditLedger()
+        with pytest.raises(UnknownTokenError,
+                           match="'female' must map to a single token for averaging"):
+            edit_balance(bundle, self.request(), self.params(), ledger)
+        assert bundle.weights.wte.array.tobytes() == before
+        assert len(ledger) == 0
 
     def test_symmetric_fixture_alpha_floor_and_loss_decrease(self):
         bundle = symmetric_bundle()

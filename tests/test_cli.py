@@ -54,6 +54,14 @@ def run(*args):
     return main([str(a) for a in args])
 
 
+def write_split_female_vocab(workdir):
+    """Rewrite the workdir's vocabulary so that "female" is two tokens."""
+    vocab = json.loads((workdir / "vocab.json").read_text())
+    vocab["tokens"]["fe"] = len(vocab["tokens"]) + 3
+    vocab["splits"]["female"] = ["fe", "male"]
+    (workdir / "vocab.json").write_text(json.dumps(vocab))
+
+
 def write_probe_dataset(workdir):
     path = workdir / "probe.json"
     path.write_text(json.dumps({
@@ -617,21 +625,36 @@ class TestSeqEditAndEval:
         assert capsys.readouterr().err == f"data error: {ds}: line 2: {message}\n"
         assert not (workdir / "seqout").exists()
 
-    @pytest.mark.parametrize("command", ["seq-edit", "eval"])
-    def test_a_refused_entry_is_named_by_its_line(self, workdir, capsys, command):
+    @pytest.mark.parametrize("command", ["seq-edit", "eval", "gender-manual", "gender-auto"])
+    def test_a_refused_entry_is_named_by_its_line(self, workdir, capsys, monkeypatch, command):
         # Line 2 is blank: the bad entry is the dataset's second, on line 3.
+        # Every line is checked before the first forward, so none runs. In
+        # auto mode the vocabulary also splits "female": the lines are
+        # checked first, so the bad line is what the refusal names.
+        import embedit.encoder as encoder
+
+        if command == "gender-auto":
+            write_split_female_vocab(workdir)
         base = init_archive(workdir)
+        if command.startswith("gender"):
+            lines = [json.loads(GENDER_LINE), {**json.loads(GENDER_LINE),
+                                               "tests": ["a teacher", "a zebraxx teacher"]}]
+            args = ("gender", "--mode", command.split("-")[1])
+        else:
+            lines = [{"source": "a cat", "destination": "a dog", "target_word": "cat"},
+                     {"source": "a zebraxx", "destination": "a cat", "target_word": "zebraxx"}]
+            args = (command, *(("--reference", base) if command == "eval" else ()))
         ds = workdir / "ds.jsonl"
-        ds.write_text("\n\n".join(json.dumps(e) for e in [
-            {"source": "a cat", "destination": "a dog", "target_word": "cat"},
-            {"source": "a zebraxx", "destination": "a cat", "target_word": "zebraxx"},
-        ]) + "\n")
-        reference = ("--reference", base) if command == "eval" else ()
+        ds.write_text("\n\n".join(json.dumps(e) for e in lines) + "\n")
+        forwards = []
+        real_forward = encoder._forward
+        monkeypatch.setattr(encoder, "_forward",
+                            lambda *a, **k: forwards.append(a) or real_forward(*a, **k))
         capsys.readouterr()
-        assert run(command, "--weights", base, *reference, "--dataset", ds,
-                   "--out", workdir / "out") == 2
+        assert run(*args, "--weights", base, "--dataset", ds, "--out", workdir / "out") == 2
         assert capsys.readouterr().err == (
             f"data error: {ds}: line 3: word 'zebraxx' is not in the vocabulary or split table\n")
+        assert forwards == []
         assert not (workdir / "out").exists()
 
     def test_dataset_line_not_utf8_is_data_error(self, workdir, capsys):
@@ -1044,10 +1067,10 @@ class TestGenderAndProbe:
         monkeypatch.setattr(cli, "edit_balance", edit)
         assert run("gender", "--weights", base, "--dataset", ds, "--mode", "manual",
                    "--max-iters", 2, "--out", workdir / "genderout") == 0
-        # One forward per profession over its distinct prompts (profession,
-        # both references, validation and tests), then each edited table's
-        # tests after its edit.
-        assert events == [4, 5, "teacher", 1, "panda", 2]
+        # One forward per profession over its distinct prompts (both
+        # references, validation and tests; not the profession, which every
+        # test holds), then each edited table's tests after its edit.
+        assert events == [3, 4, "teacher", 1, "panda", 2]
 
     def test_diverging_second_profession_exits_three_and_reverts_to_base(
             self, workdir, capsys, monkeypatch):
@@ -1124,6 +1147,23 @@ class TestGenderAndProbe:
         assert err == (
             f"data error: {ds}: line 2: word 'nurse' is not in the vocabulary or split table\n")
         assert out == ""
+        assert not (workdir / "genderout").exists()
+
+    def test_auto_mode_refuses_a_split_gendered_word_before_any_forward(self, workdir, capsys,
+                                                                        monkeypatch):
+        # Every line is valid; the vocabulary is at fault, so the archive is named.
+        import embedit.encoder as encoder
+
+        write_split_female_vocab(workdir)
+        base = init_archive(workdir)
+        ds = workdir / "gender.jsonl"
+        ds.write_text(GENDER_LINE)
+        monkeypatch.setattr(encoder, "_forward", None)  # a forward would raise TypeError
+        capsys.readouterr()
+        assert run("gender", "--weights", base, "--dataset", ds, "--mode", "auto",
+                   "--out", workdir / "genderout") == 2
+        assert capsys.readouterr() == (
+            "", f"data error: {base}: 'female' must map to a single token for averaging\n")
         assert not (workdir / "genderout").exists()
 
     def test_empty_gender_dataset_is_refused_before_the_archive_is_read(self, workdir,
@@ -1504,6 +1544,29 @@ class TestExitCodes:
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == f"divergence: {message} (iteration 1)\n"
         assert not (workdir / "x").exists()
+
+    @pytest.mark.parametrize("final_gamma", [1e154, 1e160, 1e200])
+    @pytest.mark.parametrize("command", ["eval", "gender"])
+    def test_a_classification_that_overflows_is_three(self, workdir, capsys, command,
+                                                      final_gamma):
+        # The pooled states are finite, but their norms overflow: the
+        # classification is a divergence, reached without a numpy warning.
+        config, weights, vocab = load_weights(init_archive(workdir, seed=0))
+        weights.final_gamma = Tensor(np.full(config.d_model, final_gamma))
+        scaled = workdir / "scaled.embedit"
+        save_weights(scaled, config, weights, vocab)
+        (workdir / "edits.jsonl").write_text(json.dumps(
+            {"source": "bear", "destination": "wolf", "target_word": "bear"}) + "\n")
+        (workdir / "gender.jsonl").write_text(GENDER_LINE)
+        args = {"eval": ("eval", "--reference", scaled, "--dataset", workdir / "edits.jsonl"),
+                "gender": ("gender", "--dataset", workdir / "gender.jsonl")}[command]
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*args, "--weights", scaled, "--out", workdir / "x") == 3
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "divergence: classify: a norm or dot product of pooled states is not finite\n")
 
     @pytest.mark.parametrize("error", [DimensionError, TapeUsageError])
     def test_any_other_package_error_is_one(self, workdir, capsys, monkeypatch, error):

@@ -23,7 +23,7 @@ from embedit import (
     revert,
     target_token_ids,
 )
-from embedit.editor import LedgerEntry
+from embedit.editor import LedgerEntry, check_request
 from embedit.encoder import HiddenStates
 from embedit.errors import (
     DimensionError,
@@ -107,6 +107,14 @@ class TestTargetTokenIds:
     def test_whitespace_only_target_is_an_empty_prompt(self, vocab):
         with pytest.raises(EmptyPromptError):
             target_token_ids(EditRequest("a bear", "a wolf", " \t "), vocab)
+
+    def test_check_request_returns_what_the_edit_runs_on(self, vocab):
+        # edit_single's prologue: the sorted target ids and both prompts' tokens.
+        bundle = make_bundle(vocab=vocab)
+        req = EditRequest("a icecream", "red icecream", "icecream")
+        assert check_request(bundle, req) == (
+            sorted([vocab.tokens["ice"], vocab.tokens["cream"]]),
+            bundle.tokenize("a icecream"), bundle.tokenize("red icecream"))
 
 
 class TestReturnedEntry:

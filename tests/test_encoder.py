@@ -514,6 +514,15 @@ class TestJsonSchema:
         with pytest.raises(ValueError):
             EncoderConfig.from_json(obj)
 
+    def test_vocab_to_json_is_its_fields_as_a_copy(self, vocab):
+        # Archive headers and save_vocab write this object: it must be what
+        # dataclasses.asdict gives, and changing it must not change the vocab.
+        obj = vocab.to_json()
+        assert obj == dataclasses.asdict(vocab)
+        obj["tokens"].clear()
+        obj["splits"]["icecream"].clear()
+        assert vocab.to_json() == dataclasses.asdict(vocab) != obj
+
     def test_vocab_round_trips_and_splits_are_optional(self, vocab):
         assert Vocab.from_json(vocab.to_json()) == vocab
         obj = make_vocab().to_json()

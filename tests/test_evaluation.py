@@ -27,7 +27,12 @@ from embedit import (
     load_edit_entries,
     load_gender_entries,
 )
-from embedit.errors import DatasetError, DegenerateInputError, DegenerateVectorError
+from embedit.errors import (
+    DatasetError,
+    DegenerateInputError,
+    DegenerateVectorError,
+    NonFiniteError,
+)
 from embedit.evaluation import DESTINATION
 
 from conftest import make_bundle
@@ -64,6 +69,17 @@ class TestClassify:
     def test_both_references_zero(self):
         with pytest.raises(DegenerateInputError):
             classify(np.array([1.0, 0.0]), np.zeros(2), np.zeros(2))
+
+    @pytest.mark.parametrize("scale", [1e154, 1e160, 1e200])
+    @pytest.mark.parametrize("at", ["test", "source", "destination"])
+    def test_a_norm_or_dot_that_overflows_is_non_finite(self, scale, at):
+        # Finite states whose square overflows: numpy would warn and the
+        # cosines would be NaN. Warnings are errors under pytest here.
+        vectors = {"test": np.array([1.0, 2.0]), "source": np.array([2.0, 1.0]),
+                   "destination": np.array([1.0, 1.0])}
+        vectors[at] = vectors[at] * scale
+        with pytest.raises(NonFiniteError, match="classify: a norm or dot product"):
+            classify(vectors["test"], vectors["source"], vectors["destination"])
 
     @settings(max_examples=100, deadline=None)
     @given(
