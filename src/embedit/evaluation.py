@@ -31,6 +31,8 @@ SOURCE = "source"
 DESTINATION = "destination"
 # MetricReport's buckets, in report order.
 _BUCKETS = ("efficacy", "generality", "specificity", "strict_specificity")
+# Below this magnitude a float64's square is subnormal or zero.
+_TINY_ROOT = np.sqrt(np.finfo(np.float64).tiny)
 
 
 def contains_phrase(prompt: str, phrase: str) -> bool:
@@ -107,8 +109,8 @@ class EditEntry(_Entry):
 
     @property
     def prompts(self) -> tuple[str, ...]:
-        """Every prompt it holds, as evaluate_edit reads them: source,
-        destination, then both prompts of each positive and negative pair."""
+        """Source, destination, then both prompts of each positive and negative
+        pair: the one list `eval` checks and evaluate_edit reads on both bundles."""
         return (self.source, self.destination,
                 *(p for pair in (*self.positives, *self.negatives) for p in pair))
 
@@ -181,7 +183,8 @@ def classify(pooled_test, pooled_src_ref, pooled_dst_ref) -> str:
     Returns DESTINATION only when strictly closer to the destination
     reference; exact ties fall back to SOURCE. A zero reference has cosine 0
     with any test state. A norm or dot product that overflows raises
-    NonFiniteError.
+    NonFiniteError. Cosines are scale-free, so a vector whose squares would
+    underflow is first divided by its largest magnitude.
     """
     t = _vec(pooled_test)
     s = _vec(pooled_src_ref)
@@ -190,6 +193,8 @@ def classify(pooled_test, pooled_src_ref, pooled_dst_ref) -> str:
         raise DegenerateInputError(
             f"vector widths differ: {t.shape}, {s.shape}, {d.shape}"
         )
+    t, s, d = (v / m if 0.0 < (m := float(np.abs(v).max(initial=0.0))) < _TINY_ROOT else v
+               for v in (t, s, d))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         nt, ns, nd = (float(np.linalg.norm(v)) for v in (t, s, d))
         ts, td = float(t @ s), float(t @ d)
@@ -255,11 +260,11 @@ def evaluate_edit(
     expects. Strict specificity: each negative's hidden states must match
     the reference's bitwise.
 
-    Each bundle is read by one encode_reads per call, so by one forward:
-    each distinct prompt once, a negative's source in full and every other
-    prompt pooled. Nothing is shared between the two bundles or across
-    calls, so the strict check compares states computed independently from
-    each.
+    Both bundles are read by the same encode_reads over entry.prompts, one
+    forward each, with nothing shared: each distinct prompt once, a
+    negative's source in full. Both stacks hold the same rows in the same
+    order, so a negative that avoids the edited ids runs the same arithmetic
+    at the same offsets on each, whatever the (deterministic) BLAS.
     """
     buckets = (
         ("efficacy", ((entry.source, entry.destination),), DESTINATION),
@@ -267,9 +272,8 @@ def evaluate_edit(
         ("specificity", entry.negatives, SOURCE),
     )
     negatives = [p for p, _ in entry.negatives]
-    ed_states, ed = encode_reads(edited, negatives,
-                                 [p for _, pairs, _ in buckets for p, _ in pairs])
-    ref_states, ref = encode_reads(reference, negatives, entry.prompts)
+    (ed_states, ed), (ref_states, ref) = (encode_reads(b, negatives, entry.prompts)
+                                          for b in (edited, reference))
     outcomes = {
         name: [classify(ed[p], ref[p], ref[q]) == expected for p, q in pairs]
         for name, pairs, expected in buckets

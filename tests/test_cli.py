@@ -1568,6 +1568,30 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "divergence: classify: a norm or dot product of pooled states is not finite\n")
 
+    @pytest.mark.parametrize("final_gamma", [1e-170, 1e-200])
+    def test_eval_classifies_states_whose_squares_underflow(self, workdir, capsys,
+                                                            final_gamma):
+        # The pooled states are the scale-1 archive's times final_gamma, so
+        # eval reports as it does at scale 1, with no numpy warning.
+        base = init_archive(workdir, seed=0)
+        config, weights, vocab = load_weights(base)
+        weights.final_gamma = Tensor(np.full(config.d_model, final_gamma))
+        scaled = workdir / "scaled.embedit"
+        save_weights(scaled, config, weights, vocab)
+        (workdir / "edits.jsonl").write_text(json.dumps(
+            {"source": "bear", "destination": "wolf", "target_word": "bear",
+             "positives": [["a bear", "a wolf"]], "negatives": [["a cat", "a dog"]]}) + "\n")
+        reports = {}
+        for archive in (base, scaled):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run("eval", "--weights", archive, "--reference", archive,
+                           "--dataset", workdir / "edits.jsonl",
+                           "--out", workdir / archive.stem) == 0
+            assert [str(w.message) for w in caught] == []
+            reports[archive] = (workdir / archive.stem / "report.json").read_text()
+        assert reports[scaled] == reports[base]
+
     @pytest.mark.parametrize("error", [DimensionError, TapeUsageError])
     def test_any_other_package_error_is_one(self, workdir, capsys, monkeypatch, error):
         def fail(args):

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from embedit import (
@@ -35,7 +39,9 @@ from embedit.errors import (
 )
 from embedit.evaluation import DESTINATION
 
-from conftest import make_bundle
+from conftest import WORDS, make_bundle, make_vocab
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestClassify:
@@ -86,6 +92,11 @@ class TestClassify:
         st.integers(min_value=0, max_value=10 ** 6),
         st.floats(min_value=1e-6, max_value=1e6),
     )
+    # Scales at which the test vector's squares underflow.
+    @example(0, 1e-160)
+    @example(1, 1e-170)
+    @example(2, 1e-200)
+    @example(3, 1e-300)
     def test_scale_invariance(self, seed, c):
         rng = np.random.default_rng(seed)
         v = rng.normal(size=4)
@@ -145,6 +156,20 @@ class TestEvaluateEdit:
         assert report.strict_specificity == 100.0
         assert report.counts["strict_specificity"] == (5, 5)
 
+    def test_strict_specificity_holds_where_a_rows_bits_depend_on_its_offset(self):
+        # Under OpenBLAS's Nehalem kernels, its SSE path for CPUs without
+        # AVX, a row of a stacked product is not bitwise its own product.
+        # Both bundles stack the same rows in the same order, so a negative
+        # that avoids the edited id still reads the same bits on each.
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem",
+               "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])}
+        child = subprocess.run(
+            [sys.executable, "-c",
+             "import test_evaluation as t; print(t._strict_at_clip_l_widths())"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+        assert child.returncode == 0, child.stderr[-3000:]
+        assert float(child.stdout) == 100.0
+
     def test_counts_match_bucket_sizes(self, converged_pair):
         edited, reference = converged_pair
         report = evaluate_edit(ENTRY, edited, reference)
@@ -183,37 +208,42 @@ class TestEvaluateEdit:
             # destination, and the last negative repeats the one before it.
             negatives=(("wolf", "a wolf"), ("a cat", "a dog"), ("a cat", "a dog")),
         )
-        bundles = {id(edited.weights): edited, id(reference.weights): reference}
-        prompts = {entry.source, entry.destination, *(x for pairs in (entry.positives,
-                   entry.negatives) for pair in pairs for x in pair)}
+        prompts = set(entry.prompts)
 
-        def reads():
-            """(bundle, n, prompt) of each token row read, n being the row's
-            length, and the forwards run per bundle."""
-            rows, forwards = Counter(), Counter()
-            for weights, ids in forward_reads:
-                bundle = bundles[weights]
-                forwards[bundle is edited] += 1
-                for row in ids:
-                    n = len(row)
-                    p, = (p for p in prompts if bundle.tokenize(p).ids[:n] == row)
-                    rows[bundle is edited, n, p] += 1
-            return rows, forwards
+        def prompt_of(row):
+            """The one prompt whose first len(row) token ids are the row."""
+            p, = (p for p in prompts if edited.tokenize(p).ids[:len(row)] == row)
+            return p
 
-        full = {(e, 24, p) for e in (True, False) for p in ("wolf", "a cat")}
-        pooled = ({(True, 8, p) for p in ("bear", "a bear", "little bear")}
-                  | {(False, 8, p) for p in ("bear", "a bear", "little bear", "a wolf",
-                                             "a dog")}
-                  | {(e, 16, long) for e in (True, False)})
-        evaluate_edit(entry, edited, reference)
-        rows, forwards = reads()
-        # Each (bundle, prompt) once; only the negatives' sources in full.
-        assert rows == Counter(full | pooled)
-        # Every read of a bundle in one forward.
-        assert forwards == Counter({True: 1, False: 1})
-        evaluate_edit(entry, edited, reference)
-        assert reads() == (Counter(full | pooled) + Counter(full | pooled),
-                           Counter({True: 2, False: 2}))
+        # Each distinct prompt once, as (row length, prompt); only the
+        # negatives' sources in full.
+        expected = Counter({(24, "wolf"), (24, "a cat"), (16, long)}
+                           | {(8, p) for p in ("bear", "a bear", "little bear", "a wolf",
+                                               "a dog")})
+        for _ in range(2):
+            forward_reads.clear()
+            evaluate_edit(entry, edited, reference)
+            # One forward per bundle, and both get the same rows in the same order.
+            (first, rows), (second, ref_rows) = forward_reads
+            assert {first, second} == {id(edited.weights), id(reference.weights)}
+            assert rows == ref_rows
+            assert Counter((len(row), prompt_of(row)) for row in rows) == expected
+
+
+def _strict_at_clip_l_widths() -> float:
+    """Strict specificity at CLIP-L widths (1 layer, V=64) of two negatives
+    that avoid "bear", the one id whose row the edited bundle moved."""
+    vocab = make_vocab([*WORDS, *(f"w{i}" for i in range(64 - 3 - len(WORDS)))])
+    shape = dict(vocab=vocab, d_model=768, n_layers=1, n_heads=12, d_ff=3072,
+                 context_length=77)
+    edited, reference = make_bundle(seed=7, **shape), make_bundle(seed=7, **shape)
+    bear = vocab.tokens["bear"]
+    noise = np.random.default_rng(0).normal(0.0, 0.02, size=(1, 768))
+    edited.weights.set_wte_rows([bear], edited.weights.wte.array[[bear]] + noise)
+    entry = EditEntry(source="a bear", destination="a wolf", target_word="bear",
+                      positives=(("a little bear", "a little wolf"),),
+                      negatives=(("a cat", "a dog"), ("a red fox on a tree", "a blue fox")))
+    return evaluate_edit(entry, edited, reference).strict_specificity
 
 
 @pytest.fixture
