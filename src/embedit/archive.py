@@ -70,9 +70,8 @@ def load_vocab(path: str | Path) -> Vocab:
 
 
 def save_vocab(path: str | Path, vocab: Vocab) -> None:
-    """Write the vocab's JSON atomically (write_atomically)."""
-    text = json.dumps(vocab.to_json(), indent=2, sort_keys=True) + "\n"
-    write_atomically(path, lambda f: f.write(text.encode("utf-8")))
+    """Write the vocab's JSON with write_json."""
+    write_json(path, vocab.to_json())
 
 
 def save_weights(
@@ -186,6 +185,16 @@ def write_atomically(path: str | Path, write: Callable[[BinaryIO], None]) -> Non
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write text as UTF-8 through write_atomically."""
+    write_atomically(path, lambda f: f.write(text.encode("utf-8")))
+
+
+def write_json(path: str | Path, obj) -> None:
+    """write_text of obj's JSON, indented by 2 with sorted keys, and a newline."""
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _tensor_index(config: EncoderConfig) -> list[dict]:

@@ -19,8 +19,9 @@ from enum import Enum
 
 import numpy as np
 
+from .autodiff import Tape, Tensor, add, scale
 # backward is not called here; perfbench's tracer wraps embedit.balance.backward.
-from .autodiff import Tape, Tensor, add, backward, scale  # noqa: F401
+from .autodiff import backward  # noqa: F401
 from .editor import (
     EditHyperparams,
     EditLedger,
@@ -31,12 +32,9 @@ from .editor import (
     _optimize_rows,
     check_request,
     edit_single,
-    mse_hidden,
 )
 from .encoder import EncoderBundle, Vocab, encode
 from .errors import DegenerateInputError, DimensionError, UnknownTokenError, check_number
-
-GRAD_NORM_STOP = 1e-10
 
 
 class BalanceMode(str, Enum):
@@ -109,17 +107,16 @@ def balanced_loss(h_p, h_csp, h_sp, alpha: float) -> float:
     """alpha^2 * MSE(p, csp) + (1/alpha)^2 * MSE(p, sp), over the full
     sequence."""
     check_number("alpha", alpha, 0, open_low=True)
-    return _reward_penalty(h_p, h_csp, h_sp, alpha).item()
-
-
-def _reward_penalty(h_p, h_csp, h_sp, alpha: float, tape: Tape | None = None) -> Tensor:
-    """balanced_loss as a Tensor, recorded on `tape` when one is given."""
     full = LossPositions.FULL_SEQUENCE
-    return add(
-        scale(_hidden_mse(h_p, h_csp, full, tape), alpha ** 2, tape),
-        scale(_hidden_mse(h_p, h_sp, full, tape), (1.0 / alpha) ** 2, tape),
-        tape,
-    )
+    return _reward_penalty(_hidden_mse(h_p, h_csp, full), _hidden_mse(h_p, h_sp, full),
+                           alpha).item()
+
+
+def _reward_penalty(to_csp: Tensor, to_sp: Tensor, alpha: float,
+                    tape: Tape | None = None) -> Tensor:
+    """balanced_loss of the two distances as a Tensor, recorded on `tape`
+    when one is given."""
+    return add(scale(to_csp, alpha ** 2, tape), scale(to_sp, (1.0 / alpha) ** 2, tape), tape)
 
 
 def edit_balance(
@@ -132,13 +129,13 @@ def edit_balance(
     ordinary editor with destination = counter prompt and stop_ratio =
     params.stop_ratio; its threshold law holds unchanged.
 
-    Auto mode is the same loop with stop_ratio = 0, so tau = 0, and a
-    gradient-norm stop of GRAD_NORM_STOP (1e-10): it runs until max_iters or
-    until the gradient norm drops below that. Its initial loss is the loop's
-    first score, the reward-penalty loss at the averaged rows. Its entry
-    records threshold_tau = 0, so converged is only set by an exactly zero
-    loss. The averaged initial rows are written even when no step is taken.
-    Either mode returns the ledger entry it appended.
+    Auto mode is the same loop run from the averaged rows on the
+    reward-penalty loss, with stop_ratio = 0, so tau = 0: it stops at
+    max_iters or at an exactly zero loss, the only way it sets converged.
+    Its initial loss is the loop's first score, at the averaged rows, and
+    alpha is fixed from that score's two distances. The averaged initial
+    rows are written even when no step is taken. Either mode returns the
+    ledger entry it appended.
     """
     edit_request = EditRequest(
         source_prompt=request.profession,
@@ -148,7 +145,32 @@ def edit_balance(
     hyper = params.hyper()
     if params.mode is BalanceMode.MANUAL:
         return edit_single(bundle, edit_request, hyper, ledger)
-    return _edit_balance_auto(bundle, request, edit_request, params, hyper, ledger)
+    config, weights = bundle.config, bundle.weights
+    ids, p_tokens, csp_tokens = check_request(bundle, edit_request)
+    sp_tokens = bundle.tokenize(request.stereotypical_prompt)
+    init_rows = init_profession_embedding(weights.wte.rows(ids),
+                                          *weights.wte.rows(gendered_token_ids(bundle.vocab)))
+    init = (ids, Tensor(init_rows))
+    h_sp = encode(sp_tokens, weights, config, edit_rows=init)
+    h_csp = encode(csp_tokens, weights, config, edit_rows=init)
+    full = LossPositions.FULL_SEQUENCE
+    alpha = None
+
+    def loss_fn(h_p, tape):
+        # Alpha is fixed once, from the two distances of the loop's first
+        # score: the profession encoded at the averaged rows.
+        nonlocal alpha
+        to_csp = _hidden_mse(h_p, h_csp, full, tape)
+        to_sp = _hidden_mse(h_p, h_sp, full, tape)
+        if alpha is None and to_sp.item() == to_csp.item() == 0.0:
+            warnings.warn(f"profession {request.profession!r} is representationally "
+                          "gender-neutral; using alpha_min")
+            alpha = params.alpha_min
+        elif alpha is None:
+            alpha = alpha_weight(bias_rate_delta(to_sp.item(), to_csp.item()), params)
+        return _reward_penalty(to_csp, to_sp, alpha, tape)
+
+    return _optimize_rows(bundle, edit_request, ids, init_rows, p_tokens, loss_fn, hyper, ledger)
 
 
 def gendered_token_ids(vocab: Vocab) -> list[int]:
@@ -161,47 +183,3 @@ def gendered_token_ids(vocab: Vocab) -> list[int]:
             raise UnknownTokenError(f"{word!r} must map to a single token for averaging")
         ids += word_ids
     return ids
-
-
-def _edit_balance_auto(
-    bundle: EncoderBundle,
-    request: BiasEditRequest,
-    edit_request: EditRequest,
-    params: BalancerParams,
-    hyper: EditHyperparams,
-    ledger: EditLedger,
-) -> LedgerEntry:
-    config, weights = bundle.config, bundle.weights
-    ids, p_tokens, csp_tokens = check_request(bundle, edit_request)
-    sp_tokens = bundle.tokenize(request.stereotypical_prompt)
-    init_rows = init_profession_embedding(weights.wte.rows(ids),
-                                          *weights.wte.rows(gendered_token_ids(bundle.vocab)))
-    init = (ids, Tensor(init_rows))
-    h_sp = encode(sp_tokens, weights, config, edit_rows=init)
-    h_csp = encode(csp_tokens, weights, config, edit_rows=init)
-    alpha = None
-
-    def loss_fn(h_p, tape):
-        # Alpha is fixed once, from the loop's first states: the profession
-        # encoded at the averaged rows.
-        nonlocal alpha
-        if alpha is None:
-            alpha = _alpha(request.profession, h_p, h_csp, h_sp, params)
-        return _reward_penalty(h_p, h_csp, h_sp, alpha, tape)
-
-    return _optimize_rows(bundle, edit_request, ids, init_rows, p_tokens, loss_fn,
-                          GRAD_NORM_STOP, hyper, ledger)
-
-
-def _alpha(profession: str, h_p, h_csp, h_sp, params: BalancerParams) -> float:
-    """alpha_weight of the bias rate at h_p, over the full sequence;
-    alpha_min, with a warning, when h_p equals both gendered states."""
-    mse_sp = mse_hidden(h_p, h_sp, LossPositions.FULL_SEQUENCE)
-    mse_csp = mse_hidden(h_p, h_csp, LossPositions.FULL_SEQUENCE)
-    if mse_sp == 0.0 and mse_csp == 0.0:
-        warnings.warn(
-            f"profession {profession!r} is representationally gender-neutral; "
-            f"using alpha_min",
-        )
-        return params.alpha_min
-    return alpha_weight(bias_rate_delta(mse_sp, mse_csp), params)

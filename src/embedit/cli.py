@@ -11,11 +11,10 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .archive import load_config, load_vocab, load_weights, save_weights, write_atomically
+from .archive import load_config, load_vocab, load_weights, save_weights, write_json, write_text
 from .balance import BalanceMode, BalancerParams, BiasEditRequest, edit_balance, gendered_token_ids
 from .editor import (
     EditHyperparams,
@@ -63,14 +62,6 @@ class _UsageError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); route to exit code 1
         raise _UsageError(message)
-
-
-def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _write_text(path: Path, text: str) -> None:
-    write_atomically(path, lambda f: f.write(text.encode("utf-8")))
 
 
 def _load_bundle(path: str) -> EncoderBundle:
@@ -150,7 +141,7 @@ def cmd_edit(args) -> int:
         _save_edits(out, bundle, ledger, "" if k == 0 else str(k + 1))
     budget = budget_report(ledgers, sum(b.config.total_params() for b in bundles))
     modified, flops = budget["total_modified_scalars"], budget["total_update_flops"]
-    _write_json(out / "edit_summary.json", {
+    write_json(out / "edit_summary.json", {
         "request": {"source": args.source, "destination": args.dest,
                     "target_word": args.target},
         "results": [_result_json(r) for r in results],
@@ -184,7 +175,7 @@ def cmd_seq_edit(args) -> int:
         # Completed entries survive a mid-run failure; a failed edit wrote
         # nothing, so the saved table holds exactly the ledger's edits.
         _save_edits(out, bundle, ledger)
-    _write_json(out / "results.json", {
+    write_json(out / "results.json", {
         "results": [_result_json(r) for r in results],
         "converged": sum(r.converged for r in results),
         "total": len(results),
@@ -236,7 +227,7 @@ def cmd_gender(args) -> int:
 
     baseline_delta, edited_delta = (gender_delta([r[f] for r in rows])
                                     for f in ("baseline_f", "edited_f"))
-    _write_json(out / "gender_report.json", {
+    write_json(out / "gender_report.json", {
         "mode": args.mode,
         "per_profession": rows,
         "baseline_delta": baseline_delta,
@@ -276,7 +267,7 @@ def cmd_probe(args) -> int:
     with reading(args.dataset, DataError):
         mean, std = accuracy_over_seeds(dataset, weights, vocab, params)
     out = Path(args.out)
-    _write_json(out / "probe_report.json", {
+    write_json(out / "probe_report.json", {
         "mean_accuracy": mean,
         "std_accuracy": std,
         "seeds": params.seeds,
@@ -314,7 +305,7 @@ def cmd_eval(args) -> int:
     agg = aggregate_reports(reports)
 
     out = Path(args.out)
-    _write_json(out / "report.json", {**agg.to_json(), "per_entry": [
+    write_json(out / "report.json", {**agg.to_json(), "per_entry": [
         {"target_word": e.target_word, **r.to_json()} for e, r in zip(entries, reports)]})
     lines = [
         f"{'metric':<20}{'mean %':>10}{'se':>8}",
@@ -325,7 +316,7 @@ def cmd_eval(args) -> int:
         f"entries: {len(entries)}",
     ]
     table = "\n".join(lines) + "\n"
-    _write_text(out / "report.txt", table)
+    write_text(out / "report.txt", table)
     print(table, end="")
     return 0
 
@@ -340,7 +331,7 @@ def cmd_report(args) -> int:
             ledger.check_fits(config.vocab_size, config.d_model)
     budget = budget_report(ledgers, sum(c.total_params() for c in configs))
     if args.out:
-        _write_json(Path(args.out) / "budget.json", budget)
+        write_json(Path(args.out) / "budget.json", budget)
     for b in budget["per_edit"]:
         print(f"modified={b['modified_scalars']} flops={b['update_flops']} "
               f"ratio={b['weight_ratio']:.3g}")

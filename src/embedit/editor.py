@@ -294,20 +294,20 @@ def edit_single(
     return _optimize_rows(
         bundle, request, ids, weights.wte.rows(ids), src_tokens,
         lambda h, tape: _hidden_mse(h, h_new, hyper.loss_positions, tape),
-        0.0, hyper, ledger,
+        hyper, ledger,
     )
 
 
 def _optimize_rows(
     bundle: EncoderBundle, request: EditRequest, ids: list[int], init_rows: np.ndarray,
     tokens: TokenSequence, loss_fn: Callable[[HiddenStates, Tape | None], Tensor],
-    grad_tol: float, hyper: EditHyperparams, ledger: EditLedger,
+    hyper: EditHyperparams, ledger: EditLedger,
 ) -> LedgerEntry:
     """The one edit loop: optimize the k-by-d rows of `ids`, from init_rows,
     against loss_fn(hidden states of `tokens`, tape).
 
     Per iteration: encode and score, stop if the loss is at most tau, run
-    backward, stop if the gradient norm is below grad_tol, then step. The
+    backward, then step. The loop stops only there or at max_iters. The
     first iteration's score, at init_rows, is the initial loss, and
     tau = hyper.stop_ratio * initial loss. Any non-finite value raises
     DivergenceError with the table untouched. After the loop the edit's one
@@ -359,8 +359,6 @@ def _optimize_rows(
         del tape
         if not math.isfinite(norm):
             raise DivergenceError("gradient norm became non-finite", iteration=i)
-        if norm < grad_tol:
-            break
         rows = opt.step(rows, g)
         # Backward allocated g at the tape's memory high-water mark. While it
         # is alive the heap cannot shrink below it, so the freed activations

@@ -482,9 +482,10 @@ def encode_reads(
     positions 0..eos, so any other prompt runs over its first
     _pooled_length(eos, context) positions. The token rows are stacked in
     order of that length, so the rows of one length share attention's runs.
-    Every state is bitwise bundle.encode_prompt(prompt)'s, because a row
-    block of a stacked matmul is bitwise its own matmul (README, "Bitwise
-    facts"). Raises NonFiniteError when a computed state is not finite.
+    Every state is bitwise bundle.encode_prompt(prompt)'s where a row block
+    of a stacked matmul is bitwise its own matmul (README, "Bitwise facts");
+    under OpenBLAS's Nehalem kernels that fact, and so this one, fails.
+    Raises NonFiniteError when a computed state is not finite.
     """
     full = dict.fromkeys(full)
     tokens = {p: bundle.tokenize(p) for p in dict.fromkeys([*full, *pooled])}

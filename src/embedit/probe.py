@@ -20,6 +20,7 @@ from .errors import (
     is_integer,
     json_object,
     read_json,
+    reading,
 )
 
 
@@ -50,9 +51,10 @@ class ProbeDataset:
     label_names: tuple[str, str]
 
     def __post_init__(self):
-        for word, label in self.items:
+        for k, (word, label) in enumerate(self.items):
             if not (is_integer(label) and label in (0, 1)):
-                raise DegenerateDataError(f"label for {word!r} must be 0 or 1, got {label}")
+                raise DegenerateDataError(f"probe dataset: item {k}: label for {word!r} "
+                                          f"must be 0 or 1, got {label}")
 
     def __len__(self) -> int:
         return len(self.items)
@@ -61,8 +63,8 @@ class ProbeDataset:
     def from_json(cls, obj) -> "ProbeDataset":
         """Strict reader: exactly the keys "label_names", two strings, and
         "items", a list of objects with exactly a string "word" and a "label"
-        that is the JSON integer 0 or 1 (not a bool). Anything else raises
-        DatasetError."""
+        that is a JSON integer (not a bool). Anything else raises
+        DatasetError; __post_init__ refuses a label other than 0 or 1."""
         json_object(obj, {"label_names": (list,), "items": (list,)}, DatasetError,
                     "probe dataset")
         names = obj["label_names"]
@@ -72,14 +74,13 @@ class ProbeDataset:
         for k, it in enumerate(items):
             json_object(it, {"word": (str,), "label": (int,)}, DatasetError,
                         f"probe dataset: item {k}")
-            if it["label"] not in (0, 1):
-                raise DatasetError(f"probe dataset: item {k}: label must be 0 or 1")
         return cls(items=[(it["word"], it["label"]) for it in items], label_names=tuple(names))
 
     @classmethod
     def load(cls, path: str | Path) -> "ProbeDataset":
-        """from_json of a JSON file, read by read_json."""
-        return read_json(path, DatasetError, cls.from_json)
+        """from_json of a JSON file, read by read_json; every refusal names the file."""
+        with reading(path, DegenerateDataError):
+            return read_json(path, DatasetError, cls.from_json)
 
     def to_json(self) -> dict:
         return {

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,18 @@ WORDS = [
     "ice", "cream", "female", "male", "teacher", "wolf", "fox", "on",
     "tree", "little", "panda", "koala", "sloth", "ceo", "painting",
 ]
+
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def tracer_sites():
+    """perfbench/tracing.py's SITES, (module, attribute path, span) triples,
+    read without installing the tracer."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.SITES
 
 
 def make_vocab(words=WORDS, splits=None):

@@ -327,8 +327,9 @@ class TestEditBalanceAuto:
         assert bundle.weights.wte.array.tobytes() == before
         assert len(ledger) == 0
 
-    def test_averaged_rows_are_written_without_a_step(self, monkeypatch):
-        monkeypatch.setattr(balance, "GRAD_NORM_STOP", np.inf)
+    def test_averaged_rows_are_written_without_a_step(self):
+        # The profession as both gendered prompts: the first score is 0, which
+        # meets tau = 0 before any step.
         bundle = symmetric_bundle()
         before = bundle.weights.wte.array.tobytes()
         vocab, wte = bundle.vocab, bundle.weights.wte
@@ -337,12 +338,20 @@ class TestEditBalanceAuto:
             wte.array[[teacher]], wte.array[vocab.tokens["female"]],
             wte.array[vocab.tokens["male"]])
         ledger = EditLedger()
-        res = edit_balance(bundle, self.request(), self.params(), ledger)
+        request = BiasEditRequest("teacher", "teacher", "teacher")
+        with pytest.warns(UserWarning, match="gender-neutral"):
+            res = edit_balance(bundle, request, self.params(), ledger)
         assert (res.iterations_run, res.optimizer_steps) == (1, 0)
         assert np.array_equal(bundle.weights.wte.array[[teacher]], averaged)
         assert np.array_equal(ledger.entries[0].new_rows, averaged)
         revert(bundle.weights, ledger, 1)
         assert bundle.weights.wte.array.tobytes() == before
+
+    def test_a_nonzero_loss_runs_every_iteration_and_step(self):
+        # tau = 0 and no other stop: the loop ends only at max_iters.
+        res = edit_balance(make_bundle(), self.request(), self.params(max_iters=4), EditLedger())
+        assert res.initial_loss > 0.0
+        assert (res.iterations_run, res.optimizer_steps, res.converged) == (4, 4, False)
 
     def test_auto_edit_is_revertible(self):
         bundle = symmetric_bundle()
@@ -383,6 +392,6 @@ class TestEditBalanceAuto:
 
         g_pure = grad_of(lambda tape, h_p: _hidden_mse(h_p, h_csp, full, tape))
         g_balanced = grad_of(lambda tape, h_p: balance._reward_penalty(
-            h_p, h_csp, h_sp, alpha, tape))
+            _hidden_mse(h_p, h_csp, full, tape), _hidden_mse(h_p, h_sp, full, tape), alpha, tape))
         rel = np.abs(g_balanced / alpha ** 2 - g_pure) / np.maximum(np.abs(g_pure), 1e-12)
         assert rel.max() < 1e-6

@@ -6,22 +6,13 @@ it. This check fails fast instead.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from conftest import tracer_sites
 
 
-def _sites():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing.SITES
-
-
-@pytest.mark.parametrize("module_name,path,span", _sites())
+@pytest.mark.parametrize("module_name,path,span", tracer_sites())
 def test_traced_site_resolves_to_a_callable(module_name, path, span):
     owner = importlib.import_module(module_name)
     for attr in path.split("."):
