@@ -78,8 +78,8 @@ def _save_edits(out: Path, bundle: EncoderBundle, ledger: EditLedger, suffix: st
 
 def _each_line(dataset: str, entries: list, fn) -> list:
     """fn(entry) of each dataset entry, in order, each under
-    reading(f"{dataset}: line {entry.line}", DataError): the one place that
-    names a dataset line in the errors found in it."""
+    reading(f"{dataset}: line {entry.line}", DataError): the one place that names
+    a line while it is used (evaluation._load_jsonl names one while parsing)."""
     results = []
     for entry in entries:
         with reading(f"{dataset}: line {entry.line}", DataError):
@@ -192,8 +192,7 @@ def cmd_gender(args) -> int:
         raise DatasetError(f"{args.dataset}: no gender entries")
     bundle = _load_bundle(args.weights)
     # Every line, and in auto mode the gendered words, are checked before the
-    # first forward, so a refusal prints and writes nothing. Then each
-    # profession's prompts are read on the unedited table before any edit.
+    # first forward, so a refusal prints and writes nothing.
     _each_line(args.dataset, entries, lambda e: [bundle.tokenize(p) for p in e.prompts])
     if params.mode is BalanceMode.AUTO:
         with reading(args.weights, DataError):
@@ -212,7 +211,7 @@ def cmd_gender(args) -> int:
                                       counter_prompt=csp)
             baseline = female_percentage(entry, ref, f_ref, m_ref)
             result = edit_balance(bundle, request, params, ledger)
-            after = female_percentage(entry, encode_pooled(bundle, entry.tests), f_ref, m_ref)
+            after = female_percentage(entry, encode_pooled(bundle, entry.prompts), f_ref, m_ref)
             rows.append({
                 "profession": entry.profession,
                 "stereotype": "female" if leans_female else "male",

@@ -436,8 +436,6 @@ def init_random_weights(config: EncoderConfig, seed: int) -> EncoderWeights:
             a = np.zeros(shape)
         else:
             a = rng.normal(0.0, INIT_STD, size=shape)
-            if not np.isfinite(a).all():
-                raise NonFiniteError(f"init: {name} drew entries that are not finite")
         # Fresh arrays, adopted without the copy Tensor(...) would make.
         tensors[name] = Tensor._wrap(a)
     return EncoderWeights.from_named(tensors, config)
@@ -483,8 +481,8 @@ def encode_reads(
     _pooled_length(eos, context) positions. The token rows are stacked in
     order of that length, so the rows of one length share attention's runs.
     Every state is bitwise bundle.encode_prompt(prompt)'s where a row block
-    of a stacked matmul is bitwise its own matmul (README, "Bitwise facts");
-    under OpenBLAS's Nehalem kernels that fact, and so this one, fails.
+    of a stacked matmul is bitwise its own matmul (README, "Bitwise facts"),
+    not under OpenBLAS's Nehalem kernels. No command's output rests on the fact.
     Raises NonFiniteError when a computed state is not finite.
     """
     full = dict.fromkeys(full)

@@ -145,7 +145,8 @@ class GenderEntry(_Entry):
 
     @property
     def prompts(self) -> tuple[str, ...]:
-        """Every prompt `gender` reads: all but the profession, which every test holds."""
+        """The one list `gender` tokenizes, and reads before and after each edit:
+        all but the profession, which every test holds."""
         return (self.female_ref, self.male_ref, self.validation, *self.tests)
 
 

@@ -1,4 +1,7 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +23,23 @@ WORDS = [
 ]
 
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+
+def run_child(argv, env: dict[str, str]) -> str:
+    """Run `python *argv` from the repository root, with src and tests on
+    its path and the variables `env` set for it alone, and return its
+    stdout. A child that exits nonzero fails the test with the tail of its
+    stderr, and of its stdout, where pytest reports."""
+    child = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=600,
+        env={**os.environ, **env,
+             "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])})
+    if child.returncode != 0:
+        pytest.fail(f"python {' '.join(argv)} with {env} exited {child.returncode}:\n"
+                    f"{child.stderr[-3000:]}{child.stdout[-3000:]}")
+    return child.stdout
 
 
 def tracer_sites():

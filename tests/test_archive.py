@@ -274,8 +274,9 @@ def test_a_loaded_archive_saves_its_payload_in_one_copy_per_unedited_range(saved
 
 def _copy_that(kind, monkeypatch) -> list:
     """Stand in for os.copy_file_range: `missing` removes it, `exdev`
-    refuses every call, `enosys` copies 100 bytes then refuses, `zero`
-    copies 100 bytes then returns 0. Returns the count of each call."""
+    refuses every call, `enosys` copies 100 bytes then refuses, `eio`
+    copies 100 bytes then fails with an I/O error, `zero` copies 100 bytes
+    then returns 0. Returns the count of each call."""
     real, calls = os.copy_file_range, []
     if kind == "missing":
         monkeypatch.delattr(archive.os, "copy_file_range")
@@ -289,6 +290,8 @@ def _copy_that(kind, monkeypatch) -> list:
             return real(src, dst, min(count, 100), offset_src, offset_dst)
         if kind == "enosys":
             raise OSError(errno.ENOSYS, "function not implemented")
+        if kind == "eio":
+            raise OSError(errno.EIO, "input/output error")
         return 0
 
     monkeypatch.setattr(archive.os, "copy_file_range", copy)
@@ -330,6 +333,22 @@ def test_a_copy_that_ends_early_raises_and_leaves_the_old_archive(saved, monkeyp
     with pytest.raises(ArchiveFormatError, match="ends early"):
         save_weights(path, config, loaded, vocab)
     assert calls[0] == len(split_archive(before)[1]) and len(calls) == 2
+    assert path.read_bytes() == before
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
+def test_a_copy_error_outside_the_refusals_raises_and_leaves_the_old_archive(saved,
+                                                                            monkeypatch):
+    # Only a refusal of the pair of files falls back to the map; any other
+    # error is the save's.
+    path, config, _, vocab = saved
+    before = path.read_bytes()
+    loaded = load_weights(path)[1]
+    calls = _copy_that("eio", monkeypatch)
+    with pytest.raises(OSError) as exc:
+        save_weights(path, config, loaded, vocab)
+    assert exc.value.errno == errno.EIO
+    assert len(calls) == 2
     assert path.read_bytes() == before
     assert [p.name for p in path.parent.iterdir()] == [path.name]
 

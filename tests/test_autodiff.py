@@ -197,6 +197,18 @@ class TestBackward:
         expected = 2.0 * (x.array - y.array) / x.size
         assert np.allclose(g.array, expected, rtol=1e-14)
 
+    def test_a_step_the_loss_never_reads_is_skipped(self, rng):
+        x = Tensor(rng.normal(size=(2, 3)))
+        grads = []
+        for unread in (False, True):
+            tape = Tape()
+            tape.watch(x)
+            if unread:
+                scale(x, 3.0, tape)  # recorded, but the loss never reads it
+            grads.append(backward(tape, mean_square(x, tape))[x].array)
+            assert len(tape._steps) == 1 + unread
+        assert grads[1].tobytes() == grads[0].tobytes()
+
     def test_loss_not_on_tape_is_usage_error(self):
         x = Tensor([1.0])
         tape = Tape()
@@ -524,6 +536,36 @@ def test_encoder_loss_gradient_matches_finite_differences():
     weights.set_wte_rows([bear], row0[None, :])
     rel = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-12)
     assert rel.max() < 1e-6
+
+
+_MATRIX, _VECTOR = Tensor(np.ones((2, 3))), Tensor(np.ones(3))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: _MATRIX.item(), r"item\(\) requires a scalar, got shape \(2, 3\)"),
+    (lambda: add_bias(_VECTOR, _VECTOR), r"add_bias: shapes \(3,\) and \(3,\) incompatible"),
+    (lambda: add_bias(_MATRIX, Tensor(np.ones(2))), r"add_bias: shapes \(2, 3\) and \(2,\)"),
+    (lambda: transpose(_VECTOR), r"transpose: expected a matrix, got shape \(3,\)"),
+    (lambda: slice_rows(_MATRIX, 1, 1), r"slice_rows: rows \[1:1\] invalid"),
+    (lambda: slice_rows(_MATRIX, 0, 3), r"slice_rows: rows \[0:3\] invalid"),
+    (lambda: slice_cols(_MATRIX, 2, 4), r"slice_cols: cols \[2:4\] invalid"),
+    (lambda: slice_cols(_VECTOR, 0, 1), r"slice_cols: cols \[0:1\] invalid"),
+    (lambda: concat_cols([]), "concat_cols: no parts"),
+    (lambda: concat_cols([_MATRIX, Tensor(np.ones((3, 3)))]),
+     r"concat_cols: incompatible part shape \(3, 3\)"),
+    (lambda: gather_rows(_VECTOR, [0]), r"gather_rows: expected a matrix, got shape \(3,\)"),
+    (lambda: substitute_rows(_MATRIX, [0], [0], Tensor(np.ones((1, 3)))),
+     r"substitute_rows: 1 ids for a matrix of shape \(2, 3\)"),
+    (lambda: substitute_rows(_MATRIX, [0, 1], [0], Tensor(np.ones((1, 2)))),
+     r"substitute_rows: leaf shape \(1, 2\) != \(1, 3\)"),
+], ids=["item_of_a_matrix", "add_bias_of_a_vector", "add_bias_of_another_width",
+        "transpose_of_a_vector", "slice_rows_empty", "slice_rows_past_the_end",
+        "slice_cols_past_the_end", "slice_cols_of_a_vector", "concat_cols_of_nothing",
+        "concat_cols_of_another_height", "gather_rows_of_a_vector",
+        "substitute_rows_with_too_few_ids", "substitute_rows_with_a_leaf_of_another_shape"])
+def test_a_primitive_refuses_a_shape_it_cannot_take(call, message):
+    with pytest.raises(DimensionError, match=f"^{message}"):
+        call()
 
 
 def test_gather_rows_out_of_range_is_index_error():

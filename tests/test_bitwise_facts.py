@@ -9,18 +9,14 @@ mismatch far from its cause."""
 import hashlib
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 
 from embedit.autodiff import _attention_probs
 from embedit.encoder import _forward, _pooled_length
 
-from conftest import make_bundle
+from conftest import make_bundle, run_child
 
-ROOT = Path(__file__).resolve().parent.parent
 D, D_FF, HEADS, CONTEXT = 768, 3072, 12, 77
 # The stacks the encoder runs: rows of the lengths a pooled read rounds to,
 # in several orders, and the largest, four context-length rows.
@@ -103,23 +99,16 @@ def _blas_threads() -> int:
 
 
 def test_no_result_depends_on_the_blas_thread_count():
-    # A child at another thread count runs the encoder-level stack tests and
-    # reproduces this process's products bit for bit.
+    # A child at another thread count passes the encoder-level stack tests,
+    # and another reproduces this process's products bit for bit.
     threads = 1 if _blas_threads() > 1 else 2
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
-           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])}
-    child = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_encoder.py", "tests/test_autodiff.py",
-         "-k", "pooled_reads_are_bitwise or mixed_length_stack or each_sequence_alone"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
-    assert child.returncode == 0, (
-        f"the encoder-level stack tests fail at {threads} BLAS threads:\n{child.stdout[-3000:]}")
-    child = subprocess.run(
-        [sys.executable, "-c",
-         "import json, test_bitwise_facts as t; print(json.dumps(t._digests()))"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
-    assert child.returncode == 0, child.stderr[-3000:]
-    assert json.loads(child.stdout) == _digests(), (
+    env = {"OPENBLAS_NUM_THREADS": str(threads)}
+    run_child(["-m", "pytest", "-q", "-p", "no:cacheprovider",
+               "tests/test_encoder.py", "tests/test_autodiff.py",
+               "-k", "pooled_reads_are_bitwise or mixed_length_stack or each_sequence_alone"],
+              env)
+    digests = run_child(
+        ["-c", "import json, test_bitwise_facts as t; print(json.dumps(t._digests()))"], env)
+    assert json.loads(digests) == _digests(), (
         f"products at {threads} BLAS threads differ from this process's: results depend on "
         "the thread count")

@@ -26,7 +26,16 @@ from embedit import (
 from embedit.cli import main
 from embedit.errors import DimensionError, TapeUsageError
 
-from conftest import WORDS, FailingFile, diverge_adam, map_owner, zero_row_ledger
+from conftest import (
+    WORDS,
+    FailingFile,
+    diverge_adam,
+    make_bundle,
+    make_vocab,
+    map_owner,
+    run_child,
+    zero_row_ledger,
+)
 
 
 @pytest.fixture
@@ -986,25 +995,38 @@ class TestGenderAndProbe:
         }
         ds = workdir / "gender.jsonl"
         ds.write_text(json.dumps(gender) + "\n")
-        prompts = []
+        prompts, reads, edits = [], [], []
         real, real_pooled = EncoderBundle.encode_prompt, cli.encode_pooled
+        real_edit = cli.edit_balance
 
         def spy(self, prompt, *args, **kwargs):
-            prompts.append(prompt)
+            if not edits:
+                prompts.append(prompt)
             return real(self, prompt, *args, **kwargs)
 
         def spy_pooled(bundle, batch):
             pooled = real_pooled(bundle, batch)
-            prompts.extend(pooled)
+            if not edits:
+                prompts.extend(pooled)
+            reads.append((len(edits), list(batch)))
             return pooled
 
-        # The references are read in full or pooled; either way, once.
+        def edit(*args):
+            edits.append(args)
+            return real_edit(*args)
+
+        # Before the first edit the references are read in full or pooled;
+        # either way, once. The read after the edit gets the same prompt list.
         monkeypatch.setattr(EncoderBundle, "encode_prompt", spy)
         monkeypatch.setattr(cli, "encode_pooled", spy_pooled)
+        monkeypatch.setattr(cli, "edit_balance", edit)
         assert run("gender", "--weights", base, "--dataset", ds, "--mode", "auto",
                    "--max-iters", 2, "--out", workdir / "auto") == 0
         assert prompts.count("female teacher") == 1
         assert prompts.count("male teacher") == 1
+        (before, reference), (after, post_edit) = reads
+        assert (before, after) == (0, 1)
+        assert post_edit == reference
 
     def test_gender_loads_the_archive_once(self, workdir, monkeypatch):
         import embedit.cli as cli
@@ -1028,12 +1050,12 @@ class TestGenderAndProbe:
         assert len(loads) == 1
         assert (workdir / "genderout" / "edited.embedit").read_bytes() != base.read_bytes()
         # The baseline is scored on the unedited table, as by a reference
-        # loaded on its own.
+        # loaded on its own and read as the command reads it.
         reference = EncoderBundle(*real(base))
         entry = GenderEntry.from_json(gender)
-        baseline = female_percentage(entry, encode_pooled(reference, entry.tests),
-                                     reference.encode_prompt(entry.female_ref).pooled,
-                                     reference.encode_prompt(entry.male_ref).pooled)
+        pooled = encode_pooled(reference, entry.prompts)
+        baseline = female_percentage(entry, pooled, pooled[entry.female_ref],
+                                     pooled[entry.male_ref])
         report = json.loads((workdir / "genderout" / "gender_report.json").read_text())
         assert report["per_profession"][0]["baseline_f"] == baseline
 
@@ -1069,8 +1091,24 @@ class TestGenderAndProbe:
                    "--max-iters", 2, "--out", workdir / "genderout") == 0
         # One forward per profession over its distinct prompts (both
         # references, validation and tests; not the profession, which every
-        # test holds), then each edited table's tests after its edit.
-        assert events == [3, 4, "teacher", 1, "panda", 2]
+        # test holds), then the same prompts on each edited table after its
+        # edit, so both reads of a test share one layout.
+        assert events == [3, 4, "teacher", 3, "panda", 4]
+
+    def test_gender_reads_unchanged_rows_bitwise_where_a_rows_bits_depend_on_its_offset(
+            self, tmp_path):
+        # Under OpenBLAS's Nehalem kernels, its SSE path for CPUs without
+        # AVX, a row of a stacked product is not bitwise its own product. An
+        # edit that takes no step changes no row, and the read after it
+        # stacks the same prompts in the same order as the read before it,
+        # so every test row keeps its bits and F does not move.
+        out = run_child(["-c", "import json, sys, test_cli as t; "
+                               "print(json.dumps(t._gender_at_clip_l_widths(sys.argv[1])))",
+                         str(tmp_path)], {"OPENBLAS_CORETYPE": "Nehalem"})
+        got = json.loads(out.splitlines()[-1])  # after the command's own lines
+        assert [r["result"]["optimizer_steps"] for r in got["rows"]] == [0]
+        assert all(r["edited_f"] == r["baseline_f"] for r in got["rows"])
+        assert got["changed_test_rows"] == [[]]
 
     def test_diverging_second_profession_exits_three_and_reverts_to_base(
             self, workdir, capsys, monkeypatch):
@@ -1623,3 +1661,39 @@ def test_readme_names_every_flag_and_only_real_flags():
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
     assert sorted(flags - named) == []
     assert sorted(named - flags) == []
+
+
+def _gender_at_clip_l_widths(workdir) -> dict:
+    """`gender --mode manual --lambda 1` on one profession at CLIP-L widths
+    (2 layers): the report's rows, and for each read after an edit the test
+    prompts whose pooled row is not bitwise the reference read's."""
+    workdir = Path(workdir)
+    vocab = make_vocab("a teacher female male with dog little nurse tree on the red blue "
+                       "cat panda and".split())
+    bundle = make_bundle(seed=3, vocab=vocab, d_model=768, n_layers=2, n_heads=12,
+                         d_ff=3072, context_length=77)
+    save_weights(workdir / "base.embedit", bundle.config, bundle.weights, vocab)
+    tests = ["a teacher", "teacher with a dog", "little teacher on the tree with a red cat"]
+    (workdir / "gender.jsonl").write_text(json.dumps({
+        "profession": "teacher", "validation": "a teacher with the blue cat", "tests": tests,
+        "female_ref": "a female teacher with a dog", "male_ref": "a male teacher",
+    }) + "\n")
+    reads, real = [], cli.encode_pooled
+
+    def spy(b, prompts):
+        reads.append(real(b, prompts))
+        return reads[-1]
+
+    cli.encode_pooled = spy
+    try:
+        assert run("gender", "--weights", workdir / "base.embedit", "--dataset",
+                   workdir / "gender.jsonl", "--mode", "manual", "--lambda", 1,
+                   "--out", workdir / "out") == 0
+    finally:
+        cli.encode_pooled = real
+    rows = json.loads((workdir / "out" / "gender_report.json").read_text())["per_profession"]
+    references, after = reads[:len(rows)], reads[len(rows):]
+    return {"rows": rows,
+            "changed_test_rows": [
+                [p for p in tests if a[p].array.tobytes() != r[p].array.tobytes()]
+                for r, a in zip(references, after)]}

@@ -23,7 +23,8 @@ from embedit import (
     revert,
     target_token_ids,
 )
-from embedit.editor import LedgerEntry, check_request
+from embedit.autodiff import add, mean_square
+from embedit.editor import LedgerEntry, _optimize_rows, check_request
 from embedit.encoder import HiddenStates
 from embedit.errors import (
     DimensionError,
@@ -284,6 +285,25 @@ class TestEditSingle:
         error = self.diverge_at_scale(final_gamma)
         assert str(error) == "loss became non-finite (iteration 1)"
         assert error.iteration == 1
+
+    def test_a_loss_that_sums_past_the_float_range_is_a_divergence(self):
+        # add adopts its output unchecked, as auto mode's reward-penalty sum
+        # does, so two finite terms can sum to infinity without raising.
+        bundle, ledger = make_bundle(), EditLedger()
+        request = EditRequest("a bear", "a wolf", "bear")
+        ids, tokens, _ = check_request(bundle, request)
+        before = wte_bytes(bundle)
+
+        def loss(h, tape):
+            term = add(mean_square(h.sequence, tape), Tensor(1e308), tape)
+            return add(term, Tensor(1e308), tape)
+
+        with pytest.raises(DivergenceError) as exc:
+            _optimize_rows(bundle, request, ids, bundle.weights.wte.rows(ids), tokens, loss,
+                           EditHyperparams(stop_ratio=0.0, max_iters=3), ledger)
+        assert str(exc.value) == "loss became non-finite (iteration 1)"
+        assert wte_bytes(bundle) == before
+        assert len(ledger) == 0
 
     @pytest.mark.parametrize("final_gamma", [1e150, 1e153])
     def test_a_gradient_whose_norm_overflows_is_a_divergence(self, final_gamma):
@@ -775,6 +795,15 @@ class TestMultiEncoder:
         with pytest.raises(InconsistentRequestError, match="encoder 1"):
             edit_multi_encoder(encoders, EditRequest("bear", "wolf", "bear"),
                                EditHyperparams(), [EditLedger(), EditLedger()])
+
+    def test_one_ledger_too_few_edits_no_encoder(self):
+        encoders, ledger = [make_bundle(seed=1), make_bundle(seed=1)], EditLedger()
+        before = [wte_bytes(e) for e in encoders]
+        with pytest.raises(ValueError, match="need one ledger per encoder"):
+            edit_multi_encoder(encoders, EditRequest("bear", "wolf", "bear"),
+                               EditHyperparams(), [ledger])
+        assert [wte_bytes(e) for e in encoders] == before
+        assert len(ledger) == 0
 
     def test_a_destination_one_encoder_cannot_read_edits_no_encoder(self):
         encoders = [make_bundle(seed=1), make_bundle(seed=1, vocab=make_vocab(words=["a", "bear"]))]

@@ -66,6 +66,10 @@ class TestVocab:
         with pytest.raises(ValueError):
             Vocab(tokens={"x": 3}, splits={"yz": ["y", "z"]}, bos=0, eos=1, pad=2)
 
+    def test_a_split_entry_may_not_be_empty(self):
+        with pytest.raises(ValueError, match="^split table entry 'yz' is empty$"):
+            Vocab(tokens={"x": 3}, splits={"yz": []}, bos=0, eos=1, pad=2)
+
     @pytest.mark.parametrize("tokens,splits,bad", [
         ({"Bear": 3, "a": 4}, {}, "Bear"),
         ({"a": 3, "ice cream": 4}, {}, "ice cream"),
@@ -144,6 +148,22 @@ def test_token_sequence_invariants_over_random_prompts(data):
 
 
 class TestEncode:
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_a_sequence_that_is_not_the_context_long_is_refused(self, tiny_bundle, n):
+        t = tiny_bundle.tokenize("a bear")
+        short = TokenSequence(ids=(t.ids * 2)[:n], eos_position=t.eos_position)
+        with pytest.raises(DimensionError, match=f"^token sequence length {n} != context"):
+            encode(short, tiny_bundle.weights, tiny_bundle.config)
+
+    def test_reading_no_prompts_runs_no_forward(self, tiny_bundle, monkeypatch):
+        import embedit.encoder as encoder
+
+        calls = []
+        monkeypatch.setattr(encoder, "_forward", lambda *args: calls.append(args))
+        assert encode_reads(tiny_bundle, [], []) == ({}, {})
+        assert encode_pooled(tiny_bundle, []) == {}
+        assert calls == []
+
     def test_bitwise_determinism(self, tiny_bundle):
         h1 = tiny_bundle.encode_prompt("a bear")
         h2 = tiny_bundle.encode_prompt("a bear")

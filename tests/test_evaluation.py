@@ -1,9 +1,5 @@
 import json
-import os
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,14 +33,16 @@ from embedit.errors import (
     DegenerateVectorError,
     NonFiniteError,
 )
-from embedit.evaluation import DESTINATION
+from embedit.evaluation import DESTINATION, contains_phrase
 
-from conftest import WORDS, make_bundle, make_vocab
-
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import WORDS, make_bundle, make_vocab, run_child
 
 
 class TestClassify:
+    def test_vectors_of_different_widths_are_refused(self):
+        with pytest.raises(DegenerateInputError, match="^vector widths differ: "):
+            classify(np.ones(3), np.ones(3), np.ones(2))
+
     def test_exact_destination_match(self):
         dst = np.array([1.0, 0.0])
         src = np.array([0.0, 1.0])
@@ -161,14 +159,9 @@ class TestEvaluateEdit:
         # AVX, a row of a stacked product is not bitwise its own product.
         # Both bundles stack the same rows in the same order, so a negative
         # that avoids the edited id still reads the same bits on each.
-        env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem",
-               "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])}
-        child = subprocess.run(
-            [sys.executable, "-c",
-             "import test_evaluation as t; print(t._strict_at_clip_l_widths())"],
-            cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
-        assert child.returncode == 0, child.stderr[-3000:]
-        assert float(child.stdout) == 100.0
+        out = run_child(["-c", "import test_evaluation as t; print(t._strict_at_clip_l_widths())"],
+                        {"OPENBLAS_CORETYPE": "Nehalem"})
+        assert float(out) == 100.0
 
     def test_counts_match_bucket_sizes(self, converged_pair):
         edited, reference = converged_pair
@@ -464,6 +457,16 @@ class TestGenderDelta:
     def test_empty_is_error(self):
         with pytest.raises(DatasetError):
             gender_delta([])
+
+
+@pytest.mark.parametrize("phrase", ["", " ", "a little bear"], ids=["empty", "blank", "longer"])
+def test_an_empty_phrase_or_one_longer_than_the_prompt_is_not_contained(phrase):
+    assert contains_phrase("little bear", phrase) is False
+
+
+def test_aggregating_no_reports_is_a_dataset_error():
+    with pytest.raises(DatasetError, match="^no reports to aggregate$"):
+        aggregate_reports([])
 
 
 def test_edit_entry_jsonl_round_trip(tmp_path):

@@ -120,6 +120,11 @@ class TestTrainLogreg:
             train_logreg(np.array([[-1.0], [1.0]]), np.array([0.0, 1.0]),
                          ProbeParams(epochs=epochs))
 
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_one_example_is_degenerate(self, label):
+        with pytest.raises(DegenerateDataError, match="^need at least 2 examples$"):
+            train_logreg(np.ones((1, 2)), np.array([label]))
+
     def test_single_class_is_degenerate(self):
         with pytest.raises(DegenerateDataError):
             train_logreg(np.ones((4, 2)), np.zeros(4))
