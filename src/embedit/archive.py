@@ -17,9 +17,12 @@ The tensor index is a function of the config (_tensor_index): save writes
 it, and load accepts exactly it, with the payloads filling the file to its
 end. Load views its tensors in one read-only map of the file, which holds a
 descriptor of that file while it lives, so an archive must not be rewritten
-in place while a process holds it loaded. Save writes each tensor whole (the
-WTE as its base), copying each range that still views such a map from the
-mapped file in the kernel, then each overriding WTE row over its base row.
+in place while a process holds it loaded. An archive saved before the
+padding loads the same way: its views are unaligned, and numpy computes on
+them with the same bits; saving it copies its payload in the kernel like any
+loaded archive's and pads it. Save writes each tensor whole (the WTE as its
+base), copying each range that still views such a map from the mapped file
+in the kernel, then each overriding WTE row over its base row.
 Save followed by load is bitwise lossless.
 Every file the package writes (archive, vocab, ledger and the CLI's JSON and
 text reports) goes through one atomic write, write_atomically, which renames
@@ -36,7 +39,7 @@ import os
 import secrets
 import struct
 import weakref
-from mmap import ACCESS_READ, MADV_DONTNEED, PAGESIZE, mmap
+from mmap import ACCESS_READ, mmap
 from pathlib import Path
 from typing import BinaryIO, Callable
 
@@ -218,11 +221,11 @@ def load_weights(path: str | Path) -> tuple[EncoderConfig, EncoderWeights, Vocab
     buffer of CHECK_BUFFER_BYTES before anything is mapped. Each tensor is
     then a read-only view of one map of the file, so the weights are held
     once, by the page cache, and a page is read only when it is first used:
-    an encode touches the WTE rows of its prompt's ids alone. A view that
-    numpy reports unaligned (an archive saved before payloads were padded)
-    is copied into fresh memory. The map is a _FileMap: a descriptor of the
-    file stays open until the map is freed, so that save can copy the viewed
-    bytes from it.
+    an encode touches the WTE rows of its prompt's ids alone. An archive
+    saved before payloads were padded gives unaligned views, on which numpy
+    computes the same bits, and saves padded. The map is a _FileMap: a
+    descriptor of the file stays open until the map is freed, so that save
+    can copy the viewed bytes from it.
     """
     with reading(path, ArchiveFormatError), open(path, "rb") as f:
         config, vocab, index = _read_header(f, os.fstat(f.fileno()).st_size)
@@ -234,14 +237,10 @@ def load_weights(path: str | Path) -> tuple[EncoderConfig, EncoderWeights, Vocab
     mapped.address = np.frombuffer(mapped, dtype=np.uint8).ctypes.data
     tensors: dict[str, Tensor] = {}
     for entry in index:
-        at, nbytes = start + entry["offset"], entry["nbytes"]
-        a = np.frombuffer(mapped, dtype="<f8", count=nbytes // 8, offset=at)
+        a = np.frombuffer(mapped, dtype="<f8", count=entry["nbytes"] // 8,
+                          offset=start + entry["offset"])
         # Native byte order: no copy on a little-endian host.
         a = a.astype(np.float64, copy=False).reshape(entry["shape"])
-        if not a.flags.aligned:
-            a = a.copy()
-            # The copy holds the scalars now; let the map's pages of them go.
-            mapped.madvise(MADV_DONTNEED, at - at % PAGESIZE, at % PAGESIZE + nbytes)
         tensors[entry["name"]] = Tensor._wrap(a)
     return config, EncoderWeights.from_named(tensors, config), vocab
 
@@ -271,12 +270,9 @@ def load_config(path: str | Path) -> EncoderConfig:
 
 
 def _read_exactly(f, a: np.ndarray) -> None:
-    view = memoryview(a).cast("B")
-    while view:
-        n = f.readinto(view)
-        if not n:
-            raise ArchiveFormatError("payload truncated", offset=f.tell())
-        view = view[n:]
+    # A buffered regular file fills the buffer unless the file ends first.
+    if f.readinto(a) < a.nbytes:
+        raise ArchiveFormatError("payload truncated", offset=f.tell())
 
 
 def _read_header(f, size: int):

@@ -38,7 +38,7 @@ _TINY_ROOT = np.sqrt(np.finfo(np.float64).tiny)
 def contains_phrase(prompt: str, phrase: str) -> bool:
     """True when the phrase's words occur contiguously in the prompt's words."""
     p, ph = prompt_words(prompt), prompt_words(phrase)
-    if not ph or len(ph) > len(p):
+    if not ph:
         return False
     return any(p[i:i + len(ph)] == ph for i in range(len(p) - len(ph) + 1))
 

@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import gc
 import json
 import mmap
 import os
@@ -94,6 +95,26 @@ def test_truncated_payload(saved, tmp_path):
         load_weights(bad)
 
 
+def test_a_file_cut_after_its_header_check_is_a_truncated_payload(saved, monkeypatch):
+    # The header check sees the whole file; the cut, of the last scalar,
+    # comes before the finiteness read, which finds the file ending there.
+    path = saved[0]
+    end = path.stat().st_size - 8
+    check, maps = archive._check_header, []
+
+    def check_then_cut(header, payload_base, size):
+        checked = check(header, payload_base, size)
+        os.truncate(path, end)
+        return checked
+
+    monkeypatch.setattr(archive, "_check_header", check_then_cut)
+    monkeypatch.setattr(archive, "_FileMap", lambda *args, **kwargs: maps.append(args))
+    with pytest.raises(ArchiveFormatError) as e:
+        load_weights(path)
+    assert str(e.value) == f"{path}: payload truncated (byte offset {end})"
+    assert e.value.offset == end and maps == []
+
+
 def test_truncated_before_header_length(tmp_path):
     bad = tmp_path / "bad.embedit"
     bad.write_bytes(MAGIC + b"\x00" * 7)
@@ -176,21 +197,40 @@ def test_a_load_views_one_read_only_map_of_a_padded_payload(saved):
     assert loaded.wte.base.array.ctypes.data % PAYLOAD_ALIGN == 0
 
 
-def test_an_unpadded_archive_loads_aligned_copies_of_its_tensors(saved, tmp_path):
+def _read_then_edit(bundle) -> tuple[bytes, str]:
+    """The bytes of a CLIP-L-width bundle's hidden states for one prompt,
+    and the JSON of the ledger of one two-step edit made after that read."""
+    states = bundle.encode_prompt("a little polar bear").sequence.array.tobytes()
+    ledger = EditLedger()
+    edit_single(bundle, EditRequest("a bear", "a polar bear", "bear"),
+                EditHyperparams(stop_ratio=0.0, max_iters=2, learning_rate=1e-2), ledger)
+    return states, json.dumps(ledger.to_json())
+
+
+def test_an_unpadded_archive_computes_edits_and_saves_like_its_padded_twin(tmp_path, copies):
     # join_archive writes the header unpadded, as saves did before padding.
-    path, _, weights, _ = saved
-    blob = join_archive(*split_archive(path.read_bytes()))
-    (hlen,) = struct.unpack("<Q", blob[8:16])
-    assert (16 + hlen) % 8 != 0
-    old = tmp_path / "unpadded.embedit"
-    old.write_bytes(blob)
-    config, loaded, vocab = load_weights(old)
-    for (name, a), (_, want) in zip(_arrays(loaded), _arrays(weights)):
-        assert a.flags.aligned and not a.flags.writeable and map_owner(a) is None, name
+    # CLIP-L widths, so that the forwards and the edit run through BLAS on
+    # the unaligned views.
+    vocab = make_vocab()
+    config = make_config(vocab, d_model=768, n_layers=1, n_heads=12, d_ff=3072)
+    padded, old = tmp_path / "padded.embedit", tmp_path / "unpadded.embedit"
+    save_weights(padded, config, init_random_weights(config, 3), vocab)
+    header, payload = split_archive(padded.read_bytes())
+    old.write_bytes(join_archive(header, payload))
+    payload_start = old.stat().st_size - len(payload)
+    assert payload_start % 8 != 0
+    twin, loaded = load_weights(padded)[1], load_weights(old)[1]
+    owner = map_owner(loaded.wte.base.array)
+    assert isinstance(owner, mmap.mmap)
+    for (name, a), (_, want) in zip(_arrays(loaded), _arrays(twin)):
+        assert map_owner(a) is owner and not a.flags.aligned and not a.flags.writeable, name
         assert a.tobytes() == want.tobytes(), name
-    # Saving it writes the padded layout.
-    save_weights(tmp_path / "padded.embedit", config, loaded, vocab)
-    assert (tmp_path / "padded.embedit").read_bytes() == path.read_bytes()
+    # Saving it writes the padded layout, in one kernel copy of its payload.
+    save_weights(tmp_path / "resaved.embedit", config, loaded, vocab)
+    assert (tmp_path / "resaved.embedit").read_bytes() == padded.read_bytes()
+    assert copies == [(len(payload), payload_start)]
+    assert _read_then_edit(EncoderBundle(config, loaded, vocab)) == \
+        _read_then_edit(EncoderBundle(config, twin, vocab))
 
 
 @pytest.fixture
@@ -354,12 +394,20 @@ def test_a_copy_error_outside_the_refusals_raises_and_leaves_the_old_archive(sav
 
 
 def test_a_dropped_load_closes_its_file(saved):
+    # An earlier test's garbage cycle (a caught exception's traceback holds
+    # its frame) may still hold a map; collect it before counting, and keep
+    # the collector off so that the drop alone must close each file.
+    gc.collect()
     fds = len(os.listdir("/proc/self/fd"))
-    for _ in range(50):
-        weights = load_weights(saved[0])[1]
-        assert len(os.listdir("/proc/self/fd")) > fds
-        del weights
-    assert len(os.listdir("/proc/self/fd")) == fds
+    gc.disable()
+    try:
+        for _ in range(50):
+            weights = load_weights(saved[0])[1]
+            assert len(os.listdir("/proc/self/fd")) > fds
+            del weights
+        assert len(os.listdir("/proc/self/fd")) == fds
+    finally:
+        gc.enable()
 
 
 def _tensor(header, name):
